@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -105,14 +106,22 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
     if path.is_file():
         nodes = []
         values = []
-        for line in path.read_text().splitlines():
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("s,"):
                 continue
-            s_txt, a_txt = line.split(",")[:2]
-            nodes.append(float(s_txt))
-            values.append(float(a_txt))
-        return AlphaPolicy(np.array(nodes), np.array(values))
+            fields = line.split(",")
+            try:
+                s_val, a_val = float(fields[0]), float(fields[1])
+            except (IndexError, ValueError):
+                raise ConfigError(f"--alpha file {path}, line {lineno}: "
+                                  f"expected 's,alpha' numbers, got {line!r}")
+            nodes.append(s_val)
+            values.append(a_val)
+        try:
+            return AlphaPolicy(np.array(nodes), np.array(values))
+        except ValueError as exc:
+            raise ConfigError(f"--alpha file {path}: {exc}")
     try:
         value = float(flag)
     except ValueError:
@@ -137,9 +146,11 @@ def _cmd_riccati(args) -> int:
             sol = riccati.solve_stabilizing(
                 spec, alpha, t0, t0 + args.eval_span, tol=args.tol)
         except NoConvergence as exc:
+            # the first horizon has no gap yet; strict JSON has no NaN
+            attempts = [[h, g if math.isfinite(g) else None]
+                        for h, g in exc.attempts]
             _write_json(out / "certificate.json",
-                        {"converged": False, "attempts": list(exc.attempts)},
-                        sha)
+                        {"converged": False, "attempts": attempts}, sha)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         _write_json(out / "certificate.json", sol.certificate.to_dict(), sha)
@@ -220,6 +231,8 @@ def _cmd_game(args) -> int:
     x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
     if not spec.omega.contains(x0, tol=1e-9):
         raise ConfigError("--x0 lies outside the constraint set")
+    if args.alpha_points < 1:
+        raise ConfigError("--alpha-points must be at least 1")
 
     solution = game.solve_coupled(spec, t0, x0, tol=args.tol,
                                   max_iter=args.max_iter,

@@ -13,6 +13,10 @@ SCALAR = str(CONFIG_DIR / "scalar_demo.json")
 OUTWARD = str(CONFIG_DIR / "outward_drift.json")
 
 
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 def read_csv(path: Path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# manifest_sha256=")
@@ -63,8 +67,26 @@ class TestRiccatiCommand:
         code = main(["--config", str(path), "--out", str(tmp_path),
                      "riccati", "--horizon", "stabilizing"])
         assert code == 2
-        cert = json.loads((tmp_path / "certificate.json").read_text())
+        cert = json.loads((tmp_path / "certificate.json").read_text(),
+                          parse_constant=reject_constant)
         assert not cert["converged"]
+        assert cert["attempts"][0][1] is None
+
+    @pytest.mark.parametrize("rows, where", [
+        ("0.0,0.5\n1;x\n", "line 3"),       # one field
+        ("0.0,0.5\n1.0,x\n", "line 3"),     # not a number
+        ("1.0,0.5\n0.0,0.5\n", "strictly increasing"),
+    ])
+    def test_malformed_alpha_csv_is_config_error(self, tmp_path, capsys,
+                                                 rows, where):
+        policy = tmp_path / "alpha.csv"
+        policy.write_text("s,alpha\n" + rows)
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "riccati", "--alpha", str(policy)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(policy) in err and where in err
 
 
 class TestSynthesizeCommand:
@@ -114,6 +136,14 @@ class TestGameCommand:
                      "game", "--x0", "0.6", "--tol", "1e-13",
                      "--max-iter", "2"])
         assert code == 4
+
+    def test_alpha_points_below_one_is_config_error(self, tmp_path, capsys):
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "game", "--x0", "0.6", "--alpha-points", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--alpha-points" in err
 
 
 class TestVerifyCommand:

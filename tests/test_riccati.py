@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from safelq import AlphaPolicy, build_problem
+from safelq import AlphaPolicy, build_problem, riccati
+from safelq.cli import main
 from safelq.errors import NoConvergence, NotStabilizable
 from safelq.riccati import (check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
 
-from conftest import load_config
+from conftest import CONFIG_DIR, load_config
 
 # stabilizing root of 2 P^2 + 2 P - 1 = 0 for A=-1, B=1, R=1/2, Q=1
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
@@ -178,3 +179,95 @@ class TestCsvRows:
         assert header == ["s", "P_11", "P_12", "P_22"]
         assert len(rows) == len(sol.nodes)
         assert rows[-1][1:] == [0.0, 0.0, 0.0]
+
+
+@pytest.fixture
+def cold_memo():
+    with riccati._sweep_memo_lock:
+        riccati._sweep_memo.clear()
+    yield riccati._sweep_memo
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Counts evaluations of the Riccati right-hand side."""
+    calls = [0]
+    rhs = riccati._riccati_rhs
+
+    def counting(*args):
+        calls[0] += 1
+        return rhs(*args)
+
+    monkeypatch.setattr(riccati, "_riccati_rhs", counting)
+    return calls
+
+
+def _window_policy(values):
+    # differs from policy to policy only on [0, 2]; zero tail afterwards
+    return AlphaPolicy(np.linspace(0.0, 2.0, len(values)), np.array(values))
+
+
+class TestSweepMemo:
+    @pytest.mark.parametrize("name", ["ball2d_spec", "timevarying_spec"])
+    def test_shared_tail_reuse_is_bit_exact(self, name, request, cold_memo,
+                                            rhs_calls):
+        spec = request.getfixturevalue(name)
+        first = _window_policy([0.3, 0.7, 0.1, 0.0, 0.4])
+        second = _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])
+        cold = solve_stabilizing(spec, first, 0.0, 2.0, tol=1e-8)
+        cold_calls = rhs_calls[0]
+        cold_memo.clear()
+        solve_stabilizing(spec, second, 0.0, 2.0, tol=1e-8)
+        # the memo now holds the second policy's sweeps: a partial hit
+        rhs_calls[0] = 0
+        partial = solve_stabilizing(spec, first, 0.0, 2.0, tol=1e-8)
+        partial_calls = rhs_calls[0]
+        # and now the first policy's own sweeps: a full hit
+        rhs_calls[0] = 0
+        full = solve_stabilizing(spec, first, 0.0, 2.0, tol=1e-8)
+        n_sweeps = len(cold.certificate.horizons)
+        assert 0 < partial_calls < cold_calls
+        assert rhs_calls[0] == n_sweeps
+        for warm in (partial, full):
+            assert np.array_equal(warm.P, cold.P)
+            assert np.array_equal(warm.dP, cold.dP)
+            assert warm.certificate == cold.certificate
+
+    def test_signed_zero_is_not_shared(self):
+        nodes = [np.zeros((5, 2, 2)), np.zeros((5, 2, 2)), np.zeros(5)]
+        mids = [np.zeros((4, 2, 2)), np.zeros((4, 2, 2)), np.zeros(4)]
+        old = tuple(nodes + mids)
+        assert riccati._shared_steps(old, old) == 4
+        new = tuple(arr.copy() for arr in old)
+        new[0][3, 0, 1] = -0.0
+        assert np.array_equal(new[0], old[0])
+        assert riccati._shared_steps(new, old) == 2
+        new = tuple(arr.copy() for arr in old)
+        new[5][1] = -0.0
+        assert riccati._shared_steps(new, old) == 1
+        new = tuple(arr.copy() for arr in old)
+        new[2][0] = -0.0
+        assert riccati._shared_steps(new, old) == 0
+
+    def test_memo_never_exceeds_cap(self, scalar_spec, cold_memo):
+        cap = riccati._SWEEP_MEMO_CAP
+        for k in range(1, cap + 3):
+            solve_finite_horizon(scalar_spec, ALPHA0, 0.0, 0.1 * k)
+            assert len(cold_memo) <= cap
+        assert len(cold_memo) == cap
+        # the oldest sweeps were evicted, the latest kept
+        assert sorted(key[1] for key in cold_memo) == [
+            10 * k for k in range(3, cap + 3)]
+
+    def test_game_sweep_identical_across_jobs(self, tmp_path):
+        config = str(CONFIG_DIR / "scalar_demo.json")
+        sweeps = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            main(["--config", config, "--out", str(out), "--jobs", jobs,
+                  "game", "--x0", "0.6", "--max-iter", "1",
+                  "--alpha-points", "4"])
+            lines = (out / "constant_alpha_sweep.csv").read_text().splitlines()
+            sweeps.append(lines[1:])  # past the manifest hash line
+        assert len(sweeps[0]) == 5
+        assert sweeps[0] == sweeps[1]
