@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +57,16 @@ def _write_json(path: Path, obj, manifest_sha: str | None = None) -> None:
     path.write_bytes(_json_bytes(obj))
 
 
-def _write_csv(path: Path, header: list[str], rows, manifest_sha: str) -> None:
-    lines = [f"# manifest_sha256={manifest_sha}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], blocks,
+               manifest_sha: str) -> None:
+    """Write an iterable of rectangular row blocks one block at a time, so
+    no table is held as text; every value is formatted ``.17g``."""
+    with path.open("w") as f:
+        f.write(f"# manifest_sha256={manifest_sha}\n{','.join(header)}\n")
+        for block in blocks:
+            if len(block):
+                line = ",".join(["{:.17g}"] * len(block[0])) + "\n"
+                f.write((line * len(block)).format(*chain.from_iterable(block)))
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace,
@@ -163,7 +169,7 @@ def _cmd_riccati(args) -> int:
         _write_json(out / "certificate.json",
                     {"kind": "finite_horizon", "horizon": t0 + horizon}, sha)
     header, rows = sol.csv_rows()
-    _write_csv(out / "riccati.csv", header, rows, sha)
+    _write_csv(out / "riccati.csv", header, [rows], sha)
     print(f"wrote {out / 'riccati.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -201,9 +207,9 @@ def _cmd_synthesize(args) -> int:
 
     traj = synthesis.simulate_closed_loop(spec, sol, alpha, t0, x0, t_end)
     header, rows = traj.csv_rows()
-    _write_csv(out / "trajectory.csv", header, rows, sha)
+    _write_csv(out / "trajectory.csv", header, [rows], sha)
     p_header, p_rows = sol.csv_rows()
-    _write_csv(out / "riccati.csv", p_header, p_rows, sha)
+    _write_csv(out / "riccati.csv", p_header, [p_rows], sha)
 
     value = synthesis.value_from_riccati(spec, sol, alpha, t0, x0)
     cost = synthesis.cost_of_trajectory(spec, traj, alpha, tail_P=sol)
@@ -233,14 +239,16 @@ def _cmd_game(args) -> int:
         raise ConfigError("--x0 lies outside the constraint set")
     if args.alpha_points < 1:
         raise ConfigError("--alpha-points must be at least 1")
+    if args.max_iter < 1:
+        raise ConfigError("--max-iter must be at least 1")
 
     solution = game.solve_coupled(spec, t0, x0, tol=args.tol,
                                   max_iter=args.max_iter,
                                   relaxation=args.relaxation)
     _write_json(out / "game.json", solution.to_dict(), sha)
     _write_csv(out / "alpha_star.csv", ["s", "alpha"],
-               list(zip(solution.alpha_star.nodes, solution.alpha_star.values)),
-               sha)
+               [list(zip(solution.alpha_star.nodes,
+                         solution.alpha_star.values))], sha)
 
     grid = np.linspace(0.0, args.alpha_max, args.alpha_points)
     if args.jobs > 1:
@@ -255,7 +263,7 @@ def _cmd_game(args) -> int:
     else:
         sweep = game.sup_over_constant_alpha(spec, t0, x0, grid)
     _write_csv(out / "constant_alpha_sweep.csv", ["alpha", "value"],
-               [list(row) for row in sweep.table], sha)
+               [sweep.table], sha)
 
     print(f"W={solution.W:.6g} iterations={solution.iterations} "
           f"converged={solution.converged}")
@@ -428,8 +436,8 @@ def _suite_oracle(spec: ProblemSpec, out: Path | None = None,
                          alpha=alpha)
     table = oracle.brute_force_value(dp)
     if out is not None:
-        header, rows = table.csv_rows()
-        _write_csv(out / "value_table.csv", header, rows, sha)
+        header, blocks = table.csv_blocks()
+        _write_csv(out / "value_table.csv", header, blocks, sha)
     v = table.value_at(x0)
     scale = max(1e-12, abs(w_ref))
     above = (v - w_ref) / scale

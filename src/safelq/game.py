@@ -14,6 +14,7 @@ loop, and re-samples alpha from Lambda along the trajectory.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -141,7 +142,10 @@ class GameSolution:
 
     def to_dict(self) -> dict:
         return {"W": self.W, "iterations": self.iterations,
-                "alpha_update_norm": self.alpha_update_norm,
+                # strict JSON: no update was made when the loop never ran
+                "alpha_update_norm": (self.alpha_update_norm
+                                      if math.isfinite(self.alpha_update_norm)
+                                      else None),
                 "converged": self.converged,
                 "alpha_star": [float(v) for v in self.alpha_star.values]}
 

@@ -11,11 +11,18 @@ whose interpolation cell touches the complement of Omega is poisoned to
 Restricting controls to a finite grid makes the table an upper bound on the
 true value; it serves as the independent ground truth for the Riccati-based
 values at desk scale (state dimension <= 2).
+
+Each backward step treats all controls at once: the Euler successors of
+every (control, state) pair are located on the lattice as corner indices and
+weights, applied to V(s_{i+1}) as one gather per corner, and reduced by one
+min over controls.  With constant A and B the successors are located once
+per run, otherwise once per step.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,64 +88,55 @@ def build_dp(spec: ProblemSpec, t: float, T: float, n_steps: int,
                      controls=controls, cost_mode=cost_mode, alpha=alpha)
 
 
-def _interpolate(values: np.ndarray, axes: tuple[np.ndarray, ...],
-                 points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation, conservatively poisoned.
+def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of multilinear interpolation at ``points`` (N, n).
 
-    A query is +inf when it falls off the lattice or when ANY corner of its
-    cell is non-finite, regardless of that corner's weight: feasibility is
-    never certified through a cell touching the constraint complement.
+    Returns the flat index and weight of each of the 2**n cell corners, both
+    (2**n, N), into the lattice values followed by two sentinels: zero-weight
+    corners (and snapped on-node neighbors) point at 0.0 so they cannot
+    poison, and off-lattice queries point at +inf with weight 1.
     """
     n = len(axes)
     n_pts = points.shape[0]
-    idx = []
-    frac = []
+    size = int(np.prod([len(ax) for ax in axes]))
+    idx, frac = [], []
     outside = np.zeros(n_pts, dtype=bool)
     snap = 1e-9
-    for d in range(n):
-        ax = axes[d]
-        step = ax[1] - ax[0]
-        pos = (points[:, d] - ax[0]) / step
+    for d, ax in enumerate(axes):
+        pos = (points[:, d] - ax[0]) / (ax[1] - ax[0])
         outside |= (pos < -snap) | (pos > len(ax) - 1 + snap)
         i = np.clip(np.floor(pos).astype(int), 0, len(ax) - 2)
         f = np.clip(pos - i, 0.0, 1.0)
-        # snap on-node queries so a zero-weight neighbor cannot poison them
         f = np.where(f < snap, 0.0, np.where(f > 1.0 - snap, 1.0, f))
         idx.append(i)
         frac.append(f)
-    flat_values = values.ravel()
-    out = np.zeros(n_pts)
-    bad = outside.copy()
+    flat = np.zeros((1 << n, n_pts), dtype=int)
+    weight = np.ones((1 << n, n_pts))
     for corner in range(1 << n):
-        weight = np.ones(n_pts)
-        flat = np.zeros(n_pts, dtype=int)
         stride = 1
         for d in reversed(range(n)):
             bit = (corner >> d) & 1
-            weight *= frac[d] if bit else (1.0 - frac[d])
-            flat += (idx[d] + bit) * stride
+            weight[corner] *= frac[d] if bit else (1.0 - frac[d])
+            flat[corner] += (idx[d] + bit) * stride
             stride *= len(axes[d])
-        vals = flat_values[flat]
-        finite = np.isfinite(vals)
-        bad |= ~finite & (weight > 0.0)
-        out += weight * np.where(finite, vals, 0.0)
-    out[bad] = _INF
+    flat = np.where(weight > 0.0, flat, size).astype(np.int32)
+    flat[:, outside] = size + 1
+    weight[:, outside] = 1.0
+    return flat, weight
+
+
+def _apply(values: np.ndarray, cells: tuple[np.ndarray, np.ndarray]
+           ) -> np.ndarray:
+    """Interpolate ``values`` on :func:`_locate` corners; +inf off the
+    lattice or where a corner of positive weight is non-finite."""
+    flat, weight = cells
+    ext = np.concatenate([values.ravel(), [0.0, _INF]])
+    out = np.zeros(flat.shape[1])
+    for f, w in zip(flat, weight):
+        out += w * ext.take(f)
+    out[~np.isfinite(out)] = _INF
     return out
-
-
-def _stage_cost(dp: DPProblem, s: float, states: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-    spec = dp.spec
-    hx = spec.h.forward_batch(states)
-    g = np.sum(hx * hx, axis=1)
-    u_sq = 0.5 * float(u @ u)
-    if dp.cost_mode == "fixed":
-        alpha_val = dp.alpha.value(s)
-        return (spec.q_coeff(s, alpha_val) * g + u_sq
-                - float(spec.b(alpha_val)))
-    half_k = 0.5 * spec.K.value(s)
-    gains = np.array([_sup_alpha_gain(spec.a, spec.b, gi)[1] for gi in g])
-    return half_k * g + u_sq + gains
 
 
 def _check_cfl(dp: DPProblem, states: np.ndarray) -> None:
@@ -163,29 +161,32 @@ class ValueTable:
 
     def value_at(self, x: np.ndarray, time_index: int = 0) -> float:
         pt = np.asarray(x, dtype=float)[None, :]
-        return float(_interpolate(self.V[time_index], self.dp.state_axes, pt)[0])
+        cells = _locate(self.dp.state_axes, pt)
+        return float(_apply(self.V[time_index], cells)[0])
 
     def feasible_mask(self, time_index: int = 0) -> np.ndarray:
         return np.isfinite(self.V[time_index])
 
-    def csv_rows(self) -> tuple[list[str], list[list[float]]]:
-        n = len(self.dp.state_axes)
-        header = ["s"] + [f"x_{i + 1}" for i in range(n)] + ["V"]
+    def csv_blocks(self) -> tuple[list[str], Iterator[list[list[float]]]]:
+        """Header and the rows of :meth:`csv_rows`, one time node at a time."""
         pts = self.dp.state_points()
-        rows = []
-        for i, s in enumerate(self.time_nodes):
-            for p, v in zip(pts, self.V[i].ravel()):
-                rows.append([float(s)] + [float(c) for c in p] + [float(v)])
-        return header, rows
+        header = ["s"] + [f"x_{i + 1}" for i in range(pts.shape[1])] + ["V"]
+        blocks = (np.column_stack([np.full(len(pts), s), pts, v.ravel()])
+                  .tolist() for s, v in zip(self.time_nodes, self.V))
+        return header, blocks
+
+    def csv_rows(self) -> tuple[list[str], list[list[float]]]:
+        header, blocks = self.csv_blocks()
+        return header, [row for block in blocks for row in block]
 
 
 def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
                       ) -> ValueTable:
-    """Backward value iteration; transitions leaving Omega score +inf."""
+    """Backward value iteration; transitions leaving Omega score +inf.
+
+    ``spec`` (default ``dp.spec``) overrides the dynamics and Omega only."""
     spec = dp.spec if spec is None else spec
     states = dp.state_points()
-    n_pts = states.shape[0]
-    shape = dp.state_shape
     dt = dp.dt
     time_nodes = dp.t + dt * np.arange(dp.n_steps + 1)
 
@@ -193,21 +194,38 @@ def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
     inside = margins <= 1e-12
     _check_cfl(dp, states[inside] if np.any(inside) else states)
 
-    v = np.where(inside, 0.0, _INF)
-    tables = np.empty((dp.n_steps + 1, n_pts))
-    tables[dp.n_steps] = v
+    # time-free parts of cost[u, x]: |h(x)|^2, |u|^2 / 2 and the sup gains
+    hx = dp.spec.h.forward_batch(states)
+    g = np.sum(hx * hx, axis=1)
+    u_sq = np.array([[0.5 * float(u @ u)] for u in dp.controls])
+    if dp.cost_mode == "sup":
+        gains = np.array([_sup_alpha_gain(dp.spec.a, dp.spec.b, gi)[1]
+                          for gi in g])
+
+    def locate(s: float):
+        return _locate(dp.state_axes, np.concatenate(
+            [states + dt * eval_dynamics_batch(spec, s, states, u)
+             for u in dp.controls]))
+
+    autonomous = spec.A.is_constant() and spec.B.is_constant()
+    cells = locate(dp.t) if autonomous else None
+
+    tables = np.empty((dp.n_steps + 1, len(states)))
+    tables[dp.n_steps] = np.where(inside, 0.0, _INF)
     for i in range(dp.n_steps - 1, -1, -1):
         s = float(time_nodes[i])
-        best = np.full(n_pts, _INF)
-        for u in dp.controls:
-            nxt = states + dt * eval_dynamics_batch(spec, s, states, u)
-            cont = _interpolate(tables[i + 1].reshape(shape), dp.state_axes, nxt)
-            total = _stage_cost(dp, s, states, u) * dt + cont
-            np.minimum(best, total, out=best)
-        best[~inside] = _INF
-        tables[i] = best
-    return ValueTable(dp=dp, V=tables.reshape((dp.n_steps + 1,) + shape),
-                      time_nodes=time_nodes)
+        if not autonomous:
+            cells = locate(s)
+        cont = _apply(tables[i + 1], cells).reshape(len(dp.controls), -1)
+        if dp.cost_mode == "fixed":
+            alpha_val = dp.alpha.value(s)
+            cost = (dp.spec.q_coeff(s, alpha_val) * g + u_sq
+                    - float(dp.spec.b(alpha_val)))
+        else:
+            cost = 0.5 * dp.spec.K.value(s) * g + u_sq + gains
+        tables[i] = np.where(inside, np.min(cost * dt + cont, axis=0), _INF)
+    return ValueTable(dp=dp, time_nodes=time_nodes,
+                      V=tables.reshape((dp.n_steps + 1,) + dp.state_shape))
 
 
 def oracle_feasible_set(dp: DPProblem, spec: ProblemSpec | None = None
@@ -217,22 +235,4 @@ def oracle_feasible_set(dp: DPProblem, spec: ProblemSpec | None = None
     Boolean mask over the state lattice: the zero-cost value table is finite
     exactly on the discrete viability kernel surrogate.
     """
-    spec = dp.spec if spec is None else spec
-    states = dp.state_points()
-    n_pts = states.shape[0]
-    shape = dp.state_shape
-    dt = dp.dt
-
-    margins = np.array([spec.omega.boundary_margin(p) for p in states])
-    inside = margins <= 1e-12
-    feasible = np.where(inside, 0.0, _INF)
-    for i in range(dp.n_steps - 1, -1, -1):
-        s = float(dp.t + i * dt)
-        best = np.full(n_pts, _INF)
-        for u in dp.controls:
-            nxt = states + dt * eval_dynamics_batch(spec, s, states, u)
-            cont = _interpolate(feasible.reshape(shape), dp.state_axes, nxt)
-            np.minimum(best, cont, out=best)
-        best[~inside] = _INF
-        feasible = best
-    return np.isfinite(feasible).reshape(shape)
+    return brute_force_value(dp, spec).feasible_mask(0)

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NonFiniteState, NotStabilizable, OutOfGrid
+from .errors import (ConfigError, NoConvergence, NonFiniteState,
+                     NotStabilizable, OutOfGrid)
 from .model import AlphaPolicy, ProblemSpec
 from .numerics import SampledPath, sym
 
@@ -235,7 +236,9 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     Horizons grow geometrically by ``T_growth`` until consecutive sweeps agree
     on [t, T_eval] to within ``tol`` (Frobenius norm per node); the converged
     sweep restricted to the window is returned together with the certificate.
-    Raises NoConvergence when the cap ``T_max`` is reached first.
+    Raises NoConvergence when the cap ``T_max`` is reached first, and
+    ConfigError when the window leaves no room below the cap for the two
+    horizons a gap needs.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -250,7 +253,11 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     # first horizon strictly beyond the window: near its own terminal node a
     # finite-horizon sweep is nowhere near the limit
     steps = m_eval + max(int(math.ceil(max(1.0, T_eval - t) / dt)), 1)
-    cap_steps = max(int(round((T_max - t) / dt)), steps)
+    cap_steps = int(round((T_max - t) / dt))
+    if steps >= cap_steps:
+        raise ConfigError(
+            f"stabilizing window [{t:g}, {T_eval:g}] needs a first horizon of "
+            f"{t + steps * dt:g} strictly below the horizon cap {T_max:g}")
 
     horizons: list[float] = []
     gaps: list[float] = []

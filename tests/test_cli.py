@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from safelq import AlphaPolicy
 from safelq.cli import main
 
 from conftest import CONFIG_DIR, load_config
@@ -145,6 +146,43 @@ class TestGameCommand:
         assert len(err.strip().splitlines()) == 1
         assert "--alpha-points" in err
 
+    def test_max_iter_below_one_is_config_error(self, tmp_path, capsys):
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "game", "--x0", "0.6", "--max-iter", "0",
+                     "--alpha-points", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--max-iter" in err
+        assert not (tmp_path / "game.json").exists()
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject_constant)
+
+
+class TestHorizonBeyondCap:
+    # the window needs a first horizon past grid.t_max: a configuration
+    # error, not a stabilizing solve that failed to converge
+    @pytest.mark.parametrize("config, argv", [
+        (None, ["riccati", "--eval-span", "63"]),
+        (None, ["synthesize", "--x0", "0.5", "--horizon", "40"]),
+        (20.0, ["game", "--x0", "0.6", "--alpha-points", "1"]),
+    ])
+    def test_config_error(self, tmp_path, capsys, config, argv):
+        path = SCALAR
+        if config is not None:
+            cfg = load_config("scalar_demo.json")
+            cfg["grid"]["t_max"] = config
+            path = tmp_path / "short.json"
+            path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--out", str(out)] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "horizon cap" in err
+        for written in out.glob("*.json"):
+            json.loads(written.read_text(), parse_constant=reject_constant)
+
 
 class TestVerifyCommand:
     def test_all_suites_pass_on_demo(self, tmp_path):
@@ -198,6 +236,28 @@ class TestDeterminism:
         assert cert["manifest_sha256"] == sha
         first_line = (tmp_path / "riccati.csv").read_text().splitlines()[0]
         assert first_line == f"# manifest_sha256={sha}"
+
+
+class TestValueTableCSV:
+    def test_block_writer_matches_row_format(self, tmp_path, outward_spec):
+        # streaming per time node writes the bytes of the one-list writer
+        import warnings
+        from safelq import oracle
+        from safelq.cli import _write_csv
+        from safelq.errors import GridTooCoarseWarning
+        dp = oracle.build_dp(outward_spec, 0.0, 4.0, n_steps=6, state_res=9,
+                             u_max=0.5, control_res=3, cost_mode="fixed",
+                             alpha=AlphaPolicy.zero(0.0, 64.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            table = oracle.brute_force_value(dp)
+        header, blocks = table.csv_blocks()
+        _write_csv(tmp_path / "v.csv", header, blocks, "abc")
+        header, rows = table.csv_rows()
+        assert math.isinf(rows[0][-1]) and math.isfinite(rows[-1][-1])
+        lines = ["# manifest_sha256=abc", ",".join(header)]
+        lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert (tmp_path / "v.csv").read_text() == "\n".join(lines) + "\n"
 
 
 class TestHJBSuiteScaling:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,10 @@ from safelq.synthesis import value_from_riccati
 from conftest import load_config
 
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 class TestLambdaMap:
@@ -150,6 +155,13 @@ class TestSolveCoupled:
         assert not gs.converged
         assert gs.iterations == 2
         assert gs.alpha_update_norm > 1e-12
+
+    def test_no_iteration_writes_null_norm(self, scalar_spec):
+        gs = solve_coupled(scalar_spec, 0.0, [0.6], max_iter=0)
+        assert gs.iterations == 0 and not gs.converged
+        text = json.dumps(gs.to_dict())
+        assert json.loads(text, parse_constant=reject_constant)[
+            "alpha_update_norm"] is None
 
     def test_rejects_outside_start(self, scalar_spec):
         with pytest.raises(ValueError):

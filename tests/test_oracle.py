@@ -6,11 +6,12 @@ import pytest
 
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import GridTooCoarseWarning
+from safelq.model import _sup_alpha_gain, eval_dynamics_batch
 from safelq.oracle import brute_force_value, build_dp, oracle_feasible_set
 from safelq.riccati import solve_stabilizing
 from safelq.synthesis import value_from_riccati
 
-from conftest import load_config
+from conftest import load_config, load_spec
 
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
 
@@ -19,6 +20,137 @@ def quiet_dp(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarseWarning)
         return brute_force_value(build_dp(*args, **kwargs))
+
+
+# Reference: the per-(step, control) loop the batched oracle replaced, with
+# its own multilinear interpolation and stage cost.  The oracle must match it
+# bit for bit.
+
+def reference_interpolate(values, axes, points):
+    n, n_pts, snap = len(axes), points.shape[0], 1e-9
+    idx, frac = [], []
+    outside = np.zeros(n_pts, dtype=bool)
+    for d, ax in enumerate(axes):
+        pos = (points[:, d] - ax[0]) / (ax[1] - ax[0])
+        outside |= (pos < -snap) | (pos > len(ax) - 1 + snap)
+        i = np.clip(np.floor(pos).astype(int), 0, len(ax) - 2)
+        f = np.clip(pos - i, 0.0, 1.0)
+        idx.append(i)
+        frac.append(np.where(f < snap, 0.0, np.where(f > 1.0 - snap, 1.0, f)))
+    flat_values = values.ravel()
+    out = np.zeros(n_pts)
+    bad = outside.copy()
+    for corner in range(1 << n):
+        weight = np.ones(n_pts)
+        flat = np.zeros(n_pts, dtype=int)
+        stride = 1
+        for d in reversed(range(n)):
+            bit = (corner >> d) & 1
+            weight *= frac[d] if bit else (1.0 - frac[d])
+            flat += (idx[d] + bit) * stride
+            stride *= len(axes[d])
+        vals = flat_values[flat]
+        finite = np.isfinite(vals)
+        bad |= ~finite & (weight > 0.0)
+        out += weight * np.where(finite, vals, 0.0)
+    out[bad] = np.inf
+    return out
+
+
+def reference_stage_cost(dp, s, states, u):
+    spec = dp.spec
+    hx = spec.h.forward_batch(states)
+    g = np.sum(hx * hx, axis=1)
+    u_sq = 0.5 * float(u @ u)
+    if dp.cost_mode == "fixed":
+        alpha_val = dp.alpha.value(s)
+        return (spec.q_coeff(s, alpha_val) * g + u_sq
+                - float(spec.b(alpha_val)))
+    gains = np.array([_sup_alpha_gain(spec.a, spec.b, gi)[1] for gi in g])
+    return 0.5 * spec.K.value(s) * g + u_sq + gains
+
+
+def reference_value(dp, with_cost=True):
+    spec, dt = dp.spec, dp.dt
+    states = dp.state_points()
+    inside = np.array([spec.omega.boundary_margin(p) for p in states]) <= 1e-12
+    tables = np.empty((dp.n_steps + 1, len(states)))
+    tables[-1] = np.where(inside, 0.0, np.inf)
+    time_nodes = dp.t + dt * np.arange(dp.n_steps + 1)
+    for i in range(dp.n_steps - 1, -1, -1):
+        s = float(time_nodes[i])
+        best = np.full(len(states), np.inf)
+        for u in dp.controls:
+            nxt = states + dt * eval_dynamics_batch(spec, s, states, u)
+            total = reference_interpolate(tables[i + 1], dp.state_axes, nxt)
+            if with_cost:
+                total = reference_stage_cost(dp, s, states, u) * dt + total
+            np.minimum(best, total, out=best)
+        best[~inside] = np.inf
+        tables[i] = best
+    return tables.reshape((dp.n_steps + 1,) + dp.state_shape)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# (config, state_res, control_res, n_steps, u_max): an autonomous 2-d demo,
+# a time-varying demo, a non-identity coordinate map and an unstable drift
+# that leaves part of the lattice infeasible
+REFERENCE_GRIDS = [("ball2d_demo.json", 15, 5, 30, 1.5),
+                   ("timevarying_demo.json", 61, 11, 60, 2.0),
+                   ("cubic_demo.json", 61, 11, 60, 2.0),
+                   ("outward_drift.json", 41, 3, 60, 0.5)]
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("mode", ["fixed", "sup"])
+    @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
+    def test_value_tables_bitwise_equal(self, name, res, n_u, steps, u_max,
+                                        mode):
+        dp = build_dp(load_spec(name), 0.0, 6.0, n_steps=steps,
+                      state_res=res, u_max=u_max, control_res=n_u,
+                      cost_mode=mode, alpha=ALPHA0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            table = brute_force_value(dp)
+        ref = reference_value(dp)
+        assert np.isfinite(ref).any()
+        np.testing.assert_array_equal(bits(table.V), bits(ref))
+
+    @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
+    def test_feasible_set_matches_zero_cost_loop(self, name, res, n_u, steps,
+                                                 u_max):
+        dp = build_dp(load_spec(name), 0.0, 6.0, n_steps=steps,
+                      state_res=res, u_max=u_max, control_res=n_u,
+                      cost_mode="fixed", alpha=ALPHA0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            mask = oracle_feasible_set(dp)
+        np.testing.assert_array_equal(
+            mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
+
+    def test_value_at_off_node_and_poisoned(self, ball2d_spec):
+        dp = build_dp(ball2d_spec, 0.0, 6.0, n_steps=30, state_res=15,
+                      u_max=1.5, control_res=5, cost_mode="fixed",
+                      alpha=ALPHA0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            table = brute_force_value(dp)
+        xs = dp.state_axes[0]
+        h = xs[1] - xs[0]
+        probes = [[0.3 * h, -0.7 * h],          # off node, inside
+                  [xs[7], xs[3]],               # on node
+                  [xs[3] + 0.5 * h, xs[7]],     # on a cell edge
+                  [xs[0] + 0.2 * h, xs[1]],     # cell touches the complement
+                  [xs[-1] + 0.5 * h, 0.0]]      # off the lattice
+        got = [table.value_at(p, k) for p in probes for k in (0, 10)]
+        ref = [reference_interpolate(table.V[k], dp.state_axes,
+                                     np.array([p]))[0]
+               for p in probes for k in (0, 10)]
+        assert np.isinf(ref).any() and np.isfinite(ref).any()
+        np.testing.assert_array_equal(bits(got), bits(ref))
 
 
 class TestBruteForceValue:
