@@ -17,7 +17,7 @@ from .ipc import (GeometricCertificate, GeometricReport, IPCReport,
 from .model import (AlphaPolicy, ProblemSpec, TimeGridSpec, build_problem,
                     eval_dynamics, eval_lagrangian, eval_sup_lagrangian)
 from .numerics import (SampledPath, TimeGrid, eig_sym_extremes, integrate_ode,
-                       integrate_matrix_ode, quadrature, simpson_samples, sym)
+                       quadrature, simpson_samples, sym)
 from .oracle import (DPProblem, ValueTable, brute_force_value, build_dp,
                      oracle_feasible_set)
 from .riccati import (ConvergenceCertificate, MonotoneReport, RiccatiSolution,
@@ -43,8 +43,8 @@ __all__ = [
     "eval_lagrangian", "eval_sup_lagrangian", "feedback_control",
     "finite_value_from_riccati", "gamma_bar", "geometric_certificate",
     "geometric_condition", "hamiltonian", "hjb_residual", "integrate_ode",
-    "integrate_matrix_ode", "lambda_lipschitz_estimate", "lambda_map",
-    "oracle_feasible_set", "quadrature", "sample_boundary",
+    "lambda_lipschitz_estimate", "lambda_map", "oracle_feasible_set",
+    "quadrature", "sample_boundary",
     "simpson_samples", "simulate_closed_loop", "simulate_open_loop",
     "solve_are_constant", "solve_coupled", "solve_finite_horizon",
     "solve_stabilizing", "sup_over_constant_alpha", "sym",

@@ -8,7 +8,9 @@ configs and flags reproduce byte-identical files.
 
 Exit codes: 0 ok, 1 configuration/user error, 2 stabilizing solve did not
 converge, 3 IPC check failed (synthesis still emitted, marked unverified),
-4 coupled fixed point did not converge, 5 verification suite failure.
+4 coupled fixed point did not converge, 5 verification suite failure,
+6 numerical failure (a Riccati sweep escaped to inf/NaN, or no stabilizing
+algebraic solution exists).
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import game, ipc, oracle, riccati, synthesis
-from .errors import ConfigError, NoConvergence, SafeLQError
+from .errors import (ConfigError, NoConvergence, NonFiniteState,
+                     NotStabilizable, SafeLQError)
 from .geometry import sample_boundary
 from .model import AlphaPolicy, ProblemSpec, build_problem
 
@@ -35,6 +37,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_IPC_FAILED = 3
 EXIT_NO_FIXED_POINT = 4
 EXIT_VERIFY_FAILED = 5
+EXIT_NUMERICAL = 6
 
 DEFAULT_TOLERANCES = {
     "riccati_tol": 1e-8,
@@ -76,7 +79,6 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace,
         "config": str(args.config),
         "out_dir": str(out_dir),
         "seed": args.seed,
-        "jobs": args.jobs,
         "overrides": overrides,
         "tolerances": DEFAULT_TOLERANCES,
     }
@@ -251,17 +253,7 @@ def _cmd_game(args) -> int:
                          solution.alpha_star.values))], sha)
 
     grid = np.linspace(0.0, args.alpha_max, args.alpha_points)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(pool.map(
-                lambda v: game.sup_over_constant_alpha(spec, t0, x0, [v]).table[0],
-                grid))
-        table = [(float(a), float(w)) for a, w in values]
-        best = max(table, key=lambda row: row[1])
-        sweep = game.ConstantAlphaSweep(w_lower=best[1], best_alpha=best[0],
-                                        table=tuple(table))
-    else:
-        sweep = game.sup_over_constant_alpha(spec, t0, x0, grid)
+    sweep = game.sup_over_constant_alpha(spec, t0, x0, grid)
     _write_csv(out / "constant_alpha_sweep.csv", ["alpha", "value"],
                [sweep.table], sha)
 
@@ -481,8 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="State-constrained infinite-horizon feedback synthesis")
     parser.add_argument("--config", required=True, help="problem JSON file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweeps")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for random probe points")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -538,6 +528,9 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except (NonFiniteState, NotStabilizable) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except SafeLQError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

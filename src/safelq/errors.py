@@ -1,7 +1,8 @@
 """Shared exception taxonomy.
 
 Configuration problems derive from :class:`ConfigError` (CLI exit code 1).
-Numerical failures carry enough context to locate the offending run.
+Numerical failures carry enough context to locate the offending run;
+:class:`NonFiniteState` and :class:`NotStabilizable` exit with code 6.
 """
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import SafeLQError
 from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
-from .riccati import RiccatiSolution, solve_stabilizing
+from .riccati import RiccatiSolution, _stabilizing_lanes, solve_stabilizing
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
 
@@ -105,26 +105,25 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
     Each policy holds its value on [t, t + support window] and is zero
     afterwards, so the b-integral stays finite.  The max is a certified lower
     bound on the supremum over all measurable policies.  Policies whose
-    stabilizing solve fails are skipped with a warning and scored -inf.
+    stabilizing solve fails (no convergence, or a sweep that escapes) are
+    skipped with a warning and scored -inf.
     """
     support = (spec.grid.t_max - t if support_horizon is None
                else support_horizon)
+    policies = [AlphaPolicy.constant(float(val), t, t + support)
+                for val in alpha_grid]
+    solutions = _stabilizing_lanes(spec, policies, t, t, tol=riccati_tol)
     table = []
-    best = -np.inf
-    best_alpha = float(alpha_grid[0])
-    for val in alpha_grid:
-        policy = AlphaPolicy.constant(float(val), t, t + support)
-        try:
-            sol = solve_stabilizing(spec, policy, t, t, tol=riccati_tol)
-            w = value_from_riccati(spec, sol, policy, t, x)
-        except NoConvergence as exc:
-            warnings.warn(f"constant alpha={val}: {exc}")
+    for val, policy, sol in zip(alpha_grid, policies, solutions):
+        if isinstance(sol, SafeLQError):
+            warnings.warn(f"constant alpha={val}: {sol}")
             w = -np.inf
+        else:
+            w = value_from_riccati(spec, sol, policy, t, x)
         table.append((float(val), float(w)))
-        if w > best:
-            best = w
-            best_alpha = float(val)
-    return ConstantAlphaSweep(w_lower=float(best), best_alpha=best_alpha,
+    # the first of the best policies; the first policy when all are skipped
+    best_alpha, w_lower = max(table, key=lambda row: row[1])
+    return ConstantAlphaSweep(w_lower=w_lower, best_alpha=best_alpha,
                               table=tuple(table))
 
 

@@ -28,7 +28,7 @@ from .geometry import ConeQuery, sample_boundary
 from .model import AlphaPolicy, ProblemSpec, eval_dynamics
 from .numerics import eig_sym_extremes
 from .riccati import RiccatiSolution
-from .synthesis import gamma_matrix
+from .synthesis import gamma_matrices
 
 
 def _control_grid(m: int, u_max: float, per_axis: int) -> np.ndarray:
@@ -89,8 +89,8 @@ def check_ipc_riccati(spec: ProblemSpec, P: RiccatiSolution,
     worst = np.inf
     wit_s = float(time_samples[0])
     wit_x = boundary_samples[0].point
-    for s in time_samples:
-        gamma = gamma_matrix(spec, P, float(s))
+    for s, gamma in zip(time_samples, gamma_matrices(
+            spec, P, np.asarray(time_samples, dtype=float))):
         for cq in boundary_samples:
             hx = spec.h.forward(cq.point)
             v = spec.h.apply_jacobian_t(cq.point, gamma @ hx)

@@ -18,8 +18,8 @@ from .errors import NonFiniteState, OutOfGrid
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetrized copy (M + M^T)/2."""
-    return 0.5 * (m + m.T)
+    """Symmetrized copy (M + M^T)/2 of a matrix or of each in a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,8 @@ class SampledPath:
     def t_end(self) -> float:
         return float(self.nodes[-1])
 
-    def _locate(self, s: float) -> tuple[int, float, float]:
-        nodes = self.nodes
-        dt = nodes[1] - nodes[0]
-        tol = 1e-9 * (1.0 + abs(nodes[-1] - nodes[0]))
-        if s < nodes[0] - tol or s > nodes[-1] + tol:
-            raise OutOfGrid(f"time {s} outside [{nodes[0]}, {nodes[-1]}]")
-        i = int(np.clip(np.floor((s - nodes[0]) / dt), 0, len(nodes) - 2))
-        theta = np.clip((s - nodes[i]) / dt, 0.0, 1.0)
-        return i, theta, dt
-
     def at(self, s: float) -> np.ndarray:
-        if len(self.nodes) == 1:
-            return self.values[0]
-        i, theta, dt = self._locate(s)
-        return _hermite(theta, dt, self.values[i], self.values[i + 1],
-                        self.derivs[i], self.derivs[i + 1])
+        return self.at_many(s)
 
     def at_many(self, s: np.ndarray) -> np.ndarray:
         """Vectorized dense output; returns stacked states for each s."""
@@ -112,8 +98,10 @@ class SampledPath:
         nodes = self.nodes
         dt = nodes[1] - nodes[0]
         tol = 1e-9 * (1.0 + abs(nodes[-1] - nodes[0]))
-        if np.any(s < nodes[0] - tol) or np.any(s > nodes[-1] + tol):
-            raise OutOfGrid("time array outside the sampled span")
+        outside = (s < nodes[0] - tol) | (s > nodes[-1] + tol)
+        if np.any(outside):
+            raise OutOfGrid(f"time {s[outside].flat[0]} outside "
+                            f"[{nodes[0]}, {nodes[-1]}]")
         idx = np.clip(np.floor((s - nodes[0]) / dt).astype(int), 0, len(nodes) - 2)
         theta = np.clip((s - nodes[idx]) / dt, 0.0, 1.0)
         extra = (1,) * (self.values.ndim - 1)
@@ -166,11 +154,6 @@ def integrate_ode(rhs: Callable[[float, np.ndarray], np.ndarray],
         values = values[::-1].copy()
         derivs = derivs[::-1].copy()
     return SampledPath(nodes=nodes, values=values, derivs=derivs)
-
-
-def integrate_matrix_ode(rhs, t_start, t_end, y0, dt) -> SampledPath:
-    """Matrix-valued RK4; the state is symmetrized after every step."""
-    return integrate_ode(rhs, t_start, t_end, y0, dt, postprocess=sym)
 
 
 def _simpson_weights(n_intervals: int, dt: float) -> np.ndarray:

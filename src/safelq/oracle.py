@@ -202,10 +202,14 @@ def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
         gains = np.array([_sup_alpha_gain(dp.spec.a, dp.spec.b, gi)[1]
                           for gi in g])
 
+    # eval_dynamics_batch, its control-free h(x) A(s)^T made once per step
+    h_states = spec.h.forward_batch(states)
+
     def locate(s: float):
+        drift = h_states @ spec.A.value(s).T
         return _locate(dp.state_axes, np.concatenate(
-            [states + dt * eval_dynamics_batch(spec, s, states, u)
-             for u in dp.controls]))
+            [states + dt * spec.h.apply_jacobian_inv_batch(
+                states, drift + u @ spec.B.value(s).T) for u in dp.controls]))
 
     autonomous = spec.A.is_constant() and spec.B.is_constant()
     cells = locate(dp.t) if autonomous else None

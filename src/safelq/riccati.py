@@ -12,17 +12,23 @@ growing horizons, compared on the evaluation window until the gap drops
 below tolerance.  A Newton-Kleinman algebraic solve provides an independent
 cross-check for constant coefficients.
 
+A sweep integrates several weight policies at once, as lanes of stacked
+(lanes, n, n) states sharing A and S = B R^{-1} B^T; stacked matmul works
+per matrix, so each lane is bit for bit a sweep of its own.  The game's
+constant policies share every sweep: horizons do not depend on the policy.
+
 Sweeps resume from the longest tail they share with the previous sweep of
-the same length.  Starting from P(T) = 0, the state after k backward steps
-depends only on the step h and on the stage data (A, S = B R^{-1} B^T, q at
+the same length and lane count.  Starting from P(T) = 0, the state after k
+backward steps depends only on the step h and on the stage data (A, S, q at
 the nodes and midpoints) of those k steps.  A small memo, keyed by the state
-dimension, the step count and h, keeps the stage data and states of the
-last successful sweeps; a new sweep copies the states over the longest
-descending prefix whose stage data match bit for bit and integrates only
-the rest.  The comparison is on bit patterns, so the result is the one a
-fresh sweep would give, whatever problem or policy produced the entry.  The
-coupled game profits: its weight policies differ only on the simulation
-window, and every Picard pass re-sweeps the same policy-free tail.
+dimension, the step count, h and the lane count, keeps the stage data and
+states of the last successful sweeps; a new sweep copies the states over
+the longest descending prefix whose stage data match bit for bit and
+integrates only the rest.  The comparison is on bit patterns, so the result
+is the one a fresh sweep would give, whatever problem or policy produced the
+entry.  The coupled game profits: its weight policies differ only on the
+simulation window, and every Picard pass re-sweeps the same policy-free
+tail.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (ConfigError, NoConvergence, NonFiniteState,
-                     NotStabilizable, OutOfGrid)
+                     NotStabilizable, OutOfGrid, SafeLQError)
 from .model import AlphaPolicy, ProblemSpec
 from .numerics import SampledPath, sym
 
@@ -93,8 +99,7 @@ class RiccatiSolution:
         return sym(self._path().at(s))
 
     def at_many(self, s: np.ndarray) -> np.ndarray:
-        vals = self._path().at_many(s)
-        return 0.5 * (vals + np.swapaxes(vals, -1, -2))
+        return sym(self._path().at_many(s))
 
     def node_index(self, s: float, tol: float = 1e-9) -> int:
         """Index of the grid node nearest to s."""
@@ -109,31 +114,29 @@ class RiccatiSolution:
 
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
         """Header and rows: s plus the upper triangle of P, row-major."""
-        n = self.P.shape[1]
-        header = ["s"] + [f"P_{i + 1}{j + 1}" for i in range(n)
-                          for j in range(i, n)]
-        iu = [(i, j) for i in range(n) for j in range(i, n)]
-        rows = [[float(s)] + [float(p[i, j]) for (i, j) in iu]
-                for s, p in zip(self.nodes, self.P)]
-        return header, rows
+        rows, cols = np.triu_indices(self.P.shape[1])
+        header = ["s"] + [f"P_{i + 1}{j + 1}" for i, j in zip(rows, cols)]
+        return header, np.column_stack(
+            [self.nodes, self.P[:, rows, cols]]).tolist()
 
 
-def _stage_data(spec: ProblemSpec, alpha: AlphaPolicy, times: np.ndarray):
-    """Per-time coefficient arrays A(s), S(s) = B R^{-1} B^T, q(s)."""
+def _stage_data(spec: ProblemSpec, alphas, times: np.ndarray):
+    """Per-time A(s), S(s) = B R^{-1} B^T and q(s), one q column per policy."""
     a_arr = spec.A.values(times)
     b_arr = spec.B.values(times)
     s_arr = 2.0 * np.einsum("kij,klj->kil", b_arr, b_arr)
-    q_arr = spec.q_coeffs(times, alpha.values_at(times))
+    q_arr = np.stack([spec.q_coeffs(times, alpha.values_at(times))
+                      for alpha in alphas], axis=1)
     return a_arr, s_arr, q_arr
 
 
 def _riccati_rhs(p, a, s, q, eye):
-    # backward equation: P' = -(A^T P + P A - P S P + q I)
-    return -(a.T @ p + p @ a - p @ s @ p + q * eye)
+    # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of p
+    return -(a.T @ p + p @ a - p @ s @ p + q[:, None, None] * eye)
 
 
-# (n, steps, h) -> (stage data, descending P, descending dP) of the latest
-# successful sweep with that key; insertion order is recency order
+# (n, steps, h, lanes) -> (stage data, descending P, descending dP) of the
+# latest successful sweep with that key; insertion order is recency order
 _SWEEP_MEMO_CAP = 4
 _sweep_memo: dict[tuple, tuple] = {}
 _sweep_memo_lock = threading.Lock()
@@ -158,35 +161,29 @@ def _shared_steps(stage, old_stage) -> int:
     return max(lead - 1, 0)
 
 
-def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
-           dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward RK4 sweep from P(T) = 0; returns ascending (nodes, P, dP)."""
+def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
+    """Backward RK4 sweeps from P(T) = 0, one lane per policy: descending
+    node times, P and dP (nodes, lanes, n, n), and per lane None or the
+    NonFiniteState the lane ended in."""
     n = spec.dim_state
     eye = np.eye(n)
     if T < t:
         raise ValueError("terminal time must not precede the start time")
     steps = max(0, int(round((T - t) / dt)))
-    if steps == 0:
-        nodes = np.array([t])
-        p0 = np.zeros((1, n, n))
-        dp0 = np.array([_riccati_rhs(np.zeros((n, n)), spec.A.value(t),
-                                     2.0 * spec.B.value(t) @ spec.B.value(t).T,
-                                     spec.q_coeff(t, alpha.value(t)), eye)])
-        return nodes, p0, dp0
-    h = (T - t) / steps
+    h = (T - t) / steps if steps else 0.0
 
     # anchor stage times at t so sweeps with different horizons evaluate the
     # (possibly discontinuous) coefficients at bit-identical times
     node_times = t + h * np.arange(steps, -1, -1)      # descending
     mid_times = node_times[:-1] - 0.5 * h
-    stage = _stage_data(spec, alpha, node_times) + _stage_data(spec, alpha,
-                                                               mid_times)
+    stage = (_stage_data(spec, alphas, node_times)
+             + _stage_data(spec, alphas, mid_times))
     a_n, s_n, q_n, a_m, s_m, q_m = stage
 
-    key = (n, steps, h)
+    key = (n, steps, h, len(alphas))
     with _sweep_memo_lock:
         entry = _sweep_memo.get(key)
-    p_desc = np.empty((steps + 1, n, n))
+    p_desc = np.empty((steps + 1, len(alphas), n, n))
     dp_desc = np.empty_like(p_desc)
     start = 0
     p_desc[0] = 0.0
@@ -196,34 +193,44 @@ def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
         p_desc[: start + 1] = entry[1][: start + 1]
         dp_desc[:start] = entry[2][:start]
     p = p_desc[start]
-    for k in range(start, steps):
-        k1 = _riccati_rhs(p, a_n[k], s_n[k], q_n[k], eye)
-        dp_desc[k] = k1
-        k2 = _riccati_rhs(p - 0.5 * h * k1, a_m[k], s_m[k], q_m[k], eye)
-        k3 = _riccati_rhs(p - 0.5 * h * k2, a_m[k], s_m[k], q_m[k], eye)
-        k4 = _riccati_rhs(p - h * k3, a_n[k + 1], s_n[k + 1], q_n[k + 1], eye)
-        p = sym(p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.all(np.isfinite(p)):
-            raise NonFiniteState(
-                f"Riccati sweep escaped at s={node_times[k + 1]}",
-                time=float(node_times[k + 1]))
-        p_desc[k + 1] = p
-    dp_desc[steps] = _riccati_rhs(p, a_n[steps], s_n[steps], q_n[steps], eye)
+    # an escaped lane runs on as inf/NaN: reported below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start, steps):
+            k1 = _riccati_rhs(p, a_n[k], s_n[k], q_n[k], eye)
+            dp_desc[k] = k1
+            k2 = _riccati_rhs(p - 0.5 * h * k1, a_m[k], s_m[k], q_m[k], eye)
+            k3 = _riccati_rhs(p - 0.5 * h * k2, a_m[k], s_m[k], q_m[k], eye)
+            k4 = _riccati_rhs(p - h * k3, a_n[k + 1], s_n[k + 1], q_n[k + 1],
+                              eye)
+            p = sym(p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            p_desc[k + 1] = p
+        dp_desc[steps] = _riccati_rhs(p, a_n[steps], s_n[steps], q_n[steps],
+                                      eye)
 
-    with _sweep_memo_lock:
-        _sweep_memo.pop(key, None)
-        _sweep_memo[key] = (stage, p_desc, dp_desc)
-        while len(_sweep_memo) > _SWEEP_MEMO_CAP:
-            del _sweep_memo[next(iter(_sweep_memo))]
-    return node_times[::-1].copy(), p_desc[::-1].copy(), dp_desc[::-1].copy()
+    # no step turns a non-finite entry finite again: the last state shows
+    # which lanes escaped, the first non-finite one where
+    finite = np.isfinite(p_desc).all(axis=(2, 3))
+    errors = [None if finite[-1, lane] else NonFiniteState(
+        f"Riccati sweep escaped at s={node_times[k]}", time=float(node_times[k]))
+        for lane, k in enumerate(np.argmin(finite, axis=0))]
+    if finite[-1].all():
+        with _sweep_memo_lock:
+            _sweep_memo.pop(key, None)
+            _sweep_memo[key] = (stage, p_desc, dp_desc)
+            while len(_sweep_memo) > _SWEEP_MEMO_CAP:
+                del _sweep_memo[next(iter(_sweep_memo))]
+    return node_times, p_desc, dp_desc, errors
 
 
 def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                          T: float, dt: float | None = None) -> RiccatiSolution:
     """Finite-horizon sweep with zero terminal condition on [t, T]."""
     dt = spec.grid.dt if dt is None else dt
-    nodes, p, dp = _sweep(spec, alpha, t, T, dt)
-    return RiccatiSolution(nodes=nodes, P=p, dP=dp, kind="finite_horizon",
+    nodes, p, dp, (error,) = _sweep(spec, [alpha], t, T, dt)
+    if error is not None:
+        raise error
+    return RiccatiSolution(nodes=nodes[::-1].copy(), P=p[::-1, 0].copy(),
+                           dP=dp[::-1, 0].copy(), kind="finite_horizon",
                            alpha=alpha, horizon=T)
 
 
@@ -236,10 +243,23 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     Horizons grow geometrically by ``T_growth`` until consecutive sweeps agree
     on [t, T_eval] to within ``tol`` (Frobenius norm per node); the converged
     sweep restricted to the window is returned together with the certificate.
-    Raises NoConvergence when the cap ``T_max`` is reached first, and
-    ConfigError when the window leaves no room below the cap for the two
-    horizons a gap needs.
+    Raises NoConvergence when the cap ``T_max`` is reached first,
+    NonFiniteState when a sweep escapes, and ConfigError when the window
+    leaves no room below the cap for the two horizons a gap needs.
     """
+    (result,) = _stabilizing_lanes(spec, [alpha], t, T_eval, tol, T_growth,
+                                   dt, T_max)
+    if isinstance(result, SafeLQError):
+        raise result
+    return result
+
+
+def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
+                       tol: float = 1e-8, T_growth: float = 2.0,
+                       dt: float | None = None, T_max: float | None = None
+                       ) -> list[RiccatiSolution | SafeLQError]:
+    """:func:`solve_stabilizing` for several policies, all lanes of one
+    sweep per horizon; per lane a solution or the error that ended it."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if T_growth <= 1.0:
@@ -259,31 +279,43 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
             f"stabilizing window [{t:g}, {T_eval:g}] needs a first horizon of "
             f"{t + steps * dt:g} strictly below the horizon cap {T_max:g}")
 
+    results: list = [None] * len(alphas)
     horizons: list[float] = []
-    gaps: list[float] = []
-    prev = None
-    while True:
+    gaps: dict[int, list[float]] = {i: [] for i in range(len(alphas))}
+    prev: dict[int, np.ndarray] = {}
+    while gaps:                         # one entry per lane still sweeping
         T_k = t + steps * dt
-        nodes, p, dp = _sweep(spec, alpha, t, T_k, dt)
-        window = p[: m_eval + 1]
         horizons.append(T_k)
-        if prev is not None:
-            gap = float(np.max(np.linalg.norm(window - prev, axis=(1, 2))))
-            gaps.append(gap)
-            if gap < tol:
-                cert = ConvergenceCertificate(tuple(horizons), tuple(gaps),
-                                              tol, True)
-                return RiccatiSolution(
-                    nodes=nodes[: m_eval + 1], P=window.copy(),
-                    dP=dp[: m_eval + 1].copy(), kind="stabilizing",
-                    alpha=alpha, certificate=cert)
-        prev = window
-        if steps >= cap_steps:
-            raise NoConvergence(
-                f"stabilizing limit gap {gaps[-1] if gaps else float('nan')} "
-                f"not below {tol} at horizon cap {T_k}",
-                attempts=tuple(zip(horizons, [float('nan')] + gaps)))
+        active = list(gaps)
+        node_times, p, dp, errors = _sweep(spec, [alphas[i] for i in active],
+                                           t, T_k, dt)
+        # [t, T_eval] as the tail of the descending arrays
+        window = slice(len(node_times) - 1 - m_eval, None)
+        for lane, i in enumerate(active):
+            p_win = p[window, lane][::-1].copy()
+            if errors[lane] is None and i in prev:
+                gaps[i].append(float(np.max(
+                    np.linalg.norm(p_win - prev[i], axis=(1, 2)))))
+            if errors[lane] is not None:
+                results[i] = errors[lane]
+            elif gaps[i] and gaps[i][-1] < tol:
+                results[i] = RiccatiSolution(
+                    nodes=node_times[window][::-1].copy(), P=p_win,
+                    dP=dp[window, lane][::-1].copy(), kind="stabilizing",
+                    alpha=alphas[i], certificate=ConvergenceCertificate(
+                        tuple(horizons), tuple(gaps[i]), tol, True))
+            elif steps >= cap_steps:
+                results[i] = NoConvergence(
+                    f"stabilizing limit gap {gaps[i][-1]} not below {tol} "
+                    f"at horizon cap {T_k}",
+                    attempts=tuple(zip(horizons, [float("nan")] + gaps[i])))
+            else:
+                prev[i] = p_win
+                continue
+            del gaps[i]
+        del p, dp           # only the window rows outlive the horizon
         steps = min(cap_steps, int(math.ceil(steps * T_growth)))
+    return results
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,

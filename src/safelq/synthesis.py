@@ -13,6 +13,10 @@ gradient 2 grad_h^T P h of the quadratic value candidate.  Values come from
 
 and the verification residual |dV/ds + H(s, x, grad_x V)| is measured with
 central differences of P in time.
+
+A simulation integrates the state with RK4, reading Gamma at each stage
+time from one precomputed array, then builds the controls and running costs
+of all nodes at once with stacked matmul and vecdot.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfGrid
-from .model import AlphaPolicy, ProblemSpec, eval_lagrangian
+from .model import AlphaPolicy, ProblemSpec, eval_dynamics
 from .numerics import integrate_ode, simpson_samples
 from .riccati import RiccatiSolution
 
@@ -62,13 +66,9 @@ class Trajectory:
         header = (["s"] + [f"xi_{i + 1}" for i in range(n)]
                   + [f"u_{j + 1}" for j in range(m)]
                   + ["running_cost", "cum_cost", "omega_margin"])
-        rows = []
-        for k, s in enumerate(self.nodes):
-            rows.append([float(s)] + [float(v) for v in self.states[k]]
-                        + [float(v) for v in self.controls[k]]
-                        + [float(self.running_cost[k]), float(self.cum_cost[k]),
-                           float(self.margins[k])])
-        return header, rows
+        return header, np.column_stack(
+            [self.nodes, self.states, self.controls, self.running_cost,
+             self.cum_cost, self.margins]).tolist()
 
 
 def feedback_control(spec: ProblemSpec, P: RiccatiSolution, s: float,
@@ -79,51 +79,42 @@ def feedback_control(spec: ProblemSpec, P: RiccatiSolution, s: float,
     return -spec.Rinv @ spec.B.value(s).T @ (p @ hx)
 
 
-def _gamma_at(spec: ProblemSpec, P: RiccatiSolution, s_array: np.ndarray
-              ) -> np.ndarray:
-    """Closed-loop matrices Gamma(s) at the given times."""
-    a = spec.A.values(s_array)
-    b = spec.B.values(s_array)
-    p = P.at_many(s_array)
-    return a - np.einsum("kij,jl,kml,kmo->kio", b, spec.Rinv, b, p)
+def gamma_matrices(spec: ProblemSpec, P: RiccatiSolution, s: np.ndarray
+                   ) -> np.ndarray:
+    """A(s) - B(s) R^{-1} B(s)^T P(s), stacked over the given times."""
+    a = spec.A.values(s)
+    b = spec.B.values(s)
+    return a - np.einsum("kij,jl,kml,kmo->kio", b, spec.Rinv, b, P.at_many(s))
 
 
-def gamma_matrix(spec: ProblemSpec, P: RiccatiSolution, s: float) -> np.ndarray:
-    """A(s) - B(s) R^{-1} B(s)^T P(s)."""
-    return _gamma_at(spec, P, np.array([s]))[0]
-
-
-def _simulate(spec: ProblemSpec, field: Callable[[float, np.ndarray], np.ndarray],
-              control_of: Callable[[float, np.ndarray], np.ndarray],
-              alpha: AlphaPolicy, t: float, x0: np.ndarray, T_sim: float,
-              dt: float) -> Trajectory:
-    path = integrate_ode(field, t, T_sim, np.asarray(x0, dtype=float), dt)
+def _trajectory(spec: ProblemSpec, path, controls: np.ndarray,
+                alpha: AlphaPolicy) -> Trajectory:
+    """Costs, margins and first exit of a path with given node controls."""
     nodes = path.nodes
     states = path.values
-    controls = np.array([control_of(s, states[k]) for k, s in enumerate(nodes)])
     alphas = alpha.values_at(nodes)
-    running = np.array([eval_lagrangian(spec, s, states[k], controls[k], alphas[k])
-                        for k, s in enumerate(nodes)])
+    hx = spec.h.forward_batch(states)
+    # vecdot and matmul round like the scalar x @ x; einsum and sums do not
+    running = (spec.q_coeffs(nodes, alphas) * np.vecdot(hx, hx)
+               + 0.5 * np.vecdot(controls, controls) - spec.b(alphas))
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (running[1:] + running[:-1]) * np.diff(nodes))])
     margins = np.array([spec.omega.boundary_margin(xk) for xk in states])
 
     tol_exit = 1e-9 * (1.0 + spec.omega.bounding_radius())
-    exited = bool(np.any(margins > tol_exit))
-    exit_time = None
-    exit_index = None
-    if exited:
-        k = int(np.argmax(margins > tol_exit))
-        exit_index = k
+    outside = np.flatnonzero(margins > tol_exit)
+    exit_time = exit_index = None
+    if len(outside):
+        k = exit_index = int(outside[0])
+        exit_time = float(nodes[k])
         if k > 0 and margins[k] > margins[k - 1]:
             # linear interpolation of the zero crossing of the margin
             frac = (0.0 - margins[k - 1]) / (margins[k] - margins[k - 1])
             exit_time = float(nodes[k - 1] + frac * (nodes[k] - nodes[k - 1]))
-        else:
-            exit_time = float(nodes[k])
     return Trajectory(nodes=nodes, states=states, controls=controls,
                       running_cost=running, cum_cost=cum, margins=margins,
-                      exited=exited, exit_time=exit_time, exit_index=exit_index)
+                      exited=exit_index is not None, exit_time=exit_time,
+                      exit_index=exit_index)
 
 
 def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
@@ -139,23 +130,23 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
         raise ValueError("initial state is outside the constraint set")
     dt = spec.grid.dt if dt is None else dt
 
-    # precompute Gamma at every node and midpoint the RK4 stages touch
+    # Gamma at every node and midpoint the RK4 stages touch: stage time
+    # t + j * step / 2 reads gammas[j]
     n_steps = max(1, int(round((T_sim - t) / dt)))
     step = (T_sim - t) / n_steps
-    stage_times = np.concatenate(
-        [t + step * np.arange(n_steps + 1), t + step * (np.arange(n_steps) + 0.5)])
-    gammas = _gamma_at(spec, P, stage_times)
-    lookup = {round(float(s) / (0.5 * step)): gammas[k]
-              for k, s in enumerate(stage_times - t)}
+    gammas = gamma_matrices(spec, P,
+                            t + 0.5 * step * np.arange(2 * n_steps + 1))
 
     def field(s, x):
-        gamma = lookup[round((s - t) / (0.5 * step))]
+        gamma = gammas[round((s - t) / (0.5 * step))]
         return spec.h.apply_jacobian_inv(x, gamma @ spec.h.forward(x))
 
-    def control_of(s, x):
-        return feedback_control(spec, P, s, x)
-
-    return _simulate(spec, field, control_of, alpha, t, x0, T_sim, dt)
+    path = integrate_ode(field, t, T_sim, x0, dt)
+    gains = -spec.Rinv @ np.swapaxes(spec.B.values(path.nodes), -1, -2)
+    p_hx = np.matmul(P.at_many(path.nodes),
+                     spec.h.forward_batch(path.values)[:, :, None])
+    controls = np.matmul(gains, p_hx)[:, :, 0]
+    return _trajectory(spec, path, controls, alpha)
 
 
 def simulate_open_loop(spec: ProblemSpec, control: Callable[[float], np.ndarray],
@@ -163,14 +154,11 @@ def simulate_open_loop(spec: ProblemSpec, control: Callable[[float], np.ndarray]
                        T_sim: float, dt: float | None = None) -> Trajectory:
     """Integrate the dynamics under an explicit control signal."""
     dt = spec.grid.dt if dt is None else dt
-
-    def field(s, x):
-        hx = spec.h.forward(x)
-        rhs = spec.A.value(s) @ hx + spec.B.value(s) @ np.asarray(control(s))
-        return spec.h.apply_jacobian_inv(x, rhs)
-
-    return _simulate(spec, field, lambda s, x: np.asarray(control(s), dtype=float),
-                     alpha, t, np.asarray(x0, dtype=float), T_sim, dt)
+    path = integrate_ode(lambda s, x: eval_dynamics(spec, s, x, control(s)),
+                         t, T_sim, np.asarray(x0, dtype=float), dt)
+    controls = np.array([np.asarray(control(s), dtype=float)
+                         for s in path.nodes])
+    return _trajectory(spec, path, controls, alpha)
 
 
 def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,

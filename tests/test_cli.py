@@ -159,6 +159,30 @@ class TestGameCommand:
             json.loads(path.read_text(), parse_constant=reject_constant)
 
 
+class TestNumericalFailure:
+    def test_escaping_sweep_exits_6(self, tmp_path, capsys):
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "riccati", "--alpha", "1e300"])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "escaped at s=1.99" in err
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject_constant)
+
+    def test_escaping_constant_policy_is_skipped(self, tmp_path):
+        with pytest.warns(UserWarning, match="escaped"):
+            code = main(["--config", SCALAR, "--out", str(tmp_path), "game",
+                         "--x0", "0.6", "--tol", "1e-3",
+                         "--alpha-max", "1e300", "--alpha-points", "2"])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "constant_alpha_sweep.csv")
+        assert rows[0][0] == 0.0 and math.isfinite(rows[0][1])
+        assert rows[1] == [1e300, -math.inf]
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject_constant)
+
+
 class TestHorizonBeyondCap:
     # the window needs a first horizon past grid.t_max: a configuration
     # error, not a stabilizing solve that failed to converge

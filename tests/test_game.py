@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from safelq import AlphaPolicy, build_problem
+from safelq.errors import NoConvergence, NonFiniteState
 from safelq.game import (lambda_lipschitz_estimate, lambda_map,
                          lambda_map_numeric, solve_coupled,
                          sup_over_constant_alpha)
@@ -102,6 +103,45 @@ class TestConstantAlphaSweep:
         sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.9],
                                         [0.0, 0.1, 0.2], support_horizon=1.0)
         assert sweep.best_alpha > 0.0
+
+
+def _per_policy_table(spec, t, x, alpha_grid, support):
+    # reference: one stabilizing solve per constant policy, the loop the
+    # batched lanes replace
+    table = []
+    for val in alpha_grid:
+        policy = AlphaPolicy.constant(float(val), t, t + support)
+        try:
+            sol = solve_stabilizing(spec, policy, t, t, tol=1e-8)
+            w = value_from_riccati(spec, sol, policy, t, x)
+        except (NoConvergence, NonFiniteState):
+            w = -np.inf
+        table.append((float(val), float(w)))
+    return np.array(table)
+
+
+class TestConstantAlphaLanes:
+    @pytest.mark.parametrize("name, x", [("ball2d_spec", [0.28, -0.19]),
+                                         ("timevarying_spec", [0.32]),
+                                         ("cubic_spec", [0.5])])
+    def test_table_bitwise_equal_to_per_policy_solves(self, name, x, request):
+        spec = request.getfixturevalue(name)
+        grid = np.linspace(0.0, 2.0, 11)
+        sweep = sup_over_constant_alpha(spec, 0.0, x, grid)
+        ref = _per_policy_table(spec, 0.0, x, grid, spec.grid.t_max)
+        table = np.array(sweep.table)
+        assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
+        assert sweep.w_lower == ref[:, 1].max()
+
+    def test_escaping_lane_is_skipped(self, scalar_spec):
+        grid = [0.0, 0.5, 1e300]
+        with pytest.warns(UserWarning, match="alpha=1e\\+300.*escaped at s="):
+            sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.6], grid)
+        values = [w for _, w in sweep.table]
+        assert values[2] == -np.inf
+        ref = _per_policy_table(scalar_spec, 0.0, [0.6], grid[:2], 64.0)
+        assert values[:2] == list(ref[:, 1])
+        assert sweep.w_lower == max(values[:2])
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from safelq.errors import NonFiniteState, OutOfGrid
-from safelq.numerics import (TimeGrid, eig_sym_extremes, integrate_matrix_ode,
-                             integrate_ode, quadrature, simpson_samples, sym)
+from safelq.numerics import (TimeGrid, eig_sym_extremes, integrate_ode,
+                             quadrature, simpson_samples, sym)
 
 
 class TestTimeGrid:
@@ -71,7 +71,8 @@ class TestIntegrator:
         def rhs(t, p):
             return a.T @ p + p @ a + np.eye(2)
 
-        path = integrate_matrix_ode(rhs, 0.0, 2.0, np.zeros((2, 2)), 0.01)
+        path = integrate_ode(rhs, 0.0, 2.0, np.zeros((2, 2)), 0.01,
+                             postprocess=sym)
         for p in path.values:
             np.testing.assert_array_equal(p, p.T)
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safelq import AlphaPolicy, build_problem, riccati
 from safelq.cli import main
-from safelq.errors import NoConvergence, NotStabilizable
+from safelq.errors import NoConvergence, NonFiniteState, NotStabilizable
+from safelq.numerics import sym
 from safelq.riccati import (check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
+from safelq.synthesis import value_from_riccati
 
 from conftest import CONFIG_DIR, load_config
 
@@ -259,15 +262,123 @@ class TestSweepMemo:
         assert sorted(key[1] for key in cold_memo) == [
             10 * k for k in range(3, cap + 3)]
 
-    def test_game_sweep_identical_across_jobs(self, tmp_path):
+    def test_game_sweep_matches_one_lane_solves(self, tmp_path):
+        # the CLI's batched constant-policy sweep, run after the Picard loop
+        # has filled the memo, prints what per-policy solves give
         config = str(CONFIG_DIR / "scalar_demo.json")
-        sweeps = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            main(["--config", config, "--out", str(out), "--jobs", jobs,
-                  "game", "--x0", "0.6", "--max-iter", "1",
-                  "--alpha-points", "4"])
-            lines = (out / "constant_alpha_sweep.csv").read_text().splitlines()
-            sweeps.append(lines[1:])  # past the manifest hash line
-        assert len(sweeps[0]) == 5
-        assert sweeps[0] == sweeps[1]
+        main(["--config", config, "--out", str(tmp_path), "game", "--x0",
+              "0.6", "--max-iter", "1", "--alpha-points", "4"])
+        lines = (tmp_path / "constant_alpha_sweep.csv").read_text().splitlines()
+        spec = build_problem(load_config("scalar_demo.json"))
+        expected = []
+        for val in np.linspace(0.0, 2.0, 4):
+            policy = AlphaPolicy.constant(float(val), 0.0, 64.0)
+            sol = solve_stabilizing(spec, policy, 0.0, 0.0)
+            w = value_from_riccati(spec, sol, policy, 0.0, [0.6])
+            expected.append(f"{val:.17g},{w:.17g}")
+        assert lines[2:] == expected
+
+
+def _reference_sweep(spec, alpha, t, T, dt):
+    """The one-policy backward RK4 loop with 2-d states, checked every step."""
+    n = spec.dim_state
+    eye = np.eye(n)
+    steps = int(round((T - t) / dt))
+    h = (T - t) / steps
+    node_times = t + h * np.arange(steps, -1, -1)
+    mid_times = node_times[:-1] - 0.5 * h
+
+    def stage(times):
+        b = spec.B.values(times)
+        return (spec.A.values(times), 2.0 * np.einsum("kij,klj->kil", b, b),
+                spec.q_coeffs(times, alpha.values_at(times)))
+
+    (a_n, s_n, q_n), (a_m, s_m, q_m) = stage(node_times), stage(mid_times)
+
+    def rhs(p, a, s, q):
+        return -(a.T @ p + p @ a - p @ s @ p + q * eye)
+
+    p = np.zeros((n, n))
+    ps, dps = [p], []
+    for k in range(steps):
+        k1 = rhs(p, a_n[k], s_n[k], q_n[k])
+        dps.append(k1)
+        k2 = rhs(p - 0.5 * h * k1, a_m[k], s_m[k], q_m[k])
+        k3 = rhs(p - 0.5 * h * k2, a_m[k], s_m[k], q_m[k])
+        k4 = rhs(p - h * k3, a_n[k + 1], s_n[k + 1], q_n[k + 1])
+        p = sym(p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        if not np.all(np.isfinite(p)):
+            raise NonFiniteState(f"Riccati sweep escaped at s={node_times[k + 1]}",
+                                 time=float(node_times[k + 1]))
+        ps.append(p)
+    dps.append(rhs(p, a_n[steps], s_n[steps], q_n[steps]))
+    return np.array(ps), np.array(dps)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec",
+                                      "timevarying_spec", "cubic_spec"])
+    def test_lanes_match_the_per_step_reference(self, name, request, cold_memo):
+        spec = request.getfixturevalue(name)
+        policies = [_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0,
+                    _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])]
+        nodes, p, dp, errors = riccati._sweep(spec, policies, 0.0, 8.0, 0.01)
+        assert errors == [None] * 3
+        for lane, policy in enumerate(policies):
+            p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 8.0, 0.01)
+            assert _bitwise_equal(p[:, lane], p_ref)
+            assert _bitwise_equal(dp[:, lane], dp_ref)
+
+    def test_escaping_lane_keeps_its_time_and_spares_the_others(
+            self, scalar_spec, cold_memo):
+        policies = [ALPHA0, AlphaPolicy.constant(1e300, 0.0, 64.0)]
+        with pytest.raises(NonFiniteState) as ref, \
+                np.errstate(over="ignore", invalid="ignore"):
+            _reference_sweep(scalar_spec, policies[1], 0.0, 2.0, 0.01)
+        _, p, _, errors = riccati._sweep(scalar_spec, policies, 0.0, 2.0, 0.01)
+        assert errors[0] is None
+        assert str(errors[1]) == str(ref.value)
+        assert errors[1].time == ref.value.time
+        p_ref, _ = _reference_sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
+        assert _bitwise_equal(p[:, 0], p_ref)
+        assert not cold_memo      # a failed sweep is not kept
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+           m=st.integers(1, 2),
+           grid=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4))
+    def test_k_lanes_equal_k_one_lane_solves(self, seed, n, m, grid):
+        # random constant (A, B); a random B is controllable almost surely
+        rng = np.random.default_rng(seed)
+        spec = build_problem({
+            "dims": {"state": n, "control": m},
+            "A": {"variant": "constant",
+                  "params": {"value": rng.uniform(-2.0, 1.0, (n, n)).tolist()}},
+            "B": {"variant": "constant",
+                  "params": {"value": rng.uniform(0.5, 1.5, (n, m)).tolist()}},
+            "K": {"variant": "truncated_constant",
+                  "params": {"level": float(rng.uniform(0.5, 2.0)),
+                             "t_cut": 100.0}},
+            "a": {"variant": "linear", "params": {"coeff": 1.0}},
+            "b": {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}},
+            "h": {"variant": "identity"},
+            "omega": {"variant": "ball",
+                      "params": {"center": [0.0] * n, "radius": 1.0}},
+            "grid": {"t0": 0.0, "dt": 0.05, "t_max": 16.0}})
+        policies = [AlphaPolicy.constant(v, 0.0, 2.0) for v in grid]
+        lanes = riccati._stabilizing_lanes(spec, policies, 0.0, 1.0)
+        for policy, got in zip(policies, lanes):
+            try:
+                ref = solve_stabilizing(spec, policy, 0.0, 1.0)
+            except (NoConvergence, NonFiniteState) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert got.certificate == ref.certificate
+            for field in ("nodes", "P", "dP"):
+                assert _bitwise_equal(getattr(got, field), getattr(ref, field))

@@ -5,11 +5,16 @@ import pytest
 
 from safelq import AlphaPolicy
 from safelq.errors import OutOfGrid
+from safelq.model import eval_lagrangian
+from safelq.numerics import integrate_ode
 from safelq.riccati import solve_finite_horizon, solve_stabilizing
 from safelq.synthesis import (cost_of_trajectory, feedback_control,
-                              finite_value_from_riccati, hamiltonian,
+                              finite_value_from_riccati, gamma_matrices,
+                              hamiltonian,
                               hjb_residual, simulate_closed_loop,
                               simulate_open_loop, value_from_riccati)
+
+from conftest import CONFIG_DIR, load_spec
 
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
@@ -74,6 +79,54 @@ class TestClosedLoop:
                                     [0.9], 6.0)
         assert np.all(np.diff(traj.cum_cost) >= -1e-15)
         assert traj.states[0, 0] == 0.9
+
+
+def _per_node_closed_loop(spec, P, alpha, t, x0, T_sim, dt):
+    # reference: Gamma from a float-keyed dict, then one feedback_control
+    # and one eval_lagrangian call per node
+    n_steps = max(1, int(round((T_sim - t) / dt)))
+    step = (T_sim - t) / n_steps
+    stage_times = np.concatenate(
+        [t + step * np.arange(n_steps + 1), t + step * (np.arange(n_steps) + 0.5)])
+    gammas = gamma_matrices(spec, P, stage_times)
+    lookup = {round(float(s) / (0.5 * step)): gammas[k]
+              for k, s in enumerate(stage_times - t)}
+
+    def field(s, x):
+        gamma = lookup[round((s - t) / (0.5 * step))]
+        return spec.h.apply_jacobian_inv(x, gamma @ spec.h.forward(x))
+
+    path = integrate_ode(field, t, T_sim, np.asarray(x0, dtype=float), dt)
+    controls = np.array([feedback_control(spec, P, s, path.values[k])
+                         for k, s in enumerate(path.nodes)])
+    alphas = alpha.values_at(path.nodes)
+    running = np.array([eval_lagrangian(spec, s, path.values[k], controls[k],
+                                        alphas[k])
+                        for k, s in enumerate(path.nodes)])
+    cum = np.concatenate([[0.0], np.cumsum(
+        0.5 * (running[1:] + running[:-1]) * np.diff(path.nodes))])
+    margins = np.array([spec.omega.boundary_margin(x) for x in path.values])
+    return path.nodes, path.values, controls, running, cum, margins
+
+
+class TestClosedLoopFromArrays:
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_bitwise_equal_to_per_node_loop(self, config):
+        spec = load_spec(config)
+        lo, hi = spec.omega.bounding_box()
+        center = spec.omega.interior_point()
+        x0 = center + 0.5 * (np.asarray(hi) - center)
+        alpha = AlphaPolicy(np.linspace(0.0, 2.0, 5), [0.3, 0.7, 0.1, 0.0, 0.4])
+        P = solve_stabilizing(spec, alpha, 0.0, 4.0, tol=1e-8)
+        traj = simulate_closed_loop(spec, P, alpha, 0.0, x0, 4.0)
+        ref = _per_node_closed_loop(spec, P, alpha, 0.0, x0, 4.0, spec.grid.dt)
+        got = (traj.nodes, traj.states, traj.controls, traj.running_cost,
+               traj.cum_cost, traj.margins)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        # outward_drift's exit is part of the comparison
+        assert traj.exited == (config == "outward_drift.json")
 
 
 class TestValues:
