@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, NonPositiveWeight, SingularJacobian,
                      UnknownVariant)
+from .numerics import matvec
 
 TIME_MATRIX_VARIANTS = ("constant", "sinusoid")
 STATE_WEIGHT_VARIANTS = ("truncated_constant", "exponential")
@@ -45,16 +46,13 @@ class TimeMatrix:
         return self.variant == "constant" or (
             self.amplitude is not None and not np.any(self.amplitude))
 
-    def value(self, s: float) -> np.ndarray:
-        if self.variant == "constant":
-            return self.base
-        return self.base + self.amplitude * np.sin(self.omega * s)
-
-    def values(self, s: np.ndarray) -> np.ndarray:
+    def value(self, s) -> np.ndarray:
+        """M(s), stacked (..., rows, cols) over an array of times."""
         s = np.asarray(s, dtype=float)
         if self.variant == "constant":
-            return np.broadcast_to(self.base, s.shape + self.base.shape).copy()
-        return self.base + np.sin(self.omega * s)[:, None, None] * self.amplitude
+            return np.broadcast_to(self.base, s.shape + self.base.shape)
+        wave = np.sin(self.omega * s)[..., None, None]
+        return self.base + wave * self.amplitude
 
     def norm_bound(self) -> float:
         """Exact sup-norm bound derived from the parameters."""
@@ -103,16 +101,14 @@ class StateWeight:
     t_cut: float = 0.0
     rate: float = 0.0
 
-    def value(self, s: float) -> float:
-        if self.variant == "truncated_constant":
-            return self.level if 0.0 <= s <= self.t_cut else 0.0
-        return self.level * np.exp(-self.rate * s) if s >= 0.0 else 0.0
-
-    def values(self, s: np.ndarray) -> np.ndarray:
+    def value(self, s):
+        """K(s); an array of times gives an array of weights."""
         s = np.asarray(s, dtype=float)
         if self.variant == "truncated_constant":
-            return np.where((s >= 0.0) & (s <= self.t_cut), self.level, 0.0)
-        return np.where(s >= 0.0, self.level * np.exp(-self.rate * s), 0.0)
+            out = np.where((s >= 0.0) & (s <= self.t_cut), self.level, 0.0)
+        else:
+            out = np.where(s >= 0.0, self.level * np.exp(-self.rate * s), 0.0)
+        return out[()]
 
     def integral(self, t0: float, t1: float | None = None) -> float:
         """Closed-form integral of K over [max(t0,0), t1] (t1=None -> inf)."""
@@ -196,8 +192,8 @@ class DiffeoMap:
     linear:     h(x) = M x, M invertible
     odd_cubic:  h_i(x) = x_i + beta * x_i**3, beta >= 0
 
-    Identity and odd_cubic have diagonal Jacobians, which batch operations
-    exploit.
+    Every method takes stacked states and vectors (..., n).  Identity and
+    odd_cubic have diagonal Jacobians, applied without forming a matrix.
     """
 
     variant: str
@@ -211,22 +207,15 @@ class DiffeoMap:
         if self.variant == "identity":
             return x.copy()
         if self.variant == "linear":
-            return self.matrix @ x
+            return matvec(self.matrix, x)
         return x + self.beta * x**3
-
-    def forward_batch(self, xs: np.ndarray) -> np.ndarray:
-        if self.variant == "identity":
-            return np.array(xs, dtype=float)
-        if self.variant == "linear":
-            return xs @ self.matrix.T
-        return xs + self.beta * xs**3
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if self.variant == "identity":
             return y.copy()
         if self.variant == "linear":
-            return self.matrix_inv @ y
+            return matvec(self.matrix_inv, y)
         if self.beta == 0.0:
             return y.copy()
         return _cubic_inverse(y, self.beta)
@@ -251,34 +240,26 @@ class DiffeoMap:
     def apply_jacobian_inv(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """grad h(x)^{-1} v without forming the inverse for diagonal maps."""
         if self.variant == "identity":
-            return np.asarray(v, dtype=float).copy()
+            return np.array(v, dtype=float)
         if self.variant == "linear":
-            return self.matrix_inv @ v
+            return matvec(self.matrix_inv, v)
         return v / self._diag_jacobian(x)
 
     def apply_jacobian_inv_t(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """grad h(x)^{-T} v (inverse transpose applied to a vector)."""
         if self.variant == "identity":
-            return np.asarray(v, dtype=float).copy()
+            return np.array(v, dtype=float)
         if self.variant == "linear":
-            return self.matrix_inv.T @ v
+            return matvec(self.matrix_inv.T, v)
         return v / self._diag_jacobian(x)
 
     def apply_jacobian_t(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """grad h(x)^T v."""
         if self.variant == "identity":
-            return np.asarray(v, dtype=float).copy()
+            return np.array(v, dtype=float)
         if self.variant == "linear":
-            return self.matrix.T @ v
+            return matvec(self.matrix.T, v)
         return v * self._diag_jacobian(x)
-
-    def apply_jacobian_inv_batch(self, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Row-wise grad h(x_i)^{-1} v_i for stacked states/vectors."""
-        if self.variant == "identity":
-            return np.array(vs, dtype=float)
-        if self.variant == "linear":
-            return vs @ self.matrix_inv.T
-        return vs / (1.0 + 3.0 * self.beta * xs**2)
 
 
 def diffeo_from_config(entry: dict, dim: int) -> DiffeoMap:

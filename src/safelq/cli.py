@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -154,11 +153,11 @@ def _cmd_riccati(args) -> int:
             sol = riccati.solve_stabilizing(
                 spec, alpha, t0, t0 + args.eval_span, tol=args.tol)
         except NoConvergence as exc:
-            # the first horizon has no gap yet; strict JSON has no NaN
-            attempts = [[h, g if math.isfinite(g) else None]
-                        for h, g in exc.attempts]
-            _write_json(out / "certificate.json",
-                        {"converged": False, "attempts": attempts}, sha)
+            # the first horizon has no gap yet: its NaN placeholder is dropped
+            horizons, gaps = zip(*exc.attempts)
+            certificate = riccati.ConvergenceCertificate(
+                horizons, gaps[1:], args.tol, False)
+            _write_json(out / "certificate.json", certificate.to_dict(), sha)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         _write_json(out / "certificate.json", sol.certificate.to_dict(), sha)
@@ -277,10 +276,10 @@ def _suite_riccati(spec: ProblemSpec) -> list[dict]:
     checks.append({"check": "terminal_condition_zero",
                    "passed": bool(np.all(sol.P[-1] == 0.0)),
                    "max_abs": float(np.max(np.abs(sol.P[-1])))})
-    asym = float(max(np.max(np.abs(p - p.T)) for p in sol.P))
+    asym = float(np.max(np.abs(sol.P - np.swapaxes(sol.P, -1, -2))))
     checks.append({"check": "symmetry_exact", "passed": asym == 0.0,
                    "max_asymmetry": asym})
-    lam_min = float(min(np.linalg.eigvalsh(p)[0] for p in sol.P))
+    lam_min = float(np.min(np.linalg.eigvalsh(sol.P)[:, 0]))
     checks.append({"check": "positive_semidefinite",
                    "passed": lam_min >= -DEFAULT_TOLERANCES["psd_tol"],
                    "lambda_min": lam_min})
@@ -314,20 +313,17 @@ def _suite_riccati(spec: ProblemSpec) -> list[dict]:
     return checks
 
 
-def _riccati_residual_max(spec, alpha, sol) -> float:
-    worst = 0.0
-    for k in range(1, len(sol.nodes) - 1):
-        dp_fd = (sol.P[k + 1] - sol.P[k - 1]) / (2.0 * sol.dt)
-        worst = max(worst, float(np.max(np.abs(dp_fd - sol.dP[k]))))
-    return worst
+def _riccati_residual_max(sol) -> float:
+    dp_fd = (sol.P[2:] - sol.P[:-2]) / (2.0 * sol.dt)
+    return float(np.max(np.abs(dp_fd - sol.dP[1:-1]), initial=0.0))
 
 
 def _riccati_residual_ratio(spec, alpha, t0, T) -> float:
     coarse = riccati.solve_finite_horizon(spec, alpha, t0, T,
                                           dt=spec.grid.dt * 2.0)
     fine = riccati.solve_finite_horizon(spec, alpha, t0, T, dt=spec.grid.dt)
-    r_coarse = _riccati_residual_max(spec, alpha, coarse)
-    r_fine = _riccati_residual_max(spec, alpha, fine)
+    r_coarse = _riccati_residual_max(coarse)
+    r_fine = _riccati_residual_max(fine)
     if r_fine == 0.0:
         return 0.0
     return r_coarse / r_fine
@@ -387,10 +383,9 @@ def _suite_hjb(spec: ProblemSpec) -> list[dict]:
     lo, hi = spec.omega.bounding_box()
     xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 20)
     s_vals = coarse.nodes[2:-2:max(1, (len(coarse.nodes) - 4) // 20)][:20]
-    worst_c = max(synthesis.hjb_residual(spec, coarse, alpha, float(s), x)
-                  for s in s_vals for x in xs)
-    worst_f = max(synthesis.hjb_residual(spec, fine, alpha, float(s), x)
-                  for s in s_vals for x in xs)
+    worst_c, worst_f = (
+        max(np.max(synthesis.hjb_residual(spec, sol, alpha, float(s), xs))
+            for s in s_vals) for sol in (coarse, fine))
     ratio = worst_c / worst_f if worst_f > 0.0 else 0.0
     passed = bool(3.0 <= ratio <= 5.0) or (worst_f < 1e-13 and worst_c < 1e-13)
     return [{"check": "hjb_residual_second_order", "passed": passed,

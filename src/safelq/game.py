@@ -26,10 +26,11 @@ from .riccati import RiccatiSolution, _stabilizing_lanes, solve_stabilizing
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
 
-def lambda_map(spec: ProblemSpec, s: float, x: np.ndarray) -> float:
-    """Smallest maximizer of a(beta) |h(x)|^2 - b(beta) over beta >= 0."""
-    hx = spec.h.forward(np.asarray(x, dtype=float))
-    alpha_star, _ = _sup_alpha_gain(spec.a, spec.b, float(hx @ hx))
+def lambda_map(spec: ProblemSpec, s, x: np.ndarray):
+    """Smallest maximizer of a(beta) |h(x)|^2 - b(beta) over beta >= 0, per
+    stacked state (..., n); the power catalog makes it independent of s."""
+    hx = spec.h.forward(x)
+    alpha_star, _ = _sup_alpha_gain(spec.a, spec.b, np.vecdot(hx, hx))
     return alpha_star
 
 
@@ -185,8 +186,7 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     for iterations in range(1, max_iter + 1):
         sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol, dt=dt)
         traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim, dt=dt)
-        target = np.array([lambda_map(spec, float(s), traj.states[k])
-                           for k, s in enumerate(nodes)])
+        target = lambda_map(spec, nodes, traj.states)
         new_values = (1.0 - relaxation) * alpha.values + relaxation * target
         update_norm = float(np.max(np.abs(new_values - alpha.values)))
         alpha = AlphaPolicy(nodes, new_values)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ConfigError, DimensionMismatch, UnknownVariant, UnsupportedVariant
+from .numerics import matvec
 
 _DIRECTIONS_SEED = 20240917
 
@@ -26,15 +27,16 @@ class ConeQuery:
     ``normals`` holds unit generators of the normal cone (one row for smooth
     points, one per active constraint at corners).  ``margin(v)`` is positive
     iff v points strictly inward with respect to every generator; at corners
-    the margin is the minimum over generators.
+    the margin is the minimum over generators.  Stacked vectors (..., n) give
+    one margin each.
     """
 
     point: np.ndarray
     normals: np.ndarray
     active: tuple[int, ...] = ()
 
-    def margin(self, v: np.ndarray) -> float:
-        return float(np.min(-self.normals @ np.asarray(v, dtype=float)))
+    def margin(self, v: np.ndarray):
+        return np.min(matvec(-self.normals, v), axis=-1)[()]
 
 
 class ConstraintSet:
@@ -44,13 +46,14 @@ class ConstraintSet:
     dim: int
 
     # -- membership ------------------------------------------------------
-    def boundary_margin(self, x) -> float:
+    def boundary_margin(self, x):
         """Signed margin: zero on the boundary, negative inside, positive
         outside.  Euclidean distance for balls/boxes/polytopes; for smooth
-        sublevel sets a monotone surrogate with the same zero level set."""
+        sublevel sets a monotone surrogate with the same zero level set.
+        Stacked states (..., n) give one margin each."""
         raise NotImplementedError
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x, tol: float = 1e-12):
         return self.boundary_margin(x) <= tol
 
     # -- geometry --------------------------------------------------------
@@ -111,8 +114,9 @@ class Ball(ConstraintSet):
             raise ConfigError("ball radius must be positive")
 
     def boundary_margin(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center)
-                     - self.radius)
+        d = np.asarray(x, dtype=float) - self.center
+        # rounds like the 1-D np.linalg.norm; norm(..., axis=-1) does not
+        return (np.sqrt(np.vecdot(d, d)) - self.radius)[()]
 
     def bounding_radius(self):
         return float(np.linalg.norm(self.center) + self.radius)
@@ -190,7 +194,7 @@ class Polytope(ConstraintSet):
         return res.x[:-1]
 
     def boundary_margin(self, x):
-        return float(np.max(self.a @ np.asarray(x, dtype=float) - self.c))
+        return np.max(matvec(self.a, x) - self.c, axis=-1)[()]
 
     def bounding_radius(self):
         lo, hi = self._bbox
@@ -306,7 +310,7 @@ class Ellipsoid(ConstraintSet):
 
     def boundary_margin(self, x):
         d = np.asarray(x, dtype=float) - self.center
-        return float(np.sqrt(np.sum(self.weights * d * d)) - 1.0)
+        return (np.sqrt(np.sum(self.weights * d * d, axis=-1)) - 1.0)[()]
 
     def bounding_radius(self):
         return float(np.linalg.norm(self.center) + np.max(self.semi_axes))

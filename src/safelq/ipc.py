@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NotIntegrable
 from .geometry import ConeQuery, sample_boundary
 from .model import AlphaPolicy, ProblemSpec, eval_dynamics
-from .numerics import eig_sym_extremes
+from .numerics import eig_sym_extremes, matvec
 from .riccati import RiccatiSolution
 from .synthesis import gamma_matrices
 
@@ -48,10 +48,8 @@ def check_base_ipc(spec: ProblemSpec, s: float, x: np.ndarray,
         raise ValueError("base IPC must be queried on the boundary")
     cq = spec.omega.cone_query(x)
     per_axis = per_axis if spec.dim_control == 1 else min(per_axis, 9)
-    best = -np.inf
-    for u in _control_grid(spec.dim_control, u_max, per_axis):
-        best = max(best, cq.margin(eval_dynamics(spec, s, x, u)))
-    return float(best)
+    controls = _control_grid(spec.dim_control, u_max, per_axis)
+    return float(np.max(cq.margin(eval_dynamics(spec, s, x, controls))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +84,19 @@ def check_ipc_riccati(spec: ProblemSpec, P: RiccatiSolution,
     interior-tangent margin is positive exactly when Gamma(s) h(x) lies in
     grad_h(x)^{-T}(int T_Omega(x)).
     """
-    worst = np.inf
-    wit_s = float(time_samples[0])
-    wit_x = boundary_samples[0].point
-    for s, gamma in zip(time_samples, gamma_matrices(
-            spec, P, np.asarray(time_samples, dtype=float))):
-        for cq in boundary_samples:
-            hx = spec.h.forward(cq.point)
-            v = spec.h.apply_jacobian_t(cq.point, gamma @ hx)
-            margin = cq.margin(v)
-            if margin < worst:
-                worst = margin
-                wit_s = float(s)
-                wit_x = cq.point
+    time_samples = np.asarray(time_samples, dtype=float)
+    gammas = gamma_matrices(spec, P, time_samples)
+    # margins[time, point]: each point's h(x) and grad_h(x)^T are applied
+    # once, to all time samples
+    margins = np.column_stack([
+        cq.margin(spec.h.apply_jacobian_t(
+            cq.point, matvec(gammas, spec.h.forward(cq.point))))
+        for cq in boundary_samples])
+    # the first worst sample in time-major order
+    k_s, k_x = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = margins[k_s, k_x]
+    wit_s = float(time_samples[k_s])
+    wit_x = boundary_samples[k_x].point
     return IPCReport(worst_margin=float(worst), witness_s=wit_s, witness_x=wit_x,
                      n_samples=len(time_samples) * len(boundary_samples),
                      density=density)

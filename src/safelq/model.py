@@ -25,6 +25,7 @@ from . import catalog, geometry
 from .errors import (ConfigError, DimensionMismatch, GrowthViolation,
                      IntegrabilityMismatch, NegativeAlpha, NonconformingWeight,
                      NotIntegrable, UnboundedSup)
+from .numerics import matvec
 
 
 @dataclass(frozen=True)
@@ -79,22 +80,12 @@ class AlphaPolicy:
     def zero(cls, t0: float, t1: float) -> "AlphaPolicy":
         return cls.constant(0.0, t0, t1)
 
-    def value(self, s: float) -> float:
-        i = int(np.searchsorted(self.nodes, s, side="right")) - 1
-        if i < 0:
-            return float(self.values[0])
-        if i >= len(self.nodes) - 1:
-            if s > self.nodes[-1]:
-                return self.tail
-            return float(self.values[-1])
-        return float(self.values[i])
-
-    def values_at(self, s: np.ndarray) -> np.ndarray:
+    def value(self, s):
+        """alpha(s); an array of times gives an array of weights."""
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self.nodes, s, side="right") - 1,
                       0, len(self.nodes) - 1)
-        out = self.values[idx]
-        return np.where(s > self.nodes[-1], self.tail, out)
+        return np.where(s > self.nodes[-1], self.tail, self.values[idx])[()]
 
     def maximum(self) -> float:
         return float(max(np.max(self.values), self.tail))
@@ -128,23 +119,27 @@ class AlphaPolicy:
         return total
 
 
-def _sup_alpha_gain(a: catalog.PowerLaw, b: catalog.PowerLaw, g: float
-                    ) -> tuple[float, float]:
-    """(argmax, max) of a(alpha)*g - b(alpha) over alpha >= 0.
+def _sup_alpha_gain(a: catalog.PowerLaw, b: catalog.PowerLaw, g):
+    """(argmax, max) of a(alpha)*g - b(alpha) over alpha >= 0, per entry of g.
 
     Power catalog closed form; ties broken by the smallest maximizer
     (alpha = 0 whenever the gain there is zero).
     """
     if b.exponent <= a.exponent:
         raise UnboundedSup("b must grow strictly faster than a")
-    if g <= 0.0 or a.coeff == 0.0:
-        return 0.0, 0.0
-    if b.coeff <= 0.0:
+    g = np.asarray(g, dtype=float)
+    if a.coeff == 0.0:
+        return np.zeros_like(g)[()], np.zeros_like(g)[()]
+    positive = g > 0.0
+    if b.coeff <= 0.0 and np.any(positive):
         raise UnboundedSup("b must be strictly increasing for alpha > 0")
     p, q = a.exponent, b.exponent
-    alpha_star = (p * a.coeff * g / (q * b.coeff)) ** (1.0 / (q - p))
-    gain = a.coeff * g * alpha_star**p - b.coeff * alpha_star**q
-    return float(alpha_star), float(gain)
+    g = np.where(positive, g, 0.0)
+    # np.power, not **: on numpy scalars ** rounds like Python's float pow
+    alpha_star = np.power(p * a.coeff * g / (q * b.coeff), 1.0 / (q - p))
+    gain = (a.coeff * g * np.power(alpha_star, p)
+            - b.coeff * np.power(alpha_star, q))
+    return alpha_star[()], gain[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +164,9 @@ class ProblemSpec:
         object.__setattr__(self, "R", 0.5 * np.eye(m))
         object.__setattr__(self, "Rinv", 2.0 * np.eye(m))
 
-    def q_coeff(self, s: float, alpha: float) -> float:
-        """Scalar multiplier of the identity in Q(s, alpha)."""
-        return 0.5 * self.K.value(s) + float(self.a(alpha))
-
-    def q_coeffs(self, s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        return 0.5 * self.K.values(s) + self.a(np.asarray(alpha, dtype=float))
+    def q_coeff(self, s, alpha):
+        """Scalar multiplier of the identity in Q(s, alpha), per time."""
+        return 0.5 * self.K.value(s) + self.a(alpha)
 
     def b_norm_bound(self) -> float:
         """Declared sup-norm bound of B (falls back to the derived one)."""
@@ -183,41 +175,32 @@ class ProblemSpec:
 
 def eval_dynamics(spec: ProblemSpec, s: float, x: np.ndarray, u: np.ndarray
                   ) -> np.ndarray:
-    """State derivative grad_h(x)^{-1} (A(s) h(x) + B(s) u)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    hx = spec.h.forward(x)
-    rhs = spec.A.value(s) @ hx + spec.B.value(s) @ u
+    """State derivative grad_h(x)^{-1} (A(s) h(x) + B(s) u), for stacked
+    states (..., n) and controls (..., m) that broadcast."""
+    rhs = (matvec(spec.A.value(s), spec.h.forward(x))
+           + matvec(spec.B.value(s), u))
     return spec.h.apply_jacobian_inv(x, rhs)
 
 
-def eval_dynamics_batch(spec: ProblemSpec, s: float, xs: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-    """Vectorized dynamics over stacked states (M, n) at one (s, u)."""
-    hxs = spec.h.forward_batch(xs)
-    rhs = hxs @ spec.A.value(s).T + np.asarray(u, dtype=float) @ spec.B.value(s).T
-    return spec.h.apply_jacobian_inv_batch(xs, rhs)
-
-
-def eval_lagrangian(spec: ProblemSpec, s: float, x: np.ndarray, u: np.ndarray,
-                    alpha: float) -> float:
-    """(K(s)/2 + a(alpha)) |h(x)|^2 + |u|^2/2 - b(alpha)."""
-    if alpha < 0.0:
+def eval_lagrangian(spec: ProblemSpec, s, x: np.ndarray, u: np.ndarray,
+                    alpha):
+    """(K(s)/2 + a(alpha)) |h(x)|^2 + |u|^2/2 - b(alpha), per stacked row."""
+    if np.any(np.asarray(alpha) < 0.0):
         raise NegativeAlpha("alpha must be nonnegative")
-    hx = spec.h.forward(np.asarray(x, dtype=float))
+    hx = spec.h.forward(x)
     u = np.asarray(u, dtype=float)
-    return float(spec.q_coeff(s, alpha) * (hx @ hx) + 0.5 * (u @ u)
-                 - spec.b(alpha))
+    return (spec.q_coeff(s, alpha) * np.vecdot(hx, hx)
+            + 0.5 * np.vecdot(u, u) - spec.b(alpha))[()]
 
 
-def eval_sup_lagrangian(spec: ProblemSpec, s: float, x: np.ndarray,
-                        u: np.ndarray) -> float:
+def eval_sup_lagrangian(spec: ProblemSpec, s, x: np.ndarray,
+                        u: np.ndarray):
     """Marginal-function cost sup over alpha of the parametrized rate."""
-    hx = spec.h.forward(np.asarray(x, dtype=float))
+    hx = spec.h.forward(x)
     u = np.asarray(u, dtype=float)
-    g = float(hx @ hx)
+    g = np.vecdot(hx, hx)
     _, gain = _sup_alpha_gain(spec.a, spec.b, g)
-    return float(0.5 * spec.K.value(s) * g + 0.5 * (u @ u) + gain)
+    return (0.5 * spec.K.value(s) * g + 0.5 * np.vecdot(u, u) + gain)[()]
 
 
 def _validate_r(entry: dict, m: int) -> None:
@@ -263,7 +246,8 @@ def _verify_b_bound(b_mat: catalog.TimeMatrix, grid: TimeGridSpec) -> None:
     if b_mat.bound is None:
         return
     samples = np.linspace(grid.t0, grid.t_max, 201)
-    worst = max(float(np.linalg.norm(b_mat.value(s), 2)) for s in samples)
+    worst = float(np.max(np.linalg.norm(b_mat.value(samples), 2,
+                                        axis=(-2, -1))))
     if b_mat.bound < worst - 1e-12:
         raise ConfigError(
             f"declared |B| bound {b_mat.bound} below observed {worst}")

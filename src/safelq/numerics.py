@@ -1,10 +1,11 @@
 """Shared numerical kernels.
 
 Fixed-step classical Runge-Kutta integration for vector- and matrix-valued
-states with cubic-Hermite dense output, composite Simpson quadrature, and
-symmetric eigenvalue extremes.  Everything is deterministic: uniform grids,
-fixed evaluation order, no adaptivity.  Matrix states are re-symmetrized after
-every step so Riccati sweeps cannot drift off the symmetric manifold.
+states with cubic-Hermite dense output, composite Simpson quadrature,
+stacked matrix-vector products, and symmetric eigenvalue extremes.
+Everything is deterministic: uniform grids, fixed evaluation order, no
+adaptivity.  Matrix states are re-symmetrized after every step so Riccati
+sweeps cannot drift off the symmetric manifold.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from .errors import NonFiniteState, OutOfGrid
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetrized copy (M + M^T)/2 of a matrix or of each in a stack."""
     return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def matvec(m: np.ndarray, x) -> np.ndarray:
+    """M x for stacked vectors x (..., k) and a matrix or stack M (..., n, k).
+
+    Stacked matmul rounds each row exactly like the 1-D ``M @ x``; the row
+    forms ``x @ M.T``, vecdot and einsum may not.
+    """
+    return np.matmul(m, np.asarray(x, dtype=float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -87,11 +97,8 @@ class SampledPath:
     def t_end(self) -> float:
         return float(self.nodes[-1])
 
-    def at(self, s: float) -> np.ndarray:
-        return self.at_many(s)
-
-    def at_many(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized dense output; returns stacked states for each s."""
+    def at(self, s) -> np.ndarray:
+        """Dense output at a time or at each of an array of times."""
         s = np.asarray(s, dtype=float)
         if len(self.nodes) == 1:
             return np.broadcast_to(self.values[0], s.shape + self.values[0].shape).copy()

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseWarning
-from .model import (AlphaPolicy, ProblemSpec, eval_dynamics_batch,
-                    _sup_alpha_gain)
+from .model import AlphaPolicy, ProblemSpec, eval_dynamics, _sup_alpha_gain
+from .numerics import matvec
 
 _INF = np.inf
 
@@ -144,7 +144,7 @@ def _check_cfl(dp: DPProblem, states: np.ndarray) -> None:
     cell = min(float(ax[1] - ax[0]) for ax in dp.state_axes)
     u_extreme = dp.controls[np.argmax(np.linalg.norm(dp.controls, axis=1))]
     speeds = np.linalg.norm(
-        eval_dynamics_batch(spec, dp.t, states, u_extreme), axis=1)
+        eval_dynamics(spec, dp.t, states, u_extreme), axis=1)
     if float(np.max(speeds)) * dp.dt > cell:
         warnings.warn(
             "DP transitions step across more than one cell; refine the grids",
@@ -190,26 +190,29 @@ def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
     dt = dp.dt
     time_nodes = dp.t + dt * np.arange(dp.n_steps + 1)
 
-    margins = np.array([spec.omega.boundary_margin(p) for p in states])
-    inside = margins <= 1e-12
+    inside = spec.omega.contains(states)
     _check_cfl(dp, states[inside] if np.any(inside) else states)
 
     # time-free parts of cost[u, x]: |h(x)|^2, |u|^2 / 2 and the sup gains
-    hx = dp.spec.h.forward_batch(states)
+    hx = dp.spec.h.forward(states)
     g = np.sum(hx * hx, axis=1)
-    u_sq = np.array([[0.5 * float(u @ u)] for u in dp.controls])
+    u_sq = 0.5 * np.vecdot(dp.controls, dp.controls)[:, None]
     if dp.cost_mode == "sup":
-        gains = np.array([_sup_alpha_gain(dp.spec.a, dp.spec.b, gi)[1]
-                          for gi in g])
+        gains = _sup_alpha_gain(dp.spec.a, dp.spec.b, g)[1]
 
-    # eval_dynamics_batch, its control-free h(x) A(s)^T made once per step
-    h_states = spec.h.forward_batch(states)
+    # Euler successors of every (control, state) pair, stacked (n_u, n_pts,
+    # n); states + dt * f is formed in place on the map's fresh result, so
+    # one full-size array is alive when _locate runs
+    h_states = spec.h.forward(states)
 
     def locate(s: float):
-        drift = h_states @ spec.A.value(s).T
-        return _locate(dp.state_axes, np.concatenate(
-            [states + dt * spec.h.apply_jacobian_inv_batch(
-                states, drift + u @ spec.B.value(s).T) for u in dp.controls]))
+        successors = spec.h.apply_jacobian_inv(
+            states, matvec(spec.A.value(s), h_states)
+            + matvec(spec.B.value(s), dp.controls)[:, None, :])
+        successors *= dt
+        successors += states
+        return _locate(dp.state_axes,
+                       successors.reshape(-1, states.shape[1]))
 
     autonomous = spec.A.is_constant() and spec.B.is_constant()
     cells = locate(dp.t) if autonomous else None

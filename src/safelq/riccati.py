@@ -95,11 +95,9 @@ class RiccatiSolution:
     def _path(self) -> SampledPath:
         return SampledPath(nodes=self.nodes, values=self.P, derivs=self.dP)
 
-    def at(self, s: float) -> np.ndarray:
+    def at(self, s) -> np.ndarray:
+        """P(s), stacked (..., n, n) over an array of times."""
         return sym(self._path().at(s))
-
-    def at_many(self, s: np.ndarray) -> np.ndarray:
-        return sym(self._path().at_many(s))
 
     def node_index(self, s: float, tol: float = 1e-9) -> int:
         """Index of the grid node nearest to s."""
@@ -122,10 +120,10 @@ class RiccatiSolution:
 
 def _stage_data(spec: ProblemSpec, alphas, times: np.ndarray):
     """Per-time A(s), S(s) = B R^{-1} B^T and q(s), one q column per policy."""
-    a_arr = spec.A.values(times)
-    b_arr = spec.B.values(times)
+    a_arr = spec.A.value(times)
+    b_arr = spec.B.value(times)
     s_arr = 2.0 * np.einsum("kij,klj->kil", b_arr, b_arr)
-    q_arr = np.stack([spec.q_coeffs(times, alpha.values_at(times))
+    q_arr = np.stack([spec.q_coeff(times, alpha.value(times))
                       for alpha in alphas], axis=1)
     return a_arr, s_arr, q_arr
 

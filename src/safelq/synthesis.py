@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfGrid
-from .model import AlphaPolicy, ProblemSpec, eval_dynamics
-from .numerics import integrate_ode, simpson_samples
+from .model import AlphaPolicy, ProblemSpec, eval_dynamics, eval_lagrangian
+from .numerics import integrate_ode, matvec, simpson_samples
 from .riccati import RiccatiSolution
 
 
@@ -71,20 +71,21 @@ class Trajectory:
              self.cum_cost, self.margins]).tolist()
 
 
-def feedback_control(spec: ProblemSpec, P: RiccatiSolution, s: float,
+def feedback_control(spec: ProblemSpec, P: RiccatiSolution, s,
                      x: np.ndarray) -> np.ndarray:
-    """Optimal feedback -R^{-1} B(s)^T P(s) h(x)."""
-    p = P.at(s)  # raises OutOfGrid beyond the solution span
-    hx = spec.h.forward(np.asarray(x, dtype=float))
-    return -spec.Rinv @ spec.B.value(s).T @ (p @ hx)
+    """Optimal feedback -R^{-1} B(s)^T P(s) h(x), per time of s and stacked
+    state of x."""
+    gain = -spec.Rinv @ np.swapaxes(spec.B.value(s), -1, -2)
+    # P.at raises OutOfGrid beyond the solution span
+    return matvec(gain, matvec(P.at(s), spec.h.forward(x)))
 
 
 def gamma_matrices(spec: ProblemSpec, P: RiccatiSolution, s: np.ndarray
                    ) -> np.ndarray:
     """A(s) - B(s) R^{-1} B(s)^T P(s), stacked over the given times."""
-    a = spec.A.values(s)
-    b = spec.B.values(s)
-    return a - np.einsum("kij,jl,kml,kmo->kio", b, spec.Rinv, b, P.at_many(s))
+    a = spec.A.value(s)
+    b = spec.B.value(s)
+    return a - np.einsum("kij,jl,kml,kmo->kio", b, spec.Rinv, b, P.at(s))
 
 
 def _trajectory(spec: ProblemSpec, path, controls: np.ndarray,
@@ -92,14 +93,11 @@ def _trajectory(spec: ProblemSpec, path, controls: np.ndarray,
     """Costs, margins and first exit of a path with given node controls."""
     nodes = path.nodes
     states = path.values
-    alphas = alpha.values_at(nodes)
-    hx = spec.h.forward_batch(states)
-    # vecdot and matmul round like the scalar x @ x; einsum and sums do not
-    running = (spec.q_coeffs(nodes, alphas) * np.vecdot(hx, hx)
-               + 0.5 * np.vecdot(controls, controls) - spec.b(alphas))
+    running = eval_lagrangian(spec, nodes, states, controls,
+                              alpha.value(nodes))
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (running[1:] + running[:-1]) * np.diff(nodes))])
-    margins = np.array([spec.omega.boundary_margin(xk) for xk in states])
+    margins = spec.omega.boundary_margin(states)
 
     tol_exit = 1e-9 * (1.0 + spec.omega.bounding_radius())
     outside = np.flatnonzero(margins > tol_exit)
@@ -142,10 +140,7 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
         return spec.h.apply_jacobian_inv(x, gamma @ spec.h.forward(x))
 
     path = integrate_ode(field, t, T_sim, x0, dt)
-    gains = -spec.Rinv @ np.swapaxes(spec.B.values(path.nodes), -1, -2)
-    p_hx = np.matmul(P.at_many(path.nodes),
-                     spec.h.forward_batch(path.values)[:, :, None])
-    controls = np.matmul(gains, p_hx)[:, :, 0]
+    controls = feedback_control(spec, P, path.nodes, path.values)
     return _trajectory(spec, path, controls, alpha)
 
 
@@ -180,28 +175,31 @@ def finite_value_from_riccati(spec: ProblemSpec, P_T: RiccatiSolution,
     return quad - alpha.piecewise_integral(spec.b, t, T)
 
 
-def hamiltonian(spec: ProblemSpec, s: float, x: np.ndarray, p: np.ndarray,
-                alpha_val: float) -> float:
-    """inf over u of <p, f(s,x,u)> + l(s,x,u,alpha), in closed form.
+def hamiltonian(spec: ProblemSpec, s, x: np.ndarray, p: np.ndarray,
+                alpha_val):
+    """inf over u of <p, f(s,x,u)> + l(s,x,u,alpha), in closed form, per
+    stacked row of x and p.
 
     The minimizing control is u = -B^T grad_h^{-T} p, giving
 
         H = <p, grad_h^{-1} A h> - |B^T grad_h^{-T} p|^2 / 2
             + q(s, alpha) |h|^2 - b(alpha).
     """
-    x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     hx = spec.h.forward(x)
-    drift = float(p @ spec.h.apply_jacobian_inv(x, spec.A.value(s) @ hx))
-    bt_p = spec.B.value(s).T @ spec.h.apply_jacobian_inv_t(x, p)
-    return (drift - 0.5 * float(bt_p @ bt_p)
-            + spec.q_coeff(s, alpha_val) * float(hx @ hx)
-            - float(spec.b(alpha_val)))
+    drift = np.vecdot(p, spec.h.apply_jacobian_inv(
+        x, matvec(spec.A.value(s), hx)))
+    bt_p = matvec(np.swapaxes(spec.B.value(s), -1, -2),
+                  spec.h.apply_jacobian_inv_t(x, p))
+    return (drift - 0.5 * np.vecdot(bt_p, bt_p)
+            + spec.q_coeff(s, alpha_val) * np.vecdot(hx, hx)
+            - spec.b(alpha_val))[()]
 
 
 def hjb_residual(spec: ProblemSpec, P: RiccatiSolution, alpha: AlphaPolicy,
-                 s: float, x: np.ndarray) -> float:
-    """|dV/ds + H(s, x, grad_x V)| at the grid node nearest to s.
+                 s: float, x: np.ndarray):
+    """|dV/ds + H(s, x, grad_x V)| at the grid node nearest to s, per
+    stacked state.
 
     V(s, x) = <h(x), P(s) h(x)> - integral of b(alpha) from s to the horizon;
     the time derivative of the quadratic part uses central differences over
@@ -210,16 +208,14 @@ def hjb_residual(spec: ProblemSpec, P: RiccatiSolution, alpha: AlphaPolicy,
     k = P.node_index(s)
     if k == 0 or k == len(P.nodes) - 1:
         raise OutOfGrid("central differences need an interior grid node")
-    x = np.asarray(x, dtype=float)
     hx = spec.h.forward(x)
-    dt = P.dt
-    quad_prev = float(hx @ (P.P[k - 1] @ hx))
-    quad_next = float(hx @ (P.P[k + 1] @ hx))
+    quad_prev = np.vecdot(hx, matvec(P.P[k - 1], hx))
+    quad_next = np.vecdot(hx, matvec(P.P[k + 1], hx))
     s_k = float(P.nodes[k])
     alpha_k = alpha.value(s_k)
-    dv_ds = (quad_next - quad_prev) / (2.0 * dt) + float(spec.b(alpha_k))
-    grad_v = 2.0 * spec.h.apply_jacobian_t(x, P.P[k] @ hx)
-    return abs(dv_ds + hamiltonian(spec, s_k, x, grad_v, alpha_k))
+    dv_ds = (quad_next - quad_prev) / (2.0 * P.dt) + spec.b(alpha_k)
+    grad_v = 2.0 * spec.h.apply_jacobian_t(x, matvec(P.P[k], hx))
+    return np.abs(dv_ds + hamiltonian(spec, s_k, x, grad_v, alpha_k))
 
 
 @dataclass(frozen=True)

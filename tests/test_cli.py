@@ -70,8 +70,14 @@ class TestRiccatiCommand:
         assert code == 2
         cert = json.loads((tmp_path / "certificate.json").read_text(),
                           parse_constant=reject_constant)
-        assert not cert["converged"]
-        assert cert["attempts"][0][1] is None
+        # the success schema; the first horizon has no gap
+        assert set(cert) == {"horizons", "gaps", "tol", "converged",
+                             "manifest_sha256"}
+        assert cert["converged"] is False
+        assert cert["tol"] == 1e-8
+        assert cert["horizons"][-1] == 8.0
+        assert len(cert["gaps"]) == len(cert["horizons"]) - 1 >= 1
+        assert all(g >= 1e-8 for g in cert["gaps"])
 
     @pytest.mark.parametrize("rows, where", [
         ("0.0,0.5\n1;x\n", "line 3"),       # one field

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import NoConvergence, NonFiniteState
@@ -47,6 +48,37 @@ class TestLambdaMap:
             numeric = lambda_map_numeric(scalar_spec, 0.0, x)
             # derivative-free search is flat-top limited near the maximizer
             assert abs(closed - numeric) <= 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           rows=st.integers(1, 24), p=st.floats(1.0, 2.5),
+           spread=st.floats(0.5, 2.0), c=st.floats(0.5, 2.0),
+           d=st.floats(0.5, 2.0))
+    def test_stack_matches_rows_and_numeric_search(self, seed, n, rows, p,
+                                                   spread, c, d):
+        cfg = load_config("ball2d_demo.json")
+        cfg["dims"] = {"state": n, "control": 1}
+        cfg["A"]["params"]["value"] = (-np.eye(n)).tolist()
+        cfg["B"] = {"variant": "constant", "params": {"value": [[1.0]] * n}}
+        cfg["omega"]["params"]["center"] = [0.0] * n
+        cfg["a"] = {"variant": "power", "params": {"coeff": c, "exponent": p}}
+        cfg["b"] = {"variant": "power",
+                    "params": {"coeff": d, "exponent": p + spread}}
+        spec = build_problem(cfg)
+        # 0.25 <= |h(x)|^2 <= 3 off the origin: the maximal gain stays above
+        # the search's 1e-15 tie tolerance, below which it answers 0, and the
+        # maximizer below 150, where its absolute 1e-12 bracket is still
+        # wider than the float spacing
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((rows, n))
+        xs = (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+              * rng.uniform(0.5, 1.7, (rows, 1)))
+        xs[0] = 0.0
+        stacked = lambda_map(spec, np.zeros(rows), xs)
+        per_row = np.array([lambda_map(spec, 0.0, x) for x in xs])
+        assert np.array_equal(stacked.view(np.uint64), per_row.view(np.uint64))
+        numeric = np.array([lambda_map_numeric(spec, 0.0, x) for x in xs])
+        assert np.max(np.abs(stacked - numeric)) <= 1e-6
 
 
 class TestLambdaLipschitz:

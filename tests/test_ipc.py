@@ -6,11 +6,12 @@ import pytest
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import NotIntegrable
 from safelq.geometry import sample_boundary
-from safelq.ipc import (check_base_ipc, check_ipc_riccati,
+from safelq.ipc import (_control_grid, check_base_ipc, check_ipc_riccati,
                         check_negative_definite, gamma_bar,
                         geometric_certificate, geometric_condition)
+from safelq.model import eval_dynamics
 from safelq.riccati import solve_finite_horizon, solve_stabilizing
-from safelq.synthesis import simulate_closed_loop
+from safelq.synthesis import gamma_matrices, simulate_closed_loop
 
 from conftest import load_config
 
@@ -209,3 +210,66 @@ class TestFeasibilityUnderIPC:
             tried += 1
             traj = simulate_closed_loop(ball2d_spec, sol, ALPHA0, 0.0, x0, 8.0)
             assert not traj.exited
+
+
+# Reference: the per-control and per-(time, point) loops the stacked checks
+# replaced.  The arithmetic is unchanged, so results must match bit for bit.
+
+def reference_base_ipc(spec, s, x, u_max=4.0, per_axis=41):
+    cq = spec.omega.cone_query(x)
+    per_axis = per_axis if spec.dim_control == 1 else min(per_axis, 9)
+    best = -np.inf
+    for u in _control_grid(spec.dim_control, u_max, per_axis):
+        best = max(best, cq.margin(eval_dynamics(spec, s, x, u)))
+    return float(best)
+
+
+def reference_ipc_riccati(spec, P, times, samples):
+    worst, wit_s, wit_x = np.inf, float(times[0]), samples[0].point
+    for s, gamma in zip(times, gamma_matrices(spec, P, times)):
+        for cq in samples:
+            hx = spec.h.forward(cq.point)
+            margin = cq.margin(spec.h.apply_jacobian_t(cq.point, gamma @ hx))
+            if margin < worst:
+                worst, wit_s, wit_x = margin, float(s), cq.point
+    return worst, wit_s, wit_x
+
+
+def linear_box_config():
+    """Non-diagonal linear h on a box: corners carry two normals."""
+    cfg = rotational_config()
+    cfg["B"] = {"variant": "constant",
+                "params": {"value": [[1.0, 0.3], [-0.4, 0.8]]}}
+    cfg["dims"]["control"] = 2
+    cfg["h"] = {"variant": "linear",
+                "params": {"matrix": [[1.2, 0.3], [-0.2, 0.9]]}}
+    cfg["omega"] = {"variant": "box",
+                    "params": {"lo": [-1.0, -0.5], "hi": [0.8, 1.0]}}
+    return cfg
+
+
+class TestAgainstPerSampleLoop:
+    SPECS = {"ball2d": lambda: build_problem(load_config("ball2d_demo.json")),
+             "cubic": lambda: build_problem(load_config("cubic_demo.json")),
+             "rotational": lambda: build_problem(rotational_config()),
+             "linear_box": lambda: build_problem(linear_box_config())}
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_base_ipc_bitwise(self, name):
+        spec = self.SPECS[name]()
+        for cq in sample_boundary(spec.omega, 16):
+            got = check_base_ipc(spec, 0.3, cq.point)
+            assert got == reference_base_ipc(spec, 0.3, cq.point)
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_riccati_ipc_bitwise_with_witness(self, name):
+        spec = self.SPECS[name]()
+        sol = solve_stabilizing(spec, ALPHA0, 0.0, 2.0, tol=1e-8)
+        times = np.linspace(0.0, 2.0, 7)
+        samples = sample_boundary(spec.omega, 24)
+        rep = check_ipc_riccati(spec, sol, times, samples)
+        worst, wit_s, wit_x = reference_ipc_riccati(spec, sol, times, samples)
+        assert np.float64(rep.worst_margin).view(np.uint64) == \
+            np.float64(worst).view(np.uint64)
+        assert rep.witness_s == wit_s
+        assert rep.witness_x is wit_x

@@ -173,7 +173,7 @@ class TestAlphaPolicy:
         assert pol.value(1.0) == 2.0
         assert pol.value(2.0) == 3.0   # value at the last node itself
         assert pol.value(2.5) == 0.0   # tail
-        np.testing.assert_array_equal(pol.values_at(np.array([0.5, 1.5, 9.0])),
+        np.testing.assert_array_equal(pol.value(np.array([0.5, 1.5, 9.0])),
                                       [1.0, 2.0, 0.0])
 
     def test_integral_exact_piecewise(self):

@@ -6,7 +6,7 @@ import pytest
 
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import GridTooCoarseWarning
-from safelq.model import _sup_alpha_gain, eval_dynamics_batch
+from safelq.model import _sup_alpha_gain, eval_dynamics
 from safelq.oracle import brute_force_value, build_dp, oracle_feasible_set
 from safelq.riccati import solve_stabilizing
 from safelq.synthesis import value_from_riccati
@@ -59,7 +59,7 @@ def reference_interpolate(values, axes, points):
 
 def reference_stage_cost(dp, s, states, u):
     spec = dp.spec
-    hx = spec.h.forward_batch(states)
+    hx = spec.h.forward(states)
     g = np.sum(hx * hx, axis=1)
     u_sq = 0.5 * float(u @ u)
     if dp.cost_mode == "fixed":
@@ -81,7 +81,7 @@ def reference_value(dp, with_cost=True):
         s = float(time_nodes[i])
         best = np.full(len(states), np.inf)
         for u in dp.controls:
-            nxt = states + dt * eval_dynamics_batch(spec, s, states, u)
+            nxt = states + dt * eval_dynamics(spec, s, states, u)
             total = reference_interpolate(tables[i + 1], dp.state_axes, nxt)
             if with_cost:
                 total = reference_stage_cost(dp, s, states, u) * dt + total

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from safelq import AlphaPolicy, build_problem, riccati
 from safelq.cli import main
@@ -118,6 +118,45 @@ class TestStabilizing:
                                    ball2d_spec.B.value(0.0),
                                    ball2d_spec.R, q, tol=tol)
         assert np.linalg.norm(sol.at(0.0) - p_alg, "fro") <= 10.0 * tol
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+           m=st.integers(1, 2), level=st.floats(1.0, 4.0))
+    def test_doubling_limit_is_newton_kleinman_root(self, seed, n, m, level):
+        # random constant (A, B); K > 0 up to t_max makes Q positive definite
+        # on every horizon, so the minimal root the doubling reaches is the
+        # stabilizing one
+        rng = np.random.default_rng(seed)
+        a_mat = rng.uniform(-2.0, 1.0, (n, n))
+        b_mat = rng.uniform(0.5, 1.5, (n, m))
+        q_mat = 0.5 * level * np.eye(n)
+        try:
+            p_are = solve_are_constant(a_mat, b_mat, 0.5 * np.eye(m), q_mat)
+        except NotStabilizable:
+            assume(False)
+        # the gaps shrink like exp(-2 rate T) down to a rounding floor that
+        # grows with |P|: keep pairs whose closed loop settles well within
+        # the horizon cap of 64 and whose root is moderate (nearly
+        # uncontrollable pairs have |P| in the thousands)
+        closed = a_mat - 2.0 * b_mat @ b_mat.T @ p_are
+        assume(np.max(np.linalg.eigvals(closed).real) < -0.5)
+        assume(np.linalg.norm(p_are) < 50.0)
+        spec = build_problem({
+            "dims": {"state": n, "control": m},
+            "A": {"variant": "constant", "params": {"value": a_mat.tolist()}},
+            "B": {"variant": "constant", "params": {"value": b_mat.tolist()}},
+            "K": {"variant": "truncated_constant",
+                  "params": {"level": level, "t_cut": 64.0}},
+            "a": {"variant": "linear", "params": {"coeff": 1.0}},
+            "b": {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}},
+            "h": {"variant": "identity"},
+            "omega": {"variant": "ball",
+                      "params": {"center": [0.0] * n, "radius": 1.0}},
+            "grid": {"t0": 0.0, "dt": 0.05, "t_max": 64.0}})
+        assert np.array_equal(spec.q_coeff(0.0, 0.0) * np.eye(n), q_mat)
+        riccati_tol = 1e-8
+        sol = solve_stabilizing(spec, ALPHA0, 0.0, 0.0, tol=riccati_tol)
+        assert np.linalg.norm(sol.at(0.0) - p_are, "fro") <= 10.0 * riccati_tol
 
 
 class TestAlgebraicSolver:
@@ -289,9 +328,9 @@ def _reference_sweep(spec, alpha, t, T, dt):
     mid_times = node_times[:-1] - 0.5 * h
 
     def stage(times):
-        b = spec.B.values(times)
-        return (spec.A.values(times), 2.0 * np.einsum("kij,klj->kil", b, b),
-                spec.q_coeffs(times, alpha.values_at(times)))
+        b = spec.B.value(times)
+        return (spec.A.value(times), 2.0 * np.einsum("kij,klj->kil", b, b),
+                spec.q_coeff(times, alpha.value(times)))
 
     (a_n, s_n, q_n), (a_m, s_m, q_m) = stage(node_times), stage(mid_times)
 

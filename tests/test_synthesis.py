@@ -99,7 +99,7 @@ def _per_node_closed_loop(spec, P, alpha, t, x0, T_sim, dt):
     path = integrate_ode(field, t, T_sim, np.asarray(x0, dtype=float), dt)
     controls = np.array([feedback_control(spec, P, s, path.values[k])
                          for k, s in enumerate(path.nodes)])
-    alphas = alpha.values_at(path.nodes)
+    alphas = alpha.value(path.nodes)
     running = np.array([eval_lagrangian(spec, s, path.values[k], controls[k],
                                         alphas[k])
                         for k, s in enumerate(path.nodes)])
