@@ -7,8 +7,8 @@ game value, cross-checked by a brute-force dynamic-programming oracle.
 """
 
 from .catalog import DiffeoMap, PowerLaw, StateWeight, TimeMatrix
-from .game import (ConstantAlphaSweep, GameSolution, lambda_lipschitz_estimate,
-                   lambda_map, solve_coupled, sup_over_constant_alpha)
+from .game import (ConstantAlphaSweep, GameSolution, lambda_map, solve_coupled,
+                   sup_over_constant_alpha)
 from .geometry import (Ball, Box, ConeQuery, ConstraintSet, Ellipsoid,
                        Polytope, sample_boundary)
 from .ipc import (GeometricCertificate, GeometricReport, IPCReport,
@@ -16,10 +16,9 @@ from .ipc import (GeometricCertificate, GeometricReport, IPCReport,
                   gamma_bar, geometric_certificate, geometric_condition)
 from .model import (AlphaPolicy, ProblemSpec, TimeGridSpec, build_problem,
                     eval_dynamics, eval_lagrangian, eval_sup_lagrangian)
-from .numerics import (SampledPath, TimeGrid, eig_sym_extremes, integrate_ode,
-                       quadrature, simpson_samples, sym)
-from .oracle import (DPProblem, ValueTable, brute_force_value, build_dp,
-                     oracle_feasible_set)
+from .numerics import (SampledPath, eig_sym_extremes, integrate_ode,
+                       simpson_samples, sym)
+from .oracle import DPProblem, ValueTable, brute_force_value, build_dp
 from .riccati import (ConvergenceCertificate, MonotoneReport, RiccatiSolution,
                       check_monotone_in_T, solve_are_constant,
                       solve_finite_horizon, solve_stabilizing)
@@ -36,17 +35,15 @@ __all__ = [
     "DiffeoMap", "Ellipsoid", "GameSolution", "GeometricCertificate",
     "GeometricReport", "IPCReport", "MonotoneReport", "Polytope", "PowerLaw",
     "ProblemSpec", "RiccatiSolution", "SampledPath", "StateWeight",
-    "TimeGrid", "TimeGridSpec", "TimeMatrix", "Trajectory", "ValueTable",
+    "TimeGridSpec", "TimeMatrix", "Trajectory", "ValueTable",
     "brute_force_value", "build_dp", "build_problem", "check_base_ipc",
     "check_ipc_riccati", "check_monotone_in_T", "check_negative_definite",
     "cost_of_trajectory", "eig_sym_extremes", "eval_dynamics",
     "eval_lagrangian", "eval_sup_lagrangian", "feedback_control",
     "finite_value_from_riccati", "gamma_bar", "geometric_certificate",
     "geometric_condition", "hamiltonian", "hjb_residual", "integrate_ode",
-    "lambda_lipschitz_estimate", "lambda_map", "oracle_feasible_set",
-    "quadrature", "sample_boundary",
-    "simpson_samples", "simulate_closed_loop", "simulate_open_loop",
-    "solve_are_constant", "solve_coupled", "solve_finite_horizon",
-    "solve_stabilizing", "sup_over_constant_alpha", "sym",
-    "value_from_riccati",
+    "lambda_map", "sample_boundary", "simpson_samples",
+    "simulate_closed_loop", "simulate_open_loop", "solve_are_constant",
+    "solve_coupled", "solve_finite_horizon", "solve_stabilizing",
+    "sup_over_constant_alpha", "sym", "value_from_riccati",
 ]

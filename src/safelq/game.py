@@ -25,6 +25,8 @@ from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
 from .riccati import RiccatiSolution, _stabilizing_lanes, solve_stabilizing
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
+_TINY = np.finfo(float).tiny
+
 
 def lambda_map(spec: ProblemSpec, s, x: np.ndarray):
     """Smallest maximizer of a(beta) |h(x)|^2 - b(beta) over beta >= 0, per
@@ -37,7 +39,11 @@ def lambda_map(spec: ProblemSpec, s, x: np.ndarray):
 def lambda_map_numeric(spec: ProblemSpec, s: float, x: np.ndarray,
                        beta_max: float | None = None,
                        tol: float = 1e-12) -> float:
-    """Golden-section fallback for the argmax; cross-checks the closed form."""
+    """Golden-section fallback for the argmax; cross-checks the closed form.
+
+    The bracket closes to ``tol`` relative to its upper end, and zero wins
+    ties within ``tol`` relative to the maximal gain.
+    """
     hx = spec.h.forward(np.asarray(x, dtype=float))
     g = float(hx @ hx)
 
@@ -54,7 +60,8 @@ def lambda_map_numeric(spec: ProblemSpec, s: float, x: np.ndarray,
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = gain(x1), gain(x2)
-    while hi - lo > tol:
+    # the floor ends a bracket closing on zero before it turns subnormal
+    while hi - lo > tol * hi + _TINY:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
@@ -64,25 +71,10 @@ def lambda_map_numeric(spec: ProblemSpec, s: float, x: np.ndarray,
             x1 = hi - inv_phi * (hi - lo)
             f1 = gain(x1)
     best = 0.5 * (lo + hi)
-    # tie break toward zero when the gain there is no worse
-    if gain(0.0) >= gain(best) - 1e-15:
+    g_best = gain(best)
+    if gain(0.0) >= g_best - tol * abs(g_best):
         return 0.0
     return float(best)
-
-
-def lambda_lipschitz_estimate(spec: ProblemSpec, s: float,
-                              sample_pairs) -> float:
-    """max |Lambda(s,x) - Lambda(s,y)| / |x - y| over the supplied pairs."""
-    worst = 0.0
-    for x, y in sample_pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gap = np.linalg.norm(x - y)
-        if gap == 0.0:
-            continue
-        worst = max(worst, abs(lambda_map(spec, s, x)
-                               - lambda_map(spec, s, y)) / gap)
-    return float(worst)
 
 
 @dataclass(frozen=True, eq=False)

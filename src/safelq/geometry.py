@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConfigError, DimensionMismatch, UnknownVariant, UnsupportedVariant
 from .numerics import matvec
@@ -162,6 +161,7 @@ class Polytope(ConstraintSet):
             raise ConfigError("polytope interior witness is not strictly inside")
 
     def _support(self, d: np.ndarray) -> float:
+        from scipy.optimize import linprog   # slow import: polytopes only
         res = linprog(-d, A_ub=self.a, b_ub=self.c,
                       bounds=[(None, None)] * self.dim, method="highs")
         if res.status == 3:
@@ -182,6 +182,7 @@ class Polytope(ConstraintSet):
 
     def _chebyshev_center(self) -> np.ndarray:
         # maximize r subject to a_i x + r <= c_i
+        from scipy.optimize import linprog
         k = len(self.c)
         cost = np.zeros(self.dim + 1)
         cost[-1] = -1.0
@@ -265,13 +266,15 @@ class Box(Polytope):
             raise DimensionMismatch("box lo/hi mismatch")
         if np.any(hi <= lo):
             raise ConfigError("box needs lo < hi per axis")
-        n = len(lo)
-        eye = np.eye(n)
+        self.lo = lo
+        self.hi = hi
+        eye = np.eye(len(lo))
         super().__init__(np.vstack([eye, -eye]),
                          np.concatenate([hi, -lo]),
                          interior=0.5 * (lo + hi))
-        self.lo = lo
-        self.hi = hi
+
+    def _compute_bbox(self):
+        return self.lo, self.hi
 
     def sample_boundary(self, density):
         n = self.dim

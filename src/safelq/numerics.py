@@ -1,11 +1,14 @@
 """Shared numerical kernels.
 
-Fixed-step classical Runge-Kutta integration for vector- and matrix-valued
-states with cubic-Hermite dense output, composite Simpson quadrature,
-stacked matrix-vector products, and symmetric eigenvalue extremes.
-Everything is deterministic: uniform grids, fixed evaluation order, no
-adaptivity.  Matrix states are re-symmetrized after every step so Riccati
-sweeps cannot drift off the symmetric manifold.
+One fixed-step classical Runge-Kutta loop, :func:`_rk4`, serves every
+integration in the package: the backward Riccati sweeps read their stage
+data by stage index, and :func:`integrate_ode` maps stage indices to times
+for a general right-hand side.  Also here: cubic-Hermite dense output,
+composite Simpson weights, stacked matrix-vector products, and symmetric
+eigenvalue extremes.  Everything is deterministic: uniform grids, fixed
+evaluation order, no adaptivity.  Matrix states are re-symmetrized after
+every step so Riccati sweeps cannot drift off the symmetric manifold.
+Finiteness is checked once, after the loop, over the stored nodes.
 """
 
 from __future__ import annotations
@@ -30,39 +33,6 @@ def matvec(m: np.ndarray, x) -> np.ndarray:
     forms ``x @ M.T``, vecdot and einsum may not.
     """
     return np.matmul(m, np.asarray(x, dtype=float)[..., None])[..., 0]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid t0 + i*dt for i = 0..n_steps."""
-
-    t0: float
-    dt: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
-
-    @classmethod
-    def from_span(cls, t0: float, t1: float, dt: float) -> "TimeGrid":
-        """Grid covering [t0, t1], spacing nearest to dt that lands on t1."""
-        span = t1 - t0
-        if span < 0:
-            raise ValueError("t1 must be >= t0")
-        if span == 0.0:
-            return cls(t0, dt, 0)
-        n = max(1, int(round(span / dt)))
-        return cls(t0, span / n, n)
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * self.n_steps
-
-    def nodes(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
 def _hermite(theta: np.ndarray, dt: float, y0, y1, f0, f1):
@@ -117,6 +87,34 @@ class SampledPath:
                         self.derivs[idx], self.derivs[idx + 1])
 
 
+def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
+         derivs: np.ndarray, h: float, start: int = 0,
+         postprocess: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
+    """Fixed-step classical RK4 from ``values[start]``, in place.
+
+    Fills ``values[start + 1:]`` and ``derivs[start:]``.  ``field(j, y)`` is
+    the right-hand side at stage j, which lies j*h/2 past the first node:
+    step k reads stages 2k, 2k+1, 2k+1 and 2k+2.  ``postprocess`` is
+    applied to the state after every step.  Overflow and NaN are not
+    checked here: no step turns a non-finite entry finite again, so callers
+    scan the stored nodes once afterwards.
+    """
+    n = len(values) - 1
+    y = values[start]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start, n):
+            k1 = field(2 * k, y)
+            derivs[k] = k1
+            k2 = field(2 * k + 1, y + (0.5 * h) * k1)
+            k3 = field(2 * k + 1, y + (0.5 * h) * k2)
+            k4 = field(2 * k + 2, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if postprocess is not None:
+                y = postprocess(y)
+            values[k + 1] = y
+        derivs[n] = field(2 * n, y)
+
+
 def integrate_ode(rhs: Callable[[float, np.ndarray], np.ndarray],
                   t_start: float, t_end: float, y0: np.ndarray, dt: float,
                   postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -127,7 +125,8 @@ def integrate_ode(rhs: Callable[[float, np.ndarray], np.ndarray],
     returned path is always node-ascending.  ``postprocess`` is applied to the
     state after every step (used to re-symmetrize matrix states).
 
-    Raises NonFiniteState as soon as the state stops being finite.
+    Raises NonFiniteState naming the first node, in integration order, whose
+    state is not finite.
     """
     span = t_end - t_start
     if span == 0.0:
@@ -135,32 +134,25 @@ def integrate_ode(rhs: Callable[[float, np.ndarray], np.ndarray],
     n = max(1, int(round(abs(span) / dt)))
     h = span / n
 
-    y = np.array(y0, dtype=float)
-    values = np.empty((n + 1,) + y.shape)
+    y0 = np.asarray(y0, dtype=float)
+    values = np.empty((n + 1,) + y0.shape)
     derivs = np.empty_like(values)
-    values[0] = y
-    t = t_start
-    for k in range(n):
-        k1 = rhs(t, y)
-        derivs[k] = k1
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if postprocess is not None:
-            y = postprocess(y)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"state not finite at t={t + h}", time=t + h)
-        t = t_start + (k + 1) * h
-        values[k + 1] = y
-    derivs[n] = rhs(t_end, y)
+    values[0] = y0
+    # (h/2) * 2k rounds like h * k: the even stages are the nodes
+    stage_times = t_start + (0.5 * h) * np.arange(2 * n + 1)
+    times = stage_times.tolist()
+    _rk4(lambda j, y: rhs(times[j], y), values, derivs, h,
+         postprocess=postprocess)
 
-    nodes = t_start + h * np.arange(n + 1)
+    nodes = stage_times[::2]
+    finite = np.isfinite(values.reshape(n + 1, -1)).all(axis=1)
+    if not finite[-1]:
+        s = float(nodes[np.argmin(finite)])
+        raise NonFiniteState(f"state not finite at t={s}", time=s)
     if h < 0:
-        nodes = nodes[::-1].copy()
-        values = values[::-1].copy()
-        derivs = derivs[::-1].copy()
-    return SampledPath(nodes=nodes, values=values, derivs=derivs)
+        nodes, values, derivs = nodes[::-1], values[::-1], derivs[::-1]
+    return SampledPath(nodes=nodes.copy(), values=values.copy(),
+                       derivs=derivs.copy())
 
 
 def _simpson_weights(n_intervals: int, dt: float) -> np.ndarray:
@@ -195,23 +187,6 @@ def simpson_samples(y: np.ndarray, dt: float) -> float:
     if len(y) < 2:
         return 0.0
     return float(_simpson_weights(len(y) - 1, dt) @ y)
-
-
-def quadrature(f: Callable[[float], float], t_start: float, t_end: float,
-               dt: float) -> float:
-    """Composite Simpson integral of f over [t_start, t_end] on a uniform grid."""
-    if t_end == t_start:
-        return 0.0
-    sign = 1.0
-    if t_end < t_start:
-        t_start, t_end = t_end, t_start
-        sign = -1.0
-    grid = TimeGrid.from_span(t_start, t_end, dt)
-    n = max(2, grid.n_steps)
-    step = (t_end - t_start) / n
-    nodes = t_start + step * np.arange(n + 1)
-    y = np.array([f(s) for s in nodes], dtype=float)
-    return sign * simpson_samples(y, step)
 
 
 def eig_sym_extremes(m: np.ndarray) -> tuple[float, float]:

@@ -234,12 +234,3 @@ def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
     return ValueTable(dp=dp, time_nodes=time_nodes,
                       V=tables.reshape((dp.n_steps + 1,) + dp.state_shape))
 
-
-def oracle_feasible_set(dp: DPProblem, spec: ProblemSpec | None = None
-                        ) -> np.ndarray:
-    """States from which some control-grid sequence stays in Omega.
-
-    Boolean mask over the state lattice: the zero-cost value table is finite
-    exactly on the discrete viability kernel surrogate.
-    """
-    return brute_force_value(dp, spec).feasible_mask(0)

@@ -5,7 +5,10 @@ The finite-horizon terminal-value problem
     -P'(s) = A(s)^T P + P A(s) - P B(s) R^{-1} B(s)^T P + Q^alpha(s),
      P(T)  = 0,     Q^alpha(s) = (K(s)/2 + a(alpha(s))) I,
 
-is integrated backward with fixed-step RK4, symmetrizing after every step.
+is integrated backward by the package's one RK4 loop (``numerics._rk4``,
+step -h, symmetrizing after every step), which reads the stage data by
+stage index; a lane that escapes runs on as inf/NaN and is found by one
+scan of the stored nodes afterwards.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit of finite-horizon sweeps over geometrically
 growing horizons, compared on the evaluation window until the gap drops
@@ -43,7 +46,7 @@ import scipy.linalg
 from .errors import (ConfigError, NoConvergence, NonFiniteState,
                      NotStabilizable, OutOfGrid, SafeLQError)
 from .model import AlphaPolicy, ProblemSpec
-from .numerics import SampledPath, sym
+from .numerics import SampledPath, _rk4, sym
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,6 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
     mid_times = node_times[:-1] - 0.5 * h
     stage = (_stage_data(spec, alphas, node_times)
              + _stage_data(spec, alphas, mid_times))
-    a_n, s_n, q_n, a_m, s_m, q_m = stage
 
     key = (n, steps, h, len(alphas))
     with _sweep_memo_lock:
@@ -190,20 +192,17 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
         start = _shared_steps(stage, entry[0])
         p_desc[: start + 1] = entry[1][: start + 1]
         dp_desc[:start] = entry[2][:start]
-    p = p_desc[start]
+
+    nodes, mids = stage[:3], stage[3:]
+
+    def field(j, p):
+        # stage j: node j/2 when even, the midpoint after node j//2 when odd
+        a, s, q = mids if j % 2 else nodes
+        k = j // 2
+        return _riccati_rhs(p, a[k], s[k], q[k], eye)
+
     # an escaped lane runs on as inf/NaN: reported below, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(start, steps):
-            k1 = _riccati_rhs(p, a_n[k], s_n[k], q_n[k], eye)
-            dp_desc[k] = k1
-            k2 = _riccati_rhs(p - 0.5 * h * k1, a_m[k], s_m[k], q_m[k], eye)
-            k3 = _riccati_rhs(p - 0.5 * h * k2, a_m[k], s_m[k], q_m[k], eye)
-            k4 = _riccati_rhs(p - h * k3, a_n[k + 1], s_n[k + 1], q_n[k + 1],
-                              eye)
-            p = sym(p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            p_desc[k + 1] = p
-        dp_desc[steps] = _riccati_rhs(p, a_n[steps], s_n[steps], q_n[steps],
-                                      eye)
+    _rk4(field, p_desc, dp_desc, -h, start=start, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where

@@ -249,26 +249,3 @@ def cost_of_trajectory(spec: ProblemSpec, traj: Trajectory,
         tail -= alpha.piecewise_integral(spec.b, s_end, None)
     return CostBreakdown(truncated=float(truncated), tail=float(tail))
 
-
-def perturbation_gain_estimate(spec: ProblemSpec, P: RiccatiSolution,
-                               alpha: AlphaPolicy, t: float, x0: np.ndarray,
-                               T_sim: float, deltas=(0.05, 0.1),
-                               n_directions: int = 5, seed: int = 0) -> float:
-    """Empirical bound max |xi_{u+dw}(s) - xi_u(s)| / d over random bounded
-    perturbations of the feedback control.  Diagnostic only."""
-    base = simulate_closed_loop(spec, P, alpha, t, x0, T_sim)
-    rng = np.random.default_rng(seed)
-    m = spec.dim_control
-    worst = 0.0
-    for _ in range(n_directions):
-        w = rng.uniform(-1.0, 1.0, size=m)
-        w /= max(1.0, np.linalg.norm(w))
-        for delta in deltas:
-            def control(s):
-                k = min(int(round((s - t) / base.dt)), len(base.nodes) - 1)
-                return feedback_control(spec, P, s, base.states[k]) + delta * w
-            pert = simulate_open_loop(spec, control, alpha, t, x0, T_sim,
-                                      dt=base.dt)
-            gap = float(np.max(np.linalg.norm(pert.states - base.states, axis=1)))
-            worst = max(worst, gap / delta)
-    return worst

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safelq
 from safelq import AlphaPolicy
 from safelq.cli import main
 
@@ -304,3 +308,18 @@ class TestHJBSuiteScaling:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         check = report["suites"]["hjb"][0]
         assert 3.0 <= check["ratio"] <= 5.0
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # linprog serves general polytopes only and is imported where they
+        # need it; a box reads its bounding box off lo and hi
+        src = str(Path(safelq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, safelq.cli; from safelq.geometry import Box; "
+                "Box([-1.0, 0.0], [1.0, 2.0]); "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

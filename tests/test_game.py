@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import NoConvergence, NonFiniteState
-from safelq.game import (lambda_lipschitz_estimate, lambda_map,
-                         lambda_map_numeric, solve_coupled,
+from safelq.game import (lambda_map, lambda_map_numeric, solve_coupled,
                          sup_over_constant_alpha)
 from safelq.riccati import solve_stabilizing
 from safelq.synthesis import value_from_riccati
@@ -65,45 +64,53 @@ class TestLambdaMap:
         cfg["b"] = {"variant": "power",
                     "params": {"coeff": d, "exponent": p + spread}}
         spec = build_problem(cfg)
-        # 0.25 <= |h(x)|^2 <= 3 off the origin: the maximal gain stays above
-        # the search's 1e-15 tie tolerance, below which it answers 0, and the
-        # maximizer below 150, where its absolute 1e-12 bracket is still
-        # wider than the float spacing
+        # 1e-6 <= |h(x)|^2 <= 1e4 off the origin: maximizers from about 1e-14
+        # to 1e9 and maximal gains far below 1e-15
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((rows, n))
         xs = (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-              * rng.uniform(0.5, 1.7, (rows, 1)))
+              * 10.0 ** rng.uniform(-3.0, 2.0, (rows, 1)))
         xs[0] = 0.0
         stacked = lambda_map(spec, np.zeros(rows), xs)
         per_row = np.array([lambda_map(spec, 0.0, x) for x in xs])
         assert np.array_equal(stacked.view(np.uint64), per_row.view(np.uint64))
         numeric = np.array([lambda_map_numeric(spec, 0.0, x) for x in xs])
-        assert np.max(np.abs(stacked - numeric)) <= 1e-6
+        np.testing.assert_allclose(numeric, stacked, rtol=1e-6, atol=0.0)
 
+    def test_numeric_search_large_maximizer(self):
+        # a = 4 alpha, b = alpha^1.25 / 4 at |h|^2 = 1: alpha* = 12.8^4, where
+        # an absolute 1e-12 bracket is below the float spacing
+        cfg = load_config("scalar_demo.json")
+        cfg["a"] = {"variant": "power", "params": {"coeff": 4.0, "exponent": 1.0}}
+        cfg["b"] = {"variant": "power",
+                    "params": {"coeff": 0.25, "exponent": 1.25}}
+        spec = build_problem(cfg)
+        x = np.array([1.0])
+        numeric = lambda_map_numeric(spec, 0.0, x)
+        assert numeric == pytest.approx(26843.5456, rel=1e-6)
+        assert numeric == pytest.approx(lambda_map(spec, 0.0, x), rel=1e-6)
 
-class TestLambdaLipschitz:
-    def test_quadratic_catalog_bound(self, scalar_spec):
+    def test_numeric_search_tiny_gain(self):
+        # a = alpha^3, b = alpha^3.5: alpha* = (6 g / 7)^2 = 4.3e-5 with a
+        # maximal gain near 1e-16, which an absolute tie test mistakes for 0
+        cfg = load_config("scalar_demo.json")
+        cfg["a"] = {"variant": "power", "params": {"coeff": 1.0, "exponent": 3.0}}
+        cfg["b"] = {"variant": "power", "params": {"coeff": 1.0, "exponent": 3.5}}
+        spec = build_problem(cfg)
+        x = np.array([0.0875])
+        closed = (6.0 * 0.0875**2 / 7.0) ** 2
+        assert lambda_map(spec, 0.0, x) == pytest.approx(closed, rel=1e-12)
+        assert lambda_map_numeric(spec, 0.0, x) == pytest.approx(closed,
+                                                                 rel=1e-6)
+
+    def test_lipschitz_bound_on_unit_interval(self, scalar_spec):
         # Lambda(x) = x^2 / 2 on [-1, 1] has Lipschitz constant 1
         rng = np.random.default_rng(3)
-        pairs = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-                 for _ in range(200)]
-        est = lambda_lipschitz_estimate(scalar_spec, 0.0, pairs)
-        assert est <= 1.0 + 1e-12
-
-    def test_degenerate_pairs_zero(self, scalar_spec):
-        pairs = [(np.array([0.5]), np.array([0.5]))]
-        assert lambda_lipschitz_estimate(scalar_spec, 0.0, pairs) == 0.0
-
-    def test_scaling_the_map_scales_the_estimate(self, scalar_spec):
-        # replacing h by 2h multiplies Lambda = |h|^2/2 by 4
-        cfg = load_config("scalar_demo.json")
-        cfg["h"] = {"variant": "linear", "params": {"matrix": [[2.0]]}}
-        spec2 = build_problem(cfg)
-        pairs = [(np.array([a]), np.array([b]))
-                 for a, b in [(0.1, 0.9), (-0.7, 0.3), (0.2, -0.5)]]
-        e1 = lambda_lipschitz_estimate(scalar_spec, 0.0, pairs)
-        e2 = lambda_lipschitz_estimate(spec2, 0.0, pairs)
-        assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
+        x, y = rng.uniform(-1.0, 1.0, (2, 200, 1))
+        ratio = (np.abs(lambda_map(scalar_spec, 0.0, x)
+                        - lambda_map(scalar_spec, 0.0, y))
+                 / np.abs(x - y)[:, 0])
+        assert np.max(ratio) <= 1.0 + 1e-12
 
 
 class TestConstantAlphaSweep:

@@ -65,6 +65,19 @@ class TestBox:
         assert cq.margin(np.array([-1.0, -1.0])) > 0.0   # inward at a corner
         assert cq.margin(np.array([-1.0, 0.5])) < 0.0    # violates one face
 
+    def test_bounding_box_is_lo_hi_and_matches_the_support_lps(self):
+        lo, hi = np.array([-1.5, -0.3, 0.2]), np.array([2.0, 0.7, 0.25])
+        box = Box(lo, hi)
+        got = box.bounding_box()
+        np.testing.assert_array_equal(got[0], lo)
+        np.testing.assert_array_equal(got[1], hi)
+        eye = np.eye(3)
+        poly = Polytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]),
+                        interior=0.5 * (lo + hi))
+        np.testing.assert_allclose(poly.bounding_box(), got, rtol=0.0,
+                                   atol=1e-12)
+        assert box.bounding_radius() == poly.bounding_radius()
+
 
 class TestPolytope:
     def simplex(self):

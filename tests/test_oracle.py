@@ -7,7 +7,7 @@ import pytest
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import GridTooCoarseWarning
 from safelq.model import _sup_alpha_gain, eval_dynamics
-from safelq.oracle import brute_force_value, build_dp, oracle_feasible_set
+from safelq.oracle import brute_force_value, build_dp
 from safelq.riccati import solve_stabilizing
 from safelq.synthesis import value_from_riccati
 
@@ -127,7 +127,7 @@ class TestAgainstReferenceLoop:
                       cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = oracle_feasible_set(dp)
+            mask = brute_force_value(dp).feasible_mask(0)
         np.testing.assert_array_equal(
             mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
 
@@ -243,7 +243,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = oracle_feasible_set(dp)
+            mask = brute_force_value(dp).feasible_mask(0)
         assert mask.all()
 
     def test_outward_drift_only_near_origin(self, outward_spec):
@@ -252,7 +252,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = oracle_feasible_set(dp)
+            mask = brute_force_value(dp).feasible_mask(0)
         xs = dp.state_axes[0]
         surviving = np.abs(xs[mask])
         # e^8 growth: anything beyond e^{-8} is gone up to grid resolution
@@ -267,7 +267,7 @@ class TestFeasibleSet:
                       control_res=3, cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = oracle_feasible_set(dp)
+            mask = brute_force_value(dp).feasible_mask(0)
         assert mask.all()
 
     def test_consistent_with_base_ipc_view(self, scalar_spec):
@@ -281,7 +281,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = oracle_feasible_set(dp)
+            mask = brute_force_value(dp).feasible_mask(0)
         assert mask.all()
 
 

@@ -270,13 +270,3 @@ class TestSuboptimalityOfPerturbations:
             cost = cost_of_trajectory(scalar_spec, traj, ALPHA0).truncated
             assert cost >= v - 1e-6
 
-
-class TestPerturbationGain:
-    def test_estimator_is_finite_and_positive(self, scalar_spec):
-        from safelq.synthesis import perturbation_gain_estimate
-        sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 4.0, tol=1e-8)
-        gain = perturbation_gain_estimate(scalar_spec, sol, ALPHA0, 0.0,
-                                          [0.5], 4.0, deltas=(0.1,),
-                                          n_directions=2, seed=0)
-        # bounded input perturbations move a contracting loop boundedly
-        assert 0.0 < gain < 10.0
