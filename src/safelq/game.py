@@ -36,26 +36,23 @@ def lambda_map(spec: ProblemSpec, s, x: np.ndarray):
     return alpha_star
 
 
-def lambda_map_numeric(spec: ProblemSpec, s: float, x: np.ndarray,
-                       beta_max: float | None = None,
-                       tol: float = 1e-12) -> float:
+def lambda_map_numeric(spec: ProblemSpec, s: float, x: np.ndarray) -> float:
     """Golden-section fallback for the argmax; cross-checks the closed form.
 
-    The bracket closes to ``tol`` relative to its upper end, and zero wins
-    ties within ``tol`` relative to the maximal gain.
+    The bracket closes to 1e-12 relative to its upper end, and zero wins
+    ties within 1e-12 relative to the maximal gain.
     """
+    tol = 1e-12
     hx = spec.h.forward(np.asarray(x, dtype=float))
     g = float(hx @ hx)
 
     def gain(beta):
         return float(spec.a(beta)) * g - float(spec.b(beta))
 
-    if beta_max is None:
-        # beyond this point the penalty surely dominates the gain
-        p, q = spec.a.exponent, spec.b.exponent
-        c, d = max(spec.a.coeff, 1e-30), max(spec.b.coeff, 1e-30)
-        beta_max = max(1.0, (2.0 * c * max(g, 1.0) / d) ** (1.0 / (q - p)))
-    lo, hi = 0.0, beta_max
+    # beyond hi the penalty surely dominates the gain
+    p, q = spec.a.exponent, spec.b.exponent
+    c, d = max(spec.a.coeff, 1e-30), max(spec.b.coeff, 1e-30)
+    lo, hi = 0.0, max(1.0, (2.0 * c * max(g, 1.0) / d) ** (1.0 / (q - p)))
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -91,8 +88,8 @@ class ConstantAlphaSweep:
 
 
 def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
-                            alpha_grid, support_horizon: float | None = None,
-                            riccati_tol: float = 1e-8) -> ConstantAlphaSweep:
+                            alpha_grid, support_horizon: float | None = None
+                            ) -> ConstantAlphaSweep:
     """Evaluate W^alpha for each constant policy on the grid and keep the max.
 
     Each policy holds its value on [t, t + support window] and is zero
@@ -105,7 +102,7 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
                else support_horizon)
     policies = [AlphaPolicy.constant(float(val), t, t + support)
                 for val in alpha_grid]
-    solutions = _stabilizing_lanes(spec, policies, t, t, tol=riccati_tol)
+    solutions = _stabilizing_lanes(spec, policies, t, t)
     table = []
     for val, policy, sol in zip(alpha_grid, policies, solutions):
         if isinstance(sol, SafeLQError):
@@ -144,17 +141,16 @@ class GameSolution:
 
 def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
                   tol: float = 1e-6, max_iter: int = 50,
-                  relaxation: float = 0.5, T_sim: float | None = None,
-                  dt: float | None = None,
-                  riccati_tol: float | None = None) -> GameSolution:
+                  relaxation: float = 0.5) -> GameSolution:
     """Relaxed Picard iteration for the coupled (P*, xi*, alpha*) system.
 
     Starting from alpha = 0 (the pure quadratic solve), each pass computes
     the stabilizing P for the current policy, simulates the closed loop from
-    x0, and blends the policy toward Lambda sampled along the trajectory.
-    Stops when the sup-norm policy update drops below ``tol``; on max_iter
-    the last iterate is returned with ``converged`` False.  The reported
-    value W re-solves P for the final policy so all pieces are consistent.
+    x0 over [t, t + min(16, t_max - t)], and blends the policy toward Lambda
+    sampled along the trajectory.  Stops when the sup-norm policy update
+    drops below ``tol``; on max_iter the last iterate is returned with
+    ``converged`` False.  The reported value W re-solves P for the final
+    policy so all pieces are consistent.
     """
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
@@ -163,12 +159,10 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if not spec.omega.contains(x0, tol=1e-9):
         raise ValueError("initial state is outside the constraint set")
-    dt = spec.grid.dt if dt is None else dt
-    if T_sim is None:
-        T_sim = t + min(16.0, spec.grid.t_max - t)
-    riccati_tol = min(1e-8, 0.01 * tol) if riccati_tol is None else riccati_tol
+    T_sim = t + min(16.0, spec.grid.t_max - t)
+    riccati_tol = min(1e-8, 0.01 * tol)
 
-    n_steps = max(1, int(round((T_sim - t) / dt)))
+    n_steps = max(1, int(round((T_sim - t) / spec.grid.dt)))
     nodes = t + (T_sim - t) / n_steps * np.arange(n_steps + 1)
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
 
@@ -176,8 +170,8 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol, dt=dt)
-        traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim, dt=dt)
+        sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+        traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim)
         target = lambda_map(spec, nodes, traj.states)
         new_values = (1.0 - relaxation) * alpha.values + relaxation * target
         update_norm = float(np.max(np.abs(new_values - alpha.values)))
@@ -186,8 +180,8 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
             converged = True
             break
 
-    p_star = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol, dt=dt)
-    xi_star = simulate_closed_loop(spec, p_star, alpha, t, x0, T_sim, dt=dt)
+    p_star = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+    xi_star = simulate_closed_loop(spec, p_star, alpha, t, x0, T_sim)
     w = value_from_riccati(spec, p_star, alpha, t, x0)
     return GameSolution(alpha_star=alpha, P_star=p_star, xi_star=xi_star,
                         W=float(w), iterations=iterations,

@@ -180,12 +180,9 @@ class ValueTable:
         return header, [row for block in blocks for row in block]
 
 
-def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
-                      ) -> ValueTable:
-    """Backward value iteration; transitions leaving Omega score +inf.
-
-    ``spec`` (default ``dp.spec``) overrides the dynamics and Omega only."""
-    spec = dp.spec if spec is None else spec
+def brute_force_value(dp: DPProblem) -> ValueTable:
+    """Backward value iteration; transitions leaving Omega score +inf."""
+    spec = dp.spec
     states = dp.state_points()
     dt = dp.dt
     time_nodes = dp.t + dt * np.arange(dp.n_steps + 1)
@@ -194,20 +191,18 @@ def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
     _check_cfl(dp, states[inside] if np.any(inside) else states)
 
     # time-free parts of cost[u, x]: |h(x)|^2, |u|^2 / 2 and the sup gains
-    hx = dp.spec.h.forward(states)
+    hx = spec.h.forward(states)
     g = np.sum(hx * hx, axis=1)
     u_sq = 0.5 * np.vecdot(dp.controls, dp.controls)[:, None]
     if dp.cost_mode == "sup":
-        gains = _sup_alpha_gain(dp.spec.a, dp.spec.b, g)[1]
+        gains = _sup_alpha_gain(spec.a, spec.b, g)[1]
 
     # Euler successors of every (control, state) pair, stacked (n_u, n_pts,
     # n); states + dt * f is formed in place on the map's fresh result, so
     # one full-size array is alive when _locate runs
-    h_states = spec.h.forward(states)
-
     def locate(s: float):
         successors = spec.h.apply_jacobian_inv(
-            states, matvec(spec.A.value(s), h_states)
+            states, matvec(spec.A.value(s), hx)
             + matvec(spec.B.value(s), dp.controls)[:, None, :])
         successors *= dt
         successors += states
@@ -226,10 +221,10 @@ def brute_force_value(dp: DPProblem, spec: ProblemSpec | None = None
         cont = _apply(tables[i + 1], cells).reshape(len(dp.controls), -1)
         if dp.cost_mode == "fixed":
             alpha_val = dp.alpha.value(s)
-            cost = (dp.spec.q_coeff(s, alpha_val) * g + u_sq
-                    - float(dp.spec.b(alpha_val)))
+            cost = (spec.q_coeff(s, alpha_val) * g + u_sq
+                    - float(spec.b(alpha_val)))
         else:
-            cost = 0.5 * dp.spec.K.value(s) * g + u_sq + gains
+            cost = 0.5 * spec.K.value(s) * g + u_sq + gains
         tables[i] = np.where(inside, np.min(cost * dt + cont, axis=0), _INF)
     return ValueTable(dp=dp, time_nodes=time_nodes,
                       V=tables.reshape((dp.n_steps + 1,) + dp.state_shape))

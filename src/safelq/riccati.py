@@ -41,7 +41,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConfigError, NoConvergence, NonFiniteState,
                      NotStabilizable, OutOfGrid, SafeLQError)
@@ -233,36 +232,30 @@ def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
 
 def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                       T_eval: float, tol: float = 1e-8,
-                      T_growth: float = 2.0, dt: float | None = None,
-                      T_max: float | None = None) -> RiccatiSolution:
+                      dt: float | None = None) -> RiccatiSolution:
     """Stabilizing solution as the limit of growing finite horizons.
 
-    Horizons grow geometrically by ``T_growth`` until consecutive sweeps agree
-    on [t, T_eval] to within ``tol`` (Frobenius norm per node); the converged
-    sweep restricted to the window is returned together with the certificate.
-    Raises NoConvergence when the cap ``T_max`` is reached first,
-    NonFiniteState when a sweep escapes, and ConfigError when the window
-    leaves no room below the cap for the two horizons a gap needs.
+    Horizons double until consecutive sweeps agree on [t, T_eval] to within
+    ``tol`` (Frobenius norm per node); the converged sweep restricted to the
+    window is returned together with the certificate.  Raises NoConvergence
+    when the horizon cap ``grid.t_max`` is reached first, NonFiniteState
+    when a sweep escapes, and ConfigError when the window leaves no room
+    below the cap for the two horizons a gap needs.
     """
-    (result,) = _stabilizing_lanes(spec, [alpha], t, T_eval, tol, T_growth,
-                                   dt, T_max)
+    (result,) = _stabilizing_lanes(spec, [alpha], t, T_eval, tol, dt)
     if isinstance(result, SafeLQError):
         raise result
     return result
 
 
 def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
-                       tol: float = 1e-8, T_growth: float = 2.0,
-                       dt: float | None = None, T_max: float | None = None
+                       tol: float = 1e-8, dt: float | None = None
                        ) -> list[RiccatiSolution | SafeLQError]:
     """:func:`solve_stabilizing` for several policies, all lanes of one
     sweep per horizon; per lane a solution or the error that ended it."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if T_growth <= 1.0:
-        raise ValueError("T_growth must exceed 1")
     dt = spec.grid.dt if dt is None else dt
-    T_max = spec.grid.t_max if T_max is None else T_max
     if T_eval < t:
         raise ValueError("T_eval must be >= t")
 
@@ -270,11 +263,12 @@ def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
     # first horizon strictly beyond the window: near its own terminal node a
     # finite-horizon sweep is nowhere near the limit
     steps = m_eval + max(int(math.ceil(max(1.0, T_eval - t) / dt)), 1)
-    cap_steps = int(round((T_max - t) / dt))
+    cap_steps = int(round((spec.grid.t_max - t) / dt))
     if steps >= cap_steps:
         raise ConfigError(
             f"stabilizing window [{t:g}, {T_eval:g}] needs a first horizon of "
-            f"{t + steps * dt:g} strictly below the horizon cap {T_max:g}")
+            f"{t + steps * dt:g} strictly below the horizon cap "
+            f"{spec.grid.t_max:g}")
 
     results: list = [None] * len(alphas)
     horizons: list[float] = []
@@ -311,7 +305,7 @@ def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
                 continue
             del gaps[i]
         del p, dp           # only the window rows outlive the horizon
-        steps = min(cap_steps, int(math.ceil(steps * T_growth)))
+        steps = min(cap_steps, 2 * steps)
     return results
 
 
@@ -326,6 +320,7 @@ def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,
     quadratic.  Raises NotStabilizable when no stabilizing gain exists or the
     residual does not drop below tolerance.
     """
+    import scipy.linalg     # slow import: only the algebraic cross-check
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -379,8 +374,7 @@ class MonotoneReport:
 
 
 def check_monotone_in_T(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
-                        s_probe: float, T1: float, T2: float,
-                        dt: float | None = None) -> MonotoneReport:
+                        s_probe: float, T1: float, T2: float) -> MonotoneReport:
     """Smallest eigenvalue of P_{T2}(s) - P_{T1}(s) at the probe time.
 
     Growing the horizon must not shrink the solution: the report is ok when
@@ -388,8 +382,8 @@ def check_monotone_in_T(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     """
     if T2 < T1:
         raise ValueError("T2 must be >= T1")
-    p1 = solve_finite_horizon(spec, alpha, t, T1, dt=dt)
-    p2 = solve_finite_horizon(spec, alpha, t, T2, dt=dt)
+    p1 = solve_finite_horizon(spec, alpha, t, T1)
+    p2 = solve_finite_horizon(spec, alpha, t, T2)
     diff = sym(p2.at(s_probe) - p1.at(s_probe))
     lam = float(np.linalg.eigvalsh(diff)[0])
     return MonotoneReport(ok=lam >= -1e-9, lambda_min=lam)

@@ -14,9 +14,10 @@ gradient 2 grad_h^T P h of the quadratic value candidate.  Values come from
 and the verification residual |dV/ds + H(s, x, grad_x V)| is measured with
 central differences of P in time.
 
-A simulation integrates the state with RK4, reading Gamma at each stage
-time from one precomputed array, then builds the controls and running costs
-of all nodes at once with stacked matmul and vecdot.
+A simulation integrates a stack of starts with RK4, reading Gamma at each
+stage time from one precomputed array, then builds the controls and running
+costs of all nodes and starts at once with stacked matmul and vecdot, so
+each start's trajectory is bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
@@ -34,13 +35,17 @@ from .riccati import RiccatiSolution
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Closed-loop (or open-loop) run sampled on a uniform grid.
+    """Closed-loop (or open-loop) runs sampled on one uniform grid.
 
-    ``margins`` holds the signed constraint margin of each state (<= 0
-    inside), ``cum_cost`` the trapezoid running integral of the cost rate;
-    the authoritative cost functional is Simpson over ``running_cost``.
-    Constraint violation is flagged, never aborted: post-exit samples stay
-    recorded for diagnosis.
+    ``states``, ``controls``, ``running_cost``, ``cum_cost`` and ``margins``
+    carry the starts' batch dims in front of the node axis: states are
+    (..., nodes, n).  ``margins`` holds the signed constraint margin of each
+    state (<= 0 inside), ``cum_cost`` the trapezoid running integral of the
+    cost rate; the authoritative cost functional is Simpson over
+    ``running_cost``.  Constraint violation is flagged, never aborted:
+    post-exit samples stay recorded for diagnosis.  ``exit_index`` is the
+    first node outside Omega and ``exit_time`` the interpolated crossing,
+    per start; -1 and NaN where the start stays inside.
     """
 
     nodes: np.ndarray
@@ -49,18 +54,22 @@ class Trajectory:
     running_cost: np.ndarray
     cum_cost: np.ndarray
     margins: np.ndarray
-    exited: bool = False
-    exit_time: float | None = None
-    exit_index: int | None = None
+    exit_index: np.ndarray
+    exit_time: np.ndarray
+
+    @property
+    def exited(self) -> np.ndarray:
+        return self.exit_index >= 0
 
     @property
     def dt(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :]
 
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
+        """Header and rows of a single-start run."""
         n = self.states.shape[1]
         m = self.controls.shape[1]
         header = (["s"] + [f"xi_{i + 1}" for i in range(n)]
@@ -88,45 +97,46 @@ def gamma_matrices(spec: ProblemSpec, P: RiccatiSolution, s: np.ndarray
     return a - np.einsum("kij,jl,kml,kmo->kio", b, spec.Rinv, b, P.at(s))
 
 
-def _trajectory(spec: ProblemSpec, path, controls: np.ndarray,
-                alpha: AlphaPolicy) -> Trajectory:
-    """Costs, margins and first exit of a path with given node controls."""
-    nodes = path.nodes
-    states = path.values
+def _trajectory(spec: ProblemSpec, nodes: np.ndarray, states: np.ndarray,
+                controls: np.ndarray, alpha: AlphaPolicy) -> Trajectory:
+    """Costs, margins and first exits of states (..., nodes, n) under given
+    node controls (..., nodes, m)."""
     running = eval_lagrangian(spec, nodes, states, controls,
                               alpha.value(nodes))
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (running[1:] + running[:-1]) * np.diff(nodes))])
+    cum = np.concatenate([np.zeros_like(running[..., :1]), np.cumsum(
+        0.5 * (running[..., 1:] + running[..., :-1]) * np.diff(nodes),
+        axis=-1)], axis=-1)
     margins = spec.omega.boundary_margin(states)
 
     tol_exit = 1e-9 * (1.0 + spec.omega.bounding_radius())
-    outside = np.flatnonzero(margins > tol_exit)
-    exit_time = exit_index = None
-    if len(outside):
-        k = exit_index = int(outside[0])
-        exit_time = float(nodes[k])
-        if k > 0 and margins[k] > margins[k - 1]:
-            # linear interpolation of the zero crossing of the margin
-            frac = (0.0 - margins[k - 1]) / (margins[k] - margins[k - 1])
-            exit_time = float(nodes[k - 1] + frac * (nodes[k] - nodes[k - 1]))
+    outside = margins > tol_exit
+    k = np.where(outside.any(axis=-1), np.argmax(outside, axis=-1), -1)
+    j = np.maximum(k - 1, 0)
+    m1 = np.take_along_axis(margins, k[..., None], -1)[..., 0]
+    m0 = np.take_along_axis(margins, j[..., None], -1)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # linear interpolation of the zero crossing of the margin
+        crossing = nodes[j] + (0.0 - m0) / (m1 - m0) * (nodes[k] - nodes[j])
+    exit_time = np.where((k > 0) & (m1 > m0), crossing, nodes[k])
     return Trajectory(nodes=nodes, states=states, controls=controls,
                       running_cost=running, cum_cost=cum, margins=margins,
-                      exited=exit_index is not None, exit_time=exit_time,
-                      exit_index=exit_index)
+                      exit_index=k[()],
+                      exit_time=np.where(k < 0, np.nan, exit_time)[()])
 
 
 def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
                          alpha: AlphaPolicy, t: float, x0: np.ndarray,
-                         T_sim: float, dt: float | None = None) -> Trajectory:
-    """Integrate the Riccati feedback loop from x0 over [t, T_sim].
+                         T_sim: float) -> Trajectory:
+    """Integrate the Riccati feedback loop over [t, T_sim] from each start
+    of x0 (..., n), on the problem's time grid.
 
-    The initial state must lie in Omega; later exits are flagged on the
-    returned trajectory with the interpolated first-exit time.
+    Every start must lie in Omega; later exits are flagged on the returned
+    trajectory with the interpolated first-exit time.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not spec.omega.contains(x0, tol=1e-9):
+    if not np.all(spec.omega.contains(x0, tol=1e-9)):
         raise ValueError("initial state is outside the constraint set")
-    dt = spec.grid.dt if dt is None else dt
+    dt = spec.grid.dt
 
     # Gamma at every node and midpoint the RK4 stages touch: stage time
     # t + j * step / 2 reads gammas[j]
@@ -137,23 +147,25 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
 
     def field(s, x):
         gamma = gammas[round((s - t) / (0.5 * step))]
-        return spec.h.apply_jacobian_inv(x, gamma @ spec.h.forward(x))
+        return spec.h.apply_jacobian_inv(x, matvec(gamma, spec.h.forward(x)))
 
     path = integrate_ode(field, t, T_sim, x0, dt)
-    controls = feedback_control(spec, P, path.nodes, path.values)
-    return _trajectory(spec, path, controls, alpha)
+    states = np.moveaxis(path.values, 0, -2)
+    controls = feedback_control(spec, P, path.nodes, states)
+    return _trajectory(spec, path.nodes, states, controls, alpha)
 
 
 def simulate_open_loop(spec: ProblemSpec, control: Callable[[float], np.ndarray],
                        alpha: AlphaPolicy, t: float, x0: np.ndarray,
-                       T_sim: float, dt: float | None = None) -> Trajectory:
-    """Integrate the dynamics under an explicit control signal."""
-    dt = spec.grid.dt if dt is None else dt
+                       T_sim: float) -> Trajectory:
+    """Integrate the dynamics under an explicit control signal from each
+    start of x0 (..., n); ``control(s)`` gives one control per start."""
     path = integrate_ode(lambda s, x: eval_dynamics(spec, s, x, control(s)),
-                         t, T_sim, np.asarray(x0, dtype=float), dt)
+                         t, T_sim, np.asarray(x0, dtype=float), spec.grid.dt)
     controls = np.array([np.asarray(control(s), dtype=float)
                          for s in path.nodes])
-    return _trajectory(spec, path, controls, alpha)
+    return _trajectory(spec, path.nodes, np.moveaxis(path.values, 0, -2),
+                       np.moveaxis(controls, 0, -2), alpha)
 
 
 def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,

@@ -12,7 +12,7 @@ import safelq
 from safelq import AlphaPolicy
 from safelq.cli import main
 
-from conftest import CONFIG_DIR, load_config
+from conftest import CONFIG_DIR, load_config, load_spec
 
 SCALAR = str(CONFIG_DIR / "scalar_demo.json")
 OUTWARD = str(CONFIG_DIR / "outward_drift.json")
@@ -240,6 +240,34 @@ class TestVerifyCommand:
         assert list(report["suites"]) == ["riccati"]
 
 
+class TestEveryShippedConfig:
+    # outward_drift has no inward-pointing field: its IPC checks fail by
+    # design; every other run succeeds
+    FAILING = {("outward_drift.json", "synthesize"): 3,
+               ("outward_drift.json", "verify-ipc"): 5}
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_exit_codes_and_strict_json(self, tmp_path, config):
+        spec = load_spec(config)
+        center = spec.omega.interior_point()
+        x0 = center + 0.5 * (np.asarray(spec.omega.bounding_box()[1]) - center)
+        runs = {"riccati": (["riccati"], "certificate.json"),
+                "synthesize": (["synthesize", "--check-ipc", "--x0="
+                                + ",".join(f"{v:.17g}" for v in x0)],
+                               "value.json")}
+        for suite in ("riccati", "ipc", "hjb"):
+            runs[f"verify-{suite}"] = (["verify", "--suite", suite],
+                                       "verify_report.json")
+        for name, (argv, written) in runs.items():
+            out = tmp_path / name
+            code = main(["--config", str(CONFIG_DIR / config),
+                         "--out", str(out)] + argv)
+            assert code == self.FAILING.get((config, name), 0), name
+            assert (out / written).is_file(), name
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=reject_constant)
+
+
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, tmp_path):
         out = tmp_path / "v"
@@ -313,13 +341,15 @@ class TestHJBSuiteScaling:
 class TestColdStart:
     def test_cli_import_leaves_scipy_optimize_out(self):
         # linprog serves general polytopes only and is imported where they
-        # need it; a box reads its bounding box off lo and hi
+        # need it; a box reads its bounding box off lo and hi.  The Lyapunov
+        # solver of the algebraic cross-check is imported where it runs.
         src = str(Path(safelq.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, safelq.cli; from safelq.geometry import Box; "
                 "Box([-1.0, 0.0], [1.0, 2.0]); "
-                "print('scipy.optimize' in sys.modules)")
+                "print('scipy.optimize' in sys.modules, "
+                "'scipy.linalg' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"

@@ -6,7 +6,7 @@ import pytest
 from safelq import AlphaPolicy
 from safelq.errors import OutOfGrid
 from safelq.model import eval_lagrangian
-from safelq.numerics import integrate_ode
+from safelq.numerics import integrate_ode, simpson_samples
 from safelq.riccati import solve_finite_horizon, solve_stabilizing
 from safelq.synthesis import (cost_of_trajectory, feedback_control,
                               finite_value_from_riccati, gamma_matrices,
@@ -127,6 +127,25 @@ class TestClosedLoopFromArrays:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         # outward_drift's exit is part of the comparison
         assert traj.exited == (config == "outward_drift.json")
+
+        # a stack of starts gives the single-start runs row by row; on
+        # outward_drift the centre stays put and the other two exit
+        starts = np.stack([x0, center,
+                           center + 0.3 * (np.asarray(lo) - center)])
+        batch = simulate_closed_loop(spec, P, alpha, 0.0, starts, 4.0)
+        assert batch.states.shape == (3,) + traj.states.shape
+        for i, x in enumerate(starts):
+            one = traj if i == 0 else simulate_closed_loop(spec, P, alpha, 0.0,
+                                                           x, 4.0)
+            for name in ("states", "controls", "running_cost", "cum_cost",
+                         "margins", "exit_index", "exit_time"):
+                a = np.asarray(getattr(batch, name)[i])
+                b = np.asarray(getattr(one, name))
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert list(batch.exited) == ([True, False, True]
+                                      if config == "outward_drift.json"
+                                      else [False] * 3)
 
 
 class TestValues:
@@ -255,18 +274,22 @@ class TestSuboptimalityOfPerturbations:
         v = finite_value_from_riccati(scalar_spec, sol, ALPHA0, 0.0, T, x0)
         base = simulate_closed_loop(scalar_spec, sol, ALPHA0, 0.0, x0, T)
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            delta = rng.uniform(0.02, 0.3)
-            w_nodes = rng.uniform(-1.0, 1.0, size=61)
+        draws = [(rng.uniform(0.02, 0.3), rng.uniform(-1.0, 1.0, size=61))
+                 for _ in range(20)]
+        delta = np.array([d for d, _ in draws])[:, None]
+        w_nodes = np.array([w for _, w in draws])
 
-            def control(s):
-                # feedback along the unperturbed path plus a bounded wiggle
-                k = min(int(round(s / base.dt)), len(base.nodes) - 1)
-                u = feedback_control(scalar_spec, sol, s, base.states[k])
-                j = min(int(s / 0.1), len(w_nodes) - 1)
-                return u + delta * np.array([w_nodes[j]])
+        def control(s):
+            # feedback along the unperturbed path plus a bounded wiggle, one
+            # wiggle per start
+            k = min(int(round(s / base.dt)), len(base.nodes) - 1)
+            u = feedback_control(scalar_spec, sol, s, base.states[k])
+            j = min(int(s / 0.1), w_nodes.shape[1] - 1)
+            return u + delta * w_nodes[:, j:j + 1]
 
-            traj = simulate_open_loop(scalar_spec, control, ALPHA0, 0.0, x0, T)
-            cost = cost_of_trajectory(scalar_spec, traj, ALPHA0).truncated
-            assert cost >= v - 1e-6
+        traj = simulate_open_loop(scalar_spec, control, ALPHA0, 0.0,
+                                  np.tile(x0, (20, 1)), T)
+        assert traj.running_cost.shape == (20, len(base.nodes))
+        for running in traj.running_cost:
+            assert simpson_samples(running, traj.dt) >= v - 1e-6
 
