@@ -6,10 +6,11 @@ The pointwise best response to a state x is the argmax map
 
 single valued for the power catalog with ties broken by the smallest
 maximizer.  The game value sup over policies alpha of W^alpha(t, x) is
-approached from below by constant-policy sweeps and computed by a relaxed
-Picard iteration on the coupled (P, xi, alpha) system: each pass solves the
-stabilizing Riccati equation for the current alpha, simulates its closed
-loop, and re-samples alpha from Lambda along the trajectory.
+approached from below by constant-policy sweeps and computed by an
+Anderson-accelerated relaxed Picard iteration on the coupled (P, xi, alpha)
+system: each pass solves the stabilizing Riccati equation for the current
+alpha, simulates its closed loop, and re-samples alpha from Lambda along the
+trajectory.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .riccati import RiccatiSolution, _stabilizing_lanes, solve_stabilizing
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
 _TINY = np.finfo(float).tiny
+# residual differences per Anderson step: the step mixes the last
+# _ANDERSON_MEMORY + 1 values of the relaxed map
+_ANDERSON_MEMORY = 3
 
 
 def lambda_map(spec: ProblemSpec, s, x: np.ndarray):
@@ -117,6 +121,11 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
                               table=tuple(table))
 
 
+def _json_norm(value: float) -> float | None:
+    # strict JSON: a norm is null when no update was made or it overflowed
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True, eq=False)
 class GameSolution:
     """Fixed point of the coupled weight/Riccati/trajectory system."""
@@ -128,29 +137,65 @@ class GameSolution:
     iterations: int
     alpha_update_norm: float
     converged: bool
+    update_norm_history: tuple[float, ...]
+    mixed_steps: int
 
     def to_dict(self) -> dict:
         return {"W": self.W, "iterations": self.iterations,
-                # strict JSON: no update was made when the loop never ran
-                "alpha_update_norm": (self.alpha_update_norm
-                                      if math.isfinite(self.alpha_update_norm)
-                                      else None),
+                "alpha_update_norm": _json_norm(self.alpha_update_norm),
+                "update_norm_history": [_json_norm(v)
+                                        for v in self.update_norm_history],
+                "mixed_steps": self.mixed_steps,
                 "converged": self.converged,
                 "alpha_star": [float(v) for v in self.alpha_star.values]}
+
+
+def _anderson_step(history: list, g: np.ndarray, f: np.ndarray
+                   ) -> tuple[np.ndarray, bool]:
+    """Next iterate after a pass whose relaxed map value is g with residual
+    f = g - alpha; and whether it is the mixed step.
+
+    Type-II Anderson mixing (Walker & Ni 2011) over ``history``, the (g, f)
+    pairs of earlier passes, oldest first, which is updated in place: it
+    restarts empty when the sup norm of f grew over the previous pass's, and
+    keeps the last _ANDERSON_MEMORY + 1 pairs.  The mixed iterate minimizes
+    the linearized residual over the affine span of the kept map values and
+    is projected onto alpha >= 0; the plain step g is taken when there is
+    nothing to mix or the mixed iterate is not finite.
+    """
+    if history and np.max(np.abs(f)) > np.max(np.abs(history[-1][1])):
+        history.clear()
+    history.append((g, f))
+    del history[:-_ANDERSON_MEMORY - 1]
+    if len(history) < 2:
+        return g, False
+    gs, fs = (np.stack(column, axis=1) for column in zip(*history))
+    # an overflow is caught by the finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_g, d_f = np.diff(gs, axis=1), np.diff(fs, axis=1)
+        gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
+        mixed = g - d_g @ gamma
+    if not np.all(np.isfinite(mixed)):
+        return g, False
+    return np.maximum(mixed, 0.0), True
 
 
 def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
                   tol: float = 1e-6, max_iter: int = 50,
                   relaxation: float = 0.5) -> GameSolution:
-    """Relaxed Picard iteration for the coupled (P*, xi*, alpha*) system.
+    """Anderson-accelerated relaxed Picard iteration for the coupled
+    (P*, xi*, alpha*) system.
 
     Starting from alpha = 0 (the pure quadratic solve), each pass computes
     the stabilizing P for the current policy, simulates the closed loop from
-    x0 over [t, t + min(16, t_max - t)], and blends the policy toward Lambda
-    sampled along the trajectory.  Stops when the sup-norm policy update
-    drops below ``tol``; on max_iter the last iterate is returned with
-    ``converged`` False.  The reported value W re-solves P for the final
-    policy so all pieces are consistent.
+    x0 over [t, t + min(16, t_max - t)], and evaluates the relaxed map
+    G(alpha) = (1 - relaxation) alpha + relaxation Lambda(xi) sampled along
+    the trajectory.  The next policy mixes the latest map values
+    (:func:`_anderson_step`).  Stops when the sup-norm residual
+    max|G(alpha) - alpha| drops below ``tol`` and returns that plain step
+    G(alpha); on max_iter the last iterate is returned with ``converged``
+    False.  The reported value W re-solves P for the final policy so all
+    pieces are consistent.
     """
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
@@ -167,22 +212,32 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
 
     update_norm = np.inf
+    norms: list[float] = []
+    history: list = []
+    mixed_steps = 0
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
         traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim)
         target = lambda_map(spec, nodes, traj.states)
-        new_values = (1.0 - relaxation) * alpha.values + relaxation * target
-        update_norm = float(np.max(np.abs(new_values - alpha.values)))
-        alpha = AlphaPolicy(nodes, new_values)
+        relaxed = (1.0 - relaxation) * alpha.values + relaxation * target
+        residual = relaxed - alpha.values
+        update_norm = float(np.max(np.abs(residual)))
+        norms.append(update_norm)
         if update_norm < tol:
+            alpha = AlphaPolicy(nodes, relaxed)
             converged = True
             break
+        new_values, mixed = _anderson_step(history, relaxed, residual)
+        mixed_steps += mixed
+        alpha = AlphaPolicy(nodes, new_values)
 
     p_star = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
     xi_star = simulate_closed_loop(spec, p_star, alpha, t, x0, T_sim)
     w = value_from_riccati(spec, p_star, alpha, t, x0)
     return GameSolution(alpha_star=alpha, P_star=p_star, xi_star=xi_star,
                         W=float(w), iterations=iterations,
-                        alpha_update_norm=update_norm, converged=converged)
+                        alpha_update_norm=update_norm, converged=converged,
+                        update_norm_history=tuple(norms),
+                        mixed_steps=mixed_steps)

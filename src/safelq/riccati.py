@@ -12,8 +12,9 @@ scan of the stored nodes afterwards.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit of finite-horizon sweeps over geometrically
 growing horizons, compared on the evaluation window until the gap drops
-below tolerance.  A Newton-Kleinman algebraic solve provides an independent
-cross-check for constant coefficients.
+below tolerance (relative to |P| once |P| exceeds 1).  A Newton-Kleinman
+algebraic solve provides an independent cross-check for constant
+coefficients.
 
 A sweep integrates several weight policies at once, as lanes of stacked
 (lanes, n, n) states sharing A and S = B R^{-1} B^T; stacked matmul works
@@ -236,16 +237,23 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     """Stabilizing solution as the limit of growing finite horizons.
 
     Horizons double until consecutive sweeps agree on [t, T_eval] to within
-    ``tol`` (Frobenius norm per node); the converged sweep restricted to the
-    window is returned together with the certificate.  Raises NoConvergence
-    when the horizon cap ``grid.t_max`` is reached first, NonFiniteState
-    when a sweep escapes, and ConfigError when the window leaves no room
-    below the cap for the two horizons a gap needs.
+    ``tol`` times max(1, largest |P| on the window) (Frobenius norm per
+    node); the converged sweep restricted to the window is returned together
+    with the certificate.  Raises NoConvergence when the horizon cap
+    ``grid.t_max`` is reached first, NonFiniteState when a sweep escapes,
+    and ConfigError when the window leaves no room below the cap for the two
+    horizons a gap needs.
     """
     (result,) = _stabilizing_lanes(spec, [alpha], t, T_eval, tol, dt)
     if isinstance(result, SafeLQError):
         raise result
     return result
+
+
+def _gap_tol(tol: float, p_win: np.ndarray) -> float:
+    # relative above |P| = 1: the sweeps' rounding floor grows with |P|, so
+    # an absolute test never passes for a large root
+    return tol * max(1.0, float(np.max(np.linalg.norm(p_win, axis=(1, 2)))))
 
 
 def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
@@ -289,7 +297,7 @@ def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
                     np.linalg.norm(p_win - prev[i], axis=(1, 2)))))
             if errors[lane] is not None:
                 results[i] = errors[lane]
-            elif gaps[i] and gaps[i][-1] < tol:
+            elif gaps[i] and gaps[i][-1] < _gap_tol(tol, p_win):
                 results[i] = RiccatiSolution(
                     nodes=node_times[window][::-1].copy(), P=p_win,
                     dP=dp[window, lane][::-1].copy(), kind="stabilizing",
@@ -297,8 +305,8 @@ def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
                         tuple(horizons), tuple(gaps[i]), tol, True))
             elif steps >= cap_steps:
                 results[i] = NoConvergence(
-                    f"stabilizing limit gap {gaps[i][-1]} not below {tol} "
-                    f"at horizon cap {T_k}",
+                    f"stabilizing limit gap {gaps[i][-1]} not below "
+                    f"{_gap_tol(tol, p_win)} at horizon cap {T_k}",
                     attempts=tuple(zip(horizons, [float("nan")] + gaps[i])))
             else:
                 prev[i] = p_win

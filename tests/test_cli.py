@@ -138,6 +138,9 @@ class TestGameCommand:
         game = json.loads((tmp_path / "game.json").read_text())
         assert game["converged"]
         assert game["W"] > 0.0
+        assert len(game["update_norm_history"]) == game["iterations"]
+        assert game["update_norm_history"][-1] == game["alpha_update_norm"]
+        assert 0 <= game["mixed_steps"] < game["iterations"]
         _, sweep_rows = read_csv(tmp_path / "constant_alpha_sweep.csv")
         assert len(sweep_rows) == 11
         assert all(game["W"] >= row[1] - 1e-6 for row in sweep_rows)

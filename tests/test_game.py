@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from safelq import AlphaPolicy, build_problem
 from safelq.errors import NoConvergence, NonFiniteState
-from safelq.game import (lambda_map, lambda_map_numeric, solve_coupled,
-                         sup_over_constant_alpha)
+from safelq.game import (_anderson_step, lambda_map, lambda_map_numeric,
+                         solve_coupled, sup_over_constant_alpha)
 from safelq.riccati import solve_stabilizing
-from safelq.synthesis import value_from_riccati
+from safelq.synthesis import simulate_closed_loop, value_from_riccati
 
 from conftest import load_config
 
@@ -239,8 +239,23 @@ class TestSolveCoupled:
         gs = solve_coupled(scalar_spec, 0.0, [0.6], max_iter=0)
         assert gs.iterations == 0 and not gs.converged
         text = json.dumps(gs.to_dict())
-        assert json.loads(text, parse_constant=reject_constant)[
-            "alpha_update_norm"] is None
+        record = json.loads(text, parse_constant=reject_constant)
+        assert record["alpha_update_norm"] is None
+        assert record["update_norm_history"] == []
+        assert record["mixed_steps"] == 0
+
+    def test_strong_coupling_converges(self):
+        # a = 8 alpha at x0 = 0.9: the relaxed map contracts slowly (the
+        # plain iteration needs 22 passes)
+        cfg = load_config("scalar_demo.json")
+        cfg["a"]["params"]["coeff"] = 8.0
+        spec = build_problem(cfg)
+        tol = 1e-6
+        gs = solve_coupled(spec, 0.0, [0.9], tol=tol, max_iter=50)
+        assert gs.converged
+        assert gs.iterations <= 15
+        lam = lambda_map(spec, gs.xi_star.nodes, gs.xi_star.states)
+        assert float(np.max(np.abs(lam - gs.alpha_star.values))) <= 2.0 * tol
 
     def test_rejects_outside_start(self, scalar_spec):
         with pytest.raises(ValueError):
@@ -249,6 +264,78 @@ class TestSolveCoupled:
     def test_rejects_bad_relaxation(self, scalar_spec):
         with pytest.raises(ValueError):
             solve_coupled(scalar_spec, 0.0, [0.5], relaxation=0.0)
+
+
+def _plain_picard(spec, t, x0, tol, max_iter=50, relaxation=0.5):
+    # reference: the relaxed Picard loop without Anderson mixing
+    T_sim = t + min(16.0, spec.grid.t_max - t)
+    riccati_tol = min(1e-8, 0.01 * tol)
+    n_steps = max(1, int(round((T_sim - t) / spec.grid.dt)))
+    nodes = t + (T_sim - t) / n_steps * np.arange(n_steps + 1)
+    alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
+    converged = False
+    for _ in range(max_iter):
+        sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+        traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim)
+        target = lambda_map(spec, nodes, traj.states)
+        new_values = (1.0 - relaxation) * alpha.values + relaxation * target
+        update_norm = float(np.max(np.abs(new_values - alpha.values)))
+        alpha = AlphaPolicy(nodes, new_values)
+        if update_norm < tol:
+            converged = True
+            break
+    sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+    return alpha, float(value_from_riccati(spec, sol, alpha, t, x0)), converged
+
+
+class TestAndersonAgainstPlainPicard:
+    @pytest.mark.parametrize("name, x0", [
+        ("scalar_spec", [0.6]),
+        ("ball2d_spec", [0.28463, -0.191796]),
+        ("timevarying_spec", [0.32385])])
+    def test_same_fixed_point_in_fewer_passes(self, name, x0, request):
+        spec = request.getfixturevalue(name)
+        tol = 1e-6
+        gs = solve_coupled(spec, 0.0, x0, tol=tol)
+        alpha_plain, w_plain, plain_converged = _plain_picard(spec, 0.0, x0,
+                                                              tol)
+        assert gs.converged and plain_converged
+        assert gs.iterations <= 8
+        assert float(np.max(np.abs(gs.alpha_star.values
+                                   - alpha_plain.values))) <= 10.0 * tol
+        assert abs(gs.W - w_plain) <= 1e-8
+        assert len(gs.update_norm_history) == gs.iterations
+        assert gs.update_norm_history[-1] == gs.alpha_update_norm < tol
+        assert 1 <= gs.mixed_steps <= gs.iterations - 2
+
+
+class TestAndersonStep:
+    def test_non_finite_mix_takes_plain_step(self):
+        # gamma = -1, but the map-value difference 2e308 overflows
+        history = [(np.array([-1e308, 1.0]), np.array([1.0, 0.0]))]
+        g, f = np.array([1e308, 1.0]), np.array([0.5, 0.0])
+        step, mixed = _anderson_step(history, g, f)
+        assert not mixed
+        assert step is g
+
+    def test_mixed_iterate_is_projected(self):
+        # one difference: gamma = -1, so the mix is 2 g - g0 = (1, -1)
+        history = [(np.array([1.0, 3.0]), np.array([1.0, 0.0]))]
+        g, f = np.array([1.0, 1.0]), np.array([0.5, 0.0])
+        step, mixed = _anderson_step(history, g, f)
+        assert mixed
+        assert step.tolist() == [1.0, 0.0]
+
+    def test_growing_residual_resets_history(self):
+        history = []
+        for k in range(6):
+            _anderson_step(history, np.full(2, 1.0 + k),
+                           np.full(2, 0.5 ** k))
+        assert len(history) == 4
+        g, f = np.array([3.0, 3.0]), np.array([0.1, 0.0])
+        step, mixed = _anderson_step(history, g, f)
+        assert not mixed and step is g
+        assert len(history) == 1 and history[0][0] is g
 
 
 class TestOracleDomination:

@@ -134,29 +134,48 @@ class TestStabilizing:
             p_are = solve_are_constant(a_mat, b_mat, 0.5 * np.eye(m), q_mat)
         except NotStabilizable:
             assume(False)
-        # the gaps shrink like exp(-2 rate T) down to a rounding floor that
-        # grows with |P|: keep pairs whose closed loop settles well within
-        # the horizon cap of 64 and whose root is moderate (nearly
-        # uncontrollable pairs have |P| in the thousands)
+        # the gaps shrink like exp(-2 rate T): keep pairs whose closed loop
+        # settles well within the horizon cap of 64 (nearly uncontrollable
+        # pairs have |P| in the thousands)
         closed = a_mat - 2.0 * b_mat @ b_mat.T @ p_are
         assume(np.max(np.linalg.eigvals(closed).real) < -0.5)
-        assume(np.linalg.norm(p_are) < 50.0)
-        spec = build_problem({
-            "dims": {"state": n, "control": m},
-            "A": {"variant": "constant", "params": {"value": a_mat.tolist()}},
-            "B": {"variant": "constant", "params": {"value": b_mat.tolist()}},
-            "K": {"variant": "truncated_constant",
-                  "params": {"level": level, "t_cut": 64.0}},
-            "a": {"variant": "linear", "params": {"coeff": 1.0}},
-            "b": {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}},
-            "h": {"variant": "identity"},
-            "omega": {"variant": "ball",
-                      "params": {"center": [0.0] * n, "radius": 1.0}},
-            "grid": {"t0": 0.0, "dt": 0.05, "t_max": 64.0}})
+        spec = _constant_spec(a_mat, b_mat, level)
         assert np.array_equal(spec.q_coeff(0.0, 0.0) * np.eye(n), q_mat)
         riccati_tol = 1e-8
         sol = solve_stabilizing(spec, ALPHA0, 0.0, 0.0, tol=riccati_tol)
         assert np.linalg.norm(sol.at(0.0) - p_are, "fro") <= 10.0 * riccati_tol
+
+    def test_large_root_converges(self):
+        # |P|_F = 1.2e4 with closed-loop eigenvalues -2.0 and -1.8: the
+        # sweeps' rounding floor (gap 9.3e-8 at the cap) lies above an
+        # absolute 1e-8, so only a gap test relative to |P| converges
+        a_mat = np.array([[0.5612246778267531, -1.828790112691582],
+                          [-1.2467575483576243, -0.037920438585175464]])
+        b_mat = np.array([[1.0777274848434863], [1.0626059820303024]])
+        p_are = solve_are_constant(a_mat, b_mat, 0.5 * np.eye(1),
+                                   0.5 * np.eye(2))
+        assert np.linalg.norm(p_are) > 1e4
+        sol = solve_stabilizing(_constant_spec(a_mat, b_mat, 1.0), ALPHA0,
+                                0.0, 0.0, tol=1e-8)
+        assert sol.certificate.converged
+        assert np.linalg.norm(sol.at(0.0) - p_are, "fro") <= 1e-7
+
+
+def _constant_spec(a_mat, b_mat, level):
+    # constant (A, B), K = level up to t_max, R = I/2, identity h
+    n, m = b_mat.shape
+    return build_problem({
+        "dims": {"state": n, "control": m},
+        "A": {"variant": "constant", "params": {"value": a_mat.tolist()}},
+        "B": {"variant": "constant", "params": {"value": b_mat.tolist()}},
+        "K": {"variant": "truncated_constant",
+              "params": {"level": level, "t_cut": 64.0}},
+        "a": {"variant": "linear", "params": {"coeff": 1.0}},
+        "b": {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}},
+        "h": {"variant": "identity"},
+        "omega": {"variant": "ball",
+                  "params": {"center": [0.0] * n, "radius": 1.0}},
+        "grid": {"t0": 0.0, "dt": 0.05, "t_max": 64.0}})
 
 
 class TestAlgebraicSolver:
