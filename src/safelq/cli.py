@@ -7,10 +7,10 @@ with a schema header line.  Outputs carry no timestamps, so identical
 configs and flags reproduce byte-identical files.
 
 Exit codes: 0 ok, 1 configuration/user error, 2 stabilizing solve did not
-converge, 3 IPC check failed (synthesis still emitted, marked unverified),
-4 coupled fixed point did not converge, 5 verification suite failure,
-6 numerical failure (a Riccati sweep escaped to inf/NaN, or no stabilizing
-algebraic solution exists).
+converge, 3 IPC check failed (synthesis still emitted, marked unverified) or
+the game's closed loop left Omega, 4 coupled fixed point did not converge,
+5 verification suite failure, 6 numerical failure (a Riccati sweep escaped
+to inf/NaN, or no stabilizing algebraic solution exists).
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ def _cmd_game(args) -> int:
     if not solution.converged:
         print("warning: coupled iteration hit max_iter", file=sys.stderr)
         return EXIT_NO_FIXED_POINT
+    if solution.xi_star.exited:
+        print(f"warning: the closed loop leaves Omega at "
+              f"t={float(solution.xi_star.exit_time):.6g}", file=sys.stderr)
+        return EXIT_IPC_FAILED
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import SafeLQError
 from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
+from .numerics import stage_times
 from .riccati import RiccatiSolution, _stabilizing_lanes, solve_stabilizing
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
@@ -147,6 +148,9 @@ class GameSolution:
                                         for v in self.update_norm_history],
                 "mixed_steps": self.mixed_steps,
                 "converged": self.converged,
+                "constraint_violated": bool(self.xi_star.exited),
+                "exit_time": (float(self.xi_star.exit_time)
+                              if self.xi_star.exited else None),
                 "alpha_star": [float(v) for v in self.alpha_star.values]}
 
 
@@ -207,8 +211,7 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     T_sim = t + min(16.0, spec.grid.t_max - t)
     riccati_tol = min(1e-8, 0.01 * tol)
 
-    n_steps = max(1, int(round((T_sim - t) / spec.grid.dt)))
-    nodes = t + (T_sim - t) / n_steps * np.arange(n_steps + 1)
+    nodes = stage_times(t, T_sim, spec.grid.dt)[::2]
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
 
     update_norm = np.inf

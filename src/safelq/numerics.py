@@ -1,14 +1,14 @@
 """Shared numerical kernels.
 
-One fixed-step classical Runge-Kutta loop, :func:`_rk4`, serves every
-integration in the package: the backward Riccati sweeps read their stage
-data by stage index, and :func:`integrate_ode` maps stage indices to times
-for a general right-hand side.  Also here: cubic-Hermite dense output,
-composite Simpson weights, stacked matrix-vector products, and symmetric
-eigenvalue extremes.  Everything is deterministic: uniform grids, fixed
-evaluation order, no adaptivity.  Matrix states are re-symmetrized after
-every step so Riccati sweeps cannot drift off the symmetric manifold.
-Finiteness is checked once, after the loop, over the stored nodes.
+One grid rule, :func:`stage_times`, fixes the steps and stage times of
+every integration in the package, and one fixed-step classical Runge-Kutta
+loop, :func:`_rk4`, runs them: its right-hand side reads stage data by stage
+index, in the backward Riccati sweeps and in :func:`integrate_ode`, the
+forward integrator of the closed and open loops.  Also here: cubic-Hermite
+dense output, composite Simpson weights, stacked matrix-vector products, and
+symmetric eigenvalue extremes.  Everything is deterministic: uniform grids,
+fixed evaluation order, no adaptivity.  Finiteness is checked once, after
+the loop, over the stored nodes.
 """
 
 from __future__ import annotations
@@ -87,17 +87,30 @@ class SampledPath:
                         self.derivs[idx], self.derivs[idx + 1])
 
 
+def stage_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The RK4 stage times on [t_start, t_end], ascending or descending.
+
+    The span takes n = max(1, round(|span| / dt)) steps of h = span / n, none
+    when it is zero.  Stage j lies at t_start + (h/2) j, so there are 2n + 1
+    stages and the even ones are the nodes: (h/2) * 2k rounds like h * k.
+    """
+    span = t_end - t_start
+    n = max(1, int(round(abs(span) / dt))) if span else 0
+    h = span / n if n else 0.0
+    return t_start + (0.5 * h) * np.arange(2 * n + 1)
+
+
 def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
          derivs: np.ndarray, h: float, start: int = 0,
          postprocess: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
     """Fixed-step classical RK4 from ``values[start]``, in place.
 
     Fills ``values[start + 1:]`` and ``derivs[start:]``.  ``field(j, y)`` is
-    the right-hand side at stage j, which lies j*h/2 past the first node:
-    step k reads stages 2k, 2k+1, 2k+1 and 2k+2.  ``postprocess`` is
-    applied to the state after every step.  Overflow and NaN are not
-    checked here: no step turns a non-finite entry finite again, so callers
-    scan the stored nodes once afterwards.
+    the right-hand side at stage j of :func:`stage_times`: step k reads
+    stages 2k, 2k+1, 2k+1 and 2k+2.  ``postprocess`` is applied to the state
+    after every step.  Overflow and NaN are not checked here: no step turns
+    a non-finite entry finite again, so callers scan the stored nodes once
+    afterwards.
     """
     n = len(values) - 1
     y = values[start]
@@ -115,44 +128,29 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
         derivs[n] = field(2 * n, y)
 
 
-def integrate_ode(rhs: Callable[[float, np.ndarray], np.ndarray],
-                  t_start: float, t_end: float, y0: np.ndarray, dt: float,
-                  postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
-                  ) -> SampledPath:
-    """Classical 4th-order Runge-Kutta with a fixed step on a uniform grid.
+def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],
+                  t_start: float, t_end: float, y0: np.ndarray,
+                  dt: float) -> SampledPath:
+    """Classical RK4 forward over [t_start, t_end] on the grid of
+    :func:`stage_times`; ``field(j, y)`` is the right-hand side at stage j.
 
-    Backward integration (t_end < t_start) runs with a negative step; the
-    returned path is always node-ascending.  ``postprocess`` is applied to the
-    state after every step (used to re-symmetrize matrix states).
-
-    Raises NonFiniteState naming the first node, in integration order, whose
-    state is not finite.
+    Raises NonFiniteState naming the first node whose state is not finite.
     """
-    span = t_end - t_start
-    if span == 0.0:
-        raise ValueError("t_start and t_end must differ")
-    n = max(1, int(round(abs(span) / dt)))
-    h = span / n
-
+    if not t_end > t_start:
+        raise ValueError("t_end must exceed t_start")
+    nodes = stage_times(t_start, t_end, dt)[::2].copy()
+    n = len(nodes) - 1
     y0 = np.asarray(y0, dtype=float)
     values = np.empty((n + 1,) + y0.shape)
     derivs = np.empty_like(values)
     values[0] = y0
-    # (h/2) * 2k rounds like h * k: the even stages are the nodes
-    stage_times = t_start + (0.5 * h) * np.arange(2 * n + 1)
-    times = stage_times.tolist()
-    _rk4(lambda j, y: rhs(times[j], y), values, derivs, h,
-         postprocess=postprocess)
+    _rk4(field, values, derivs, (t_end - t_start) / n)
 
-    nodes = stage_times[::2]
     finite = np.isfinite(values.reshape(n + 1, -1)).all(axis=1)
     if not finite[-1]:
         s = float(nodes[np.argmin(finite)])
         raise NonFiniteState(f"state not finite at t={s}", time=s)
-    if h < 0:
-        nodes, values, derivs = nodes[::-1], values[::-1], derivs[::-1]
-    return SampledPath(nodes=nodes.copy(), values=values.copy(),
-                       derivs=derivs.copy())
+    return SampledPath(nodes=nodes, values=values, derivs=derivs)
 
 
 def _simpson_weights(n_intervals: int, dt: float) -> np.ndarray:

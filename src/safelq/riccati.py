@@ -6,9 +6,10 @@ The finite-horizon terminal-value problem
      P(T)  = 0,     Q^alpha(s) = (K(s)/2 + a(alpha(s))) I,
 
 is integrated backward by the package's one RK4 loop (``numerics._rk4``,
-step -h, symmetrizing after every step), which reads the stage data by
-stage index; a lane that escapes runs on as inf/NaN and is found by one
-scan of the stored nodes afterwards.
+step -h, symmetrizing after every step) on the stage grid of
+``numerics.stage_times``, read in descending order; its right-hand side
+reads the stage data by stage index.  A lane that escapes runs on as inf/NaN
+and is found by one scan of the stored nodes afterwards.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit of finite-horizon sweeps over geometrically
 growing horizons, compared on the evaluation window until the gap drops
@@ -24,10 +25,10 @@ constant policies share every sweep: horizons do not depend on the policy.
 Sweeps resume from the longest tail they share with the previous sweep of
 the same length and lane count.  Starting from P(T) = 0, the state after k
 backward steps depends only on the step h and on the stage data (A, S, q at
-the nodes and midpoints) of those k steps.  A small memo, keyed by the state
+the 2k + 1 stages) of those k steps.  A small memo, keyed by the state
 dimension, the step count, h and the lane count, keeps the stage data and
 states of the last successful sweeps; a new sweep copies the states over
-the longest descending prefix whose stage data match bit for bit and
+the longest descending prefix of stages whose data match bit for bit and
 integrates only the rest.  The comparison is on bit patterns, so the result
 is the one a fresh sweep would give, whatever problem or policy produced the
 entry.  The coupled game profits: its weight policies differ only on the
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import (ConfigError, NoConvergence, NonFiniteState,
                      NotStabilizable, OutOfGrid, SafeLQError)
 from .model import AlphaPolicy, ProblemSpec
-from .numerics import SampledPath, _rk4, sym
+from .numerics import SampledPath, _rk4, stage_times, sym
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,12 @@ def _bits(arr: np.ndarray) -> np.ndarray:
 
 def _shared_steps(stage, old_stage) -> int:
     """Backward steps whose states two sweeps share: the largest k such that
-    node data 0..k and midpoint data 0..k-1 (descending) match bit for bit."""
-    n_nodes = len(stage[0])
-    same = np.ones(n_nodes, dtype=bool)
-    for new, old in zip(stage[:3], old_stage[:3]):
+    stage data 0..2k (descending) match bit for bit."""
+    same = np.ones(len(stage[0]), dtype=bool)
+    for new, old in zip(stage, old_stage):
         same &= np.all(_bits(new) == _bits(old), axis=1)
-    for new, old in zip(stage[3:], old_stage[3:]):
-        same[1:] &= np.all(_bits(new) == _bits(old), axis=1)
-    lead = n_nodes if same.all() else int(np.argmin(same))
-    return max(lead - 1, 0)
+    lead = len(same) if same.all() else int(np.argmin(same))
+    return max(lead - 1, 0) // 2
 
 
 def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
@@ -170,15 +168,13 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
     eye = np.eye(n)
     if T < t:
         raise ValueError("terminal time must not precede the start time")
-    steps = max(0, int(round((T - t) / dt)))
+    # anchored at t, so sweeps with different horizons evaluate the (possibly
+    # discontinuous) coefficients at bit-identical times
+    times = stage_times(t, T, dt)[::-1]                 # descending
+    node_times = times[::2]
+    steps = len(node_times) - 1
     h = (T - t) / steps if steps else 0.0
-
-    # anchor stage times at t so sweeps with different horizons evaluate the
-    # (possibly discontinuous) coefficients at bit-identical times
-    node_times = t + h * np.arange(steps, -1, -1)      # descending
-    mid_times = node_times[:-1] - 0.5 * h
-    stage = (_stage_data(spec, alphas, node_times)
-             + _stage_data(spec, alphas, mid_times))
+    stage = _stage_data(spec, alphas, times)
 
     key = (n, steps, h, len(alphas))
     with _sweep_memo_lock:
@@ -193,16 +189,10 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
         p_desc[: start + 1] = entry[1][: start + 1]
         dp_desc[:start] = entry[2][:start]
 
-    nodes, mids = stage[:3], stage[3:]
-
-    def field(j, p):
-        # stage j: node j/2 when even, the midpoint after node j//2 when odd
-        a, s, q = mids if j % 2 else nodes
-        k = j // 2
-        return _riccati_rhs(p, a[k], s[k], q[k], eye)
-
+    a, s, q = stage
     # an escaped lane runs on as inf/NaN: reported below, not warned
-    _rk4(field, p_desc, dp_desc, -h, start=start, postprocess=sym)
+    _rk4(lambda j, p: _riccati_rhs(p, a[j], s[j], q[j], eye),
+         p_desc, dp_desc, -h, start=start, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where

@@ -14,10 +14,11 @@ gradient 2 grad_h^T P h of the quadratic value candidate.  Values come from
 and the verification residual |dV/ds + H(s, x, grad_x V)| is measured with
 central differences of P in time.
 
-A simulation integrates a stack of starts with RK4, reading Gamma at each
-stage time from one precomputed array, then builds the controls and running
-costs of all nodes and starts at once with stacked matmul and vecdot, so
-each start's trajectory is bit for bit the one it gets alone.
+A simulation integrates a stack of starts with RK4 on the grid of
+``numerics.stage_times``, reading Gamma at each stage index from one
+precomputed array, then builds the controls and running costs of all nodes
+and starts at once with stacked matmul and vecdot, so each start's
+trajectory is bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import OutOfGrid
 from .model import AlphaPolicy, ProblemSpec, eval_dynamics, eval_lagrangian
-from .numerics import integrate_ode, matvec, simpson_samples
+from .numerics import integrate_ode, matvec, simpson_samples, stage_times
 from .riccati import RiccatiSolution
 
 
@@ -137,17 +138,11 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
     if not np.all(spec.omega.contains(x0, tol=1e-9)):
         raise ValueError("initial state is outside the constraint set")
     dt = spec.grid.dt
+    gammas = gamma_matrices(spec, P, stage_times(t, T_sim, dt))
 
-    # Gamma at every node and midpoint the RK4 stages touch: stage time
-    # t + j * step / 2 reads gammas[j]
-    n_steps = max(1, int(round((T_sim - t) / dt)))
-    step = (T_sim - t) / n_steps
-    gammas = gamma_matrices(spec, P,
-                            t + 0.5 * step * np.arange(2 * n_steps + 1))
-
-    def field(s, x):
-        gamma = gammas[round((s - t) / (0.5 * step))]
-        return spec.h.apply_jacobian_inv(x, matvec(gamma, spec.h.forward(x)))
+    def field(j, x):
+        return spec.h.apply_jacobian_inv(x,
+                                         matvec(gammas[j], spec.h.forward(x)))
 
     path = integrate_ode(field, t, T_sim, x0, dt)
     states = np.moveaxis(path.values, 0, -2)
@@ -159,13 +154,15 @@ def simulate_open_loop(spec: ProblemSpec, control: Callable[[float], np.ndarray]
                        alpha: AlphaPolicy, t: float, x0: np.ndarray,
                        T_sim: float) -> Trajectory:
     """Integrate the dynamics under an explicit control signal from each
-    start of x0 (..., n); ``control(s)`` gives one control per start."""
-    path = integrate_ode(lambda s, x: eval_dynamics(spec, s, x, control(s)),
-                         t, T_sim, np.asarray(x0, dtype=float), spec.grid.dt)
-    controls = np.array([np.asarray(control(s), dtype=float)
-                         for s in path.nodes])
+    start of x0 (..., n); ``control(s)`` gives one control per start and is
+    sampled once per RK4 stage."""
+    times = stage_times(t, T_sim, spec.grid.dt).tolist()
+    controls = np.array([np.asarray(control(s), dtype=float) for s in times])
+    path = integrate_ode(
+        lambda j, x: eval_dynamics(spec, times[j], x, controls[j]),
+        t, T_sim, np.asarray(x0, dtype=float), spec.grid.dt)
     return _trajectory(spec, path.nodes, np.moveaxis(path.values, 0, -2),
-                       np.moveaxis(controls, 0, -2), alpha)
+                       np.moveaxis(controls[::2], 0, -2), alpha)
 
 
 def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,

@@ -11,6 +11,7 @@ from safelq import (AlphaPolicy, Ellipsoid, Polytope, build_problem,
 from safelq.game import lambda_map
 from safelq.geometry import Ball, Box
 from safelq.model import _sup_alpha_gain
+from safelq.numerics import stage_times
 from safelq.synthesis import feedback_control, hamiltonian, hjb_residual
 
 RNG = np.random.default_rng(20261018)
@@ -157,7 +158,8 @@ class TestProblemData:
 
 class TestPaths:
     def test_sampled_path(self, spec):
-        path = integrate_ode(lambda s, y: np.sin(s) - 0.3 * y, 0.0, 2.0,
+        sines = np.sin(stage_times(0.0, 2.0, 0.1))
+        path = integrate_ode(lambda j, y: sines[j] - 0.3 * y, 0.0, 2.0,
                              np.ones(spec.dim_state), 0.1)
         times = np.concatenate([RNG.uniform(0.0, 2.0, N_ROWS), path.nodes])
         assert_rows_equal(path.at(times), [path.at(float(s)) for s in times])

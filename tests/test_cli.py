@@ -141,9 +141,26 @@ class TestGameCommand:
         assert len(game["update_norm_history"]) == game["iterations"]
         assert game["update_norm_history"][-1] == game["alpha_update_norm"]
         assert 0 <= game["mixed_steps"] < game["iterations"]
+        assert game["constraint_violated"] is False
+        assert game["exit_time"] is None
         _, sweep_rows = read_csv(tmp_path / "constant_alpha_sweep.csv")
         assert len(sweep_rows) == 11
         assert all(game["W"] >= row[1] - 1e-6 for row in sweep_rows)
+
+    def test_closed_loop_leaving_omega_exits_3(self, tmp_path, capsys):
+        # outward_drift has B = 0: the fixed point converges, but xi* leaves
+        # the unit interval at ln(1/0.3) / 1 = 1.20
+        code = main(["--config", OUTWARD, "--out", str(tmp_path),
+                     "game", "--x0", "0.3", "--alpha-points", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "leaves Omega" in err
+        game = json.loads((tmp_path / "game.json").read_text(),
+                          parse_constant=reject_constant)
+        assert game["converged"]
+        assert game["constraint_violated"]
+        assert abs(game["exit_time"] - math.log(1.0 / 0.3)) <= 0.01
 
     def test_no_fixed_point_exit(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),

@@ -215,6 +215,11 @@ class TestSolveCoupled:
                         for k, s in enumerate(gs.xi_star.nodes)])
         assert float(np.max(np.abs(lam - gs.alpha_star.values))) <= 2.0 * tol
 
+    def test_policy_nodes_are_the_trajectory_nodes(self, coupled_at_06):
+        gs = coupled_at_06
+        assert np.array_equal(gs.alpha_star.nodes.view(np.uint64),
+                              gs.xi_star.nodes.view(np.uint64))
+
     def test_w_consistent_with_value_formula(self, scalar_spec, coupled_at_06):
         gs = coupled_at_06
         ref = value_from_riccati(scalar_spec, gs.P_star, gs.alpha_star,

@@ -2,33 +2,66 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safelq.errors import NonFiniteState, OutOfGrid
 from safelq.numerics import (eig_sym_extremes, integrate_ode, simpson_samples,
-                             sym)
+                             stage_times, sym)
+
+
+class TestStageTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(-100.0, 100.0), span=st.floats(-50.0, 50.0),
+           dt=st.floats(1e-3, 10.0))
+    def test_grid(self, t, span, dt):
+        t_end = t + span
+        times = stage_times(t, t_end, dt)
+        if t_end == t:
+            assert times.tolist() == [t]
+            return
+        n = max(1, int(round(abs(t_end - t) / dt)))
+        h = (t_end - t) / n
+        assert len(times) == 2 * n + 1
+        # the even stages are the nodes t + h k, bit for bit
+        assert np.array_equal(times[::2].view(np.uint64),
+                              (t + h * np.arange(n + 1)).view(np.uint64))
+        assert times[-1] == pytest.approx(t_end, rel=1e-12, abs=1e-12)
 
 
 class TestIntegrator:
     def test_exponential_decay(self):
         # y' = -y, y(0) = 1 -> y(1) = 1/e
-        path = integrate_ode(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), 0.01)
+        path = integrate_ode(lambda j, y: -y, 0.0, 1.0, np.array([1.0]), 0.01)
         assert abs(path.values[-1][0] - math.exp(-1.0)) <= 1e-8
 
     def test_constant_rhs_zero(self):
-        path = integrate_ode(lambda t, y: 0.0 * y, 0.0, 1.0,
+        path = integrate_ode(lambda j, y: 0.0 * y, 0.0, 1.0,
                              np.array([3.0, -2.0]), 0.1)
         np.testing.assert_array_equal(path.values[-1], [3.0, -2.0])
 
-    def test_backward_integration(self):
-        # y' = y, y(1) = e, integrate back to 0 -> 1
-        path = integrate_ode(lambda t, y: y, 1.0, 0.0,
-                             np.array([math.e]), 0.01)
-        assert path.nodes[0] == 0.0  # ascending output
-        assert abs(path.values[0][0] - 1.0) <= 1e-8
+    @pytest.mark.parametrize("t_end", [1.0, 0.5])
+    def test_forward_only(self, t_end):
+        with pytest.raises(ValueError):
+            integrate_ode(lambda j, y: y, 1.0, t_end, np.array([1.0]), 0.01)
+
+    def test_field_gets_the_stage_index(self):
+        # y' = s on [0, 1] is y(1) = 1/2, exact under RK4 when the field
+        # reads the stage times through its index
+        times = stage_times(0.0, 1.0, 0.1)
+        seen = []
+
+        def field(j, y):
+            seen.append(j)
+            return np.array([times[j]])
+
+        path = integrate_ode(field, 0.0, 1.0, np.array([0.0]), 0.1)
+        assert np.array_equal(path.nodes, times[::2])
+        assert seen[:5] == [0, 1, 1, 2, 2] and seen[-1] == 20
+        assert path.values[-1][0] == pytest.approx(0.5, abs=1e-15)
 
     def test_fourth_order_convergence(self):
         def err(dt):
-            path = integrate_ode(lambda t, y: -y, 0.0, 1.0,
+            path = integrate_ode(lambda j, y: -y, 0.0, 1.0,
                                  np.array([1.0]), dt)
             return abs(path.values[-1][0] - math.exp(-1.0))
 
@@ -36,38 +69,41 @@ class TestIntegrator:
         assert err(0.02) / err(0.01) >= 8.0
 
     def test_dense_output_matches_analytic(self):
-        path = integrate_ode(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), 0.05)
+        path = integrate_ode(lambda j, y: -y, 0.0, 1.0, np.array([1.0]), 0.05)
         for s in (0.123, 0.5, 0.987):
             assert abs(path.at(s)[0] - math.exp(-s)) <= 1e-7
 
     def test_dense_output_out_of_range(self):
-        path = integrate_ode(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), 0.1)
+        path = integrate_ode(lambda j, y: -y, 0.0, 1.0, np.array([1.0]), 0.1)
         with pytest.raises(OutOfGrid):
             path.at(1.5)
 
     def test_nonfinite_detected(self):
         with pytest.raises(NonFiniteState):
-            integrate_ode(lambda t, y: y**3, 0.0, 2.0, np.array([10.0]), 0.01)
+            integrate_ode(lambda j, y: y**3, 0.0, 2.0, np.array([10.0]), 0.01)
 
     def test_nonfinite_names_first_node_in_integration_order(self):
-        # backward from 1 with step -0.1: the rhs is inf below s = 0.43, so
-        # the step from 0.5 to 0.4 is the first to leave the finite states;
-        # in ascending order the first non-finite node would be 0
-        def rhs(t, y):
-            return -y if t > 0.43 else np.full_like(y, np.inf)
+        # forward from 0 with step 0.1: the rhs is inf above s = 0.57, so
+        # the step from 0.5 to 0.6 is the first to leave the finite states,
+        # while the last node, which is not finite either, lies at 1
+        times = stage_times(0.0, 1.0, 0.1)
+
+        def field(j, y):
+            return -y if times[j] < 0.57 else np.full_like(y, np.inf)
 
         with pytest.raises(NonFiniteState) as exc:
-            integrate_ode(rhs, 1.0, 0.0, np.array([1.0, 2.0]), 0.1)
-        assert exc.value.time == 1.0 + -0.1 * 6
-        assert str(exc.value) == f"state not finite at t={1.0 + -0.1 * 6}"
+            integrate_ode(field, 0.0, 1.0, np.array([1.0, 2.0]), 0.1)
+        assert exc.value.time == times[12] == pytest.approx(0.6)
+        assert str(exc.value) == f"state not finite at t={times[12]}"
 
     def test_stacked_start_matches_one_row_runs(self):
         # rows of a (k, n) state integrate like k separate (n,) runs, bit
         # for bit, both in the stored states and in the derivatives
         m = np.array([[-0.5, 1.0, 0.0], [-1.0, -0.2, 0.3], [0.1, 0.0, -0.7]])
+        sines = np.sin(stage_times(0.0, 1.3, 0.01))
 
-        def rhs(t, y):
-            return np.matmul(m, y[..., None])[..., 0] + np.sin(t) * y**2
+        def rhs(j, y):
+            return np.matmul(m, y[..., None])[..., 0] + sines[j] * y**2
 
         y0 = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3))
         stacked = integrate_ode(rhs, 0.0, 1.3, y0, 0.01)
@@ -77,17 +113,6 @@ class TestIntegrator:
             for got, ref in ((stacked.values[:, i], single.values),
                              (stacked.derivs[:, i], single.derivs)):
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-    def test_matrix_ode_stays_symmetric(self):
-        a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-
-        def rhs(t, p):
-            return a.T @ p + p @ a + np.eye(2)
-
-        path = integrate_ode(rhs, 0.0, 2.0, np.zeros((2, 2)), 0.01,
-                             postprocess=sym)
-        for p in path.values:
-            np.testing.assert_array_equal(p, p.T)
 
 
 class TestQuadrature:

@@ -82,18 +82,17 @@ class TestClosedLoop:
 
 
 def _per_node_closed_loop(spec, P, alpha, t, x0, T_sim, dt):
-    # reference: Gamma from a float-keyed dict, then one feedback_control
-    # and one eval_lagrangian call per node
+    # reference: Gamma at the nodes and at the midpoints from two separate
+    # calls, picked by stage parity, then one feedback_control and one
+    # eval_lagrangian call per node
     n_steps = max(1, int(round((T_sim - t) / dt)))
-    step = (T_sim - t) / n_steps
-    stage_times = np.concatenate(
-        [t + step * np.arange(n_steps + 1), t + step * (np.arange(n_steps) + 0.5)])
-    gammas = gamma_matrices(spec, P, stage_times)
-    lookup = {round(float(s) / (0.5 * step)): gammas[k]
-              for k, s in enumerate(stage_times - t)}
+    half = 0.5 * ((T_sim - t) / n_steps)
+    at_nodes = gamma_matrices(spec, P,
+                              t + half * np.arange(0, 2 * n_steps + 1, 2))
+    at_mids = gamma_matrices(spec, P, t + half * np.arange(1, 2 * n_steps, 2))
 
-    def field(s, x):
-        gamma = lookup[round((s - t) / (0.5 * step))]
+    def field(j, x):
+        gamma = at_mids[j // 2] if j % 2 else at_nodes[j // 2]
         return spec.h.apply_jacobian_inv(x, gamma @ spec.h.forward(x))
 
     path = integrate_ode(field, t, T_sim, np.asarray(x0, dtype=float), dt)
