@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -107,6 +108,12 @@ def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
     return vec
 
 
+def _require(ok: bool, message: str) -> None:
+    # flags are checked before any compute; NaN fails every comparison
+    if not ok:
+        raise ConfigError(message)
+
+
 def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
     """--alpha accepts a constant or a CSV file with columns s,alpha."""
     path = Path(flag)
@@ -145,6 +152,14 @@ def _cmd_riccati(args) -> int:
     sha = _write_manifest(out, args, {
         "alpha": args.alpha, "horizon": args.horizon, "tol": args.tol,
         "eval_span": args.eval_span})
+    _require(args.tol > 0.0, "--tol must be positive")
+    _require(args.eval_span >= 0.0, "--eval-span must not be negative")
+    if args.horizon != "stabilizing":
+        try:
+            horizon = float(args.horizon)
+        except ValueError:
+            raise ConfigError("--horizon must be a number or 'stabilizing'")
+        _require(horizon >= 0.0, "--horizon must not be negative")
     t0 = spec.grid.t0
     alpha = _alpha_from_flag(args.alpha, spec, t0)
 
@@ -162,10 +177,6 @@ def _cmd_riccati(args) -> int:
             return EXIT_NO_CONVERGENCE
         _write_json(out / "certificate.json", sol.certificate.to_dict(), sha)
     else:
-        try:
-            horizon = float(args.horizon)
-        except ValueError:
-            raise ConfigError("--horizon must be a number or 'stabilizing'")
         sol = riccati.solve_finite_horizon(spec, alpha, t0, t0 + horizon)
         _write_json(out / "certificate.json",
                     {"kind": "finite_horizon", "horizon": t0 + horizon}, sha)
@@ -180,6 +191,8 @@ def _cmd_synthesize(args) -> int:
     out = Path(args.out)
     sha = _write_manifest(out, args, {
         "x0": args.x0, "check_ipc": args.check_ipc, "horizon": args.horizon})
+    _require(args.horizon is None or args.horizon > 0.0,
+             "--horizon must be positive")
     t0 = spec.grid.t0
     x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
     if not spec.omega.contains(x0, tol=1e-9):
@@ -238,21 +251,24 @@ def _cmd_game(args) -> int:
     x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
     if not spec.omega.contains(x0, tol=1e-9):
         raise ConfigError("--x0 lies outside the constraint set")
-    if args.alpha_points < 1:
-        raise ConfigError("--alpha-points must be at least 1")
-    if args.max_iter < 1:
-        raise ConfigError("--max-iter must be at least 1")
+    _require(args.tol > 0.0, "--tol must be positive")
+    _require(0.0 < args.relaxation <= 1.0, "--relaxation must lie in (0, 1]")
+    _require(args.alpha_max >= 0.0, "--alpha-max must not be negative")
+    _require(args.alpha_points >= 1, "--alpha-points must be at least 1")
+    _require(args.max_iter >= 1, "--max-iter must be at least 1")
 
     solution = game.solve_coupled(spec, t0, x0, tol=args.tol,
                                   max_iter=args.max_iter,
                                   relaxation=args.relaxation)
-    _write_json(out / "game.json", solution.to_dict(), sha)
+    grid = np.linspace(0.0, args.alpha_max, args.alpha_points)
+    sweep = game.sup_over_constant_alpha(spec, t0, x0, grid)
+    record = solution.to_dict()
+    record["skipped_constant_policies"] = [
+        {"alpha": val, "reason": reason} for val, reason in sweep.skipped]
+    _write_json(out / "game.json", record, sha)
     _write_csv(out / "alpha_star.csv", ["s", "alpha"],
                [list(zip(solution.alpha_star.nodes,
                          solution.alpha_star.values))], sha)
-
-    grid = np.linspace(0.0, args.alpha_max, args.alpha_points)
-    sweep = game.sup_over_constant_alpha(spec, t0, x0, grid)
     _write_csv(out / "constant_alpha_sweep.csv", ["alpha", "value"],
                [sweep.table], sha)
 
@@ -271,12 +287,25 @@ def _cmd_game(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _suite_riccati(spec: ProblemSpec) -> list[dict]:
+class _ZeroPolicySolves:
+    """The alpha = 0 Riccati solutions that several verify suites read, each
+    solved on first use and at most once per run."""
+
+    def __init__(self, spec: ProblemSpec):
+        t0 = spec.grid.t0
+        self.alpha = alpha = AlphaPolicy.zero(t0, spec.grid.t_max)
+        # horizon t0 + 4 at a multiple of the grid step
+        self.finite = cache(lambda scale: riccati.solve_finite_horizon(
+            spec, alpha, t0, t0 + 4.0, dt=spec.grid.dt * scale))
+        # the stabilizing solution on the one-node window [t0, t0]
+        self.stabilizing = cache(lambda: riccati.solve_stabilizing(
+            spec, alpha, t0, t0, tol=DEFAULT_TOLERANCES["riccati_tol"]))
+
+
+def _suite_riccati(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
     t0 = spec.grid.t0
-    alpha = AlphaPolicy.zero(t0, spec.grid.t_max)
     checks = []
-    T = t0 + 4.0
-    sol = riccati.solve_finite_horizon(spec, alpha, t0, T)
+    sol = zero.finite(1.0)
     checks.append({"check": "terminal_condition_zero",
                    "passed": bool(np.all(sol.P[-1] == 0.0)),
                    "max_abs": float(np.max(np.abs(sol.P[-1])))})
@@ -287,8 +316,8 @@ def _suite_riccati(spec: ProblemSpec) -> list[dict]:
     checks.append({"check": "positive_semidefinite",
                    "passed": lam_min >= -DEFAULT_TOLERANCES["psd_tol"],
                    "lambda_min": lam_min})
-    mono = riccati.check_monotone_in_T(spec, alpha, t0, t0, T1=t0 + 2.0,
-                                       T2=t0 + 4.0)
+    short = riccati.solve_finite_horizon(spec, zero.alpha, t0, t0 + 2.0)
+    mono = riccati.MonotoneReport.between(short, sol, t0)
     checks.append({"check": "monotone_in_horizon", "passed": mono.ok,
                    "lambda_min": mono.lambda_min})
     # the algebraic cross-check needs constant coefficients over every
@@ -297,8 +326,7 @@ def _suite_riccati(spec: ProblemSpec) -> list[dict]:
                   and spec.K.t_cut >= spec.grid.t_max)
     if spec.A.is_constant() and spec.B.is_constant() and k_constant:
         try:
-            stab = riccati.solve_stabilizing(
-                spec, alpha, t0, t0, tol=DEFAULT_TOLERANCES["riccati_tol"])
+            stab = zero.stabilizing()
             q0 = spec.q_coeff(t0, 0.0) * np.eye(spec.dim_state)
             p_are = riccati.solve_are_constant(
                 spec.A.value(t0), spec.B.value(t0), spec.R, q0)
@@ -310,7 +338,9 @@ def _suite_riccati(spec: ProblemSpec) -> list[dict]:
             checks.append({"check": "stabilizing_matches_algebraic",
                            "passed": False, "error": str(exc)})
     # finite-difference residual of the sweep is second order in dt
-    ratios = _riccati_residual_ratio(spec, alpha, t0, T)
+    r_coarse = _riccati_residual_max(zero.finite(2.0))
+    r_fine = _riccati_residual_max(sol)
+    ratios = r_coarse / r_fine if r_fine != 0.0 else 0.0
     checks.append({"check": "sweep_residual_order",
                    "passed": bool(2.5 <= ratios <= 6.0) or ratios == 0.0,
                    "ratio": ratios})
@@ -320,17 +350,6 @@ def _suite_riccati(spec: ProblemSpec) -> list[dict]:
 def _riccati_residual_max(sol) -> float:
     dp_fd = (sol.P[2:] - sol.P[:-2]) / (2.0 * sol.dt)
     return float(np.max(np.abs(dp_fd - sol.dP[1:-1]), initial=0.0))
-
-
-def _riccati_residual_ratio(spec, alpha, t0, T) -> float:
-    coarse = riccati.solve_finite_horizon(spec, alpha, t0, T,
-                                          dt=spec.grid.dt * 2.0)
-    fine = riccati.solve_finite_horizon(spec, alpha, t0, T, dt=spec.grid.dt)
-    r_coarse = _riccati_residual_max(coarse)
-    r_fine = _riccati_residual_max(fine)
-    if r_fine == 0.0:
-        return 0.0
-    return r_coarse / r_fine
 
 
 def _suite_ipc(spec: ProblemSpec, seed: int) -> list[dict]:
@@ -371,13 +390,9 @@ def _suite_ipc(spec: ProblemSpec, seed: int) -> list[dict]:
     return checks
 
 
-def _suite_hjb(spec: ProblemSpec) -> list[dict]:
-    t0 = spec.grid.t0
-    T = t0 + 4.0
-    alpha = AlphaPolicy.zero(t0, spec.grid.t_max)
-    dt = spec.grid.dt
-    coarse = riccati.solve_finite_horizon(spec, alpha, t0, T, dt=dt * 2.0)
-    fine = riccati.solve_finite_horizon(spec, alpha, t0, T, dt=dt)
+def _suite_hjb(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
+    alpha = zero.alpha
+    coarse, fine = zero.finite(2.0), zero.finite(1.0)
     lo, hi = spec.omega.bounding_box()
     xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 20)
     s_vals = coarse.nodes[2:-2:max(1, (len(coarse.nodes) - 4) // 20)][:20]
@@ -392,16 +407,15 @@ def _suite_hjb(spec: ProblemSpec) -> list[dict]:
              "max_residual_coarse": float(worst_c)}]
 
 
-def _suite_oracle(spec: ProblemSpec, out: Path | None = None,
-                  sha: str | None = None) -> list[dict]:
+def _suite_oracle(spec: ProblemSpec, zero: _ZeroPolicySolves, out: Path,
+                  sha: str) -> list[dict]:
     if spec.dim_state > 2:
         return [{"check": "oracle_vs_riccati", "passed": False,
                  "error": "oracle supports dim <= 2"}]
     t0 = spec.grid.t0
     T = t0 + 10.0
-    alpha = AlphaPolicy.zero(t0, spec.grid.t_max)
-    sol = riccati.solve_stabilizing(spec, alpha, t0, t0,
-                                    tol=DEFAULT_TOLERANCES["riccati_tol"])
+    alpha = zero.alpha
+    sol = zero.stabilizing()
     center = spec.omega.interior_point()
     corner = np.asarray(spec.omega.bounding_box()[1])
     x0 = center
@@ -421,9 +435,8 @@ def _suite_oracle(spec: ProblemSpec, out: Path | None = None,
                          u_max=u_max, control_res=res[1], cost_mode="fixed",
                          alpha=alpha)
     table = oracle.brute_force_value(dp)
-    if out is not None:
-        header, blocks = table.csv_blocks()
-        _write_csv(out / "value_table.csv", header, blocks, sha)
+    header, blocks = table.csv_blocks()
+    _write_csv(out / "value_table.csv", header, blocks, sha)
     v = table.value_at(x0)
     scale = max(1e-12, abs(w_ref))
     above = (v - w_ref) / scale
@@ -438,11 +451,12 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
     sha = _write_manifest(out, args, {"suite": args.suite})
+    zero = _ZeroPolicySolves(spec)
     suites = {
-        "riccati": lambda: _suite_riccati(spec),
+        "riccati": lambda: _suite_riccati(spec, zero),
         "ipc": lambda: _suite_ipc(spec, args.seed),
-        "hjb": lambda: _suite_hjb(spec),
-        "oracle": lambda: _suite_oracle(spec, out, sha),
+        "hjb": lambda: _suite_hjb(spec, zero),
+        "oracle": lambda: _suite_oracle(spec, zero, out, sha),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     report = {}

@@ -10,7 +10,9 @@ approached from below by constant-policy sweeps and computed by an
 Anderson-accelerated relaxed Picard iteration on the coupled (P, xi, alpha)
 system: each pass solves the stabilizing Riccati equation for the current
 alpha, simulates its closed loop, and re-samples alpha from Lambda along the
-trajectory.
+trajectory.  Every policy of the iteration is zero beyond the simulation
+window, so the stabilizing P there is the same for all of them: it is solved
+once, by horizon doubling, and each pass sweeps only the window back from it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import SafeLQError
 from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
 from .numerics import stage_times
-from .riccati import RiccatiSolution, _stabilizing_lanes, solve_stabilizing
+from .riccati import (RiccatiSolution, _stabilizing_lanes, solve_from_tail,
+                      solve_stabilizing)
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
 _TINY = np.finfo(float).tiny
@@ -86,10 +89,7 @@ class ConstantAlphaSweep:
     w_lower: float
     best_alpha: float
     table: tuple[tuple[float, float], ...]  # (alpha, value); -inf when skipped
-
-    def to_dict(self) -> dict:
-        return {"w_lower": self.w_lower, "best_alpha": self.best_alpha,
-                "table": [[a, v] for a, v in self.table]}
+    skipped: tuple[tuple[float, str], ...]  # (alpha, why its solve failed)
 
 
 def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
@@ -109,9 +109,11 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
                 for val in alpha_grid]
     solutions = _stabilizing_lanes(spec, policies, t, t)
     table = []
+    skipped = []
     for val, policy, sol in zip(alpha_grid, policies, solutions):
         if isinstance(sol, SafeLQError):
             warnings.warn(f"constant alpha={val}: {sol}")
+            skipped.append((float(val), str(sol)))
             w = -np.inf
         else:
             w = value_from_riccati(spec, sol, policy, t, x)
@@ -119,7 +121,7 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
     # the first of the best policies; the first policy when all are skipped
     best_alpha, w_lower = max(table, key=lambda row: row[1])
     return ConstantAlphaSweep(w_lower=w_lower, best_alpha=best_alpha,
-                              table=tuple(table))
+                              table=tuple(table), skipped=tuple(skipped))
 
 
 def _json_norm(value: float) -> float | None:
@@ -151,7 +153,8 @@ class GameSolution:
                 "constraint_violated": bool(self.xi_star.exited),
                 "exit_time": (float(self.xi_star.exit_time)
                               if self.xi_star.exited else None),
-                "alpha_star": [float(v) for v in self.alpha_star.values]}
+                "alpha_star": [float(v) for v in self.alpha_star.values],
+                "tail_certificate": self.P_star.certificate.to_dict()}
 
 
 def _anderson_step(history: list, g: np.ndarray, f: np.ndarray
@@ -191,8 +194,9 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     (P*, xi*, alpha*) system.
 
     Starting from alpha = 0 (the pure quadratic solve), each pass computes
-    the stabilizing P for the current policy, simulates the closed loop from
-    x0 over [t, t + min(16, t_max - t)], and evaluates the relaxed map
+    the stabilizing P for the current policy (one sweep back from the
+    policy-free tail, :func:`solve_from_tail`), simulates the closed loop
+    from x0 over [t, t + min(16, t_max - t)], and evaluates the relaxed map
     G(alpha) = (1 - relaxation) alpha + relaxation Lambda(xi) sampled along
     the trajectory.  The next policy mixes the latest map values
     (:func:`_anderson_step`).  Stops when the sup-norm residual
@@ -213,6 +217,11 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
 
     nodes = stage_times(t, T_sim, spec.grid.dt)[::2]
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
+    # every policy on these nodes is zero from one step past T_sim on (the
+    # step that ends at T_sim still reads alpha there)
+    T_seed = T_sim + (T_sim - t) / (len(nodes) - 1)
+    tail = solve_stabilizing(spec, AlphaPolicy.zero(t, T_seed), T_seed, T_seed,
+                             tol=riccati_tol)
 
     update_norm = np.inf
     norms: list[float] = []
@@ -221,7 +230,7 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+        sol = solve_from_tail(spec, alpha, t, tail)
         traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim)
         target = lambda_map(spec, nodes, traj.states)
         relaxed = (1.0 - relaxation) * alpha.values + relaxation * target
@@ -236,7 +245,7 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
         mixed_steps += mixed
         alpha = AlphaPolicy(nodes, new_values)
 
-    p_star = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+    p_star = solve_from_tail(spec, alpha, t, tail)
     xi_star = simulate_closed_loop(spec, p_star, alpha, t, x0, T_sim)
     w = value_from_riccati(spec, p_star, alpha, t, x0)
     return GameSolution(alpha_star=alpha, P_star=p_star, xi_star=xi_star,

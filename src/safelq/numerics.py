@@ -92,20 +92,21 @@ def stage_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
 
     The span takes n = max(1, round(|span| / dt)) steps of h = span / n, none
     when it is zero.  Stage j lies at t_start + (h/2) j, so there are 2n + 1
-    stages and the even ones are the nodes: (h/2) * 2k rounds like h * k.
+    stages and the even ones are the nodes: h * (2k / 2) is h * k exactly,
+    where (h / 2) * 2k is not once h / 2 is subnormal.
     """
     span = t_end - t_start
     n = max(1, int(round(abs(span) / dt))) if span else 0
     h = span / n if n else 0.0
-    return t_start + (0.5 * h) * np.arange(2 * n + 1)
+    return t_start + h * (0.5 * np.arange(2 * n + 1))
 
 
 def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
-         derivs: np.ndarray, h: float, start: int = 0,
+         derivs: np.ndarray, h: float,
          postprocess: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
-    """Fixed-step classical RK4 from ``values[start]``, in place.
+    """Fixed-step classical RK4 from ``values[0]``, in place.
 
-    Fills ``values[start + 1:]`` and ``derivs[start:]``.  ``field(j, y)`` is
+    Fills ``values[1:]`` and ``derivs``.  ``field(j, y)`` is
     the right-hand side at stage j of :func:`stage_times`: step k reads
     stages 2k, 2k+1, 2k+1 and 2k+2.  ``postprocess`` is applied to the state
     after every step.  Overflow and NaN are not checked here: no step turns
@@ -113,9 +114,9 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
     afterwards.
     """
     n = len(values) - 1
-    y = values[start]
+    y = values[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(start, n):
+        for k in range(n):
             k1 = field(2 * k, y)
             derivs[k] = k1
             k2 = field(2 * k + 1, y + (0.5 * h) * k1)

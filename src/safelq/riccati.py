@@ -21,25 +21,14 @@ A sweep integrates several weight policies at once, as lanes of stacked
 (lanes, n, n) states sharing A and S = B R^{-1} B^T; stacked matmul works
 per matrix, so each lane is bit for bit a sweep of its own.  The game's
 constant policies share every sweep: horizons do not depend on the policy.
-
-Sweeps resume from the longest tail they share with the previous sweep of
-the same length and lane count.  Starting from P(T) = 0, the state after k
-backward steps depends only on the step h and on the stage data (A, S, q at
-the 2k + 1 stages) of those k steps.  A small memo, keyed by the state
-dimension, the step count, h and the lane count, keeps the stage data and
-states of the last successful sweeps; a new sweep copies the states over
-the longest descending prefix of stages whose data match bit for bit and
-integrates only the rest.  The comparison is on bit patterns, so the result
-is the one a fresh sweep would give, whatever problem or policy produced the
-entry.  The coupled game profits: its weight policies differ only on the
-simulation window, and every Picard pass re-sweeps the same policy-free
-tail.
+A sweep may also start from a given terminal value (:func:`solve_from_tail`):
+the coupled game solves the policy-free tail beyond its simulation window
+once, by doubling, and sweeps each pass's policy back from it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,31 +126,9 @@ def _riccati_rhs(p, a, s, q, eye):
     return -(a.T @ p + p @ a - p @ s @ p + q[:, None, None] * eye)
 
 
-# (n, steps, h, lanes) -> (stage data, descending P, descending dP) of the
-# latest successful sweep with that key; insertion order is recency order
-_SWEEP_MEMO_CAP = 4
-_sweep_memo: dict[tuple, tuple] = {}
-_sweep_memo_lock = threading.Lock()
-
-
-def _bits(arr: np.ndarray) -> np.ndarray:
-    # one row of raw 64-bit patterns per time: -0.0 differs from +0.0 and a
-    # NaN equals only the same NaN
-    return np.ascontiguousarray(arr).reshape(len(arr), -1).view(np.uint64)
-
-
-def _shared_steps(stage, old_stage) -> int:
-    """Backward steps whose states two sweeps share: the largest k such that
-    stage data 0..2k (descending) match bit for bit."""
-    same = np.ones(len(stage[0]), dtype=bool)
-    for new, old in zip(stage, old_stage):
-        same &= np.all(_bits(new) == _bits(old), axis=1)
-    lead = len(same) if same.all() else int(np.argmin(same))
-    return max(lead - 1, 0) // 2
-
-
-def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
-    """Backward RK4 sweeps from P(T) = 0, one lane per policy: descending
+def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
+           p_end: np.ndarray | float = 0.0):
+    """Backward RK4 sweeps from P(T) = p_end, one lane per policy: descending
     node times, P and dP (nodes, lanes, n, n), and per lane None or the
     NonFiniteState the lane ended in."""
     n = spec.dim_state
@@ -174,25 +141,13 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
     node_times = times[::2]
     steps = len(node_times) - 1
     h = (T - t) / steps if steps else 0.0
-    stage = _stage_data(spec, alphas, times)
-
-    key = (n, steps, h, len(alphas))
-    with _sweep_memo_lock:
-        entry = _sweep_memo.get(key)
+    a, s, q = _stage_data(spec, alphas, times)
     p_desc = np.empty((steps + 1, len(alphas), n, n))
     dp_desc = np.empty_like(p_desc)
-    start = 0
-    p_desc[0] = 0.0
-    if entry is not None:
-        # reused states passed the finiteness check when first computed
-        start = _shared_steps(stage, entry[0])
-        p_desc[: start + 1] = entry[1][: start + 1]
-        dp_desc[:start] = entry[2][:start]
-
-    a, s, q = stage
+    p_desc[0] = p_end
     # an escaped lane runs on as inf/NaN: reported below, not warned
     _rk4(lambda j, p: _riccati_rhs(p, a[j], s[j], q[j], eye),
-         p_desc, dp_desc, -h, start=start, postprocess=sym)
+         p_desc, dp_desc, -h, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where
@@ -200,12 +155,6 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float):
     errors = [None if finite[-1, lane] else NonFiniteState(
         f"Riccati sweep escaped at s={node_times[k]}", time=float(node_times[k]))
         for lane, k in enumerate(np.argmin(finite, axis=0))]
-    if finite[-1].all():
-        with _sweep_memo_lock:
-            _sweep_memo.pop(key, None)
-            _sweep_memo[key] = (stage, p_desc, dp_desc)
-            while len(_sweep_memo) > _SWEEP_MEMO_CAP:
-                del _sweep_memo[next(iter(_sweep_memo))]
     return node_times, p_desc, dp_desc, errors
 
 
@@ -219,6 +168,20 @@ def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     return RiccatiSolution(nodes=nodes[::-1].copy(), P=p[::-1, 0].copy(),
                            dP=dp[::-1, 0].copy(), kind="finite_horizon",
                            alpha=alpha, horizon=T)
+
+
+def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
+                    tail: RiccatiSolution) -> RiccatiSolution:
+    """Stabilizing solution on [t, tail.t_start] for a policy that agrees
+    with the tail's from tail.t_start on: one sweep back from the tail's
+    P(tail.t_start), carrying the tail's certificate."""
+    nodes, p, dp, (error,) = _sweep(spec, [alpha], t, tail.t_start,
+                                    spec.grid.dt, p_end=tail.P[0])
+    if error is not None:
+        raise error
+    return RiccatiSolution(nodes=nodes[::-1].copy(), P=p[::-1, 0].copy(),
+                           dP=dp[::-1, 0].copy(), kind="stabilizing",
+                           alpha=alpha, certificate=tail.certificate)
 
 
 def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -370,6 +333,15 @@ class MonotoneReport:
     ok: bool
     lambda_min: float
 
+    @classmethod
+    def between(cls, short: RiccatiSolution, long: RiccatiSolution,
+                s_probe: float) -> "MonotoneReport":
+        """Smallest eigenvalue of P_long(s) - P_short(s) at the probe time:
+        ok when it stays above -1e-9."""
+        diff = sym(long.at(s_probe) - short.at(s_probe))
+        lam = float(np.linalg.eigvalsh(diff)[0])
+        return cls(ok=lam >= -1e-9, lambda_min=lam)
+
 
 def check_monotone_in_T(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                         s_probe: float, T1: float, T2: float) -> MonotoneReport:
@@ -380,8 +352,6 @@ def check_monotone_in_T(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     """
     if T2 < T1:
         raise ValueError("T2 must be >= T1")
-    p1 = solve_finite_horizon(spec, alpha, t, T1)
-    p2 = solve_finite_horizon(spec, alpha, t, T2)
-    diff = sym(p2.at(s_probe) - p1.at(s_probe))
-    lam = float(np.linalg.eigvalsh(diff)[0])
-    return MonotoneReport(ok=lam >= -1e-9, lambda_min=lam)
+    return MonotoneReport.between(solve_finite_horizon(spec, alpha, t, T1),
+                                  solve_finite_horizon(spec, alpha, t, T2),
+                                  s_probe)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import safelq
-from safelq import AlphaPolicy
+from safelq import AlphaPolicy, riccati
 from safelq.cli import main
 
 from conftest import CONFIG_DIR, load_config, load_spec
@@ -143,6 +143,11 @@ class TestGameCommand:
         assert 0 <= game["mixed_steps"] < game["iterations"]
         assert game["constraint_violated"] is False
         assert game["exit_time"] is None
+        tail = game["tail_certificate"]
+        assert tail["converged"] and tail["tol"] == 1e-8
+        assert len(tail["gaps"]) == len(tail["horizons"]) - 1 >= 1
+        assert tail["horizons"][0] > 16.0
+        assert game["skipped_constant_policies"] == []
         _, sweep_rows = read_csv(tmp_path / "constant_alpha_sweep.csv")
         assert len(sweep_rows) == 11
         assert all(game["W"] >= row[1] - 1e-6 for row in sweep_rows)
@@ -189,6 +194,28 @@ class TestGameCommand:
             json.loads(path.read_text(), parse_constant=reject_constant)
 
 
+class TestBadFlags:
+    # each is refused before any compute, in one line, with nothing but the
+    # manifest written
+    @pytest.mark.parametrize("argv, flag", [
+        (["riccati", "--tol", "0"], "--tol"),
+        (["riccati", "--eval-span", "-1"], "--eval-span"),
+        (["riccati", "--horizon", "-1"], "--horizon"),
+        (["synthesize", "--x0", "0.5", "--horizon", "0"], "--horizon"),
+        (["synthesize", "--x0", "0.5", "--horizon", "-1"], "--horizon"),
+        (["game", "--x0", "0.6", "--tol", "0"], "--tol"),
+        (["game", "--x0", "0.6", "--relaxation", "2"], "--relaxation"),
+        (["game", "--x0", "0.6", "--alpha-max", "-1"], "--alpha-max"),
+    ])
+    def test_exits_1_in_one_line(self, tmp_path, capsys, argv, flag):
+        code = main(["--config", SCALAR, "--out", str(tmp_path)] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert flag in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 class TestNumericalFailure:
     def test_escaping_sweep_exits_6(self, tmp_path, capsys):
         code = main(["--config", SCALAR, "--out", str(tmp_path),
@@ -211,31 +238,52 @@ class TestNumericalFailure:
         assert rows[1] == [1e300, -math.inf]
         for path in tmp_path.glob("*.json"):
             json.loads(path.read_text(), parse_constant=reject_constant)
+        (skipped,) = json.loads((tmp_path / "game.json").read_text())[
+            "skipped_constant_policies"]
+        assert skipped["alpha"] == 1e300
+        assert "escaped at s=" in skipped["reason"]
+
+
+def _run_with_t_max(tmp_path, t_max, argv):
+    path = SCALAR
+    if t_max is not None:
+        cfg = load_config("scalar_demo.json")
+        cfg["grid"]["t_max"] = t_max
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--out", str(out)] + argv)
+    for written in out.glob("*.json"):
+        json.loads(written.read_text(), parse_constant=reject_constant)
+    return code, out
 
 
 class TestHorizonBeyondCap:
     # the window needs a first horizon past grid.t_max: a configuration
-    # error, not a stabilizing solve that failed to converge
+    # error, not a stabilizing solve that failed to converge.  The game's
+    # window is its policy-free tail, one step past t + 16.
     @pytest.mark.parametrize("config, argv", [
         (None, ["riccati", "--eval-span", "63"]),
         (None, ["synthesize", "--x0", "0.5", "--horizon", "40"]),
-        (20.0, ["game", "--x0", "0.6", "--alpha-points", "1"]),
+        (16.5, ["game", "--x0", "0.6", "--alpha-points", "1"]),
     ])
     def test_config_error(self, tmp_path, capsys, config, argv):
-        path = SCALAR
-        if config is not None:
-            cfg = load_config("scalar_demo.json")
-            cfg["grid"]["t_max"] = config
-            path = tmp_path / "short.json"
-            path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        code = main(["--config", str(path), "--out", str(out)] + argv)
+        code, _ = _run_with_t_max(tmp_path, config, argv)
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "horizon cap" in err
-        for written in out.glob("*.json"):
-            json.loads(written.read_text(), parse_constant=reject_constant)
+
+    def test_game_tail_short_of_its_limit_exits_2(self, tmp_path, capsys):
+        # t_max 20 leaves the tail at 16.01 room for horizons up to 19.99,
+        # too short for its doubling to converge
+        code, out = _run_with_t_max(
+            tmp_path, 20.0, ["game", "--x0", "0.6", "--alpha-points", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "horizon cap" in err
+        assert not (out / "game.json").exists()
 
 
 class TestVerifyCommand:
@@ -251,6 +299,25 @@ class TestVerifyCommand:
         code = main(["--config", SCALAR, "--out", str(tmp_path),
                      "verify", "--suite", "bogus"])
         assert code == 1
+
+    def test_all_suites_share_their_riccati_solves(self, tmp_path,
+                                                   monkeypatch):
+        # the zero-policy finite sweeps and the stabilizing solve on [t0, t0]
+        # are read by several suites and solved once: 3 finite sweeps, 5
+        # doubling sweeps at [t0, t0] and 2 at [t0, t0 + 8]; solved per
+        # suite they take 19
+        calls = [0]
+        sweep = riccati._sweep
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(riccati, "_sweep", counting)
+        code = main(["--config", str(CONFIG_DIR / "ball2d_demo.json"),
+                     "--out", str(tmp_path), "verify", "--suite", "all"])
+        assert code == 0
+        assert calls[0] <= 11
 
     def test_single_suite_selectable(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),

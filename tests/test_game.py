@@ -9,7 +9,7 @@ from safelq import AlphaPolicy, build_problem
 from safelq.errors import NoConvergence, NonFiniteState
 from safelq.game import (_anderson_step, lambda_map, lambda_map_numeric,
                          solve_coupled, sup_over_constant_alpha)
-from safelq.riccati import solve_stabilizing
+from safelq.riccati import _gap_tol, solve_from_tail, solve_stabilizing
 from safelq.synthesis import simulate_closed_loop, value_from_riccati
 
 from conftest import load_config
@@ -272,15 +272,19 @@ class TestSolveCoupled:
 
 
 def _plain_picard(spec, t, x0, tol, max_iter=50, relaxation=0.5):
-    # reference: the relaxed Picard loop without Anderson mixing
+    # reference: the relaxed Picard loop without Anderson mixing, with the
+    # coupled solve's per-pass Riccati solve
     T_sim = t + min(16.0, spec.grid.t_max - t)
     riccati_tol = min(1e-8, 0.01 * tol)
     n_steps = max(1, int(round((T_sim - t) / spec.grid.dt)))
     nodes = t + (T_sim - t) / n_steps * np.arange(n_steps + 1)
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
+    T_seed = T_sim + (T_sim - t) / n_steps
+    tail = solve_stabilizing(spec, AlphaPolicy.zero(t, T_seed), T_seed, T_seed,
+                             tol=riccati_tol)
     converged = False
     for _ in range(max_iter):
-        sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+        sol = solve_from_tail(spec, alpha, t, tail)
         traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim)
         target = lambda_map(spec, nodes, traj.states)
         new_values = (1.0 - relaxation) * alpha.values + relaxation * target
@@ -289,19 +293,60 @@ def _plain_picard(spec, t, x0, tol, max_iter=50, relaxation=0.5):
         if update_norm < tol:
             converged = True
             break
-    sol = solve_stabilizing(spec, alpha, t, T_sim, tol=riccati_tol)
+    sol = solve_from_tail(spec, alpha, t, tail)
     return alpha, float(value_from_riccati(spec, sol, alpha, t, x0)), converged
 
 
+COUPLED_CASES = [("scalar_spec", [0.6]),
+                 ("ball2d_spec", [0.28463, -0.191796]),
+                 ("timevarying_spec", [0.32385])]
+
+
+@pytest.fixture(scope="module")
+def coupled(request):
+    """solve_coupled at tol 1e-6 from t = 0, once per (spec, x0) case."""
+    solved = {}
+
+    def solve(name, x0):
+        key = (name, tuple(x0))
+        if key not in solved:
+            solved[key] = solve_coupled(request.getfixturevalue(name), 0.0,
+                                        x0, tol=1e-6)
+        return solved[key]
+    return solve
+
+
+class TestSeededSolveAgainstDoubling:
+    @pytest.mark.parametrize("name, x0", COUPLED_CASES)
+    def test_p_star_and_w_match_the_doubling_solve(self, name, x0, request,
+                                                   coupled):
+        # the reference re-solves alpha* by horizon doubling from P = 0 far
+        # beyond the window, not from the policy-free tail
+        spec = request.getfixturevalue(name)
+        gs = coupled(name, x0)
+        riccati_tol = 1e-8
+        ref = solve_stabilizing(spec, gs.alpha_star, 0.0, 16.0,
+                                tol=riccati_tol)
+        # P* runs one step further, to the tail's first node
+        p_star = gs.P_star.P[:-1]
+        assert p_star.shape == ref.P.shape
+        np.testing.assert_allclose(gs.P_star.nodes[:-1], ref.nodes, rtol=0.0,
+                                   atol=1e-12)
+        gap = float(np.max(np.linalg.norm(p_star - ref.P, axis=(1, 2))))
+        assert gap < _gap_tol(riccati_tol, ref.P)
+        w_ref = value_from_riccati(spec, ref, gs.alpha_star, 0.0, x0)
+        assert abs(gs.W - w_ref) <= 1e-10 * abs(w_ref)
+        assert gs.P_star.certificate.converged
+        assert gs.P_star.certificate.horizons[0] > 16.0
+
+
 class TestAndersonAgainstPlainPicard:
-    @pytest.mark.parametrize("name, x0", [
-        ("scalar_spec", [0.6]),
-        ("ball2d_spec", [0.28463, -0.191796]),
-        ("timevarying_spec", [0.32385])])
-    def test_same_fixed_point_in_fewer_passes(self, name, x0, request):
+    @pytest.mark.parametrize("name, x0", COUPLED_CASES)
+    def test_same_fixed_point_in_fewer_passes(self, name, x0, request,
+                                              coupled):
         spec = request.getfixturevalue(name)
         tol = 1e-6
-        gs = solve_coupled(spec, 0.0, x0, tol=tol)
+        gs = coupled(name, x0)
         alpha_plain, w_plain, plain_converged = _plain_picard(spec, 0.0, x0,
                                                               tol)
         assert gs.converged and plain_converged

@@ -255,98 +255,9 @@ class TestCsvRows:
         assert rows[-1][1:] == [0.0, 0.0, 0.0]
 
 
-@pytest.fixture
-def cold_memo():
-    with riccati._sweep_memo_lock:
-        riccati._sweep_memo.clear()
-    yield riccati._sweep_memo
-
-
-@pytest.fixture
-def rhs_calls(monkeypatch):
-    """Counts evaluations of the Riccati right-hand side."""
-    calls = [0]
-    rhs = riccati._riccati_rhs
-
-    def counting(*args):
-        calls[0] += 1
-        return rhs(*args)
-
-    monkeypatch.setattr(riccati, "_riccati_rhs", counting)
-    return calls
-
-
 def _window_policy(values):
     # differs from policy to policy only on [0, 2]; zero tail afterwards
     return AlphaPolicy(np.linspace(0.0, 2.0, len(values)), np.array(values))
-
-
-class TestSweepMemo:
-    @pytest.mark.parametrize("name", ["ball2d_spec", "timevarying_spec"])
-    def test_shared_tail_reuse_is_bit_exact(self, name, request, cold_memo,
-                                            rhs_calls):
-        spec = request.getfixturevalue(name)
-        first = _window_policy([0.3, 0.7, 0.1, 0.0, 0.4])
-        second = _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])
-        cold = solve_stabilizing(spec, first, 0.0, 2.0, tol=1e-8)
-        cold_calls = rhs_calls[0]
-        cold_memo.clear()
-        solve_stabilizing(spec, second, 0.0, 2.0, tol=1e-8)
-        # the memo now holds the second policy's sweeps: a partial hit
-        rhs_calls[0] = 0
-        partial = solve_stabilizing(spec, first, 0.0, 2.0, tol=1e-8)
-        partial_calls = rhs_calls[0]
-        # and now the first policy's own sweeps: a full hit
-        rhs_calls[0] = 0
-        full = solve_stabilizing(spec, first, 0.0, 2.0, tol=1e-8)
-        n_sweeps = len(cold.certificate.horizons)
-        assert 0 < partial_calls < cold_calls
-        assert rhs_calls[0] == n_sweeps
-        for warm in (partial, full):
-            assert np.array_equal(warm.P, cold.P)
-            assert np.array_equal(warm.dP, cold.dP)
-            assert warm.certificate == cold.certificate
-
-    def test_signed_zero_is_not_shared(self):
-        # 4 steps: 9 descending stages of A, S and q
-        old = (np.zeros((9, 2, 2)), np.zeros((9, 2, 2)), np.zeros(9))
-        assert riccati._shared_steps(old, old) == 4
-        new = tuple(arr.copy() for arr in old)
-        new[0][6, 0, 1] = -0.0              # node 3
-        assert np.array_equal(new[0], old[0])
-        assert riccati._shared_steps(new, old) == 2
-        new = tuple(arr.copy() for arr in old)
-        new[1][3] = -0.0                    # the midpoint after node 1
-        assert riccati._shared_steps(new, old) == 1
-        new = tuple(arr.copy() for arr in old)
-        new[2][0] = -0.0                    # node 0
-        assert riccati._shared_steps(new, old) == 0
-
-    def test_memo_never_exceeds_cap(self, scalar_spec, cold_memo):
-        cap = riccati._SWEEP_MEMO_CAP
-        for k in range(1, cap + 3):
-            solve_finite_horizon(scalar_spec, ALPHA0, 0.0, 0.1 * k)
-            assert len(cold_memo) <= cap
-        assert len(cold_memo) == cap
-        # the oldest sweeps were evicted, the latest kept
-        assert sorted(key[1] for key in cold_memo) == [
-            10 * k for k in range(3, cap + 3)]
-
-    def test_game_sweep_matches_one_lane_solves(self, tmp_path):
-        # the CLI's batched constant-policy sweep, run after the Picard loop
-        # has filled the memo, prints what per-policy solves give
-        config = str(CONFIG_DIR / "scalar_demo.json")
-        main(["--config", config, "--out", str(tmp_path), "game", "--x0",
-              "0.6", "--max-iter", "1", "--alpha-points", "4"])
-        lines = (tmp_path / "constant_alpha_sweep.csv").read_text().splitlines()
-        spec = build_problem(load_config("scalar_demo.json"))
-        expected = []
-        for val in np.linspace(0.0, 2.0, 4):
-            policy = AlphaPolicy.constant(float(val), 0.0, 64.0)
-            sol = solve_stabilizing(spec, policy, 0.0, 0.0)
-            w = value_from_riccati(spec, sol, policy, 0.0, [0.6])
-            expected.append(f"{val:.17g},{w:.17g}")
-        assert lines[2:] == expected
 
 
 def _reference_sweep(spec, alpha, t, T, dt):
@@ -395,7 +306,7 @@ def _bitwise_equal(a, b):
 class TestLanes:
     @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec",
                                       "timevarying_spec", "cubic_spec"])
-    def test_lanes_match_the_per_step_reference(self, name, request, cold_memo):
+    def test_lanes_match_the_per_step_reference(self, name, request):
         spec = request.getfixturevalue(name)
         policies = [_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0,
                     _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])]
@@ -407,7 +318,7 @@ class TestLanes:
             assert _bitwise_equal(dp[:, lane], dp_ref)
 
     def test_escaping_lane_keeps_its_time_and_spares_the_others(
-            self, scalar_spec, cold_memo):
+            self, scalar_spec):
         policies = [ALPHA0, AlphaPolicy.constant(1e300, 0.0, 64.0)]
         with pytest.raises(NonFiniteState) as ref, \
                 np.errstate(over="ignore", invalid="ignore"):
@@ -418,7 +329,36 @@ class TestLanes:
         assert errors[1].time == ref.value.time
         p_ref, _ = _reference_sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
         assert _bitwise_equal(p[:, 0], p_ref)
-        assert not cold_memo      # a failed sweep is not kept
+
+    @pytest.mark.parametrize("name", ["ball2d_spec", "timevarying_spec"])
+    def test_terminal_value_resumes_a_longer_sweep(self, name, request):
+        # both sweeps are anchored at 0 with step 0.01: from P(4) of the
+        # sweep over [0, 8], the sweep over [0, 4] repeats its last 400 steps
+        spec = request.getfixturevalue(name)
+        policies = [_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0]
+        _, p_long, dp_long, _ = riccati._sweep(spec, policies, 0.0, 8.0, 0.01)
+        nodes, p, dp, errors = riccati._sweep(spec, policies, 0.0, 4.0, 0.01,
+                                              p_end=p_long[400])
+        assert errors == [None, None]
+        assert nodes[0] == 4.0
+        assert _bitwise_equal(p, p_long[400:])
+        assert _bitwise_equal(dp, dp_long[400:])
+
+    def test_game_sweep_matches_one_lane_solves(self, tmp_path):
+        # the CLI's batched constant-policy sweep, run after the Picard loop,
+        # prints what per-policy solves give
+        config = str(CONFIG_DIR / "scalar_demo.json")
+        main(["--config", config, "--out", str(tmp_path), "game", "--x0",
+              "0.6", "--max-iter", "1", "--alpha-points", "4"])
+        lines = (tmp_path / "constant_alpha_sweep.csv").read_text().splitlines()
+        spec = build_problem(load_config("scalar_demo.json"))
+        expected = []
+        for val in np.linspace(0.0, 2.0, 4):
+            policy = AlphaPolicy.constant(float(val), 0.0, 64.0)
+            sol = solve_stabilizing(spec, policy, 0.0, 0.0)
+            w = value_from_riccati(spec, sol, policy, 0.0, [0.6])
+            expected.append(f"{val:.17g},{w:.17g}")
+        assert lines[2:] == expected
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
