@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Iterator
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -47,6 +48,8 @@ DEFAULT_TOLERANCES = {
     "ipc_density": 64,
     "ipc_time_samples": 9,
 }
+# every number in a CSV output
+_NUMBER = "{:.17g}"
 
 
 def _json_bytes(obj) -> bytes:
@@ -60,16 +63,37 @@ def _write_json(path: Path, obj, manifest_sha: str | None = None) -> None:
     path.write_bytes(_json_bytes(obj))
 
 
-def _write_csv(path: Path, header: list[str], blocks,
-               manifest_sha: str) -> None:
-    """Write an iterable of rectangular row blocks one block at a time, so
-    no table is held as text; every value is formatted ``.17g``."""
+def _csv_lines(rows) -> str:
+    """Rectangular rows as CSV lines, every value formatted ``.17g``."""
+    if not len(rows):
+        return ""
+    line = ",".join([_NUMBER] * len(rows[0])) + "\n"
+    return (line * len(rows)).format(*chain.from_iterable(rows))
+
+
+def _value_table_lines(points, blocks) -> Iterator[str]:
+    """``value_table.csv`` lines, one time node at a time: each lattice
+    point's ``x_*`` text and each node's ``s`` text is formatted once, and
+    only ``V`` on every line."""
+    x_text = _csv_lines(points).splitlines()
+    for s, values in blocks:
+        line = f"{_NUMBER.format(s)},{{}},{_NUMBER}\n"
+        yield (line * len(x_text)).format(
+            *chain.from_iterable(zip(x_text, values)))
+
+
+def _write_lines(path: Path, header: list[str], chunks,
+                 manifest_sha: str) -> None:
+    """Write the manifest line, the header and then each chunk of CSV
+    lines, so no table is held as text whole."""
     with path.open("w") as f:
         f.write(f"# manifest_sha256={manifest_sha}\n{','.join(header)}\n")
-        for block in blocks:
-            if len(block):
-                line = ",".join(["{:.17g}"] * len(block[0])) + "\n"
-                f.write((line * len(block)).format(*chain.from_iterable(block)))
+        f.writelines(chunks)
+
+
+def _write_csv(path: Path, header: list[str], rows,
+               manifest_sha: str) -> None:
+    _write_lines(path, header, [_csv_lines(rows)], manifest_sha)
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace,
@@ -181,7 +205,7 @@ def _cmd_riccati(args) -> int:
         _write_json(out / "certificate.json",
                     {"kind": "finite_horizon", "horizon": t0 + horizon}, sha)
     header, rows = sol.csv_rows()
-    _write_csv(out / "riccati.csv", header, [rows], sha)
+    _write_csv(out / "riccati.csv", header, rows, sha)
     print(f"wrote {out / 'riccati.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -221,9 +245,9 @@ def _cmd_synthesize(args) -> int:
 
     traj = synthesis.simulate_closed_loop(spec, sol, alpha, t0, x0, t_end)
     header, rows = traj.csv_rows()
-    _write_csv(out / "trajectory.csv", header, [rows], sha)
+    _write_csv(out / "trajectory.csv", header, rows, sha)
     p_header, p_rows = sol.csv_rows()
-    _write_csv(out / "riccati.csv", p_header, [p_rows], sha)
+    _write_csv(out / "riccati.csv", p_header, p_rows, sha)
 
     value = synthesis.value_from_riccati(spec, sol, alpha, t0, x0)
     cost = synthesis.cost_of_trajectory(spec, traj, alpha, tail_P=sol)
@@ -267,10 +291,10 @@ def _cmd_game(args) -> int:
         {"alpha": val, "reason": reason} for val, reason in sweep.skipped]
     _write_json(out / "game.json", record, sha)
     _write_csv(out / "alpha_star.csv", ["s", "alpha"],
-               [list(zip(solution.alpha_star.nodes,
-                         solution.alpha_star.values))], sha)
+               list(zip(solution.alpha_star.nodes,
+                        solution.alpha_star.values)), sha)
     _write_csv(out / "constant_alpha_sweep.csv", ["alpha", "value"],
-               [sweep.table], sha)
+               sweep.table, sha)
 
     print(f"W={solution.W:.6g} iterations={solution.iterations} "
           f"converged={solution.converged}")
@@ -435,8 +459,9 @@ def _suite_oracle(spec: ProblemSpec, zero: _ZeroPolicySolves, out: Path,
                          u_max=u_max, control_res=res[1], cost_mode="fixed",
                          alpha=alpha)
     table = oracle.brute_force_value(dp)
-    header, blocks = table.csv_blocks()
-    _write_csv(out / "value_table.csv", header, blocks, sha)
+    header, points, blocks = table.csv_blocks()
+    _write_lines(out / "value_table.csv", header,
+                 _value_table_lines(points, blocks), sha)
     v = table.value_at(x0)
     scale = max(1e-12, abs(w_ref))
     above = (v - w_ref) / scale

@@ -50,7 +50,10 @@ class AlphaPolicy:
     Piecewise constant: alpha(s) = values[i] on [nodes[i], nodes[i+1]); after
     the last node the policy takes the value ``tail`` (default 0, which keeps
     b(alpha(.)) integrable on the infinite horizon).  Queries before the first
-    node clamp to values[0].
+    node clamp to values[0].  A time within rounding of a node (16 ulps of the
+    largest node, at most a quarter of the smallest gap) reads that node's
+    value, from either side: a step grid that does not divide the window
+    puts its node times an ulp off the policy's nodes.
     """
 
     nodes: np.ndarray
@@ -66,8 +69,12 @@ class AlphaPolicy:
             raise ValueError("alpha policy nodes/values mismatch")
         if len(nodes) < 1:
             raise ValueError("alpha policy needs at least one node")
-        if len(nodes) > 1 and np.any(np.diff(nodes) <= 0.0):
+        gaps = np.diff(nodes)
+        if np.any(gaps <= 0.0):
             raise ValueError("alpha policy grid must be strictly increasing")
+        snap = 16.0 * np.spacing(np.max(np.abs(nodes)))
+        object.__setattr__(self, "_snap", float(
+            min(snap, 0.25 * np.min(gaps)) if len(gaps) else snap))
         if np.any(values < 0.0) or self.tail < 0.0:
             raise NegativeAlpha("alpha policy values must be nonnegative")
 
@@ -83,9 +90,10 @@ class AlphaPolicy:
     def value(self, s):
         """alpha(s); an array of times gives an array of weights."""
         s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(self.nodes, s, side="right") - 1,
-                      0, len(self.nodes) - 1)
-        return np.where(s > self.nodes[-1], self.tail, self.values[idx])[()]
+        idx = np.clip(np.searchsorted(self.nodes, s + self._snap, side="right")
+                      - 1, 0, len(self.nodes) - 1)
+        return np.where(s > self.nodes[-1] + self._snap, self.tail,
+                        self.values[idx])[()]
 
     def maximum(self) -> float:
         return float(max(np.max(self.values), self.tail))

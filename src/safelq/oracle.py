@@ -13,10 +13,12 @@ true value; it serves as the independent ground truth for the Riccati-based
 values at desk scale (state dimension <= 2).
 
 Each backward step treats all controls at once: the Euler successors of
-every (control, state) pair are located on the lattice as corner indices and
-weights, applied to V(s_{i+1}) as one gather per corner, and reduced by one
-min over controls.  With constant A and B the successors are located once
-per run, otherwise once per step.
+every (control, state) pair are located on the lattice as one sparse
+interpolation operator (a CSR matrix holding each successor's 2**n cell
+corners and weights), applied to V(s_{i+1}) as one sparse product, and
+reduced by one min over controls.  With constant A and B the operator is
+built once per run, otherwise once per step.  ``scipy.sparse`` is imported
+on the first build, not with the package.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -88,53 +91,56 @@ def build_dp(spec: ProblemSpec, t: float, T: float, n_steps: int,
                      controls=controls, cost_mode=cost_mode, alpha=alpha)
 
 
-def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Corners of multilinear interpolation at ``points`` (N, n).
+def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray):
+    """Multilinear interpolation at ``points`` (N, n) as one sparse operator.
 
-    Returns the flat index and weight of each of the 2**n cell corners, both
-    (2**n, N), into the lattice values followed by two sentinels: zero-weight
-    corners (and snapped on-node neighbors) point at 0.0 so they cannot
-    poison, and off-lattice queries point at +inf with weight 1.
+    A CSR matrix of shape (N, lattice + 2): row p holds the 2**n cell
+    corners of point p in corner order (bit d of a corner steps along axis
+    d), so ``op @ [V, 0.0, inf]`` sums them in that order.  The two trailing
+    columns are sentinels: zero-weight corners (and snapped on-node
+    neighbors) point at 0.0 so they cannot poison, and off-lattice queries
+    point at +inf with weight 1.
     """
-    n = len(axes)
-    n_pts = points.shape[0]
+    from scipy.sparse import csr_matrix
+
+    n, n_pts = len(axes), points.shape[0]
     size = int(np.prod([len(ax) for ax in axes]))
-    idx, frac = [], []
     outside = np.zeros(n_pts, dtype=bool)
     snap = 1e-9
-    for d, ax in enumerate(axes):
+    # per axis, last axis first: weights and flat offsets of its two sides
+    sides = []
+    stride = 1
+    for d in reversed(range(n)):
+        ax = axes[d]
         pos = (points[:, d] - ax[0]) / (ax[1] - ax[0])
         outside |= (pos < -snap) | (pos > len(ax) - 1 + snap)
-        i = np.clip(np.floor(pos).astype(int), 0, len(ax) - 2)
+        i = np.clip(np.floor(pos), 0, len(ax) - 2)
         f = np.clip(pos - i, 0.0, 1.0)
-        f = np.where(f < snap, 0.0, np.where(f > 1.0 - snap, 1.0, f))
-        idx.append(i)
-        frac.append(f)
-    flat = np.zeros((1 << n, n_pts), dtype=int)
-    weight = np.ones((1 << n, n_pts))
+        f[f < snap] = 0.0
+        f[f > 1.0 - snap] = 1.0
+        lo = i.astype(np.int32) * np.int32(stride)
+        sides.append((d, (1.0 - f, f), (lo, lo + np.int32(stride))))
+        stride *= len(ax)
+    # rows of 2**n corners, built in the layout and dtype the matrix stores
+    weight = np.empty((n_pts, 1 << n))
+    flat = np.empty((n_pts, 1 << n), dtype=np.int32)
     for corner in range(1 << n):
-        stride = 1
-        for d in reversed(range(n)):
-            bit = (corner >> d) & 1
-            weight[corner] *= frac[d] if bit else (1.0 - frac[d])
-            flat[corner] += (idx[d] + bit) * stride
-            stride *= len(axes[d])
-    flat = np.where(weight > 0.0, flat, size).astype(np.int32)
-    flat[:, outside] = size + 1
-    weight[:, outside] = 1.0
-    return flat, weight
+        picks = [(w[(corner >> d) & 1], c[(corner >> d) & 1])
+                 for d, w, c in sides]
+        weight[:, corner] = reduce(np.multiply, [w for w, _ in picks])
+        flat[:, corner] = reduce(np.add, [c for _, c in picks])
+    flat[~(weight > 0.0)] = size
+    flat[outside] = size + 1
+    weight[outside] = 1.0
+    indptr = np.arange(0, flat.size + 1, flat.shape[1], dtype=np.int32)
+    return csr_matrix((weight.ravel(), flat.ravel(), indptr),
+                      shape=(n_pts, size + 2))
 
 
-def _apply(values: np.ndarray, cells: tuple[np.ndarray, np.ndarray]
-           ) -> np.ndarray:
-    """Interpolate ``values`` on :func:`_locate` corners; +inf off the
-    lattice or where a corner of positive weight is non-finite."""
-    flat, weight = cells
-    ext = np.concatenate([values.ravel(), [0.0, _INF]])
-    out = np.zeros(flat.shape[1])
-    for f, w in zip(flat, weight):
-        out += w * ext.take(f)
+def _apply(values: np.ndarray, op) -> np.ndarray:
+    """Interpolate ``values`` through a :func:`_locate` operator; +inf off
+    the lattice or where a corner of positive weight is non-finite."""
+    out = op @ np.concatenate([values.ravel(), [0.0, _INF]])
     out[~np.isfinite(out)] = _INF
     return out
 
@@ -161,23 +167,26 @@ class ValueTable:
 
     def value_at(self, x: np.ndarray, time_index: int = 0) -> float:
         pt = np.asarray(x, dtype=float)[None, :]
-        cells = _locate(self.dp.state_axes, pt)
-        return float(_apply(self.V[time_index], cells)[0])
+        op = _locate(self.dp.state_axes, pt)
+        return float(_apply(self.V[time_index], op)[0])
 
     def feasible_mask(self, time_index: int = 0) -> np.ndarray:
         return np.isfinite(self.V[time_index])
 
-    def csv_blocks(self) -> tuple[list[str], Iterator[list[list[float]]]]:
-        """Header and the rows of :meth:`csv_rows`, one time node at a time."""
+    def csv_blocks(self) -> tuple[list[str], list[list[float]],
+                                  Iterator[tuple[float, list[float]]]]:
+        """Header, the lattice points and one ``(s, V at the points)`` block
+        per time node: the rows of :meth:`csv_rows`, grouped by node."""
         pts = self.dp.state_points()
         header = ["s"] + [f"x_{i + 1}" for i in range(pts.shape[1])] + ["V"]
-        blocks = (np.column_stack([np.full(len(pts), s), pts, v.ravel()])
-                  .tolist() for s, v in zip(self.time_nodes, self.V))
-        return header, blocks
+        blocks = zip(self.time_nodes.tolist(),
+                     (v.ravel().tolist() for v in self.V))
+        return header, pts.tolist(), blocks
 
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
-        header, blocks = self.csv_blocks()
-        return header, [row for block in blocks for row in block]
+        header, pts, blocks = self.csv_blocks()
+        return header, [[s, *x, v] for s, values in blocks
+                        for x, v in zip(pts, values)]
 
 
 def brute_force_value(dp: DPProblem) -> ValueTable:
@@ -210,15 +219,15 @@ def brute_force_value(dp: DPProblem) -> ValueTable:
                        successors.reshape(-1, states.shape[1]))
 
     autonomous = spec.A.is_constant() and spec.B.is_constant()
-    cells = locate(dp.t) if autonomous else None
+    op = locate(dp.t) if autonomous else None
 
     tables = np.empty((dp.n_steps + 1, len(states)))
     tables[dp.n_steps] = np.where(inside, 0.0, _INF)
     for i in range(dp.n_steps - 1, -1, -1):
         s = float(time_nodes[i])
         if not autonomous:
-            cells = locate(s)
-        cont = _apply(tables[i + 1], cells).reshape(len(dp.controls), -1)
+            op = locate(s)
+        cont = _apply(tables[i + 1], op).reshape(len(dp.controls), -1)
         if dp.cost_mode == "fixed":
             alpha_val = dp.alpha.value(s)
             cost = (spec.q_coeff(s, alpha_val) * g + u_sq

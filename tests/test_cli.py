@@ -388,11 +388,14 @@ class TestDeterminism:
 
 
 class TestValueTableCSV:
-    def test_block_writer_matches_row_format(self, tmp_path, outward_spec):
-        # streaming per time node writes the bytes of the one-list writer
+    def test_block_writer_matches_row_format(self, tmp_path, outward_spec,
+                                             ball2d_spec):
+        # the writer formats each lattice point and time node once; its
+        # bytes are those of formatting every row value by value, also for
+        # -0.0, nan, +-inf and a value repeated across time nodes
         import warnings
         from safelq import oracle
-        from safelq.cli import _write_csv
+        from safelq.cli import _value_table_lines, _write_lines
         from safelq.errors import GridTooCoarseWarning
         dp = oracle.build_dp(outward_spec, 0.0, 4.0, n_steps=6, state_res=9,
                              u_max=0.5, control_res=3, cost_mode="fixed",
@@ -400,13 +403,30 @@ class TestValueTableCSV:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
             table = oracle.brute_force_value(dp)
-        header, blocks = table.csv_blocks()
-        _write_csv(tmp_path / "v.csv", header, blocks, "abc")
         header, rows = table.csv_rows()
         assert math.isinf(rows[0][-1]) and math.isfinite(rows[-1][-1])
-        lines = ["# manifest_sha256=abc", ",".join(header)]
-        lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-        assert (tmp_path / "v.csv").read_text() == "\n".join(lines) + "\n"
+        dp2 = oracle.build_dp(ball2d_spec, 0.0, 1.0, n_steps=2, state_res=3,
+                              u_max=1.0, control_res=3, cost_mode="fixed",
+                              alpha=AlphaPolicy.zero(0.0, 64.0))
+        V = np.array([[[-0.0, 0.0, np.nan], [np.inf, -np.inf, 0.1],
+                       [1e-300, -2.5, 1.0 / 3.0]],
+                      [[0.1, -0.0, 0.0], [np.nan, 0.1, np.inf],
+                       [-np.inf, 1.0 / 3.0, 7.0]],
+                      [[0.0, -0.0, 0.1], [0.1, 0.1, -0.0],
+                       [np.nan, np.inf, 2.0 ** 0.5]]])
+        table2 = oracle.ValueTable(dp=dp2, V=V,
+                                   time_nodes=np.array([0.0, 0.5, 1.0]))
+        for k, tab in enumerate((table, table2)):
+            path = tmp_path / f"v{k}.csv"
+            header, points, blocks = tab.csv_blocks()
+            _write_lines(path, header, _value_table_lines(points, blocks),
+                         "abc")
+            header, rows = tab.csv_rows()
+            lines = ["# manifest_sha256=abc", ",".join(header)]
+            lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+            assert path.read_text() == "\n".join(lines) + "\n"
+        text = path.read_text()
+        assert all(v in text for v in (",-0\n", ",nan\n", ",-inf\n"))
 
 
 class TestHJBSuiteScaling:
@@ -429,14 +449,16 @@ class TestColdStart:
     def test_cli_import_leaves_scipy_optimize_out(self):
         # linprog serves general polytopes only and is imported where they
         # need it; a box reads its bounding box off lo and hi.  The Lyapunov
-        # solver of the algebraic cross-check is imported where it runs.
+        # solver of the algebraic cross-check and the oracle's sparse
+        # interpolation operator are imported where they run.
         src = str(Path(safelq.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, safelq.cli; from safelq.geometry import Box; "
                 "Box([-1.0, 0.0], [1.0, 2.0]); "
                 "print('scipy.optimize' in sys.modules, "
-                "'scipy.linalg' in sys.modules)")
+                "'scipy.linalg' in sys.modules, "
+                "'scipy.sparse' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False False"
+        assert out.stdout.strip() == "False False False"

@@ -11,6 +11,7 @@ from safelq.errors import (ConfigError, DimensionMismatch, GrowthViolation,
                            NonPositiveWeight, NonconformingWeight,
                            NotIntegrable, UnknownVariant)
 from safelq.game import lambda_map
+from safelq.numerics import stage_times
 
 from conftest import load_config
 
@@ -175,6 +176,31 @@ class TestAlphaPolicy:
         assert pol.value(2.5) == 0.0   # tail
         np.testing.assert_array_equal(pol.value(np.array([0.5, 1.5, 9.0])),
                                       [1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("t0, dt", [(0.0, 0.007), (0.3, 0.007),
+                                        (0.0, 0.013), (0.0, 0.01)])
+    def test_seeded_sweep_nodes_read_their_own_node(self, t0, dt):
+        # solve_coupled's policy nodes and its sweep over [t, T_seed]: with
+        # dt 0.007 the sweep's node times sit an ulp below most policy nodes
+        nodes = stage_times(t0, t0 + 16.0, dt)[::2]
+        pol = AlphaPolicy(nodes, np.arange(1.0, len(nodes) + 1.0))
+        T_seed = nodes[-1] + (nodes[-1] - t0) / (len(nodes) - 1)
+        sweep_nodes = stage_times(t0, T_seed, dt)[::2]
+        assert len(sweep_nodes) == len(nodes) + 1
+        np.testing.assert_array_equal(pol.value(sweep_nodes[:-1]), pol.values)
+        assert pol.value(sweep_nodes[-1]) == 0.0
+
+    def test_node_within_rounding_reads_that_node(self):
+        nodes = np.array([0.0, 0.1, 0.3, 16.0])
+        pol = AlphaPolicy(nodes, np.array([1.0, 2.0, 3.0, 4.0]))
+        for k, node in enumerate(nodes):
+            near = [np.nextafter(node, -np.inf), node,
+                    np.nextafter(node, np.inf)]
+            np.testing.assert_array_equal(pol.value(np.array(near)),
+                                          pol.values[k])
+        assert pol.value(np.nextafter(16.0, 17.0)) == 4.0
+        assert pol.value(16.0 + 1e-9) == 0.0    # tail
+        assert pol.value(0.1 - 1e-9) == 1.0     # a real gap is not rounding
 
     def test_integral_exact_piecewise(self):
         pol = AlphaPolicy(np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0, 0.0]))

@@ -96,12 +96,24 @@ def bits(a):
 
 
 # (config, state_res, control_res, n_steps, u_max): an autonomous 2-d demo,
-# a time-varying demo, a non-identity coordinate map and an unstable drift
-# that leaves part of the lattice infeasible
+# a time-varying demo, a non-identity coordinate map, an unstable drift
+# that leaves part of the lattice infeasible, and a 2-d demo with a
+# time-varying A, whose four corners per point are relocated every step
 REFERENCE_GRIDS = [("ball2d_demo.json", 15, 5, 30, 1.5),
                    ("timevarying_demo.json", 61, 11, 60, 2.0),
                    ("cubic_demo.json", 61, 11, 60, 2.0),
-                   ("outward_drift.json", 41, 3, 60, 0.5)]
+                   ("outward_drift.json", 41, 3, 60, 0.5),
+                   ("ball2d_demo.json+sinusoid_A", 15, 3, 30, 1.5)]
+
+
+def reference_spec(name):
+    if name == "ball2d_demo.json+sinusoid_A":
+        cfg = load_config("ball2d_demo.json")
+        cfg["A"] = {"variant": "sinusoid", "params": {
+            "base": [[-1.0, 0.0], [0.0, -1.0]],
+            "amplitude": [[0.4, 0.3], [-0.3, 0.2]], "omega": 1.0}}
+        return build_problem(cfg)
+    return load_spec(name)
 
 
 class TestAgainstReferenceLoop:
@@ -109,7 +121,7 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
     def test_value_tables_bitwise_equal(self, name, res, n_u, steps, u_max,
                                         mode):
-        dp = build_dp(load_spec(name), 0.0, 6.0, n_steps=steps,
+        dp = build_dp(reference_spec(name), 0.0, 6.0, n_steps=steps,
                       state_res=res, u_max=u_max, control_res=n_u,
                       cost_mode=mode, alpha=ALPHA0)
         with warnings.catch_warnings():
@@ -122,7 +134,7 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
     def test_feasible_set_matches_zero_cost_loop(self, name, res, n_u, steps,
                                                  u_max):
-        dp = build_dp(load_spec(name), 0.0, 6.0, n_steps=steps,
+        dp = build_dp(reference_spec(name), 0.0, 6.0, n_steps=steps,
                       state_res=res, u_max=u_max, control_res=n_u,
                       cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
