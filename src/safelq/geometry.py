@@ -4,7 +4,9 @@ Membership, signed boundary margins, normal-cone generators, and
 deterministic quasi-uniform boundary sampling for the supported compact set
 variants: ball, box, polytope (unit outward rows), and smooth sublevel sets
 (ellipsoid).  All "for every boundary point" quantifiers elsewhere in the
-package are discretized through :func:`sample_boundary`.
+package are discretized through :func:`sample_boundary`, which returns one
+stacked :class:`ConeQuery`: every check over the boundary is one array
+expression over its points ``(k, n)`` and their generators ``(k, g, n)``.
 """
 
 from __future__ import annotations
@@ -21,18 +23,17 @@ _DIRECTIONS_SEED = 20240917
 
 @dataclass(frozen=True, eq=False)
 class ConeQuery:
-    """Normal-cone data at a boundary point.
+    """Normal-cone data at boundary points ``points`` (k, n), or (n,).
 
-    ``normals`` holds unit generators of the normal cone (one row for smooth
-    points, one per active constraint at corners).  ``margin(v)`` is positive
-    iff v points strictly inward with respect to every generator; at corners
-    the margin is the minimum over generators.  Stacked vectors (..., n) give
-    one margin each.
+    ``normals`` (k, g, n), or (g, n), holds unit generators of each point's
+    normal cone: one at smooth points, one per active constraint at corners,
+    g the largest count.  A point with fewer generators repeats its first
+    one, which leaves every minimum over generators unchanged.  ``margin(v)``
+    for v (..., k, n) is positive iff v points strictly inward at its point.
     """
 
-    point: np.ndarray
+    points: np.ndarray
     normals: np.ndarray
-    active: tuple[int, ...] = ()
 
     def margin(self, v: np.ndarray):
         return np.min(matvec(-self.normals, v), axis=-1)[()]
@@ -69,17 +70,32 @@ class ConstraintSet:
     def tol_active(self) -> float:
         return 1e-9 * self.bounding_radius()
 
-    def normal_generators(self, x) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Unit normal generators and active-constraint indices at x."""
+    def normal_generators(self, x) -> np.ndarray:
+        """Unit generators (..., g, n) at points (..., n), padded as in
+        :class:`ConeQuery`."""
         raise NotImplementedError
 
     def cone_query(self, x) -> ConeQuery:
         x = np.asarray(x, dtype=float)
-        normals, active = self.normal_generators(x)
-        return ConeQuery(point=x, normals=normals, active=active)
+        return ConeQuery(points=x, normals=self.normal_generators(x))
 
-    def sample_boundary(self, density: int) -> list[ConeQuery]:
+    def sample_boundary(self, density: int) -> ConeQuery:
         raise NotImplementedError
+
+
+def _unit_rows(d: np.ndarray, where: str) -> np.ndarray:
+    """Rows of d (..., n) scaled to unit length, as one-generator cones."""
+    nrm = np.sqrt(np.vecdot(d, d))
+    if np.any(nrm == 0.0):
+        raise ValueError(f"normal cone queried at the {where} center")
+    return (d / nrm[..., None])[..., None, :]
+
+
+def _first_unique(points: np.ndarray) -> np.ndarray:
+    """Rows of points (k, n) in order, without the later ones that equal an
+    earlier row after rounding to 12 decimals."""
+    _, first = np.unique(np.round(points, 12), axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 def _unit_directions(dim: int, count: int) -> np.ndarray:
@@ -127,15 +143,11 @@ class Ball(ConstraintSet):
         return self.center.copy()
 
     def normal_generators(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            raise ValueError("normal cone queried at the ball center")
-        return (d / nrm)[None, :], ()
+        return _unit_rows(np.asarray(x, dtype=float) - self.center, "ball")
 
     def sample_boundary(self, density):
         dirs = _unit_directions(self.dim, density)
-        return [self.cone_query(self.center + self.radius * d) for d in dirs]
+        return self.cone_query(self.center + self.radius * dirs)
 
 
 class Polytope(ConstraintSet):
@@ -209,27 +221,25 @@ class Polytope(ConstraintSet):
         return self._interior.copy()
 
     def normal_generators(self, x):
-        resid = self.a @ np.asarray(x, dtype=float) - self.c
-        active = tuple(int(i) for i in np.nonzero(resid >= -self.tol_active)[0])
-        if not active:
+        active = matvec(self.a, x) - self.c >= -self.tol_active
+        count = np.count_nonzero(active, axis=-1)
+        if np.any(count == 0):
             raise ValueError("normal cone queried at an interior point")
-        return self.a[list(active)], active
+        # active rows first, in index order; pad with the first one
+        rows = np.argsort(~active, axis=-1, kind="stable")[..., :np.max(count)]
+        rows = np.where(np.arange(rows.shape[-1]) < count[..., None],
+                        rows, rows[..., :1])
+        return self.a[rows]
 
     def _vertices_2d(self) -> np.ndarray:
-        pts = []
-        k = len(self.c)
-        for i in range(k):
-            for j in range(i + 1, k):
-                m = np.array([self.a[i], self.a[j]])
-                if abs(np.linalg.det(m)) < 1e-12:
-                    continue
-                v = np.linalg.solve(m, np.array([self.c[i], self.c[j]]))
-                if np.max(self.a @ v - self.c) <= 1e-9:
-                    pts.append(v)
-        uniq: dict[tuple, np.ndarray] = {}
-        for v in pts:
-            uniq[tuple(np.round(v, 12))] = v
-        verts = np.array(list(uniq.values()))
+        # the feasible intersections of all pairs of lines, in pair order
+        i, j = np.triu_indices(len(self.c), 1)
+        m = np.stack([self.a[i], self.a[j]], axis=1)
+        ok = np.abs(np.linalg.det(m)) >= 1e-12
+        pts = np.linalg.solve(m[ok], np.stack([self.c[i], self.c[j]],
+                                              axis=1)[ok, :, None])[..., 0]
+        verts = _first_unique(
+            pts[np.max(matvec(self.a, pts) - self.c, axis=-1) <= 1e-9])
         center = self._interior
         order = np.argsort(np.arctan2(verts[:, 1] - center[1],
                                       verts[:, 0] - center[0]))
@@ -238,20 +248,17 @@ class Polytope(ConstraintSet):
     def sample_boundary(self, density):
         if self.dim == 1:
             # one-dimensional polytope is an interval
-            lo, hi = self._bbox
-            return [self.cone_query(np.array([lo[0]])),
-                    self.cone_query(np.array([hi[0]]))]
+            return self.cone_query(np.array(self._bbox))
         if self.dim != 2:
             raise UnsupportedVariant(
                 "polytope boundary sampling implemented for dim <= 2")
-        verts = self._vertices_2d()
-        m = max(2, int(density))
-        points = []
-        for i in range(len(verts)):
-            v0, v1 = verts[i], verts[(i + 1) % len(verts)]
-            for theta in np.linspace(0.0, 1.0, m, endpoint=False):
-                points.append((1.0 - theta) * v0 + theta * v1)
-        return [self.cone_query(p) for p in points]
+        v0 = self._vertices_2d()[:, None, :]
+        v1 = np.roll(v0, -1, axis=0)
+        theta = np.linspace(0.0, 1.0, max(2, int(density)),
+                            endpoint=False)[:, None]
+        # edge by edge, each from its first vertex on
+        points = (1.0 - theta) * v0 + theta * v1
+        return self.cone_query(points.reshape(-1, 2))
 
 
 class Box(Polytope):
@@ -278,24 +285,21 @@ class Box(Polytope):
 
     def sample_boundary(self, density):
         n = self.dim
-        m = max(2, int(density))
         if n == 1:
-            pts = [np.array([self.lo[0]]), np.array([self.hi[0]])]
-        else:
-            axes = [np.linspace(self.lo[i], self.hi[i], m) for i in range(n)]
-            pts_map: dict[tuple, np.ndarray] = {}
-            for face_axis in range(n):
-                rest = [axes[i] for i in range(n) if i != face_axis]
-                mesh = np.meshgrid(*rest, indexing="ij")
-                coords = np.stack([g.ravel() for g in mesh], axis=1)
-                for bound in (self.lo[face_axis], self.hi[face_axis]):
-                    for row in coords:
-                        p = np.empty(n)
-                        p[face_axis] = bound
-                        p[[i for i in range(n) if i != face_axis]] = row
-                        pts_map[tuple(np.round(p, 12))] = p
-            pts = list(pts_map.values())
-        return [self.cone_query(p) for p in pts]
+            return self.cone_query(np.array([self.lo, self.hi]))
+        axes = [np.linspace(self.lo[i], self.hi[i], max(2, int(density)))
+                for i in range(n)]
+        faces = []
+        for face_axis in range(n):
+            rest = [i for i in range(n) if i != face_axis]
+            mesh = np.meshgrid(*(axes[i] for i in rest), indexing="ij")
+            for bound in (self.lo[face_axis], self.hi[face_axis]):
+                face = np.empty((mesh[0].size, n))
+                face[:, face_axis] = bound
+                face[:, rest] = np.stack([g.ravel() for g in mesh], axis=1)
+                faces.append(face)
+        # faces share their edges; keep each point where it first appears
+        return self.cone_query(_first_unique(np.concatenate(faces)))
 
 
 class Ellipsoid(ConstraintSet):
@@ -326,19 +330,16 @@ class Ellipsoid(ConstraintSet):
 
     def normal_generators(self, x):
         # gradient of the defining function, normalized
-        g = self.weights * (np.asarray(x, dtype=float) - self.center)
-        nrm = np.linalg.norm(g)
-        if nrm == 0.0:
-            raise ValueError("normal cone queried at the ellipsoid center")
-        return (g / nrm)[None, :], ()
+        return _unit_rows(self.weights * (np.asarray(x, dtype=float)
+                                          - self.center), "ellipsoid")
 
     def sample_boundary(self, density):
         dirs = _unit_directions(self.dim, density)
-        return [self.cone_query(self.center + self.semi_axes * d) for d in dirs]
+        return self.cone_query(self.center + self.semi_axes * dirs)
 
 
-def sample_boundary(omega: ConstraintSet, density: int) -> list[ConeQuery]:
-    """Deterministic quasi-uniform boundary sample with cone data per point."""
+def sample_boundary(omega: ConstraintSet, density: int) -> ConeQuery:
+    """Deterministic quasi-uniform boundary sample, one stacked ConeQuery."""
     if density <= 0:
         raise ValueError("density must be positive")
     return omega.sample_boundary(density)

@@ -36,20 +36,26 @@ def _control_grid(m: int, u_max: float, per_axis: int) -> np.ndarray:
     return np.array(list(itertools.product(*axes)))
 
 
-def check_base_ipc(spec: ProblemSpec, s: float, x: np.ndarray,
-                   u_max: float = 4.0, per_axis: int = 41) -> float:
-    """Best interior-tangent margin of f(s, x, u) over a bounded control grid.
+def check_base_ipc(spec: ProblemSpec, s: float, points: np.ndarray,
+                   u_max: float = 4.0, per_axis: int = 41):
+    """Best interior-tangent margin of f(s, x, u) over a bounded control grid,
+    one per boundary point of the stack ``points`` (..., n).
 
-    Positive means some admissible velocity points strictly inward at the
-    boundary point x; nonpositive is a valid negative answer.
+    Positive means some admissible velocity points strictly inward at that
+    point; nonpositive is a valid negative answer.
     """
-    x = np.asarray(x, dtype=float)
-    if abs(spec.omega.boundary_margin(x)) > 1e-6 * (1.0 + spec.omega.bounding_radius()):
+    x = np.asarray(points, dtype=float)
+    omega = spec.omega
+    # not (|margin| <= tol), so that a NaN point fails too
+    if not np.all(np.abs(omega.boundary_margin(x))
+                  <= 1e-6 * (1.0 + omega.bounding_radius())):
         raise ValueError("base IPC must be queried on the boundary")
-    cq = spec.omega.cone_query(x)
     per_axis = per_axis if spec.dim_control == 1 else min(per_axis, 9)
     controls = _control_grid(spec.dim_control, u_max, per_axis)
-    return float(np.max(cq.margin(eval_dynamics(spec, s, x, controls))))
+    # velocities[control, ..., point]: every control at every point
+    velocities = eval_dynamics(
+        spec, s, x, np.expand_dims(controls, tuple(range(1, x.ndim))))
+    return np.max(omega.cone_query(x).margin(velocities), axis=0)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +82,7 @@ class IPCReport:
 
 def check_ipc_riccati(spec: ProblemSpec, P: RiccatiSolution,
                       time_samples: np.ndarray,
-                      boundary_samples: list[ConeQuery],
+                      boundary_samples: ConeQuery,
                       density: int | None = None) -> IPCReport:
     """Closed-loop inward-pointing margins for the feedback Gamma(s).
 
@@ -86,20 +92,15 @@ def check_ipc_riccati(spec: ProblemSpec, P: RiccatiSolution,
     """
     time_samples = np.asarray(time_samples, dtype=float)
     gammas = gamma_matrices(spec, P, time_samples)
-    # margins[time, point]: each point's h(x) and grad_h(x)^T are applied
-    # once, to all time samples
-    margins = np.column_stack([
-        cq.margin(spec.h.apply_jacobian_t(
-            cq.point, matvec(gammas, spec.h.forward(cq.point))))
-        for cq in boundary_samples])
+    x = boundary_samples.points
+    # margins[time, point]
+    margins = boundary_samples.margin(spec.h.apply_jacobian_t(
+        x, matvec(gammas[:, None], spec.h.forward(x))))
     # the first worst sample in time-major order
     k_s, k_x = np.unravel_index(np.argmin(margins), margins.shape)
-    worst = margins[k_s, k_x]
-    wit_s = float(time_samples[k_s])
-    wit_x = boundary_samples[k_x].point
-    return IPCReport(worst_margin=float(worst), witness_s=wit_s, witness_x=wit_x,
-                     n_samples=len(time_samples) * len(boundary_samples),
-                     density=density)
+    return IPCReport(worst_margin=float(margins[k_s, k_x]),
+                     witness_s=float(time_samples[k_s]), witness_x=x[k_x],
+                     n_samples=margins.size, density=density)
 
 
 @dataclass(frozen=True)
@@ -148,28 +149,22 @@ def geometric_condition(spec: ProblemSpec, delta: float,
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     samples = sample_boundary(spec.omega, density)
-    sqrt_d = np.sqrt(delta)
-    raw_worst = np.inf
-    q_max = -np.inf
-    theta = 0.0
-    for cq in samples:
-        x = cq.point
-        hx = spec.h.forward(x)
-        jt_hx = spec.h.apply_jacobian_t(x, hx)
-        for n_vec in cq.normals:
-            slack = delta - float(np.linalg.norm(jt_hx - delta * n_vec))
-            raw_worst = min(raw_worst, slack)
-            w = spec.h.apply_jacobian_inv_t(x, n_vec) / sqrt_d
-            w_norm = float(np.linalg.norm(w))
-            gap = float(np.linalg.norm(sqrt_d * hx - w))
-            q_max = max(q_max, w_norm * gap - w_norm**2)
-            theta = max(theta, w_norm * gap)
+    # [point, generator]; a padded generator repeats its point's first one
+    x = samples.points[:, None, :]
+    hx = spec.h.forward(x)
+    d = spec.h.apply_jacobian_t(x, hx) - delta * samples.normals
+    raw_worst = np.min(delta - np.sqrt(np.vecdot(d, d)))
+    w = spec.h.apply_jacobian_inv_t(x, samples.normals) / np.sqrt(delta)
+    w_norm = np.sqrt(np.vecdot(w, w))
+    gap = np.sqrt(delta) * hx - w
+    product = w_norm * np.sqrt(np.vecdot(gap, gap))
+    rho = -np.max(product - w_norm**2)
     raw_holds = raw_worst > 0.0
-    rho = -q_max
     return GeometricReport(holds=bool(raw_holds and rho > 0.0), rho=float(rho),
-                           theta=float(theta), raw_holds=bool(raw_holds),
+                           theta=float(np.max(product)),
+                           raw_holds=bool(raw_holds),
                            raw_worst_slack=float(raw_worst), delta=delta,
-                           n_samples=len(samples))
+                           n_samples=len(samples.points))
 
 
 def gamma_bar(spec: ProblemSpec, alpha: AlphaPolicy, rho: float,

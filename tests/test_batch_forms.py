@@ -5,9 +5,10 @@ time gives a numpy scalar back."""
 import numpy as np
 import pytest
 
-from safelq import (AlphaPolicy, Ellipsoid, Polytope, build_problem,
-                    eval_dynamics, eval_lagrangian, eval_sup_lagrangian,
-                    integrate_ode, sample_boundary, solve_finite_horizon)
+from safelq import (AlphaPolicy, ConeQuery, Ellipsoid, Polytope,
+                    build_problem, eval_dynamics, eval_lagrangian,
+                    eval_sup_lagrangian, integrate_ode, sample_boundary,
+                    solve_finite_horizon)
 from safelq.game import lambda_map
 from safelq.geometry import Ball, Box
 from safelq.model import _sup_alpha_gain
@@ -212,7 +213,12 @@ class TestGeometry:
 
     @pytest.mark.parametrize("name", ["ellipsoid2", "polytope", "ball", "box"])
     def test_cone_margin(self, name):
-        vs = _states(2)
-        for cq in sample_boundary(OMEGAS[name], 16):
-            assert_rows_equal(cq.margin(vs), [cq.margin(v) for v in vs])
-            assert type(cq.margin(vs[0])) is np.float64
+        # margins[row, point] against one point and one row at a time, from
+        # the same (padded) generators
+        samples = sample_boundary(OMEGAS[name], 16)
+        vs = _states(2)[:, None, :]
+        one = [ConeQuery(x, normals) for x, normals in
+               zip(samples.points, samples.normals)]
+        assert_rows_equal(samples.margin(vs),
+                          [[cq.margin(v[0]) for cq in one] for v in vs])
+        assert type(one[0].margin(vs[0, 0])) is np.float64

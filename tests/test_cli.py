@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import safelq
-from safelq import AlphaPolicy, riccati
+from safelq import AlphaPolicy, ConeQuery, cli, riccati
 from safelq.cli import main
 
 from conftest import CONFIG_DIR, load_config, load_spec
@@ -318,6 +318,20 @@ class TestVerifyCommand:
                      "--out", str(tmp_path), "verify", "--suite", "all"])
         assert code == 0
         assert calls[0] <= 11
+
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    def test_polar_duality_sees_flipped_normals(self, tmp_path, monkeypatch,
+                                                flip):
+        # every normal turned inward must fail the duality check
+        sample = cli.sample_boundary
+        monkeypatch.setattr(cli, "sample_boundary", lambda omega, density:
+                            ConeQuery(sample(omega, density).points,
+                                      flip * sample(omega, density).normals))
+        main(["--config", str(CONFIG_DIR / "ball2d_demo.json"),
+              "--out", str(tmp_path), "verify", "--suite", "ipc"])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        checks = {c["check"]: c for c in report["suites"]["ipc"]}
+        assert checks["cone_polar_duality"]["passed"] is (flip > 0.0)
 
     def test_single_suite_selectable(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),

@@ -49,12 +49,24 @@ class TestBaseIPC:
         assert margin <= 0.0
 
     def test_full_rank_control_always_inward(self, ball2d_spec):
-        for cq in sample_boundary(ball2d_spec.omega, 16):
-            assert check_base_ipc(ball2d_spec, 0.0, cq.point, u_max=4.0) > 0.0
+        samples = sample_boundary(ball2d_spec.omega, 16)
+        margins = check_base_ipc(ball2d_spec, 0.0, samples.points, u_max=4.0)
+        assert margins.shape == (16,)
+        assert np.all(margins > 0.0)
 
     def test_requires_boundary_point(self, scalar_spec):
         with pytest.raises(ValueError):
             check_base_ipc(scalar_spec, 0.0, np.array([0.2]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.2, 0.1]])
+    def test_stack_with_one_point_off_the_boundary_rejected(self, ball2d_spec,
+                                                            bad):
+        points = sample_boundary(ball2d_spec.omega, 8).points.copy()
+        points[3] = bad
+        with pytest.raises(ValueError):
+            check_base_ipc(ball2d_spec, 0.0, points)
+        with pytest.raises(ValueError):
+            check_base_ipc(ball2d_spec, 0.0, points[3])
 
 
 class TestRiccatiIPC:
@@ -224,15 +236,33 @@ def reference_base_ipc(spec, s, x, u_max=4.0, per_axis=41):
     return float(best)
 
 
-def reference_ipc_riccati(spec, P, times, samples):
-    worst, wit_s, wit_x = np.inf, float(times[0]), samples[0].point
+def reference_ipc_riccati(spec, P, times, points):
+    worst, wit_s, wit_x = np.inf, float(times[0]), points[0]
     for s, gamma in zip(times, gamma_matrices(spec, P, times)):
-        for cq in samples:
-            hx = spec.h.forward(cq.point)
-            margin = cq.margin(spec.h.apply_jacobian_t(cq.point, gamma @ hx))
+        for x in points:
+            cq = spec.omega.cone_query(x)
+            hx = spec.h.forward(x)
+            margin = cq.margin(spec.h.apply_jacobian_t(x, gamma @ hx))
             if margin < worst:
-                worst, wit_s, wit_x = margin, float(s), cq.point
+                worst, wit_s, wit_x = margin, float(s), x
     return worst, wit_s, wit_x
+
+
+def reference_geometric(spec, delta, density):
+    sqrt_d = np.sqrt(delta)
+    raw_worst, q_max, theta = np.inf, -np.inf, 0.0
+    for x in sample_boundary(spec.omega, density).points:
+        hx = spec.h.forward(x)
+        jt_hx = spec.h.apply_jacobian_t(x, hx)
+        for n_vec in spec.omega.cone_query(x).normals:
+            slack = delta - float(np.linalg.norm(jt_hx - delta * n_vec))
+            raw_worst = min(raw_worst, slack)
+            w = spec.h.apply_jacobian_inv_t(x, n_vec) / sqrt_d
+            w_norm = float(np.linalg.norm(w))
+            gap = float(np.linalg.norm(sqrt_d * hx - w))
+            q_max = max(q_max, w_norm * gap - w_norm**2)
+            theta = max(theta, w_norm * gap)
+    return raw_worst, -q_max, theta
 
 
 def linear_box_config():
@@ -248,18 +278,50 @@ def linear_box_config():
     return cfg
 
 
+def ellipsoid_config():
+    """Odd cubic h on an ellipsoid: smooth boundary, non-identity map."""
+    cfg = linear_box_config()
+    cfg["h"] = {"variant": "odd_cubic", "params": {"beta": 0.7}}
+    cfg["omega"] = {"variant": "ellipsoid",
+                    "params": {"center": [0.1, -0.2], "weights": [1.5, 0.6]}}
+    return cfg
+
+
+def oblique_polytope_config():
+    """Linear h on a polytope with oblique faces: corners carry two normals,
+    face points one."""
+    cfg = linear_box_config()
+    cfg["omega"] = {"variant": "polytope",
+                    "params": {"normals": [[1.0, 0.3], [-0.4, 1.0],
+                                           [-1.0, -0.7], [0.2, -1.0]],
+                               "offsets": [1.0, 1.2, 0.9, 1.1]}}
+    return cfg
+
+
+def assert_within_ulps(got, want, ulps):
+    np.testing.assert_array_max_ulp(np.float64(got), np.float64(want), ulps)
+
+
 class TestAgainstPerSampleLoop:
     SPECS = {"ball2d": lambda: build_problem(load_config("ball2d_demo.json")),
              "cubic": lambda: build_problem(load_config("cubic_demo.json")),
              "rotational": lambda: build_problem(rotational_config()),
-             "linear_box": lambda: build_problem(linear_box_config())}
+             "linear_box": lambda: build_problem(linear_box_config()),
+             "ellipsoid": lambda: build_problem(ellipsoid_config()),
+             "oblique_polytope":
+                 lambda: build_problem(oblique_polytope_config())}
+    # The stack pads a face point's one generator to the corners' two, so
+    # its margins come from a (2, n) matmul where the per-point loop used a
+    # (1, n) one; on oblique rows the two round up to one ulp apart.
+    ULPS = {"oblique_polytope": 1}
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_base_ipc_bitwise(self, name):
         spec = self.SPECS[name]()
-        for cq in sample_boundary(spec.omega, 16):
-            got = check_base_ipc(spec, 0.3, cq.point)
-            assert got == reference_base_ipc(spec, 0.3, cq.point)
+        points = sample_boundary(spec.omega, 16).points
+        got = check_base_ipc(spec, 0.3, points)
+        want = [reference_base_ipc(spec, 0.3, x) for x in points]
+        assert_within_ulps(got, want, self.ULPS.get(name, 0))
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_riccati_ipc_bitwise_with_witness(self, name):
@@ -268,8 +330,19 @@ class TestAgainstPerSampleLoop:
         times = np.linspace(0.0, 2.0, 7)
         samples = sample_boundary(spec.omega, 24)
         rep = check_ipc_riccati(spec, sol, times, samples)
-        worst, wit_s, wit_x = reference_ipc_riccati(spec, sol, times, samples)
-        assert np.float64(rep.worst_margin).view(np.uint64) == \
-            np.float64(worst).view(np.uint64)
+        worst, wit_s, wit_x = reference_ipc_riccati(spec, sol, times,
+                                                    samples.points)
+        assert_within_ulps(rep.worst_margin, worst, self.ULPS.get(name, 0))
         assert rep.witness_s == wit_s
-        assert rep.witness_x is wit_x
+        np.testing.assert_array_equal(rep.witness_x.view(np.uint64),
+                                      wit_x.view(np.uint64))
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    @pytest.mark.parametrize("delta", [0.4, 1.0, 1.7])
+    def test_geometric_condition_bitwise(self, name, delta):
+        spec = self.SPECS[name]()
+        rep = geometric_condition(spec, delta, density=24)
+        got = (rep.raw_worst_slack, rep.rho, rep.theta)
+        want = reference_geometric(spec, delta, 24)
+        np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                      np.array(want).view(np.uint64))
