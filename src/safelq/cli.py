@@ -156,6 +156,8 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
                                   f"expected 's,alpha' numbers, got {line!r}")
             nodes.append(s_val)
             values.append(a_val)
+        _require(np.all(np.isfinite(nodes + values)),
+                 f"--alpha file {path}: entries must be finite")
         try:
             return AlphaPolicy(np.array(nodes), np.array(values))
         except ValueError as exc:
@@ -164,6 +166,7 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
         value = float(flag)
     except ValueError:
         raise ConfigError(f"--alpha must be a number or a CSV file: {flag!r}")
+    _require(np.isfinite(value), f"--alpha must be finite: {flag!r}")
     return AlphaPolicy.constant(value, t0, spec.grid.t_max)
 
 
@@ -277,7 +280,8 @@ def _cmd_game(args) -> int:
         raise ConfigError("--x0 lies outside the constraint set")
     _require(args.tol > 0.0, "--tol must be positive")
     _require(0.0 < args.relaxation <= 1.0, "--relaxation must lie in (0, 1]")
-    _require(args.alpha_max >= 0.0, "--alpha-max must not be negative")
+    _require(0.0 <= args.alpha_max < np.inf,
+             "--alpha-max must be finite and not negative")
     _require(args.alpha_points >= 1, "--alpha-points must be at least 1")
     _require(args.max_iter >= 1, "--max-iter must be at least 1")
 
@@ -285,7 +289,8 @@ def _cmd_game(args) -> int:
                                   max_iter=args.max_iter,
                                   relaxation=args.relaxation)
     grid = np.linspace(0.0, args.alpha_max, args.alpha_points)
-    sweep = game.sup_over_constant_alpha(spec, t0, x0, grid)
+    sweep = game.sup_over_constant_alpha(spec, t0, x0, grid,
+                                         tail=solution.tail)
     record = solution.to_dict()
     record["skipped_constant_policies"] = [
         {"alpha": val, "reason": reason} for val, reason in sweep.skipped]

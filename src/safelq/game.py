@@ -10,9 +10,10 @@ approached from below by constant-policy sweeps and computed by an
 Anderson-accelerated relaxed Picard iteration on the coupled (P, xi, alpha)
 system: each pass solves the stabilizing Riccati equation for the current
 alpha, simulates its closed loop, and re-samples alpha from Lambda along the
-trajectory.  Every policy of the iteration is zero beyond the simulation
-window, so the stabilizing P there is the same for all of them: it is solved
-once, by horizon doubling, and each pass sweeps only the window back from it.
+trajectory.  Every policy of the iteration, and every constant one, is zero
+beyond the simulation window, so the stabilizing P there is the same for all
+of them: it is solved once, by horizon doubling, and each policy sweeps only
+the window back from it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SafeLQError
+from .errors import NonFiniteState
 from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
 from .numerics import stage_times
-from .riccati import (RiccatiSolution, _stabilizing_lanes, solve_from_tail,
+from .riccati import (RiccatiSolution, _sweep_from_tail, solve_from_tail,
                       solve_stabilizing)
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
@@ -92,26 +93,41 @@ class ConstantAlphaSweep:
     skipped: tuple[tuple[float, str], ...]  # (alpha, why its solve failed)
 
 
+def _game_window(spec: ProblemSpec, t: float, riccati_tol: float = 1e-8
+                 ) -> tuple[float, np.ndarray, RiccatiSolution]:
+    """The window's end T_sim = t + min(16, t_max - t), its policy nodes,
+    and the stabilizing P at T_seed = T_sim + h: every policy on the nodes
+    is zero from T_seed on (the step that ends at T_sim still reads alpha
+    there), so this one tail serves them all."""
+    T_sim = t + min(16.0, spec.grid.t_max - t)
+    nodes = stage_times(t, T_sim, spec.grid.dt)[::2]
+    T_seed = T_sim + (T_sim - t) / (len(nodes) - 1)
+    tail = solve_stabilizing(spec, AlphaPolicy.zero(t, T_seed), T_seed, T_seed,
+                             tol=riccati_tol)
+    return T_sim, nodes, tail
+
+
 def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
-                            alpha_grid, support_horizon: float | None = None
+                            alpha_grid, tail: RiccatiSolution | None = None
                             ) -> ConstantAlphaSweep:
     """Evaluate W^alpha for each constant policy on the grid and keep the max.
 
-    Each policy holds its value on [t, t + support window] and is zero
-    afterwards, so the b-integral stays finite.  The max is a certified lower
-    bound on the supremum over all measurable policies.  Policies whose
-    stabilizing solve fails (no convergence, or a sweep that escapes) are
-    skipped with a warning and scored -inf.
+    Each policy holds its value on [t, T_sim], T_sim the node one step before
+    ``tail.t_start`` (by default the game window's tail), and is zero
+    afterwards, as the coupled iteration's policies are; each is swept back
+    from the tail's P.  The max is a certified lower bound on the supremum
+    over all measurable policies.  Policies whose sweep escapes are skipped
+    with a warning and scored -inf.
     """
-    support = (spec.grid.t_max - t if support_horizon is None
-               else support_horizon)
-    policies = [AlphaPolicy.constant(float(val), t, t + support)
+    if tail is None:
+        _, _, tail = _game_window(spec, t)
+    T_sim = stage_times(t, tail.t_start, spec.grid.dt)[-3]
+    policies = [AlphaPolicy.constant(float(val), t, T_sim)
                 for val in alpha_grid]
-    solutions = _stabilizing_lanes(spec, policies, t, t)
-    table = []
-    skipped = []
-    for val, policy, sol in zip(alpha_grid, policies, solutions):
-        if isinstance(sol, SafeLQError):
+    table, skipped = [], []
+    for val, policy, sol in zip(alpha_grid, policies,
+                                _sweep_from_tail(spec, policies, t, tail)):
+        if isinstance(sol, NonFiniteState):
             warnings.warn(f"constant alpha={val}: {sol}")
             skipped.append((float(val), str(sol)))
             w = -np.inf
@@ -142,6 +158,7 @@ class GameSolution:
     converged: bool
     update_norm_history: tuple[float, ...]
     mixed_steps: int
+    tail: RiccatiSolution   # the policy-free tail all policies sweep back from
 
     def to_dict(self) -> dict:
         return {"W": self.W, "iterations": self.iterations,
@@ -154,7 +171,7 @@ class GameSolution:
                 "exit_time": (float(self.xi_star.exit_time)
                               if self.xi_star.exited else None),
                 "alpha_star": [float(v) for v in self.alpha_star.values],
-                "tail_certificate": self.P_star.certificate.to_dict()}
+                "tail_certificate": self.tail.certificate.to_dict()}
 
 
 def _anderson_step(history: list, g: np.ndarray, f: np.ndarray
@@ -212,16 +229,8 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if not spec.omega.contains(x0, tol=1e-9):
         raise ValueError("initial state is outside the constraint set")
-    T_sim = t + min(16.0, spec.grid.t_max - t)
-    riccati_tol = min(1e-8, 0.01 * tol)
-
-    nodes = stage_times(t, T_sim, spec.grid.dt)[::2]
+    T_sim, nodes, tail = _game_window(spec, t, min(1e-8, 0.01 * tol))
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
-    # every policy on these nodes is zero from one step past T_sim on (the
-    # step that ends at T_sim still reads alpha there)
-    T_seed = T_sim + (T_sim - t) / (len(nodes) - 1)
-    tail = solve_stabilizing(spec, AlphaPolicy.zero(t, T_seed), T_seed, T_seed,
-                             tol=riccati_tol)
 
     update_norm = np.inf
     norms: list[float] = []
@@ -252,4 +261,4 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
                         W=float(w), iterations=iterations,
                         alpha_update_norm=update_norm, converged=converged,
                         update_norm_history=tuple(norms),
-                        mixed_steps=mixed_steps)
+                        mixed_steps=mixed_steps, tail=tail)

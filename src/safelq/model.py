@@ -70,7 +70,7 @@ class AlphaPolicy:
         if len(nodes) < 1:
             raise ValueError("alpha policy needs at least one node")
         gaps = np.diff(nodes)
-        if np.any(gaps <= 0.0):
+        if not np.all(gaps > 0.0):     # NaN-proof
             raise ValueError("alpha policy grid must be strictly increasing")
         snap = 16.0 * np.spacing(np.max(np.abs(nodes)))
         object.__setattr__(self, "_snap", float(

@@ -17,13 +17,12 @@ below tolerance (relative to |P| once |P| exceeds 1).  A Newton-Kleinman
 algebraic solve provides an independent cross-check for constant
 coefficients.
 
-A sweep integrates several weight policies at once, as lanes of stacked
-(lanes, n, n) states sharing A and S = B R^{-1} B^T; stacked matmul works
-per matrix, so each lane is bit for bit a sweep of its own.  The game's
-constant policies share every sweep: horizons do not depend on the policy.
 A sweep may also start from a given terminal value (:func:`solve_from_tail`):
-the coupled game solves the policy-free tail beyond its simulation window
-once, by doubling, and sweeps each pass's policy back from it.
+the game solves the policy-free tail beyond its simulation window once, by
+doubling, and sweeps each policy back from it, several policies as lanes of
+stacked (lanes, n, n) states sharing A and S = B R^{-1} B^T.  Stacked matmul
+works per matrix, so each lane is bit for bit a sweep of its own, and the
+one-policy doubling is the reference the tail's lanes are tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, NoConvergence, NonFiniteState,
-                     NotStabilizable, OutOfGrid, SafeLQError)
+                     NotStabilizable, OutOfGrid)
 from .model import AlphaPolicy, ProblemSpec
 from .numerics import SampledPath, _rk4, stage_times, sym
 
@@ -68,7 +67,6 @@ class RiccatiSolution:
     dP: np.ndarray
     kind: str
     alpha: AlphaPolicy
-    horizon: float | None = None
     certificate: ConvergenceCertificate | None = None
 
     @property
@@ -158,6 +156,13 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     return node_times, p_desc, dp_desc, errors
 
 
+def _ascending(node_times, p, dp, lane: int, **fields) -> RiccatiSolution:
+    """One lane of descending :func:`_sweep` arrays, on the ascending grid."""
+    return RiccatiSolution(nodes=node_times[::-1].copy(),
+                           P=p[::-1, lane].copy(), dP=dp[::-1, lane].copy(),
+                           **fields)
+
+
 def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                          T: float, dt: float | None = None) -> RiccatiSolution:
     """Finite-horizon sweep with zero terminal condition on [t, T]."""
@@ -165,9 +170,29 @@ def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     nodes, p, dp, (error,) = _sweep(spec, [alpha], t, T, dt)
     if error is not None:
         raise error
-    return RiccatiSolution(nodes=nodes[::-1].copy(), P=p[::-1, 0].copy(),
-                           dP=dp[::-1, 0].copy(), kind="finite_horizon",
-                           alpha=alpha, horizon=T)
+    return _ascending(nodes, p, dp, 0, kind="finite_horizon", alpha=alpha)
+
+
+# lanes per sweep back from a tail: a sweep's (nodes, lanes, n, n) arrays are
+# freed before the next chunk's sweep starts, so the peak memory does not
+# grow with the number of policies
+_TAIL_LANES = 6
+
+
+def _sweep_from_tail(spec: ProblemSpec, alphas, t: float,
+                     tail: RiccatiSolution):
+    """Per policy, in order, :func:`solve_from_tail`'s solution or the
+    NonFiniteState its lane ended in; each is copied out of the sweep when
+    asked for."""
+    for lo in range(0, len(alphas), _TAIL_LANES):
+        chunk = alphas[lo:lo + _TAIL_LANES]
+        node_times, p, dp, errors = _sweep(spec, chunk, t, tail.t_start,
+                                           spec.grid.dt, p_end=tail.P[0])
+        for lane, (alpha, error) in enumerate(zip(chunk, errors)):
+            yield error or _ascending(node_times, p, dp, lane,
+                                      kind="stabilizing", alpha=alpha,
+                                      certificate=tail.certificate)
+        del p, dp
 
 
 def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -175,13 +200,16 @@ def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     """Stabilizing solution on [t, tail.t_start] for a policy that agrees
     with the tail's from tail.t_start on: one sweep back from the tail's
     P(tail.t_start), carrying the tail's certificate."""
-    nodes, p, dp, (error,) = _sweep(spec, [alpha], t, tail.t_start,
-                                    spec.grid.dt, p_end=tail.P[0])
-    if error is not None:
-        raise error
-    return RiccatiSolution(nodes=nodes[::-1].copy(), P=p[::-1, 0].copy(),
-                           dP=dp[::-1, 0].copy(), kind="stabilizing",
-                           alpha=alpha, certificate=tail.certificate)
+    (result,) = _sweep_from_tail(spec, [alpha], t, tail)
+    if isinstance(result, NonFiniteState):
+        raise result
+    return result
+
+
+def _gap_tol(tol: float, p_win: np.ndarray) -> float:
+    # relative above |P| = 1: the sweeps' rounding floor grows with |P|, so
+    # an absolute test never passes for a large root
+    return tol * max(1.0, float(np.max(np.linalg.norm(p_win, axis=(1, 2)))))
 
 
 def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -197,23 +225,6 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     and ConfigError when the window leaves no room below the cap for the two
     horizons a gap needs.
     """
-    (result,) = _stabilizing_lanes(spec, [alpha], t, T_eval, tol, dt)
-    if isinstance(result, SafeLQError):
-        raise result
-    return result
-
-
-def _gap_tol(tol: float, p_win: np.ndarray) -> float:
-    # relative above |P| = 1: the sweeps' rounding floor grows with |P|, so
-    # an absolute test never passes for a large root
-    return tol * max(1.0, float(np.max(np.linalg.norm(p_win, axis=(1, 2)))))
-
-
-def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
-                       tol: float = 1e-8, dt: float | None = None
-                       ) -> list[RiccatiSolution | SafeLQError]:
-    """:func:`solve_stabilizing` for several policies, all lanes of one
-    sweep per horizon; per lane a solution or the error that ended it."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     dt = spec.grid.dt if dt is None else dt
@@ -231,43 +242,32 @@ def _stabilizing_lanes(spec: ProblemSpec, alphas, t: float, T_eval: float,
             f"{t + steps * dt:g} strictly below the horizon cap "
             f"{spec.grid.t_max:g}")
 
-    results: list = [None] * len(alphas)
-    horizons: list[float] = []
-    gaps: dict[int, list[float]] = {i: [] for i in range(len(alphas))}
-    prev: dict[int, np.ndarray] = {}
-    while gaps:                         # one entry per lane still sweeping
-        T_k = t + steps * dt
-        horizons.append(T_k)
-        active = list(gaps)
-        node_times, p, dp, errors = _sweep(spec, [alphas[i] for i in active],
-                                           t, T_k, dt)
+    horizons, gaps, prev = [], [], None
+    while True:
+        horizons.append(t + steps * dt)
+        node_times, p, dp, (error,) = _sweep(spec, [alpha], t, horizons[-1],
+                                             dt)
+        if error is not None:
+            raise error
         # [t, T_eval] as the tail of the descending arrays
         window = slice(len(node_times) - 1 - m_eval, None)
-        for lane, i in enumerate(active):
-            p_win = p[window, lane][::-1].copy()
-            if errors[lane] is None and i in prev:
-                gaps[i].append(float(np.max(
-                    np.linalg.norm(p_win - prev[i], axis=(1, 2)))))
-            if errors[lane] is not None:
-                results[i] = errors[lane]
-            elif gaps[i] and gaps[i][-1] < _gap_tol(tol, p_win):
-                results[i] = RiccatiSolution(
-                    nodes=node_times[window][::-1].copy(), P=p_win,
-                    dP=dp[window, lane][::-1].copy(), kind="stabilizing",
-                    alpha=alphas[i], certificate=ConvergenceCertificate(
-                        tuple(horizons), tuple(gaps[i]), tol, True))
-            elif steps >= cap_steps:
-                results[i] = NoConvergence(
-                    f"stabilizing limit gap {gaps[i][-1]} not below "
-                    f"{_gap_tol(tol, p_win)} at horizon cap {T_k}",
-                    attempts=tuple(zip(horizons, [float("nan")] + gaps[i])))
-            else:
-                prev[i] = p_win
-                continue
-            del gaps[i]
+        p_win = p[window, 0].copy()
+        if prev is not None:
+            gaps.append(float(np.max(np.linalg.norm(p_win - prev,
+                                                    axis=(1, 2)))))
+            if gaps[-1] < _gap_tol(tol, p_win):
+                return _ascending(node_times[window], p[window], dp[window], 0,
+                                  kind="stabilizing", alpha=alpha,
+                                  certificate=ConvergenceCertificate(
+                                      tuple(horizons), tuple(gaps), tol, True))
+            if steps >= cap_steps:
+                raise NoConvergence(
+                    f"stabilizing limit gap {gaps[-1]} not below "
+                    f"{_gap_tol(tol, p_win)} at horizon cap {horizons[-1]}",
+                    attempts=tuple(zip(horizons, [float("nan")] + gaps)))
+        prev = p_win
         del p, dp           # only the window rows outlive the horizon
         steps = min(cap_steps, 2 * steps)
-    return results
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,

@@ -152,6 +152,26 @@ class TestGameCommand:
         assert len(sweep_rows) == 11
         assert all(game["W"] >= row[1] - 1e-6 for row in sweep_rows)
 
+    def test_every_sweep_is_the_tail_doubling_or_spans_the_window(
+            self, tmp_path, monkeypatch):
+        # the Picard passes and the constant policies all sweep [0, T_seed]
+        # back from the one policy-free tail, which alone is doubled
+        spans = []
+        sweep = riccati._sweep
+
+        def recording(spec, alphas, t, T, *args, **kwargs):
+            spans.append((t, T))
+            return sweep(spec, alphas, t, T, *args, **kwargs)
+
+        monkeypatch.setattr(riccati, "_sweep", recording)
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "game", "--x0", "0.6", "--tol", "1e-5"])
+        assert code == 0
+        t_seed = 16.0 + 16.0 / 1600
+        window = [span for span in spans if span[0] != t_seed]
+        assert len(window) < len(spans)
+        assert set(window) == {(0.0, t_seed)}
+
     def test_closed_loop_leaving_omega_exits_3(self, tmp_path, capsys):
         # outward_drift has B = 0: the fixed point converges, but xi* leaves
         # the unit interval at ln(1/0.3) / 1 = 1.20
@@ -206,6 +226,7 @@ class TestBadFlags:
         (["game", "--x0", "0.6", "--tol", "0"], "--tol"),
         (["game", "--x0", "0.6", "--relaxation", "2"], "--relaxation"),
         (["game", "--x0", "0.6", "--alpha-max", "-1"], "--alpha-max"),
+        (["game", "--x0", "0.6", "--alpha-max", "inf"], "--alpha-max"),
     ])
     def test_exits_1_in_one_line(self, tmp_path, capsys, argv, flag):
         code = main(["--config", SCALAR, "--out", str(tmp_path)] + argv)
@@ -214,6 +235,28 @@ class TestBadFlags:
         assert len(err.strip().splitlines()) == 1
         assert flag in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["riccati", "--alpha", "nan"], None),
+        (["riccati", "--alpha", "inf"], None),
+        (["synthesize", "--x0", "0.5", "--alpha", "nan"], None),
+        (["riccati"], "0.0,0.5\nnan,0.5\n2.0,0.5\n"),
+        (["riccati"], "0.0,0.5\n1.0,inf\n"),
+    ], ids=["nan", "inf", "synthesize-nan", "csv-nan-node", "csv-inf-value"])
+    def test_non_finite_alpha_is_config_error(self, tmp_path, capsys, argv,
+                                              rows):
+        if rows is not None:
+            policy = tmp_path / "alpha.csv"
+            policy.write_text("s,alpha\n" + rows)
+            argv = argv + ["--alpha", str(policy)]
+        code = main(["--config", SCALAR, "--out", str(tmp_path / "out")]
+                    + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: --alpha") and "finite" in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [
+            "manifest.json"]
 
 
 class TestNumericalFailure:

@@ -124,32 +124,40 @@ class TestConstantAlphaSweep:
     def test_max_dominates_members(self, scalar_spec):
         grid = np.linspace(0.0, 2.0, 9)
         sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.6], grid,
-                                        support_horizon=1.5)
+                                        tail=_tail(scalar_spec, 1.5))
         assert all(sweep.w_lower >= w for _, w in sweep.table)
 
     def test_refinement_never_decreases(self, scalar_spec):
+        tail = _tail(scalar_spec, 1.5)
         coarse = sup_over_constant_alpha(scalar_spec, 0.0, [0.6],
-                                         np.linspace(0.0, 1.0, 3),
-                                         support_horizon=1.5)
+                                         np.linspace(0.0, 1.0, 3), tail=tail)
         fine = sup_over_constant_alpha(scalar_spec, 0.0, [0.6],
-                                       np.linspace(0.0, 1.0, 5),
-                                       support_horizon=1.5)
+                                       np.linspace(0.0, 1.0, 5), tail=tail)
         assert fine.w_lower >= coarse.w_lower - 1e-14
 
     def test_short_support_beats_zero_policy(self, scalar_spec):
         # a small constant weight on a short window raises the value: the
         # quadratic gain outweighs the b-penalty when the state is large
         sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.9],
-                                        [0.0, 0.1, 0.2], support_horizon=1.0)
+                                        [0.0, 0.1, 0.2],
+                                        tail=_tail(scalar_spec, 1.0))
         assert sweep.best_alpha > 0.0
 
 
-def _per_policy_table(spec, t, x, alpha_grid, support):
-    # reference: one stabilizing solve per constant policy, the loop the
-    # batched lanes replace
+def _tail(spec, support):
+    # the zero policy's stabilizing P one step past a window [0, support]:
+    # the constant policies hold their value on that window
+    t_seed = support + spec.grid.dt
+    return solve_stabilizing(spec, AlphaPolicy.zero(0.0, t_seed), t_seed,
+                             t_seed)
+
+
+def _per_policy_table(spec, t, x, alpha_grid, T_sim):
+    # reference: one horizon-doubling solve per policy of the game class,
+    # constant on [t, T_sim] and zero afterwards
     table = []
     for val in alpha_grid:
-        policy = AlphaPolicy.constant(float(val), t, t + support)
+        policy = AlphaPolicy.constant(float(val), t, T_sim)
         try:
             sol = solve_stabilizing(spec, policy, t, t, tol=1e-8)
             w = value_from_riccati(spec, sol, policy, t, x)
@@ -160,6 +168,7 @@ def _per_policy_table(spec, t, x, alpha_grid, support):
 
 
 class TestConstantAlphaLanes:
+    # the game window of every shipped config is [0, 16]
     @pytest.mark.parametrize("name, x", [("ball2d_spec", [0.28, -0.19]),
                                          ("timevarying_spec", [0.32]),
                                          ("cubic_spec", [0.5])])
@@ -167,10 +176,11 @@ class TestConstantAlphaLanes:
         spec = request.getfixturevalue(name)
         grid = np.linspace(0.0, 2.0, 11)
         sweep = sup_over_constant_alpha(spec, 0.0, x, grid)
-        ref = _per_policy_table(spec, 0.0, x, grid, spec.grid.t_max)
+        ref = _per_policy_table(spec, 0.0, x, grid, 16.0)
         table = np.array(sweep.table)
         assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
         assert sweep.w_lower == ref[:, 1].max()
+        assert sweep.skipped == ()
 
     def test_escaping_lane_is_skipped(self, scalar_spec):
         grid = [0.0, 0.5, 1e300]
@@ -178,9 +188,12 @@ class TestConstantAlphaLanes:
             sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.6], grid)
         values = [w for _, w in sweep.table]
         assert values[2] == -np.inf
-        ref = _per_policy_table(scalar_spec, 0.0, [0.6], grid[:2], 64.0)
-        assert values[:2] == list(ref[:, 1])
+        ref = _per_policy_table(scalar_spec, 0.0, [0.6], grid, 16.0)
+        assert ref[2, 1] == -np.inf
+        assert np.array_equal(np.array(values).view(np.uint64),
+                              ref[:, 1].view(np.uint64))
         assert sweep.w_lower == max(values[:2])
+        assert [val for val, _ in sweep.skipped] == [1e300]
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +244,7 @@ class TestSolveCoupled:
         for support in (1.0, 2.0, 8.0):
             sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.6],
                                             np.linspace(0.0, 2.0, 11),
-                                            support_horizon=support)
+                                            tail=_tail(scalar_spec, support))
             assert gs.W >= sweep.w_lower - 1e-6
 
     def test_max_iter_reports_diagnostic(self, scalar_spec):

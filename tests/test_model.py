@@ -228,6 +228,15 @@ class TestAlphaPolicy:
         with pytest.raises(ValueError):
             AlphaPolicy(np.array([1.0, 0.5]), np.array([0.0, 0.0]))
 
+    def test_nan_node_is_not_increasing(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AlphaPolicy(np.array([0.0, np.nan, 2.0]), np.zeros(3))
+
+    def test_infinite_values_are_kept(self):
+        # an overflowing Picard target is a policy whose sweep escapes
+        pol = AlphaPolicy(np.array([0.0, 1.0]), np.array([np.inf, 0.5]))
+        assert pol.value(0.5) == np.inf
+
 
 class TestDiffeoInvariants:
     @pytest.mark.parametrize("entry,dim", [

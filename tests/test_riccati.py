@@ -345,8 +345,8 @@ class TestLanes:
         assert _bitwise_equal(dp, dp_long[400:])
 
     def test_game_sweep_matches_one_lane_solves(self, tmp_path):
-        # the CLI's batched constant-policy sweep, run after the Picard loop,
-        # prints what per-policy solves give
+        # the CLI's constant-policy lanes, swept back from the Picard loop's
+        # tail, print what per-policy doubling solves of the game class give
         config = str(CONFIG_DIR / "scalar_demo.json")
         main(["--config", config, "--out", str(tmp_path), "game", "--x0",
               "0.6", "--max-iter", "1", "--alpha-points", "4"])
@@ -354,7 +354,7 @@ class TestLanes:
         spec = build_problem(load_config("scalar_demo.json"))
         expected = []
         for val in np.linspace(0.0, 2.0, 4):
-            policy = AlphaPolicy.constant(float(val), 0.0, 64.0)
+            policy = AlphaPolicy.constant(float(val), 0.0, 16.0)
             sol = solve_stabilizing(spec, policy, 0.0, 0.0)
             w = value_from_riccati(spec, sol, policy, 0.0, [0.6])
             expected.append(f"{val:.17g},{w:.17g}")
@@ -362,9 +362,11 @@ class TestLanes:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
-           m=st.integers(1, 2),
-           grid=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4))
-    def test_k_lanes_equal_k_one_lane_solves(self, seed, n, m, grid):
+           m=st.integers(1, 2), support=st.floats(0.5, 3.0),
+           grid=st.lists(st.floats(0.0, 3.0) | st.just(1e300), min_size=1,
+                         max_size=2 * riccati._TAIL_LANES + 1))
+    def test_tail_lanes_equal_one_lane_solves(self, seed, n, m, support,
+                                              grid):
         # random constant (A, B); a random B is controllable almost surely
         rng = np.random.default_rng(seed)
         spec = build_problem({
@@ -381,15 +383,24 @@ class TestLanes:
             "h": {"variant": "identity"},
             "omega": {"variant": "ball",
                       "params": {"center": [0.0] * n, "radius": 1.0}},
-            "grid": {"t0": 0.0, "dt": 0.05, "t_max": 16.0}})
-        policies = [AlphaPolicy.constant(v, 0.0, 2.0) for v in grid]
-        lanes = riccati._stabilizing_lanes(spec, policies, 0.0, 1.0)
+            "grid": {"t0": 0.0, "dt": 0.05, "t_max": 32.0}})
+        t_seed = support + 0.05
+        try:
+            tail = solve_stabilizing(spec, AlphaPolicy.zero(0.0, t_seed),
+                                     t_seed, t_seed)
+        except NoConvergence:
+            assume(False)
+        policies = [AlphaPolicy.constant(v, 0.0, support) for v in grid]
+        lanes = list(riccati._sweep_from_tail(spec, policies, 0.0, tail))
+        assert len(lanes) == len(policies)
         for policy, got in zip(policies, lanes):
             try:
-                ref = solve_stabilizing(spec, policy, 0.0, 1.0)
-            except (NoConvergence, NonFiniteState) as exc:
-                assert type(got) is type(exc) and str(got) == str(exc)
+                ref = riccati.solve_from_tail(spec, policy, 0.0, tail)
+            except NonFiniteState as exc:
+                assert type(got) is NonFiniteState
+                assert str(got) == str(exc) and got.time == exc.time
                 continue
-            assert got.certificate == ref.certificate
+            assert got.kind == "stabilizing" and got.alpha is policy
+            assert got.certificate is tail.certificate
             for field in ("nodes", "P", "dP"):
                 assert _bitwise_equal(getattr(got, field), getattr(ref, field))
