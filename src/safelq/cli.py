@@ -229,12 +229,8 @@ def _cmd_synthesize(args) -> int:
         16.0, spec.grid.t_max - t0)
     t_end = t0 + horizon
 
-    try:
-        sol = riccati.solve_stabilizing(spec, alpha, t0, t_end,
-                                        tol=DEFAULT_TOLERANCES["riccati_tol"])
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    sol = riccati.solve_stabilizing(spec, alpha, t0, t_end,
+                                    tol=DEFAULT_TOLERANCES["riccati_tol"])
 
     ipc_ok = True
     if args.check_ipc:
@@ -326,9 +322,11 @@ class _ZeroPolicySolves:
         # horizon t0 + 4 at a multiple of the grid step
         self.finite = cache(lambda scale: riccati.solve_finite_horizon(
             spec, alpha, t0, t0 + 4.0, dt=spec.grid.dt * scale))
-        # the stabilizing solution on the one-node window [t0, t0]
+        # the stabilizing solution on the IPC window [t0, t_end]; the
+        # riccati and oracle suites read it at t0
+        self.t_end = t_end = t0 + min(8.0, spec.grid.t_max - t0)
         self.stabilizing = cache(lambda: riccati.solve_stabilizing(
-            spec, alpha, t0, t0, tol=DEFAULT_TOLERANCES["riccati_tol"]))
+            spec, alpha, t0, t_end, tol=DEFAULT_TOLERANCES["riccati_tol"]))
 
 
 def _suite_riccati(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
@@ -381,10 +379,9 @@ def _riccati_residual_max(sol) -> float:
     return float(np.max(np.abs(dp_fd - sol.dP[1:-1]), initial=0.0))
 
 
-def _suite_ipc(spec: ProblemSpec, seed: int) -> list[dict]:
-    t0 = spec.grid.t0
-    t_end = t0 + min(8.0, spec.grid.t_max - t0)
-    alpha = AlphaPolicy.zero(t0, spec.grid.t_max)
+def _suite_ipc(spec: ProblemSpec, zero: _ZeroPolicySolves,
+               seed: int) -> list[dict]:
+    t0, t_end, alpha = spec.grid.t0, zero.t_end, zero.alpha
     checks = []
     samples = sample_boundary(spec.omega, DEFAULT_TOLERANCES["ipc_density"])
     base_worst = float(np.min(ipc.check_base_ipc(spec, t0, samples.points)))
@@ -395,8 +392,7 @@ def _suite_ipc(spec: ProblemSpec, seed: int) -> list[dict]:
     checks.append({"check": "cone_polar_duality",
                    "passed": bool(np.all(inward > 0.0))})
 
-    sol = riccati.solve_stabilizing(spec, alpha, t0, t_end,
-                                    tol=DEFAULT_TOLERANCES["riccati_tol"])
+    sol = zero.stabilizing()
     times = np.linspace(t0, t_end, DEFAULT_TOLERANCES["ipc_time_samples"])
     report = ipc.check_ipc_riccati(spec, sol, times, samples)
     checks.append({"check": "riccati_ipc_margin", "passed": report.holds,
@@ -482,7 +478,7 @@ def _cmd_verify(args) -> int:
     zero = _ZeroPolicySolves(spec)
     suites = {
         "riccati": lambda: _suite_riccati(spec, zero),
-        "ipc": lambda: _suite_ipc(spec, args.seed),
+        "ipc": lambda: _suite_ipc(spec, zero, args.seed),
         "hjb": lambda: _suite_hjb(spec, zero),
         "oracle": lambda: _suite_oracle(spec, zero, out, sha),
     }

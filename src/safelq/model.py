@@ -75,7 +75,7 @@ class AlphaPolicy:
         snap = 16.0 * np.spacing(np.max(np.abs(nodes)))
         object.__setattr__(self, "_snap", float(
             min(snap, 0.25 * np.min(gaps)) if len(gaps) else snap))
-        if np.any(values < 0.0) or self.tail < 0.0:
+        if not (np.all(values >= 0.0) and self.tail >= 0.0):    # NaN-proof
             raise NegativeAlpha("alpha policy values must be nonnegative")
 
     @classmethod
@@ -193,7 +193,7 @@ def eval_dynamics(spec: ProblemSpec, s: float, x: np.ndarray, u: np.ndarray
 def eval_lagrangian(spec: ProblemSpec, s, x: np.ndarray, u: np.ndarray,
                     alpha):
     """(K(s)/2 + a(alpha)) |h(x)|^2 + |u|^2/2 - b(alpha), per stacked row."""
-    if np.any(np.asarray(alpha) < 0.0):
+    if not np.all(np.asarray(alpha) >= 0.0):                    # NaN-proof
         raise NegativeAlpha("alpha must be nonnegative")
     hx = spec.h.forward(x)
     u = np.asarray(u, dtype=float)

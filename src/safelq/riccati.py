@@ -11,11 +11,12 @@ step -h, symmetrizing after every step) on the stage grid of
 reads the stage data by stage index.  A lane that escapes runs on as inf/NaN
 and is found by one scan of the stored nodes afterwards.
 The stabilizing (minimal) infinite-horizon solution is obtained
-constructively as the limit of finite-horizon sweeps over geometrically
-growing horizons, compared on the evaluation window until the gap drops
-below tolerance (relative to |P| once |P| exceeds 1).  A Newton-Kleinman
-algebraic solve provides an independent cross-check for constant
-coefficients.
+constructively as the limit, at the window's end T_eval, of finite-horizon
+sweeps over geometrically growing horizons, compared there until the gap
+drops below tolerance (relative to |P| once |P| exceeds 1); one sweep back
+from that limit covers the window, as the stabilizing solution attracts the
+backward flow.  A Newton-Kleinman algebraic solve provides an independent
+cross-check for constant coefficients.
 
 A sweep may also start from a given terminal value (:func:`solve_from_tail`):
 the game solves the policy-free tail beyond its simulation window once, by
@@ -206,24 +207,24 @@ def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     return result
 
 
-def _gap_tol(tol: float, p_win: np.ndarray) -> float:
+def _gap_tol(tol: float, p: np.ndarray) -> float:
     # relative above |P| = 1: the sweeps' rounding floor grows with |P|, so
     # an absolute test never passes for a large root
-    return tol * max(1.0, float(np.max(np.linalg.norm(p_win, axis=(1, 2)))))
+    return tol * max(1.0, float(np.max(np.linalg.norm(p, axis=(1, 2)))))
 
 
 def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                       T_eval: float, tol: float = 1e-8,
                       dt: float | None = None) -> RiccatiSolution:
-    """Stabilizing solution as the limit of growing finite horizons.
+    """Stabilizing solution on [t, T_eval]: the limit of growing horizons
+    at T_eval, swept back over the window.
 
-    Horizons double until consecutive sweeps agree on [t, T_eval] to within
-    ``tol`` times max(1, largest |P| on the window) (Frobenius norm per
-    node); the converged sweep restricted to the window is returned together
-    with the certificate.  Raises NoConvergence when the horizon cap
-    ``grid.t_max`` is reached first, NonFiniteState when a sweep escapes,
-    and ConfigError when the window leaves no room below the cap for the two
-    horizons a gap needs.
+    Horizons T_eval + 1, + 2, + 4, ... grow until consecutive sweeps agree
+    at T_eval to within ``tol`` times max(1, |P(T_eval)|) (Frobenius norm);
+    one sweep carries that P back to t, and the result holds the
+    certificate.  Raises NoConvergence when the horizon cap ``grid.t_max``
+    is reached first, NonFiniteState when a sweep escapes, and ConfigError
+    when T_eval + 1 does not lie below the cap.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -231,43 +232,45 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     if T_eval < t:
         raise ValueError("T_eval must be >= t")
 
-    m_eval = int(round((T_eval - t) / dt))
-    # first horizon strictly beyond the window: near its own terminal node a
-    # finite-horizon sweep is nowhere near the limit
-    steps = m_eval + max(int(math.ceil(max(1.0, T_eval - t) / dt)), 1)
-    cap_steps = int(round((spec.grid.t_max - t) / dt))
+    # near its own terminal node a finite-horizon sweep is nowhere near the
+    # limit: the first horizon lies one time unit beyond T_eval
+    steps = max(int(math.ceil(1.0 / dt)), 1)
+    cap_steps = int(round((spec.grid.t_max - T_eval) / dt))
     if steps >= cap_steps:
-        raise ConfigError(
-            f"stabilizing window [{t:g}, {T_eval:g}] needs a first horizon of "
-            f"{t + steps * dt:g} strictly below the horizon cap "
-            f"{spec.grid.t_max:g}")
+        raise ConfigError(f"stabilizing limit at {T_eval:g} needs a first "
+                          f"horizon {T_eval + steps * dt:g} strictly below "
+                          f"the horizon cap {spec.grid.t_max:g}")
 
     horizons, gaps, prev = [], [], None
     while True:
-        horizons.append(t + steps * dt)
-        node_times, p, dp, (error,) = _sweep(spec, [alpha], t, horizons[-1],
-                                             dt)
+        horizons.append(T_eval + steps * dt)
+        node_times, p, dp, (error,) = _sweep(spec, [alpha], T_eval,
+                                             horizons[-1], dt)
         if error is not None:
             raise error
-        # [t, T_eval] as the tail of the descending arrays
-        window = slice(len(node_times) - 1 - m_eval, None)
-        p_win = p[window, 0].copy()
         if prev is not None:
-            gaps.append(float(np.max(np.linalg.norm(p_win - prev,
-                                                    axis=(1, 2)))))
-            if gaps[-1] < _gap_tol(tol, p_win):
-                return _ascending(node_times[window], p[window], dp[window], 0,
-                                  kind="stabilizing", alpha=alpha,
-                                  certificate=ConvergenceCertificate(
-                                      tuple(horizons), tuple(gaps), tol, True))
+            gaps.append(float(np.linalg.norm(p[-1] - prev, axis=(1, 2)).max()))
+            if gaps[-1] < _gap_tol(tol, p[-1]):
+                break
             if steps >= cap_steps:
                 raise NoConvergence(
                     f"stabilizing limit gap {gaps[-1]} not below "
-                    f"{_gap_tol(tol, p_win)} at horizon cap {horizons[-1]}",
+                    f"{_gap_tol(tol, p[-1])} at horizon cap {horizons[-1]}",
                     attempts=tuple(zip(horizons, [float("nan")] + gaps)))
-        prev = p_win
-        del p, dp           # only the window rows outlive the horizon
+        prev = p[-1].copy()
+        del p, dp           # only P(T_eval) outlives the horizon
         steps = min(cap_steps, 2 * steps)
+
+    if t < T_eval:
+        node_times, p, dp, (error,) = _sweep(spec, [alpha], t, T_eval, dt,
+                                             p_end=p[-1, 0])
+        if error is not None:
+            raise error
+    else:
+        node_times, p, dp = node_times[-1:], p[-1:], dp[-1:]
+    return _ascending(node_times, p, dp, 0, kind="stabilizing", alpha=alpha,
+                      certificate=ConvergenceCertificate(
+                          tuple(horizons), tuple(gaps), tol, True))
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,

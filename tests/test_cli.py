@@ -302,12 +302,13 @@ def _run_with_t_max(tmp_path, t_max, argv):
 
 
 class TestHorizonBeyondCap:
-    # the window needs a first horizon past grid.t_max: a configuration
-    # error, not a stabilizing solve that failed to converge.  The game's
-    # window is its policy-free tail, one step past t + 16.
+    # the limit at the window's end T_eval needs a first horizon T_eval + 1
+    # below grid.t_max: a configuration error, not a stabilizing solve that
+    # failed to converge.  The game's window is its policy-free tail, one
+    # step past t + 16.
     @pytest.mark.parametrize("config, argv", [
         (None, ["riccati", "--eval-span", "63"]),
-        (None, ["synthesize", "--x0", "0.5", "--horizon", "40"]),
+        (None, ["synthesize", "--x0", "0.5", "--horizon", "63.5"]),
         (16.5, ["game", "--x0", "0.6", "--alpha-points", "1"]),
     ])
     def test_config_error(self, tmp_path, capsys, config, argv):
@@ -316,6 +317,15 @@ class TestHorizonBeyondCap:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "horizon cap" in err
+
+    def test_window_past_half_the_cap_is_solved(self, tmp_path):
+        # T_eval + 1 = 41 lies below t_max = 64, although the whole window
+        # [0, 40] does not fit twice below it
+        code, out = _run_with_t_max(
+            tmp_path, None, ["synthesize", "--x0", "0.5", "--horizon", "40"])
+        assert code == 0
+        _, rows = read_csv(out / "riccati.csv")
+        assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(40.0)
 
     def test_game_tail_short_of_its_limit_exits_2(self, tmp_path, capsys):
         # t_max 20 leaves the tail at 16.01 room for horizons up to 19.99,
@@ -345,10 +355,9 @@ class TestVerifyCommand:
 
     def test_all_suites_share_their_riccati_solves(self, tmp_path,
                                                    monkeypatch):
-        # the zero-policy finite sweeps and the stabilizing solve on [t0, t0]
-        # are read by several suites and solved once: 3 finite sweeps, 5
-        # doubling sweeps at [t0, t0] and 2 at [t0, t0 + 8]; solved per
-        # suite they take 19
+        # the zero-policy finite sweeps and the stabilizing solve on
+        # [t0, t0 + 8] are read by several suites and solved once: 3 finite
+        # sweeps, 5 doubling sweeps at t0 + 8 and one sweep back to t0
         calls = [0]
         sweep = riccati._sweep
 
@@ -360,7 +369,7 @@ class TestVerifyCommand:
         code = main(["--config", str(CONFIG_DIR / "ball2d_demo.json"),
                      "--out", str(tmp_path), "verify", "--suite", "all"])
         assert code == 0
-        assert calls[0] <= 11
+        assert calls[0] <= 9
 
     @pytest.mark.parametrize("flip", [1.0, -1.0])
     def test_polar_duality_sees_flipped_normals(self, tmp_path, monkeypatch,

@@ -13,6 +13,7 @@ from safelq.riccati import _gap_tol, solve_from_tail, solve_stabilizing
 from safelq.synthesis import simulate_closed_loop, value_from_riccati
 
 from conftest import load_config
+from windowed_doubling import windowed_stabilizing
 
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
 
@@ -334,12 +335,13 @@ class TestSeededSolveAgainstDoubling:
     def test_p_star_and_w_match_the_doubling_solve(self, name, x0, request,
                                                    coupled):
         # the reference re-solves alpha* by horizon doubling from P = 0 far
-        # beyond the window, not from the policy-free tail
+        # beyond the window, compared on the whole window, not from the
+        # policy-free tail
         spec = request.getfixturevalue(name)
         gs = coupled(name, x0)
         riccati_tol = 1e-8
-        ref = solve_stabilizing(spec, gs.alpha_star, 0.0, 16.0,
-                                tol=riccati_tol)
+        ref = windowed_stabilizing(spec, gs.alpha_star, 0.0, 16.0,
+                                   tol=riccati_tol)
         # P* runs one step further, to the tail's first node
         p_star = gs.P_star.P[:-1]
         assert p_star.shape == ref.P.shape

@@ -113,6 +113,12 @@ class TestLagrangian:
                               np.array([0.0]), 0.5)
         assert val == pytest.approx(1.25, abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [np.nan, [0.5, np.nan]])
+    def test_nan_alpha_rejected(self, scalar_spec, alpha):
+        with pytest.raises(NegativeAlpha):
+            eval_lagrangian(scalar_spec, 0.0, np.array([[1.0], [0.5]]),
+                            np.zeros((2, 1)), alpha)
+
     def test_control_term_only(self, scalar_spec):
         val = eval_lagrangian(scalar_spec, 0.0, np.array([0.0]),
                               np.array([1.0]), 0.0)
@@ -223,6 +229,12 @@ class TestAlphaPolicy:
     def test_negative_values_rejected(self):
         with pytest.raises(NegativeAlpha):
             AlphaPolicy(np.array([0.0, 1.0]), np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("values, tail", [([0.5, np.nan], 0.0),
+                                              ([0.5, 0.5], np.nan)])
+    def test_nan_weight_rejected(self, values, tail):
+        with pytest.raises(NegativeAlpha):
+            AlphaPolicy(np.array([0.0, 1.0]), np.array(values), tail=tail)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):

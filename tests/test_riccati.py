@@ -8,11 +8,12 @@ from safelq import AlphaPolicy, build_problem, riccati
 from safelq.cli import main
 from safelq.errors import NoConvergence, NonFiniteState, NotStabilizable
 from safelq.numerics import sym
-from safelq.riccati import (check_monotone_in_T, solve_are_constant,
+from safelq.riccati import (_gap_tol, check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
 from safelq.synthesis import value_from_riccati
 
 from conftest import CONFIG_DIR, load_config
+from windowed_doubling import windowed_stabilizing
 
 # stabilizing root of 2 P^2 + 2 P - 1 = 0 for A=-1, B=1, R=1/2, Q=1
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
@@ -130,10 +131,13 @@ class TestStabilizing:
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
-           m=st.integers(1, 2), level=st.floats(1.0, 4.0))
-    # |P_are|_F = 7.6e4: the limit lies 4.2e-7 from the root, 5.5e-12 relative
-    @example(seed=2097153, n=2, m=1, level=1.0)
-    def test_doubling_limit_is_newton_kleinman_root(self, seed, n, m, level):
+           m=st.integers(1, 2), level=st.floats(1.0, 4.0),
+           span=st.floats(0.0, 16.0))
+    # |P_are|_F = 7.6e4: on [0, 16] P lies within 5.6e-6 of the root, 7.4e-11
+    # relative
+    @example(seed=2097153, n=2, m=1, level=1.0, span=16.0)
+    def test_doubling_limit_is_newton_kleinman_root(self, seed, n, m, level,
+                                                    span):
         # random constant (A, B); K > 0 up to t_max makes Q positive definite
         # on every horizon, so the minimal root the doubling reaches is the
         # stabilizing one
@@ -153,10 +157,11 @@ class TestStabilizing:
         spec = _constant_spec(a_mat, b_mat, level)
         assert np.array_equal(spec.q_coeff(0.0, 0.0) * np.eye(n), q_mat)
         riccati_tol = 1e-8
-        sol = solve_stabilizing(spec, ALPHA0, 0.0, 0.0, tol=riccati_tol)
+        # the limit at the window's end, swept back over [0, span]
+        sol = solve_stabilizing(spec, ALPHA0, 0.0, span, tol=riccati_tol)
         # the gap test is relative to |P|_F above 1, and so is this bound
         bound = 10.0 * riccati_tol * max(1.0, np.linalg.norm(p_are, "fro"))
-        assert np.linalg.norm(sol.at(0.0) - p_are, "fro") <= bound
+        assert np.max(np.linalg.norm(sol.P - p_are, axis=(1, 2))) <= bound
 
     def test_large_root_converges(self):
         # |P|_F = 1.2e4 with closed-loop eigenvalues -2.0 and -1.8: the
@@ -172,6 +177,25 @@ class TestStabilizing:
                                 0.0, 0.0, tol=1e-8)
         assert sol.certificate.converged
         assert np.linalg.norm(sol.at(0.0) - p_are, "fro") <= 1e-7
+
+
+class TestAgainstWindowedDoubling:
+    # doubling on the whole window compares every node across horizons; the
+    # limit at the window's end, swept back, must agree with it on every
+    # node to within the gap test (bit for bit on most configs)
+    @pytest.mark.parametrize("window", [0.0, 1.0, 8.0, 16.0])
+    @pytest.mark.parametrize("config", sorted(
+        p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_every_node_within_the_gap_tolerance(self, config, window):
+        spec = build_problem(load_config(config))
+        tol = 1e-8
+        sol = solve_stabilizing(spec, ALPHA0, 0.0, window, tol=tol)
+        ref = windowed_stabilizing(spec, ALPHA0, 0.0, window, tol=tol)
+        assert sol.nodes.shape == ref.nodes.shape
+        np.testing.assert_allclose(sol.nodes, ref.nodes, rtol=0.0, atol=1e-12)
+        gap = float(np.max(np.linalg.norm(sol.P - ref.P, axis=(1, 2))))
+        assert gap < _gap_tol(tol, ref.P)
+        assert sol.certificate.horizons[0] == pytest.approx(window + 1.0)
 
 
 def _constant_spec(a_mat, b_mat, level):
