@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import sys
-from collections.abc import Iterator
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -43,7 +42,6 @@ EXIT_NUMERICAL = 6
 DEFAULT_TOLERANCES = {
     "riccati_tol": 1e-8,
     "game_tol": 1e-6,
-    "value_rel_tol": 1e-3,
     "psd_tol": 1e-9,
     "ipc_density": 64,
     "ipc_time_samples": 9,
@@ -71,33 +69,17 @@ def _csv_lines(rows) -> str:
     return (line * len(rows)).format(*chain.from_iterable(rows))
 
 
-def _value_table_lines(points, blocks) -> Iterator[str]:
-    """``value_table.csv`` lines, one time node at a time: each lattice
-    point's ``x_*`` text and each node's ``s`` text is formatted once, and
-    only ``V`` on every line."""
-    x_text = _csv_lines(points).splitlines()
-    for s, values in blocks:
-        line = f"{_NUMBER.format(s)},{{}},{_NUMBER}\n"
-        yield (line * len(x_text)).format(
-            *chain.from_iterable(zip(x_text, values)))
-
-
-def _write_lines(path: Path, header: list[str], chunks,
-                 manifest_sha: str) -> None:
-    """Write the manifest line, the header and then each chunk of CSV
-    lines, so no table is held as text whole."""
-    with path.open("w") as f:
-        f.write(f"# manifest_sha256={manifest_sha}\n{','.join(header)}\n")
-        f.writelines(chunks)
-
-
 def _write_csv(path: Path, header: list[str], rows,
                manifest_sha: str) -> None:
-    _write_lines(path, header, [_csv_lines(rows)], manifest_sha)
+    path.write_text(f"# manifest_sha256={manifest_sha}\n{','.join(header)}\n"
+                    + _csv_lines(rows))
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace,
-                    overrides: dict) -> str:
+def _write_manifest(out_dir: Path, args: argparse.Namespace) -> str:
+    # every subcommand flag is an override, so no two runs that differ in
+    # one share a hash
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config", "out", "seed")}
     manifest = {
         "command": args.command,
         "config": str(args.config),
@@ -176,9 +158,7 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
 def _cmd_riccati(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
-    sha = _write_manifest(out, args, {
-        "alpha": args.alpha, "horizon": args.horizon, "tol": args.tol,
-        "eval_span": args.eval_span})
+    sha = _write_manifest(out, args)
     _require(args.tol > 0.0, "--tol must be positive")
     _require(args.eval_span >= 0.0, "--eval-span must not be negative")
     if args.horizon != "stabilizing":
@@ -216,8 +196,7 @@ def _cmd_riccati(args) -> int:
 def _cmd_synthesize(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
-    sha = _write_manifest(out, args, {
-        "x0": args.x0, "check_ipc": args.check_ipc, "horizon": args.horizon})
+    sha = _write_manifest(out, args)
     _require(args.horizon is None or args.horizon > 0.0,
              "--horizon must be positive")
     t0 = spec.grid.t0
@@ -267,9 +246,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_game(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
-    sha = _write_manifest(out, args, {
-        "x0": args.x0, "tol": args.tol, "max_iter": args.max_iter,
-        "relaxation": args.relaxation})
+    sha = _write_manifest(out, args)
     t0 = spec.grid.t0
     x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
     if not spec.omega.contains(x0, tol=1e-9):
@@ -361,7 +338,7 @@ def _suite_riccati(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
             checks.append({"check": "stabilizing_matches_algebraic",
                            "passed": gap <= 10.0 * DEFAULT_TOLERANCES["riccati_tol"],
                            "gap": gap})
-        except (NoConvergence, SafeLQError) as exc:
+        except (NoConvergence, NonFiniteState, NotStabilizable) as exc:
             checks.append({"check": "stabilizing_matches_algebraic",
                            "passed": False, "error": str(exc)})
     # finite-difference residual of the sweep is second order in dt
@@ -458,9 +435,8 @@ def _suite_oracle(spec: ProblemSpec, zero: _ZeroPolicySolves, out: Path,
                          u_max=u_max, control_res=res[1], cost_mode="fixed",
                          alpha=alpha)
     table = oracle.brute_force_value(dp)
-    header, points, blocks = table.csv_blocks()
-    _write_lines(out / "value_table.csv", header,
-                 _value_table_lines(points, blocks), sha)
+    header, rows = table.csv_rows()
+    _write_csv(out / "value_table.csv", header, rows, sha)
     v = table.value_at(x0)
     scale = max(1e-12, abs(w_ref))
     above = (v - w_ref) / scale
@@ -474,7 +450,7 @@ def _suite_oracle(spec: ProblemSpec, zero: _ZeroPolicySolves, out: Path,
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
-    sha = _write_manifest(out, args, {"suite": args.suite})
+    sha = _write_manifest(out, args)
     zero = _ZeroPolicySolves(spec)
     suites = {
         "riccati": lambda: _suite_riccati(spec, zero),

@@ -10,7 +10,10 @@ whose interpolation cell touches the complement of Omega is poisoned to
 +inf, so feasibility is never certified through boundary-crossing cells.
 Restricting controls to a finite grid makes the table an upper bound on the
 true value; it serves as the independent ground truth for the Riccati-based
-values at desk scale (state dimension <= 2).
+value W(t, x) at desk scale (state dimension <= 2).  The product is the one
+layer V(t, .) at the window's start: the later layers are finite-horizon
+values of the truncated window, so the iteration keeps only the layer it
+reads and the layer it writes.
 
 Each backward step treats all controls at once: the Euler successors of
 every (control, state) pair are located on the lattice as one sparse
@@ -24,7 +27,6 @@ on the first build, not with the package.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -159,34 +161,25 @@ def _check_cfl(dp: DPProblem, states: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Backward-iteration output: V[i] is the table at time node i."""
+    """Backward-iteration output: V is the table at time ``dp.t``."""
 
     dp: DPProblem
-    V: np.ndarray          # (n_steps + 1,) + state_shape
-    time_nodes: np.ndarray
+    V: np.ndarray          # state_shape
 
-    def value_at(self, x: np.ndarray, time_index: int = 0) -> float:
+    def value_at(self, x: np.ndarray) -> float:
         pt = np.asarray(x, dtype=float)[None, :]
         op = _locate(self.dp.state_axes, pt)
-        return float(_apply(self.V[time_index], op)[0])
+        return float(_apply(self.V, op)[0])
 
-    def feasible_mask(self, time_index: int = 0) -> np.ndarray:
-        return np.isfinite(self.V[time_index])
-
-    def csv_blocks(self) -> tuple[list[str], list[list[float]],
-                                  Iterator[tuple[float, list[float]]]]:
-        """Header, the lattice points and one ``(s, V at the points)`` block
-        per time node: the rows of :meth:`csv_rows`, grouped by node."""
-        pts = self.dp.state_points()
-        header = ["s"] + [f"x_{i + 1}" for i in range(pts.shape[1])] + ["V"]
-        blocks = zip(self.time_nodes.tolist(),
-                     (v.ravel().tolist() for v in self.V))
-        return header, pts.tolist(), blocks
+    def feasible_mask(self) -> np.ndarray:
+        return np.isfinite(self.V)
 
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
-        header, pts, blocks = self.csv_blocks()
-        return header, [[s, *x, v] for s, values in blocks
-                        for x, v in zip(pts, values)]
+        """Header and one ``(s, x_*, V)`` row per lattice point, s = dp.t."""
+        pts = self.dp.state_points()
+        header = ["s"] + [f"x_{i + 1}" for i in range(pts.shape[1])] + ["V"]
+        return header, [[self.dp.t, *x, v] for x, v
+                        in zip(pts.tolist(), self.V.ravel().tolist())]
 
 
 def brute_force_value(dp: DPProblem) -> ValueTable:
@@ -194,7 +187,6 @@ def brute_force_value(dp: DPProblem) -> ValueTable:
     spec = dp.spec
     states = dp.state_points()
     dt = dp.dt
-    time_nodes = dp.t + dt * np.arange(dp.n_steps + 1)
 
     inside = spec.omega.contains(states)
     _check_cfl(dp, states[inside] if np.any(inside) else states)
@@ -221,20 +213,18 @@ def brute_force_value(dp: DPProblem) -> ValueTable:
     autonomous = spec.A.is_constant() and spec.B.is_constant()
     op = locate(dp.t) if autonomous else None
 
-    tables = np.empty((dp.n_steps + 1, len(states)))
-    tables[dp.n_steps] = np.where(inside, 0.0, _INF)
+    V = np.where(inside, 0.0, _INF)
     for i in range(dp.n_steps - 1, -1, -1):
-        s = float(time_nodes[i])
+        s = dp.t + dt * i
         if not autonomous:
             op = locate(s)
-        cont = _apply(tables[i + 1], op).reshape(len(dp.controls), -1)
+        cont = _apply(V, op).reshape(len(dp.controls), -1)
         if dp.cost_mode == "fixed":
             alpha_val = dp.alpha.value(s)
             cost = (spec.q_coeff(s, alpha_val) * g + u_sq
                     - float(spec.b(alpha_val)))
         else:
             cost = 0.5 * spec.K.value(s) * g + u_sq + gains
-        tables[i] = np.where(inside, np.min(cost * dt + cont, axis=0), _INF)
-    return ValueTable(dp=dp, time_nodes=time_nodes,
-                      V=tables.reshape((dp.n_steps + 1,) + dp.state_shape))
+        V = np.where(inside, np.min(cost * dt + cont, axis=0), _INF)
+    return ValueTable(dp=dp, V=V.reshape(dp.state_shape))
 

@@ -261,13 +261,10 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
         del p, dp           # only P(T_eval) outlives the horizon
         steps = min(cap_steps, 2 * steps)
 
-    if t < T_eval:
-        node_times, p, dp, (error,) = _sweep(spec, [alpha], t, T_eval, dt,
-                                             p_end=p[-1, 0])
-        if error is not None:
-            raise error
-    else:
-        node_times, p, dp = node_times[-1:], p[-1:], dp[-1:]
+    node_times, p, dp, (error,) = _sweep(spec, [alpha], t, T_eval, dt,
+                                         p_end=p[-1, 0])
+    if error is not None:
+        raise error
     return _ascending(node_times, p, dp, 0, kind="stabilizing", alpha=alpha,
                       certificate=ConvergenceCertificate(
                           tuple(horizons), tuple(gaps), tol, True))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import safelq
-from safelq import AlphaPolicy, ConeQuery, cli, riccati
+from safelq import ConeQuery, cli, oracle, riccati
 from safelq.cli import main
 
 from conftest import CONFIG_DIR, load_config, load_spec
@@ -305,18 +305,20 @@ class TestHorizonBeyondCap:
     # the limit at the window's end T_eval needs a first horizon T_eval + 1
     # below grid.t_max: a configuration error, not a stabilizing solve that
     # failed to converge.  The game's window is its policy-free tail, one
-    # step past t + 16.
+    # step past t + 16; the verify suites' window ends at t + 8.
     @pytest.mark.parametrize("config, argv", [
         (None, ["riccati", "--eval-span", "63"]),
         (None, ["synthesize", "--x0", "0.5", "--horizon", "63.5"]),
         (16.5, ["game", "--x0", "0.6", "--alpha-points", "1"]),
+        (9.0, ["verify", "--suite", "riccati"]),
     ])
     def test_config_error(self, tmp_path, capsys, config, argv):
-        code, _ = _run_with_t_max(tmp_path, config, argv)
+        code, out = _run_with_t_max(tmp_path, config, argv)
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "horizon cap" in err
+        assert err.startswith("config error: ") and "horizon cap" in err
+        assert not (out / "verify_report.json").exists()
 
     def test_window_past_half_the_cap_is_solved(self, tmp_path):
         # T_eval + 1 = 41 lies below t_max = 64, although the whole window
@@ -454,45 +456,70 @@ class TestDeterminism:
 
 
 class TestValueTableCSV:
-    def test_block_writer_matches_row_format(self, tmp_path, outward_spec,
-                                             ball2d_spec):
-        # the writer formats each lattice point and time node once; its
-        # bytes are those of formatting every row value by value, also for
-        # -0.0, nan, +-inf and a value repeated across time nodes
-        import warnings
-        from safelq import oracle
-        from safelq.cli import _value_table_lines, _write_lines
-        from safelq.errors import GridTooCoarseWarning
-        dp = oracle.build_dp(outward_spec, 0.0, 4.0, n_steps=6, state_res=9,
-                             u_max=0.5, control_res=3, cost_mode="fixed",
-                             alpha=AlphaPolicy.zero(0.0, 64.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            table = oracle.brute_force_value(dp)
-        header, rows = table.csv_rows()
-        assert math.isinf(rows[0][-1]) and math.isfinite(rows[-1][-1])
-        dp2 = oracle.build_dp(ball2d_spec, 0.0, 1.0, n_steps=2, state_res=3,
-                              u_max=1.0, control_res=3, cost_mode="fixed",
-                              alpha=AlphaPolicy.zero(0.0, 64.0))
-        V = np.array([[[-0.0, 0.0, np.nan], [np.inf, -np.inf, 0.1],
-                       [1e-300, -2.5, 1.0 / 3.0]],
-                      [[0.1, -0.0, 0.0], [np.nan, 0.1, np.inf],
-                       [-np.inf, 1.0 / 3.0, 7.0]],
-                      [[0.0, -0.0, 0.1], [0.1, 0.1, -0.0],
-                       [np.nan, np.inf, 2.0 ** 0.5]]])
-        table2 = oracle.ValueTable(dp=dp2, V=V,
-                                   time_nodes=np.array([0.0, 0.5, 1.0]))
-        for k, tab in enumerate((table, table2)):
-            path = tmp_path / f"v{k}.csv"
-            header, points, blocks = tab.csv_blocks()
-            _write_lines(path, header, _value_table_lines(points, blocks),
-                         "abc")
-            header, rows = tab.csv_rows()
-            lines = ["# manifest_sha256=abc", ",".join(header)]
-            lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-            assert path.read_text() == "\n".join(lines) + "\n"
-        text = path.read_text()
-        assert all(v in text for v in (",-0\n", ",nan\n", ",-inf\n"))
+    @pytest.mark.parametrize("config", ["scalar_demo.json",
+                                        "ball2d_demo.json"])
+    def test_one_row_per_lattice_point_at_t0(self, tmp_path, monkeypatch,
+                                             config):
+        solve, tables = oracle.brute_force_value, []
+        monkeypatch.setattr(oracle, "brute_force_value",
+                            lambda dp: tables.append(solve(dp)) or tables[-1])
+        code = main(["--config", str(CONFIG_DIR / config),
+                     "--out", str(tmp_path), "verify", "--suite", "oracle"])
+        assert code == 0
+        (table,) = tables
+        header, rows = read_csv(tmp_path / "value_table.csv")
+        points = table.dp.state_points()
+        assert header == (["s"] + [f"x_{i + 1}" for i in range(points.shape[1])]
+                          + ["V"])
+        rows = np.array(rows)
+        assert rows.shape == (table.V.size, points.shape[1] + 2)
+        assert np.all(rows[:, 0] == load_spec(config).grid.t0)
+        np.testing.assert_array_equal(rows[:, 1:-1], points)
+        np.testing.assert_array_equal(rows[:, -1].view(np.uint64),
+                                      table.V.ravel().view(np.uint64))
+        assert np.isfinite(rows[:, -1]).any()
+
+    def test_csv_lines_format_every_value_17g(self):
+        rows = [[-0.0, 0.0, np.nan], [np.inf, -np.inf, 0.1],
+                [1e-300, -2.5, 1.0 / 3.0]]
+        assert cli._csv_lines(rows) == (
+            "-0,0,nan\ninf,-inf,0.10000000000000001\n"
+            "1e-300,-2.5,0.33333333333333331\n")
+        assert cli._csv_lines([]) == ""
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["riccati"], ["synthesize", "--x0", "0.5"], ["game", "--x0", "0.6"],
+        ["verify"]])
+    def test_every_subcommand_option_is_an_override(self, tmp_path, argv):
+        parser = cli._build_parser()
+        (subparsers,) = [a for a in parser._actions
+                         if a.dest == "command"]
+        options = {a.dest for a in subparsers.choices[argv[0]]._actions
+                   if a.dest != "help"}
+        args = parser.parse_args(["--config", SCALAR] + argv)
+        cli._write_manifest(tmp_path, args)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["overrides"]) == options
+        assert manifest["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv, flag, values", [
+        # each run stops on its bad --horizon or --relaxation after the
+        # manifest is written
+        (["synthesize", "--x0", "0.5", "--horizon", "0"], "--alpha",
+         ("0", "0.5")),
+        (["game", "--x0", "0.6", "--relaxation", "2"], "--alpha-max",
+         ("2", "1")),
+    ])
+    def test_runs_differing_in_one_flag_differ_in_hash(self, tmp_path, argv,
+                                                       flag, values):
+        manifests = set()
+        for value in values:
+            assert main(["--config", SCALAR, "--out", str(tmp_path)]
+                        + argv + [flag, value]) == 1
+            manifests.add((tmp_path / "manifest.json").read_bytes())
+        assert len(manifests) == 2
 
 
 class TestHJBSuiteScaling:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from safelq import AlphaPolicy, build_problem
+from safelq import AlphaPolicy, build_problem, oracle
 from safelq.errors import GridTooCoarseWarning
 from safelq.model import _sup_alpha_gain, eval_dynamics
 from safelq.oracle import brute_force_value, build_dp
@@ -120,16 +120,28 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("mode", ["fixed", "sup"])
     @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
     def test_value_tables_bitwise_equal(self, name, res, n_u, steps, u_max,
-                                        mode):
+                                        mode, monkeypatch):
+        # the table holds the layer at t only: every later layer is checked
+        # as the input of the step that reads it
         dp = build_dp(reference_spec(name), 0.0, 6.0, n_steps=steps,
                       state_res=res, u_max=u_max, control_res=n_u,
                       cost_mode=mode, alpha=ALPHA0)
+        apply, inputs = oracle._apply, []
+
+        def recording_apply(values, op):
+            inputs.append(values.copy())
+            return apply(values, op)
+
+        monkeypatch.setattr(oracle, "_apply", recording_apply)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
             table = brute_force_value(dp)
         ref = reference_value(dp)
         assert np.isfinite(ref).any()
-        np.testing.assert_array_equal(bits(table.V), bits(ref))
+        assert table.V.shape == dp.state_shape
+        np.testing.assert_array_equal(bits(table.V), bits(ref[0]))
+        np.testing.assert_array_equal(
+            bits(np.stack(inputs[::-1]).reshape(ref[1:].shape)), bits(ref[1:]))
 
     @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
     def test_feasible_set_matches_zero_cost_loop(self, name, res, n_u, steps,
@@ -139,7 +151,7 @@ class TestAgainstReferenceLoop:
                       cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask(0)
+            mask = brute_force_value(dp).feasible_mask()
         np.testing.assert_array_equal(
             mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
 
@@ -157,10 +169,9 @@ class TestAgainstReferenceLoop:
                   [xs[3] + 0.5 * h, xs[7]],     # on a cell edge
                   [xs[0] + 0.2 * h, xs[1]],     # cell touches the complement
                   [xs[-1] + 0.5 * h, 0.0]]      # off the lattice
-        got = [table.value_at(p, k) for p in probes for k in (0, 10)]
-        ref = [reference_interpolate(table.V[k], dp.state_axes,
-                                     np.array([p]))[0]
-               for p in probes for k in (0, 10)]
+        got = [table.value_at(p) for p in probes]
+        ref = [reference_interpolate(table.V, dp.state_axes, np.array([p]))[0]
+               for p in probes]
         assert np.isinf(ref).any() and np.isfinite(ref).any()
         np.testing.assert_array_equal(bits(got), bits(ref))
 
@@ -255,7 +266,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask(0)
+            mask = brute_force_value(dp).feasible_mask()
         assert mask.all()
 
     def test_outward_drift_only_near_origin(self, outward_spec):
@@ -264,7 +275,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask(0)
+            mask = brute_force_value(dp).feasible_mask()
         xs = dp.state_axes[0]
         surviving = np.abs(xs[mask])
         # e^8 growth: anything beyond e^{-8} is gone up to grid resolution
@@ -279,7 +290,7 @@ class TestFeasibleSet:
                       control_res=3, cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask(0)
+            mask = brute_force_value(dp).feasible_mask()
         assert mask.all()
 
     def test_consistent_with_base_ipc_view(self, scalar_spec):
@@ -293,7 +304,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask(0)
+            mask = brute_force_value(dp).feasible_mask()
         assert mask.all()
 
 
@@ -304,4 +315,5 @@ class TestValueTableDump:
                          alpha=ALPHA0)
         header, rows = table.csv_rows()
         assert header == ["s", "x_1", "V"]
-        assert len(rows) == 5 * 5
+        assert rows == [[0.0, x, v] for x, v in zip(table.dp.state_axes[0],
+                                                    table.V)]
