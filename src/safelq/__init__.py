@@ -23,9 +23,8 @@ from .riccati import (ConvergenceCertificate, MonotoneReport, RiccatiSolution,
                       check_monotone_in_T, solve_are_constant,
                       solve_finite_horizon, solve_stabilizing)
 from .synthesis import (CostBreakdown, Trajectory, cost_of_trajectory,
-                        feedback_control, finite_value_from_riccati,
-                        hamiltonian, hjb_residual, simulate_closed_loop,
-                        simulate_open_loop, value_from_riccati)
+                        feedback_control, hamiltonian, hjb_residual,
+                        simulate_closed_loop, value_from_riccati)
 
 __version__ = "0.1.0"
 
@@ -39,11 +38,10 @@ __all__ = [
     "brute_force_value", "build_dp", "build_problem", "check_base_ipc",
     "check_ipc_riccati", "check_monotone_in_T", "check_negative_definite",
     "cost_of_trajectory", "eig_sym_extremes", "eval_dynamics",
-    "eval_lagrangian", "eval_sup_lagrangian", "feedback_control",
-    "finite_value_from_riccati", "gamma_bar", "geometric_certificate",
-    "geometric_condition", "hamiltonian", "hjb_residual", "integrate_ode",
-    "lambda_map", "sample_boundary", "simpson_samples",
-    "simulate_closed_loop", "simulate_open_loop", "solve_are_constant",
+    "eval_lagrangian", "eval_sup_lagrangian", "feedback_control", "gamma_bar",
+    "geometric_certificate", "geometric_condition", "hamiltonian",
+    "hjb_residual", "integrate_ode", "lambda_map", "sample_boundary",
+    "simpson_samples", "simulate_closed_loop", "solve_are_constant",
     "solve_coupled", "solve_finite_horizon", "solve_stabilizing",
     "sup_over_constant_alpha", "sym", "value_from_riccati",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from functools import cache
 from itertools import chain
@@ -77,8 +78,11 @@ def _write_csv(path: Path, header: list[str], rows,
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace) -> str:
     # every subcommand flag is an override, so no two runs that differ in
-    # one share a hash
-    overrides = {key: value for key, value in vars(args).items()
+    # one share a hash; the flags are not checked yet, so a non-finite float
+    # is recorded as its string ("nan", "inf"), which strict JSON allows
+    overrides = {key: str(value) if isinstance(value, float)
+                 and not math.isfinite(value) else value
+                 for key, value in vars(args).items()
                  if key not in ("command", "config", "out", "seed")}
     manifest = {
         "command": args.command,
@@ -160,13 +164,15 @@ def _cmd_riccati(args) -> int:
     out = Path(args.out)
     sha = _write_manifest(out, args)
     _require(args.tol > 0.0, "--tol must be positive")
-    _require(args.eval_span >= 0.0, "--eval-span must not be negative")
+    _require(0.0 <= args.eval_span < np.inf,
+             "--eval-span must be finite and not negative")
     if args.horizon != "stabilizing":
         try:
             horizon = float(args.horizon)
         except ValueError:
             raise ConfigError("--horizon must be a number or 'stabilizing'")
-        _require(horizon >= 0.0, "--horizon must not be negative")
+        _require(0.0 <= horizon < np.inf,
+                 "--horizon must be finite and not negative")
     t0 = spec.grid.t0
     alpha = _alpha_from_flag(args.alpha, spec, t0)
 
@@ -197,8 +203,8 @@ def _cmd_synthesize(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
     sha = _write_manifest(out, args)
-    _require(args.horizon is None or args.horizon > 0.0,
-             "--horizon must be positive")
+    _require(args.horizon is None or 0.0 < args.horizon < np.inf,
+             "--horizon must be finite and positive")
     t0 = spec.grid.t0
     x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
     if not spec.omega.contains(x0, tol=1e-9):

@@ -31,7 +31,6 @@ from .riccati import (RiccatiSolution, _sweep_from_tail, solve_from_tail,
                       solve_stabilizing)
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
-_TINY = np.finfo(float).tiny
 # residual differences per Anderson step: the step mixes the last
 # _ANDERSON_MEMORY + 1 values of the relaxed map
 _ANDERSON_MEMORY = 3
@@ -43,44 +42,6 @@ def lambda_map(spec: ProblemSpec, s, x: np.ndarray):
     hx = spec.h.forward(x)
     alpha_star, _ = _sup_alpha_gain(spec.a, spec.b, np.vecdot(hx, hx))
     return alpha_star
-
-
-def lambda_map_numeric(spec: ProblemSpec, s: float, x: np.ndarray) -> float:
-    """Golden-section fallback for the argmax; cross-checks the closed form.
-
-    The bracket closes to 1e-12 relative to its upper end, and zero wins
-    ties within 1e-12 relative to the maximal gain.
-    """
-    tol = 1e-12
-    hx = spec.h.forward(np.asarray(x, dtype=float))
-    g = float(hx @ hx)
-
-    def gain(beta):
-        return float(spec.a(beta)) * g - float(spec.b(beta))
-
-    # beyond hi the penalty surely dominates the gain
-    p, q = spec.a.exponent, spec.b.exponent
-    c, d = max(spec.a.coeff, 1e-30), max(spec.b.coeff, 1e-30)
-    lo, hi = 0.0, max(1.0, (2.0 * c * max(g, 1.0) / d) ** (1.0 / (q - p)))
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = gain(x1), gain(x2)
-    # the floor ends a bracket closing on zero before it turns subnormal
-    while hi - lo > tol * hi + _TINY:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = gain(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = gain(x1)
-    best = 0.5 * (lo + hi)
-    g_best = gain(best)
-    if gain(0.0) >= g_best - tol * abs(g_best):
-        return 0.0
-    return float(best)
 
 
 @dataclass(frozen=True, eq=False)

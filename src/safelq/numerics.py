@@ -23,7 +23,7 @@ from .errors import NonFiniteState, OutOfGrid
 
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetrized copy (M + M^T)/2 of a matrix or of each in a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def matvec(m: np.ndarray, x) -> np.ndarray:
@@ -112,17 +112,23 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
     after every step.  Overflow and NaN are not checked here: no step turns
     a non-finite entry finite again, so callers scan the stored nodes once
     afterwards.
+
+    The step factors h/2, h and h/6 are 0-d float64 arrays, which numpy
+    multiplies without converting a Python float on every product, and
+    2 k is written k + k; both give the same values as the textbook
+    ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     """
     n = len(values) - 1
     y = values[0]
+    half, full, sixth = (np.array(c) for c in (0.5 * h, h, h / 6.0))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             k1 = field(2 * k, y)
             derivs[k] = k1
-            k2 = field(2 * k + 1, y + (0.5 * h) * k1)
-            k3 = field(2 * k + 1, y + (0.5 * h) * k2)
-            k4 = field(2 * k + 2, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = field(2 * k + 1, y + half * k1)
+            k3 = field(2 * k + 1, y + half * k2)
+            k4 = field(2 * k + 2, y + full * k3)
+            y = y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
             if postprocess is not None:
                 y = postprocess(y)
             values[k + 1] = y

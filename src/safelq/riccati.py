@@ -8,7 +8,8 @@ The finite-horizon terminal-value problem
 is integrated backward by the package's one RK4 loop (``numerics._rk4``,
 step -h, symmetrizing after every step) on the stage grid of
 ``numerics.stage_times``, read in descending order; its right-hand side
-reads the stage data by stage index.  A lane that escapes runs on as inf/NaN
+reads the stage data by stage index: A, its transpose view, S and each
+lane's q I, all built once per sweep.  A lane that escapes runs on as inf/NaN
 and is found by one scan of the stored nodes afterwards.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit, at the window's end T_eval, of finite-horizon
@@ -120,18 +121,12 @@ def _stage_data(spec: ProblemSpec, alphas, times: np.ndarray):
     return a_arr, s_arr, q_arr
 
 
-def _riccati_rhs(p, a, s, q, eye):
-    # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of p
-    return -(a.T @ p + p @ a - p @ s @ p + q[:, None, None] * eye)
-
-
 def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
            p_end: np.ndarray | float = 0.0):
     """Backward RK4 sweeps from P(T) = p_end, one lane per policy: descending
     node times, P and dP (nodes, lanes, n, n), and per lane None or the
     NonFiniteState the lane ended in."""
     n = spec.dim_state
-    eye = np.eye(n)
     if T < t:
         raise ValueError("terminal time must not precede the start time")
     # anchored at t, so sweeps with different horizons evaluate the (possibly
@@ -141,12 +136,20 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     steps = len(node_times) - 1
     h = (T - t) / steps if steps else 0.0
     a, s, q = _stage_data(spec, alphas, times)
+    # per stage: the A^T view and the (lanes, n, n) stack q I, built once
+    a_t = a.swapaxes(-1, -2)
+    qi = q[:, :, None, None] * np.eye(n)
     p_desc = np.empty((steps + 1, len(alphas), n, n))
     dp_desc = np.empty_like(p_desc)
     p_desc[0] = p_end
+
+    def rhs(j, p):
+        # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of
+        # p; the negation stays outermost, as it fixes the sign of a zero
+        return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
+
     # an escaped lane runs on as inf/NaN: reported below, not warned
-    _rk4(lambda j, p: _riccati_rhs(p, a[j], s[j], q[j], eye),
-         p_desc, dp_desc, -h, postprocess=sym)
+    _rk4(rhs, p_desc, dp_desc, -h, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where
@@ -174,10 +177,12 @@ def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     return _ascending(nodes, p, dp, 0, kind="finite_horizon", alpha=alpha)
 
 
-# lanes per sweep back from a tail: a sweep's (nodes, lanes, n, n) arrays are
-# freed before the next chunk's sweep starts, so the peak memory does not
-# grow with the number of policies
-_TAIL_LANES = 6
+# lanes per sweep back from a tail: the game's 11 default constant policies
+# fit one sweep, and a step of 12 lanes costs little more than a step of one,
+# as per-call overhead dominates on small matrices; a sweep's (nodes, lanes,
+# n, n) arrays are freed before the next chunk's sweep starts, so the peak
+# memory does not grow with the number of policies
+_TAIL_LANES = 12
 
 
 def _sweep_from_tail(spec: ProblemSpec, alphas, t: float,

@@ -8,8 +8,7 @@ The feedback law is u(s) = -R^{-1} B(s)^T P(s) h(xi(s)) and the closed loop
 which is exactly the field obtained by minimizing the Hamiltonian at the
 gradient 2 grad_h^T P h of the quadratic value candidate.  Values come from
 
-    W(t, x)   = <h(x), P(t) h(x)> - integral of b(alpha) over [t, inf)
-    W_T(t, x) = <h(x), P_T(t) h(x)> - integral of b(alpha) over [t, T]
+    W(t, x) = <h(x), P(t) h(x)> - integral of b(alpha) over [t, inf)
 
 and the verification residual |dV/ds + H(s, x, grad_x V)| is measured with
 central differences of P in time.
@@ -24,12 +23,11 @@ trajectory is bit for bit the one it gets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import OutOfGrid
-from .model import AlphaPolicy, ProblemSpec, eval_dynamics, eval_lagrangian
+from .model import AlphaPolicy, ProblemSpec, eval_lagrangian
 from .numerics import integrate_ode, matvec, simpson_samples, stage_times
 from .riccati import RiccatiSolution
 
@@ -140,29 +138,17 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
     dt = spec.grid.dt
     gammas = gamma_matrices(spec, P, stage_times(t, T_sim, dt))
 
+    forward, jacobian_inv = spec.h.forward, spec.h.apply_jacobian_inv
+
     def field(j, x):
-        return spec.h.apply_jacobian_inv(x,
-                                         matvec(gammas[j], spec.h.forward(x)))
+        # matvec less its conversion: h(x) is a float array already
+        return jacobian_inv(
+            x, np.matmul(gammas[j], forward(x)[..., None])[..., 0])
 
     path = integrate_ode(field, t, T_sim, x0, dt)
     states = np.moveaxis(path.values, 0, -2)
     controls = feedback_control(spec, P, path.nodes, states)
     return _trajectory(spec, path.nodes, states, controls, alpha)
-
-
-def simulate_open_loop(spec: ProblemSpec, control: Callable[[float], np.ndarray],
-                       alpha: AlphaPolicy, t: float, x0: np.ndarray,
-                       T_sim: float) -> Trajectory:
-    """Integrate the dynamics under an explicit control signal from each
-    start of x0 (..., n); ``control(s)`` gives one control per start and is
-    sampled once per RK4 stage."""
-    times = stage_times(t, T_sim, spec.grid.dt).tolist()
-    controls = np.array([np.asarray(control(s), dtype=float) for s in times])
-    path = integrate_ode(
-        lambda j, x: eval_dynamics(spec, times[j], x, controls[j]),
-        t, T_sim, np.asarray(x0, dtype=float), spec.grid.dt)
-    return _trajectory(spec, path.nodes, np.moveaxis(path.values, 0, -2),
-                       np.moveaxis(controls[::2], 0, -2), alpha)
 
 
 def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,
@@ -173,15 +159,6 @@ def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,
     hx = spec.h.forward(np.asarray(x, dtype=float))
     quad = float(hx @ (P.at(t) @ hx))
     return quad - alpha.piecewise_integral(spec.b, t, None)
-
-
-def finite_value_from_riccati(spec: ProblemSpec, P_T: RiccatiSolution,
-                              alpha: AlphaPolicy, t: float, T: float,
-                              x: np.ndarray) -> float:
-    """Finite-horizon value <h(x), P_T(t) h(x)> minus the b-integral on [t, T]."""
-    hx = spec.h.forward(np.asarray(x, dtype=float))
-    quad = float(hx @ (P_T.at(t) @ hx))
-    return quad - alpha.piecewise_integral(spec.b, t, T)
 
 
 def hamiltonian(spec: ProblemSpec, s, x: np.ndarray, p: np.ndarray,

@@ -227,6 +227,9 @@ class TestBadFlags:
         (["game", "--x0", "0.6", "--relaxation", "2"], "--relaxation"),
         (["game", "--x0", "0.6", "--alpha-max", "-1"], "--alpha-max"),
         (["game", "--x0", "0.6", "--alpha-max", "inf"], "--alpha-max"),
+        (["riccati", "--eval-span", "inf"], "--eval-span"),
+        (["riccati", "--horizon", "inf"], "--horizon"),
+        (["synthesize", "--x0", "0.5", "--horizon", "inf"], "--horizon"),
     ])
     def test_exits_1_in_one_line(self, tmp_path, capsys, argv, flag):
         code = main(["--config", SCALAR, "--out", str(tmp_path)] + argv)
@@ -235,6 +238,21 @@ class TestBadFlags:
         assert len(err.strip().splitlines()) == 1
         assert flag in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("argv, flag, key, recorded", [
+        (["riccati", "--tol", "nan"], "--tol", "tol", "nan"),
+        (["game", "--x0", "0.6", "--alpha-max", "inf"], "--alpha-max",
+         "alpha_max", "inf"),
+    ])
+    def test_rejected_non_finite_flag_leaves_a_strict_manifest(
+            self, tmp_path, capsys, argv, flag, key, recorded):
+        code = main(["--config", SCALAR, "--out", str(tmp_path)] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and flag in err
+        manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                              parse_constant=reject_constant)
+        assert manifest["overrides"][key] == recorded
 
     @pytest.mark.parametrize("argv, rows", [
         (["riccati", "--alpha", "nan"], None),

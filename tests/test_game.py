@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safelq import AlphaPolicy, build_problem
+from safelq import AlphaPolicy, build_problem, riccati
+from safelq.cli import main
 from safelq.errors import NoConvergence, NonFiniteState
-from safelq.game import (_anderson_step, lambda_map, lambda_map_numeric,
-                         solve_coupled, sup_over_constant_alpha)
+from safelq.game import (_anderson_step, lambda_map, solve_coupled,
+                         sup_over_constant_alpha)
 from safelq.riccati import _gap_tol, solve_from_tail, solve_stabilizing
 from safelq.synthesis import simulate_closed_loop, value_from_riccati
 
-from conftest import load_config
+from conftest import CONFIG_DIR, load_config
+from references import lambda_map_numeric
 from windowed_doubling import windowed_stabilizing
 
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
@@ -195,6 +197,25 @@ class TestConstantAlphaLanes:
                               ref[:, 1].view(np.uint64))
         assert sweep.w_lower == max(values[:2])
         assert [val for val, _ in sweep.skipped] == [1e300]
+
+    def test_default_game_sweeps_its_constant_policies_once(
+            self, tmp_path, monkeypatch):
+        # every sweep of a default run is one lane (the tail's doubling and
+        # the Picard passes) but the last: the 11 constant policies at once
+        lanes = []
+        sweep = riccati._sweep
+
+        def counting_sweep(spec, alphas, *args, **kwargs):
+            lanes.append(len(alphas))
+            return sweep(spec, alphas, *args, **kwargs)
+
+        monkeypatch.setattr(riccati, "_sweep", counting_sweep)
+        code = main(["--config", str(CONFIG_DIR / "scalar_demo.json"),
+                     "--out", str(tmp_path), "game", "--x0", "0.6"])
+        assert code == 0
+        assert lanes[-1] == 11 and set(lanes[:-1]) == {1}
+        rows = (tmp_path / "constant_alpha_sweep.csv").read_text()
+        assert len(rows.splitlines()) == 2 + 11
 
 
 @pytest.fixture(scope="module")

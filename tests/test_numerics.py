@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safelq.errors import NonFiniteState, OutOfGrid
-from safelq.numerics import (eig_sym_extremes, integrate_ode, simpson_samples,
-                             stage_times, sym)
+from safelq.numerics import (_rk4, eig_sym_extremes, integrate_ode,
+                             simpson_samples, stage_times, sym)
 
 
 class TestStageTimes:
@@ -113,6 +113,75 @@ class TestIntegrator:
             for got, ref in ((stacked.values[:, i], single.values),
                              (stacked.derivs[:, i], single.derivs)):
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _textbook_rk4(field, t_start, t_end, y0, dt):
+    """The plain RK4 loop: Python-float step factors and 2.0 * k, stored
+    nodes and derivatives, no finiteness check."""
+    n = len(stage_times(t_start, t_end, dt)) // 2
+    h = (t_end - t_start) / n
+    y = np.asarray(y0, dtype=float)
+    values, derivs = [y], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            k1 = field(2 * k, y)
+            derivs.append(k1)
+            k2 = field(2 * k + 1, y + (0.5 * h) * k1)
+            k3 = field(2 * k + 1, y + (0.5 * h) * k2)
+            k4 = field(2 * k + 2, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            values.append(y)
+        derivs.append(field(2 * n, y))
+    return np.array(values), np.array(derivs)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestTextbookStep:
+    # the kernel's 0-d step factors and k + k must not move a bit against
+    # the textbook form of the step
+    @pytest.mark.parametrize("y0", [
+        np.array([0.7, -0.3]),
+        np.random.default_rng(7).uniform(-1.0, 1.0, (6, 2)),
+    ], ids=["vector", "stacked"])
+    def test_matches_integrate_ode(self, y0):
+        m = np.array([[-0.5, 1.0], [-1.0, -0.2]])
+        sines = np.sin(3.0 * stage_times(0.0, 1.3, 0.01))
+
+        def field(j, y):
+            return np.matmul(m, y[..., None])[..., 0] + sines[j] * y**2
+
+        path = integrate_ode(field, 0.0, 1.3, y0, 0.01)
+        values, derivs = _textbook_rk4(field, 0.0, 1.3, y0, 0.01)
+        assert _same_bits(path.values, values)
+        assert _same_bits(path.derivs, derivs)
+
+    def test_matches_an_escaping_state(self):
+        # y' = y^2 - s y: the first row escapes (its entry 3 by s = 0.37),
+        # to inf and then NaN from inf - inf; the second row stays finite
+        times = stage_times(0.0, 2.0, 0.01)
+
+        def field(j, y):
+            return y * y - times[j] * y
+
+        y0 = np.array([[1.0, 3.0], [-0.5, 0.2]])
+        values, derivs = _textbook_rk4(field, 0.0, 2.0, y0, 0.01)
+        assert not np.all(np.isfinite(values[-1, 0]))
+        assert np.all(np.isfinite(values[:, 1]))
+        got_values = np.empty_like(values)
+        got_derivs = np.empty_like(derivs)
+        got_values[0] = y0
+        _rk4(field, got_values, got_derivs, 2.0 / (len(values) - 1))
+        assert _same_bits(got_values, values)
+        assert _same_bits(got_derivs, derivs)
+        first = np.argmin(np.isfinite(values.reshape(len(values), -1)).all(1))
+        with pytest.raises(NonFiniteState) as exc:
+            integrate_ode(field, 0.0, 2.0, y0, 0.01)
+        assert exc.value.time == times[2 * first]
 
 
 class TestQuadrature:

@@ -331,11 +331,15 @@ class TestLanes:
     @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec",
                                       "timevarying_spec", "cubic_spec"])
     def test_lanes_match_the_per_step_reference(self, name, request):
+        # as many lanes as a sweep back from the game's tail holds
         spec = request.getfixturevalue(name)
         policies = [_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0,
-                    _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])]
+                    _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])] + [
+            AlphaPolicy.constant(val, 0.0, 2.0)
+            for val in np.linspace(0.2, 1.8, 9)]
+        assert len(policies) == riccati._TAIL_LANES
         nodes, p, dp, errors = riccati._sweep(spec, policies, 0.0, 8.0, 0.01)
-        assert errors == [None] * 3
+        assert errors == [None] * 12
         for lane, policy in enumerate(policies):
             p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 8.0, 0.01)
             assert _bitwise_equal(p[:, lane], p_ref)

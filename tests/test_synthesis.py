@@ -9,12 +9,11 @@ from safelq.model import eval_lagrangian
 from safelq.numerics import integrate_ode, simpson_samples
 from safelq.riccati import solve_finite_horizon, solve_stabilizing
 from safelq.synthesis import (cost_of_trajectory, feedback_control,
-                              finite_value_from_riccati, gamma_matrices,
-                              hamiltonian,
-                              hjb_residual, simulate_closed_loop,
-                              simulate_open_loop, value_from_riccati)
+                              gamma_matrices, hamiltonian, hjb_residual,
+                              simulate_closed_loop, value_from_riccati)
 
 from conftest import CONFIG_DIR, load_spec
+from references import finite_value_from_riccati, simulate_open_loop
 
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
