@@ -15,7 +15,7 @@ from .ipc import (GeometricCertificate, GeometricReport, IPCReport,
                   check_base_ipc, check_ipc_riccati, check_negative_definite,
                   gamma_bar, geometric_certificate, geometric_condition)
 from .model import (AlphaPolicy, ProblemSpec, TimeGridSpec, build_problem,
-                    eval_dynamics, eval_lagrangian, eval_sup_lagrangian)
+                    eval_dynamics, eval_lagrangian)
 from .numerics import (SampledPath, eig_sym_extremes, integrate_ode,
                        simpson_samples, sym)
 from .oracle import DPProblem, ValueTable, brute_force_value, build_dp
@@ -38,7 +38,7 @@ __all__ = [
     "brute_force_value", "build_dp", "build_problem", "check_base_ipc",
     "check_ipc_riccati", "check_monotone_in_T", "check_negative_definite",
     "cost_of_trajectory", "eig_sym_extremes", "eval_dynamics",
-    "eval_lagrangian", "eval_sup_lagrangian", "feedback_control", "gamma_bar",
+    "eval_lagrangian", "feedback_control", "gamma_bar",
     "geometric_certificate", "geometric_condition", "hamiltonian",
     "hjb_residual", "integrate_ode", "lambda_map", "sample_boundary",
     "simpson_samples", "simulate_closed_loop", "solve_are_constant",

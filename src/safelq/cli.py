@@ -163,7 +163,7 @@ def _cmd_riccati(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
     sha = _write_manifest(out, args)
-    _require(args.tol > 0.0, "--tol must be positive")
+    _require(0.0 < args.tol < np.inf, "--tol must be finite and positive")
     _require(0.0 <= args.eval_span < np.inf,
              "--eval-span must be finite and not negative")
     if args.horizon != "stabilizing":
@@ -257,7 +257,7 @@ def _cmd_game(args) -> int:
     x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
     if not spec.omega.contains(x0, tol=1e-9):
         raise ConfigError("--x0 lies outside the constraint set")
-    _require(args.tol > 0.0, "--tol must be positive")
+    _require(0.0 < args.tol < np.inf, "--tol must be finite and positive")
     _require(0.0 < args.relaxation <= 1.0, "--relaxation must lie in (0, 1]")
     _require(0.0 <= args.alpha_max < np.inf,
              "--alpha-max must be finite and not negative")

@@ -201,16 +201,6 @@ def eval_lagrangian(spec: ProblemSpec, s, x: np.ndarray, u: np.ndarray,
             + 0.5 * np.vecdot(u, u) - spec.b(alpha))[()]
 
 
-def eval_sup_lagrangian(spec: ProblemSpec, s, x: np.ndarray,
-                        u: np.ndarray):
-    """Marginal-function cost sup over alpha of the parametrized rate."""
-    hx = spec.h.forward(x)
-    u = np.asarray(u, dtype=float)
-    g = np.vecdot(hx, hx)
-    _, gain = _sup_alpha_gain(spec.a, spec.b, g)
-    return (0.5 * spec.K.value(s) * g + 0.5 * np.vecdot(u, u) + gain)[()]
-
-
 def _validate_r(entry: dict, m: int) -> None:
     if entry is None:
         return

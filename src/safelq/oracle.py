@@ -171,9 +171,6 @@ class ValueTable:
         op = _locate(self.dp.state_axes, pt)
         return float(_apply(self.V, op)[0])
 
-    def feasible_mask(self) -> np.ndarray:
-        return np.isfinite(self.V)
-
     def csv_rows(self) -> tuple[list[str], list[list[float]]]:
         """Header and one ``(s, x_*, V)`` row per lattice point, s = dp.t."""
         pts = self.dp.state_points()

@@ -25,6 +25,10 @@ doubling, and sweeps each policy back from it, several policies as lanes of
 stacked (lanes, n, n) states sharing A and S = B R^{-1} B^T.  Stacked matmul
 works per matrix, so each lane is bit for bit a sweep of its own, and the
 one-policy doubling is the reference the tail's lanes are tested against.
+A sweep of one lane, as in the doubling and each Picard pass, integrates the
+2-D (n, n) views of its arrays with ndarray.dot instead: on such small
+matrices the cost is per-call overhead, most of it matmul's dispatch, and
+dot rounds like matmul, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -125,7 +129,12 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
            p_end: np.ndarray | float = 0.0):
     """Backward RK4 sweeps from P(T) = p_end, one lane per policy: descending
     node times, P and dP (nodes, lanes, n, n), and per lane None or the
-    NonFiniteState the lane ended in."""
+    NonFiniteState the lane ended in.
+
+    Several lanes integrate stacked states with matmul; one lane
+    integrates the 2-D views ``p[:, 0]`` with ndarray.dot, bit for bit the
+    same.
+    """
     n = spec.dim_state
     if T < t:
         raise ValueError("terminal time must not precede the start time")
@@ -143,13 +152,23 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     dp_desc = np.empty_like(p_desc)
     p_desc[0] = p_end
 
-    def rhs(j, p):
-        # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of
-        # p; the negation stays outermost, as it fixes the sign of a zero
-        return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
+    # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of p;
+    # the negation stays outermost, as it fixes the sign of a zero
+    if len(alphas) == 1:
+        # ndarray.dot rounds like matmul and skips its gufunc dispatch
+        p_run, dp_run, qi = p_desc[:, 0], dp_desc[:, 0], qi[:, 0]
+
+        def rhs(j, p):
+            return -(a_t[j].dot(p) + p.dot(a[j]) - p.dot(s[j]).dot(p)
+                     + qi[j])
+    else:
+        p_run, dp_run = p_desc, dp_desc
+
+        def rhs(j, p):
+            return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
 
     # an escaped lane runs on as inf/NaN: reported below, not warned
-    _rk4(rhs, p_desc, dp_desc, -h, postprocess=sym)
+    _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where

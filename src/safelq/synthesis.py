@@ -17,7 +17,9 @@ A simulation integrates a stack of starts with RK4 on the grid of
 ``numerics.stage_times``, reading Gamma at each stage index from one
 precomputed array, then builds the controls and running costs of all nodes
 and starts at once with stacked matmul and vecdot, so each start's
-trajectory is bit for bit the one it gets alone.
+trajectory is bit for bit the one it gets alone.  The field of a single
+start (n,) is ``Gamma.dot(h(x))``: ndarray.dot rounds like the stacked
+matmul and skips its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -140,10 +142,14 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
 
     forward, jacobian_inv = spec.h.forward, spec.h.apply_jacobian_inv
 
-    def field(j, x):
-        # matvec less its conversion: h(x) is a float array already
-        return jacobian_inv(
-            x, np.matmul(gammas[j], forward(x)[..., None])[..., 0])
+    if x0.ndim == 1:
+        def field(j, x):
+            return jacobian_inv(x, gammas[j].dot(forward(x)))
+    else:
+        def field(j, x):
+            # matvec less its conversion: h(x) is a float array already
+            return jacobian_inv(
+                x, np.matmul(gammas[j], forward(x)[..., None])[..., 0])
 
     path = integrate_ode(field, t, T_sim, x0, dt)
     states = np.moveaxis(path.values, 0, -2)

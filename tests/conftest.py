@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from safelq import build_problem
@@ -49,3 +50,14 @@ def geometric_spec():
 @pytest.fixture(scope="session")
 def outward_spec():
     return load_spec("outward_drift.json")
+
+
+@pytest.fixture(scope="session")
+def full2d_spec():
+    # ball2d_demo with a full A and B: the shipped A and B are diagonal,
+    # where a product's rounding hardly depends on its order
+    config = load_config("ball2d_demo.json")
+    rng = np.random.default_rng(18)
+    config["A"]["params"]["value"] = rng.uniform(-2.0, 1.0, (2, 2)).tolist()
+    config["B"]["params"] = {"value": rng.uniform(0.5, 1.5, (2, 2)).tolist()}
+    return build_problem(config)

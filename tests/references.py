@@ -5,12 +5,15 @@
 * ``simulate_open_loop``: the dynamics under an explicit control signal,
   which the verification inequality compares with the feedback law;
 * ``finite_value_from_riccati``: the finite-horizon value from a sweep with
-  zero terminal condition.
+  zero terminal condition;
+* ``eval_sup_lagrangian``: the marginal-function cost, the sup over alpha of
+  the running cost, which the oracle's sup mode builds from its parts;
+* ``feasible_mask``: the lattice points where a DP value table is finite.
 """
 
 import numpy as np
 
-from safelq.model import eval_dynamics
+from safelq.model import _sup_alpha_gain, eval_dynamics
 from safelq.numerics import integrate_ode, stage_times
 from safelq.synthesis import _trajectory
 
@@ -73,3 +76,17 @@ def finite_value_from_riccati(spec, P_T, alpha, t, T, x):
     hx = spec.h.forward(np.asarray(x, dtype=float))
     quad = float(hx @ (P_T.at(t) @ hx))
     return quad - alpha.piecewise_integral(spec.b, t, T)
+
+
+def eval_sup_lagrangian(spec, s, x, u):
+    """Marginal-function cost sup over alpha of the parametrized rate."""
+    hx = spec.h.forward(x)
+    u = np.asarray(u, dtype=float)
+    g = np.vecdot(hx, hx)
+    _, gain = _sup_alpha_gain(spec.a, spec.b, g)
+    return (0.5 * spec.K.value(s) * g + 0.5 * np.vecdot(u, u) + gain)[()]
+
+
+def feasible_mask(table):
+    """Where the value table ``table.V`` is finite."""
+    return np.isfinite(table.V)

@@ -7,13 +7,14 @@ import pytest
 
 from safelq import (AlphaPolicy, ConeQuery, Ellipsoid, Polytope,
                     build_problem, eval_dynamics, eval_lagrangian,
-                    eval_sup_lagrangian, integrate_ode, sample_boundary,
-                    solve_finite_horizon)
+                    integrate_ode, sample_boundary, solve_finite_horizon)
 from safelq.game import lambda_map
 from safelq.geometry import Ball, Box
 from safelq.model import _sup_alpha_gain
 from safelq.numerics import stage_times
 from safelq.synthesis import feedback_control, hamiltonian, hjb_residual
+
+from references import eval_sup_lagrangian
 
 RNG = np.random.default_rng(20261018)
 N_ROWS = 500

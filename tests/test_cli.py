@@ -172,6 +172,28 @@ class TestGameCommand:
         assert len(window) < len(spans)
         assert set(window) == {(0.0, t_seed)}
 
+    @pytest.mark.parametrize("config, x0, code", [
+        ("scalar_demo.json", "0.349266", 0),
+        ("ball2d_demo.json", "0.284630,-0.191796", 0),
+        ("timevarying_demo.json", "0.323850", 0),
+        ("outward_drift.json", "0.346464", 3),
+    ])
+    def test_synthesize_on_alpha_star_gives_W(self, tmp_path, config, x0,
+                                              code):
+        # the constrained feedback law end to end: the game's weight policy,
+        # fed back to synthesize from the same start, is valued at W
+        config = str(CONFIG_DIR / config)
+        game_out, synth_out = tmp_path / "game", tmp_path / "synthesize"
+        assert main(["--config", config, "--out", str(game_out), "game",
+                     "--x0", x0, "--alpha-points", "1"]) == code
+        assert main(["--config", config, "--out", str(synth_out),
+                     "synthesize", "--x0", x0, "--check-ipc", "--alpha",
+                     str(game_out / "alpha_star.csv")]) == code
+        game = json.loads((game_out / "game.json").read_text())
+        value = json.loads((synth_out / "value.json").read_text())
+        assert value["value"] == game["W"]
+        assert value["constraint_violated"] is game["constraint_violated"]
+
     def test_closed_loop_leaving_omega_exits_3(self, tmp_path, capsys):
         # outward_drift has B = 0: the fixed point converges, but xi* leaves
         # the unit interval at ln(1/0.3) / 1 = 1.20
@@ -230,12 +252,15 @@ class TestBadFlags:
         (["riccati", "--eval-span", "inf"], "--eval-span"),
         (["riccati", "--horizon", "inf"], "--horizon"),
         (["synthesize", "--x0", "0.5", "--horizon", "inf"], "--horizon"),
+        (["riccati", "--tol", "inf"], "--tol"),
+        (["game", "--x0", "0.6", "--tol", "inf"], "--tol"),
     ])
     def test_exits_1_in_one_line(self, tmp_path, capsys, argv, flag):
         code = main(["--config", SCALAR, "--out", str(tmp_path)] + argv)
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: ")
         assert flag in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from safelq import (AlphaPolicy, build_problem, eval_dynamics,
-                    eval_lagrangian, eval_sup_lagrangian)
+                    eval_lagrangian)
 from safelq.errors import (ConfigError, DimensionMismatch, GrowthViolation,
                            IntegrabilityMismatch, NegativeAlpha,
                            NonPositiveWeight, NonconformingWeight,
@@ -14,6 +14,7 @@ from safelq.game import lambda_map
 from safelq.numerics import stage_times
 
 from conftest import load_config
+from references import eval_sup_lagrangian
 
 
 class TestBuildProblem:

@@ -12,6 +12,7 @@ from safelq.riccati import solve_stabilizing
 from safelq.synthesis import value_from_riccati
 
 from conftest import load_config, load_spec
+from references import feasible_mask
 
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
 
@@ -151,7 +152,7 @@ class TestAgainstReferenceLoop:
                       cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask()
+            mask = feasible_mask(brute_force_value(dp))
         np.testing.assert_array_equal(
             mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
 
@@ -266,7 +267,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask()
+            mask = feasible_mask(brute_force_value(dp))
         assert mask.all()
 
     def test_outward_drift_only_near_origin(self, outward_spec):
@@ -275,7 +276,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask()
+            mask = feasible_mask(brute_force_value(dp))
         xs = dp.state_axes[0]
         surviving = np.abs(xs[mask])
         # e^8 growth: anything beyond e^{-8} is gone up to grid resolution
@@ -290,7 +291,7 @@ class TestFeasibleSet:
                       control_res=3, cost_mode="fixed", alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask()
+            mask = feasible_mask(brute_force_value(dp))
         assert mask.all()
 
     def test_consistent_with_base_ipc_view(self, scalar_spec):
@@ -304,7 +305,7 @@ class TestFeasibleSet:
                       alpha=ALPHA0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = brute_force_value(dp).feasible_mask()
+            mask = feasible_mask(brute_force_value(dp))
         assert mask.all()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -432,3 +433,71 @@ class TestLanes:
             assert got.certificate is tail.certificate
             for field in ("nodes", "P", "dP"):
                 assert _bitwise_equal(getattr(got, field), getattr(ref, field))
+
+
+class TestOneLane:
+    """A one-lane sweep integrates 2-D states with ndarray.dot, a sweep of
+    several lanes stacked states with matmul; both round like the reference
+    loop's 2-D ``@``."""
+
+    @pytest.mark.parametrize("config", sorted(
+        p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_matches_the_per_step_reference(self, config):
+        self._check_against_reference(build_problem(load_config(config)))
+
+    def test_matches_the_reference_with_full_matrices(self, full2d_spec):
+        self._check_against_reference(full2d_spec)
+
+    @staticmethod
+    def _check_against_reference(spec):
+        t, dt = spec.grid.t0, spec.grid.dt
+        # positive on [t + 4, t + 8], so that P(t + 4) is not zero even
+        # where K is (outward_drift)
+        policy = AlphaPolicy(t + np.linspace(0.0, 8.0, 5),
+                             np.array([0.3, 0.7, 0.1, 0.2, 0.4]))
+        p_ref, dp_ref = _reference_sweep(spec, policy, t, t + 8.0, dt)
+        nodes, p, dp, errors = riccati._sweep(spec, [policy], t, t + 8.0, dt)
+        assert errors == [None]
+        assert _bitwise_equal(p[:, 0], p_ref)
+        assert _bitwise_equal(dp[:, 0], dp_ref)
+        # from a non-zero P(t + 4), the sweep repeats the reference's last
+        # half, node for node
+        half = (len(nodes) - 1) // 2
+        assert nodes[half] == t + 4.0
+        _, p, dp, errors = riccati._sweep(spec, [policy], t, t + 4.0, dt,
+                                          p_end=p_ref[half])
+        assert errors == [None] and np.any(p_ref[half] != 0.0)
+        assert _bitwise_equal(p[:, 0], p_ref[half:])
+        assert _bitwise_equal(dp[:, 0], dp_ref[half:])
+
+    def test_escape_reports_the_reference_time_and_message(self, scalar_spec):
+        policy = AlphaPolicy.constant(1e300, 0.0, 64.0)
+        with pytest.raises(NonFiniteState) as ref, \
+                np.errstate(over="ignore", invalid="ignore"):
+            _reference_sweep(scalar_spec, policy, 0.0, 2.0, 0.01)
+        _, p, _, (error,) = riccati._sweep(scalar_spec, [policy], 0.0, 2.0,
+                                           0.01)
+        assert str(error) == str(ref.value)
+        assert error.time == ref.value.time
+        assert not np.isfinite(p[-1]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dot_rounds_like_matmul(self, n):
+        # the premise of the one-lane sweep and the one-start closed loop:
+        # ndarray.dot and matmul give the same bits on (n, n) products and
+        # (n, n) (n,) products, transposed views and non-finite entries
+        # included; a BLAS or numpy build that breaks it fails here
+        rng = np.random.default_rng(n)
+        for trial in range(400):
+            a, b = rng.standard_normal((2, n, n)) * 10.0 ** rng.integers(
+                -8, 9, (2, n, n))
+            if trial % 4 == 3:
+                a.flat[rng.integers(n * n)] = rng.choice([np.inf, -np.inf,
+                                                          np.nan])
+            for left, right in itertools.product((a, a.T, b, b.T), repeat=2):
+                x = right[0]
+                with np.errstate(invalid="ignore"):
+                    assert _bitwise_equal(left.dot(right),
+                                          np.matmul(left, right))
+                    assert _bitwise_equal(
+                        left.dot(x), np.matmul(left, x[:, None])[:, 0])

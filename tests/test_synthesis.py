@@ -145,6 +145,19 @@ class TestClosedLoopFromArrays:
                                       if config == "outward_drift.json"
                                       else [False] * 3)
 
+    def test_one_start_with_full_matrices(self, full2d_spec):
+        spec = full2d_spec
+        P = solve_stabilizing(spec, ALPHA0, 0.0, 4.0, tol=1e-8)
+        starts = np.array([[0.3, -0.2], [-0.5, 0.1]])
+        batch = simulate_closed_loop(spec, P, ALPHA0, 0.0, starts, 4.0)
+        one = simulate_closed_loop(spec, P, ALPHA0, 0.0, starts[0], 4.0)
+        ref = _per_node_closed_loop(spec, P, ALPHA0, 0.0, starts[0], 4.0,
+                                    spec.grid.dt)
+        for a, b, c in ((one.states, batch.states[0], ref[1]),
+                        (one.controls, batch.controls[0], ref[2])):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
+
 
 class TestValues:
     def test_scalar_infinite_horizon(self, scalar_spec, scalar_P):
