@@ -98,9 +98,22 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _finite(parse):
+    """A json number hook: json reads NaN, Infinity and literals beyond the
+    float range, such as 1e400, which no config field can hold."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"config numbers must be finite, got {text}")
+        return parse(text)
+    return hook
+
+
 def _load_spec(path: str) -> ProblemSpec:
     try:
-        config = json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text(),
+                            parse_float=_finite(float),
+                            parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -221,10 +234,10 @@ def _cmd_synthesize(args) -> int:
     if args.check_ipc:
         samples = sample_boundary(spec.omega, DEFAULT_TOLERANCES["ipc_density"])
         times = np.linspace(t0, t_end, DEFAULT_TOLERANCES["ipc_time_samples"])
-        report = ipc.check_ipc_riccati(
-            spec, sol, times, samples,
-            density=DEFAULT_TOLERANCES["ipc_density"])
-        _write_json(out / "ipc_report.json", report.to_dict(), sha)
+        report = ipc.check_ipc_riccati(spec, sol, times, samples)
+        _write_json(out / "ipc_report.json",
+                    {**report.to_dict(),
+                     "density": DEFAULT_TOLERANCES["ipc_density"]}, sha)
         ipc_ok = report.holds
 
     traj = synthesis.simulate_closed_loop(spec, sol, alpha, t0, x0, t_end)
@@ -457,6 +470,7 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.config)
     out = Path(args.out)
     sha = _write_manifest(out, args)
+    _require(args.seed >= 0, "--seed must not be negative")
     zero = _ZeroPolicySolves(spec)
     suites = {
         "riccati": lambda: _suite_riccati(spec, zero),

@@ -73,10 +73,6 @@ class NotStabilizable(SafeLQError):
     """No stabilizing solution of the algebraic Riccati equation was found."""
 
 
-class NotIntegrable(SafeLQError):
-    """An integral over an infinite horizon diverges."""
-
-
 class OutOfGrid(SafeLQError):
     """Query time outside the span of a sampled solution."""
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotIntegrable
 from .geometry import ConeQuery, sample_boundary
 from .model import AlphaPolicy, ProblemSpec, eval_dynamics
 from .numerics import eig_sym_extremes, matvec
@@ -31,15 +30,17 @@ from .riccati import RiccatiSolution
 from .synthesis import gamma_matrices
 
 
-def _control_grid(m: int, u_max: float, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-u_max, u_max, per_axis)] * m
+def _control_grid(m: int) -> np.ndarray:
+    """The controls |u_i| <= 4 the base check tries: 41 values per axis for
+    one control, 9 per axis for more."""
+    axes = [np.linspace(-4.0, 4.0, 41 if m == 1 else 9)] * m
     return np.array(list(itertools.product(*axes)))
 
 
-def check_base_ipc(spec: ProblemSpec, s: float, points: np.ndarray,
-                   u_max: float = 4.0, per_axis: int = 41):
-    """Best interior-tangent margin of f(s, x, u) over a bounded control grid,
-    one per boundary point of the stack ``points`` (..., n).
+def check_base_ipc(spec: ProblemSpec, s: float, points: np.ndarray):
+    """Best interior-tangent margin of f(s, x, u) over the control grid of
+    :func:`_control_grid`, one per boundary point of the stack ``points``
+    (..., n).
 
     Positive means some admissible velocity points strictly inward at that
     point; nonpositive is a valid negative answer.
@@ -50,8 +51,7 @@ def check_base_ipc(spec: ProblemSpec, s: float, points: np.ndarray,
     if not np.all(np.abs(omega.boundary_margin(x))
                   <= 1e-6 * (1.0 + omega.bounding_radius())):
         raise ValueError("base IPC must be queried on the boundary")
-    per_axis = per_axis if spec.dim_control == 1 else min(per_axis, 9)
-    controls = _control_grid(spec.dim_control, u_max, per_axis)
+    controls = _control_grid(spec.dim_control)
     # velocities[control, ..., point]: every control at every point
     velocities = eval_dynamics(
         spec, s, x, np.expand_dims(controls, tuple(range(1, x.ndim))))
@@ -66,7 +66,6 @@ class IPCReport:
     witness_s: float
     witness_x: np.ndarray
     n_samples: int
-    density: int | None = None
 
     @property
     def holds(self) -> bool:
@@ -76,14 +75,12 @@ class IPCReport:
         return {"worst_margin": self.worst_margin,
                 "witness_s": self.witness_s,
                 "witness_x": [float(v) for v in self.witness_x],
-                "n_samples": self.n_samples,
-                "density": self.density}
+                "n_samples": self.n_samples}
 
 
 def check_ipc_riccati(spec: ProblemSpec, P: RiccatiSolution,
                       time_samples: np.ndarray,
-                      boundary_samples: ConeQuery,
-                      density: int | None = None) -> IPCReport:
+                      boundary_samples: ConeQuery) -> IPCReport:
     """Closed-loop inward-pointing margins for the feedback Gamma(s).
 
     For each sample, the tested vector is v = grad_h(x)^T Gamma(s) h(x); its
@@ -100,7 +97,7 @@ def check_ipc_riccati(spec: ProblemSpec, P: RiccatiSolution,
     k_s, k_x = np.unravel_index(np.argmin(margins), margins.shape)
     return IPCReport(worst_margin=float(margins[k_s, k_x]),
                      witness_s=float(time_samples[k_s]), witness_x=x[k_x],
-                     n_samples=margins.size, density=density)
+                     n_samples=margins.size)
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,6 @@ class GeometricReport:
     @property
     def consistent(self) -> bool:
         return self.raw_holds == (self.rho > 0.0)
-
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "rho": self.rho, "theta": self.theta,
-                "raw_holds": self.raw_holds,
-                "raw_worst_slack": self.raw_worst_slack, "delta": self.delta,
-                "n_samples": self.n_samples,
-                "consistent": self.consistent}
 
 
 def geometric_condition(spec: ProblemSpec, delta: float,
@@ -172,7 +162,7 @@ def gamma_bar(spec: ProblemSpec, alpha: AlphaPolicy, rho: float,
     """Contraction-rate threshold theta |B|_inf^2 int_0^inf q(s, alpha) ds / rho.
 
     The integrand q = K/2 + a(alpha) integrates in closed form per catalog
-    variant; a non-integrable alpha tail raises NotIntegrable.
+    variant.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -199,11 +189,6 @@ class GeometricCertificate:
     gamma_a: float
     certified: bool
 
-    def to_dict(self) -> dict:
-        return {"geometric": self.geometric.to_dict(),
-                "gamma_bar": self.gamma_bar, "gamma_a": self.gamma_a,
-                "certified": self.certified}
-
 
 def geometric_certificate(spec: ProblemSpec, alpha: AlphaPolicy, delta: float,
                           density: int = 64) -> GeometricCertificate:
@@ -220,10 +205,7 @@ def geometric_certificate(spec: ProblemSpec, alpha: AlphaPolicy, delta: float,
     gbar = None
     certified = False
     if geom.holds and spec.A.is_constant():
-        try:
-            gbar = gamma_bar(spec, alpha, geom.rho, geom.theta)
-            certified = gamma_a > gbar
-        except NotIntegrable:
-            gbar = None
+        gbar = gamma_bar(spec, alpha, geom.rho, geom.theta)
+        certified = gamma_a > gbar
     return GeometricCertificate(geometric=geom, gamma_bar=gbar,
                                 gamma_a=float(gamma_a), certified=certified)

@@ -24,7 +24,7 @@ import numpy as np
 from . import catalog, geometry
 from .errors import (ConfigError, DimensionMismatch, GrowthViolation,
                      IntegrabilityMismatch, NegativeAlpha, NonconformingWeight,
-                     NotIntegrable, UnboundedSup)
+                     UnboundedSup)
 from .numerics import matvec
 
 
@@ -37,10 +37,11 @@ class TimeGridSpec:
     t_max: float
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError("grid.dt must be positive")
-        if self.t_max <= self.t0:
-            raise ConfigError("grid.t_max must exceed grid.t0")
+        if not 0.0 < self.dt < np.inf:                          # NaN-proof
+            raise ConfigError("grid.dt must be finite and positive")
+        if not -np.inf < self.t0 < self.t_max < np.inf:         # NaN-proof
+            raise ConfigError("grid.t0 and grid.t_max must be finite, with "
+                              "grid.t_max above grid.t0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,17 +49,16 @@ class AlphaPolicy:
     """Adversarial weight policy sampled on a time grid.
 
     Piecewise constant: alpha(s) = values[i] on [nodes[i], nodes[i+1]); after
-    the last node the policy takes the value ``tail`` (default 0, which keeps
-    b(alpha(.)) integrable on the infinite horizon).  Queries before the first
-    node clamp to values[0].  A time within rounding of a node (16 ulps of the
-    largest node, at most a quarter of the smallest gap) reads that node's
-    value, from either side: a step grid that does not divide the window
-    puts its node times an ulp off the policy's nodes.
+    the last node the policy is zero, which keeps b(alpha(.)) integrable on
+    the infinite horizon.  Queries before the first node clamp to values[0].
+    A time within rounding of a node (16 ulps of the largest node, at most a
+    quarter of the smallest gap) reads that node's value, from either side: a
+    step grid that does not divide the window puts its node times an ulp off
+    the policy's nodes.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    tail: float = 0.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -75,13 +75,13 @@ class AlphaPolicy:
         snap = 16.0 * np.spacing(np.max(np.abs(nodes)))
         object.__setattr__(self, "_snap", float(
             min(snap, 0.25 * np.min(gaps)) if len(gaps) else snap))
-        if not (np.all(values >= 0.0) and self.tail >= 0.0):    # NaN-proof
+        if not np.all(values >= 0.0):                           # NaN-proof
             raise NegativeAlpha("alpha policy values must be nonnegative")
 
     @classmethod
     def constant(cls, value: float, t0: float, t1: float) -> "AlphaPolicy":
         """value on [t0, t1], zero afterwards."""
-        return cls(np.array([t0, t1]), np.array([value, value]), tail=0.0)
+        return cls(np.array([t0, t1]), np.array([value, value]))
 
     @classmethod
     def zero(cls, t0: float, t1: float) -> "AlphaPolicy":
@@ -92,19 +92,13 @@ class AlphaPolicy:
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self.nodes, s + self._snap, side="right")
                       - 1, 0, len(self.nodes) - 1)
-        return np.where(s > self.nodes[-1] + self._snap, self.tail,
+        return np.where(s > self.nodes[-1] + self._snap, 0.0,
                         self.values[idx])[()]
-
-    def maximum(self) -> float:
-        return float(max(np.max(self.values), self.tail))
 
     def piecewise_integral(self, fn: Callable[[float], float], t_from: float,
                            t_to: float | None = None) -> float:
-        """Exact integral of fn(alpha(s)) over [t_from, t_to] (None -> inf).
-
-        Diverging tails (fn(tail) != 0 on an infinite horizon) raise
-        NotIntegrable.
-        """
+        """Exact integral of fn(alpha(s)) over [t_from, t_to] (None -> inf),
+        for an fn with fn(0) = 0, as past the last node alpha is 0."""
         nodes, values = self.nodes, self.values
         total = 0.0
         # region before the grid clamps to values[0]
@@ -116,14 +110,6 @@ class AlphaPolicy:
             hi = nodes[i + 1] if t_to is None else min(t_to, nodes[i + 1])
             if hi > lo:
                 total += float(fn(values[i])) * (hi - lo)
-        tail_rate = float(fn(self.tail))
-        lo = max(t_from, nodes[-1])
-        if t_to is None:
-            if tail_rate != 0.0:
-                raise NotIntegrable(
-                    "alpha policy tail makes the integrand non-integrable")
-        elif t_to > lo:
-            total += tail_rate * (t_to - lo)
         return total
 
 

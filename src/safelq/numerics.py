@@ -59,14 +59,6 @@ class SampledPath:
     values: np.ndarray
     derivs: np.ndarray
 
-    @property
-    def t_start(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.nodes[-1])
-
     def at(self, s) -> np.ndarray:
         """Dense output at a time or at each of an array of times."""
         s = np.asarray(s, dtype=float)

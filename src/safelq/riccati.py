@@ -62,17 +62,15 @@ class ConvergenceCertificate:
 class RiccatiSolution:
     """Symmetric P(s) on a uniform ascending grid with dense output.
 
-    ``kind`` is "finite_horizon" (P vanishes at the terminal node) or
-    "stabilizing" (converged limit restricted to the evaluation window, with
-    a certificate).  ``dP`` stores the exact time derivative at each node so
-    dense output is cubic Hermite.
+    A stabilizing solution (the converged limit restricted to the evaluation
+    window) carries its ``certificate``; a finite-horizon one, whose P
+    vanishes at the terminal node, carries None.  ``dP`` stores the exact
+    time derivative at each node so dense output is cubic Hermite.
     """
 
     nodes: np.ndarray
     P: np.ndarray
     dP: np.ndarray
-    kind: str
-    alpha: AlphaPolicy
     certificate: ConvergenceCertificate | None = None
 
     @property
@@ -179,11 +177,12 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     return node_times, p_desc, dp_desc, errors
 
 
-def _ascending(node_times, p, dp, lane: int, **fields) -> RiccatiSolution:
+def _ascending(node_times, p, dp, lane: int,
+               certificate=None) -> RiccatiSolution:
     """One lane of descending :func:`_sweep` arrays, on the ascending grid."""
     return RiccatiSolution(nodes=node_times[::-1].copy(),
                            P=p[::-1, lane].copy(), dP=dp[::-1, lane].copy(),
-                           **fields)
+                           certificate=certificate)
 
 
 def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -193,7 +192,7 @@ def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     nodes, p, dp, (error,) = _sweep(spec, [alpha], t, T, dt)
     if error is not None:
         raise error
-    return _ascending(nodes, p, dp, 0, kind="finite_horizon", alpha=alpha)
+    return _ascending(nodes, p, dp, 0)
 
 
 # lanes per sweep back from a tail: the game's 11 default constant policies
@@ -213,10 +212,9 @@ def _sweep_from_tail(spec: ProblemSpec, alphas, t: float,
         chunk = alphas[lo:lo + _TAIL_LANES]
         node_times, p, dp, errors = _sweep(spec, chunk, t, tail.t_start,
                                            spec.grid.dt, p_end=tail.P[0])
-        for lane, (alpha, error) in enumerate(zip(chunk, errors)):
+        for lane, error in enumerate(errors):
             yield error or _ascending(node_times, p, dp, lane,
-                                      kind="stabilizing", alpha=alpha,
-                                      certificate=tail.certificate)
+                                      tail.certificate)
         del p, dp
 
 
@@ -289,9 +287,8 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                                          p_end=p[-1, 0])
     if error is not None:
         raise error
-    return _ascending(node_times, p, dp, 0, kind="stabilizing", alpha=alpha,
-                      certificate=ConvergenceCertificate(
-                          tuple(horizons), tuple(gaps), tol, True))
+    return _ascending(node_times, p, dp, 0, ConvergenceCertificate(
+        tuple(horizons), tuple(gaps), tol, True))
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,

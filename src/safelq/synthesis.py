@@ -160,7 +160,7 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
 def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,
                        alpha: AlphaPolicy, t: float, x: np.ndarray) -> float:
     """Infinite-horizon value <h(x), P(t) h(x)> minus the b-integral tail."""
-    if P.kind != "stabilizing":
+    if P.certificate is None:
         raise ValueError("infinite-horizon value needs a stabilizing solution")
     hx = spec.h.forward(np.asarray(x, dtype=float))
     quad = float(hx @ (P.at(t) @ hx))

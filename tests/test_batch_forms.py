@@ -121,8 +121,7 @@ class TestProblemData:
         assert k.value(3.0) == 2.0 and k.value(3.5) == 0.0
 
     def test_alpha_policy(self):
-        policy = AlphaPolicy(np.linspace(0.0, 4.0, 9), RNG.uniform(0, 2, 9),
-                             tail=0.25)
+        policy = AlphaPolicy(np.linspace(0.0, 4.0, 9), RNG.uniform(0, 2, 9))
         times = np.concatenate([RNG.uniform(-1.0, 5.0, N_ROWS),
                                 policy.nodes])
         assert_rows_equal(policy.value(times),

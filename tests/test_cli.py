@@ -117,6 +117,16 @@ class TestSynthesizeCommand:
                      "synthesize", "--x0", "1.5"])
         assert code == 1
 
+    def test_ipc_report_keys(self, tmp_path):
+        code = main(["--config", str(CONFIG_DIR / "ball2d_demo.json"),
+                     "--out", str(tmp_path), "synthesize", "--x0", "0.3,-0.2",
+                     "--check-ipc"])
+        assert code == 0
+        report = json.loads((tmp_path / "ipc_report.json").read_text())
+        assert set(report) == {"worst_margin", "witness_s", "witness_x",
+                               "n_samples", "density", "manifest_sha256"}
+        assert report["density"] == 64
+
     def test_outward_drift_flags_violation(self, tmp_path):
         code = main(["--config", OUTWARD, "--out", str(tmp_path),
                      "synthesize", "--x0", "0.5", "--check-ipc",
@@ -254,6 +264,7 @@ class TestBadFlags:
         (["synthesize", "--x0", "0.5", "--horizon", "inf"], "--horizon"),
         (["riccati", "--tol", "inf"], "--tol"),
         (["game", "--x0", "0.6", "--tol", "inf"], "--tol"),
+        (["--seed", "-1", "verify", "--suite", "ipc"], "--seed"),
     ])
     def test_exits_1_in_one_line(self, tmp_path, capsys, argv, flag):
         code = main(["--config", SCALAR, "--out", str(tmp_path)] + argv)
@@ -300,6 +311,27 @@ class TestBadFlags:
         assert err.startswith("config error: --alpha") and "finite" in err
         assert [p.name for p in (tmp_path / "out").iterdir()] == [
             "manifest.json"]
+
+
+class TestNonFiniteConfig:
+    # json reads NaN, Infinity and overflowing literals; the config loader
+    # refuses each in one line, before anything is built
+    @pytest.mark.parametrize("key, literal", [
+        ("dt", "NaN"), ("t_max", "Infinity"), ("t0", "NaN"),
+        ("t_max", "1e400"), ("t_max", "1" + "0" * 400)],
+        ids=["dt-nan", "t_max-inf", "t0-nan", "t_max-1e400", "t_max-long-int"])
+    def test_grid_number_is_config_error(self, tmp_path, capsys, key,
+                                         literal):
+        cfg = load_config("scalar_demo.json")
+        cfg["grid"][key] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg).replace('"@"', literal))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     "riccati"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: ") and literal in err
 
 
 class TestNumericalFailure:

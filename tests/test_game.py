@@ -236,7 +236,7 @@ class TestSolveCoupled:
         # alpha* = |xi|^2/2 is second order in x0
         gs = solve_coupled(scalar_spec, 0.0, [0.1], tol=1e-7, max_iter=30)
         assert gs.converged
-        assert gs.alpha_star.maximum() <= 0.006
+        assert np.max(gs.alpha_star.values) <= 0.006
         sol0 = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 0.0, tol=1e-9)
         w0 = value_from_riccati(scalar_spec, sol0, ALPHA0, 0.0, [0.1])
         assert abs(gs.W - w0) <= 0.05 * abs(w0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from safelq import AlphaPolicy, build_problem
-from safelq.errors import NotIntegrable
 from safelq.geometry import sample_boundary
 from safelq.ipc import (_control_grid, check_base_ipc, check_ipc_riccati,
                         check_negative_definite, gamma_bar,
@@ -50,7 +49,7 @@ class TestBaseIPC:
 
     def test_full_rank_control_always_inward(self, ball2d_spec):
         samples = sample_boundary(ball2d_spec.omega, 16)
-        margins = check_base_ipc(ball2d_spec, 0.0, samples.points, u_max=4.0)
+        margins = check_base_ipc(ball2d_spec, 0.0, samples.points)
         assert margins.shape == (16,)
         assert np.all(margins > 0.0)
 
@@ -161,11 +160,6 @@ class TestGammaBar:
         val = gamma_bar(expk_spec, alpha, rho=1.0, theta=1.0)
         assert val == pytest.approx(base + 1.0, rel=1e-12)
 
-    def test_divergent_alpha_tail_rejected(self, expk_spec):
-        bad = AlphaPolicy(np.array([0.0, 1.0]), np.array([1.0, 1.0]), tail=1.0)
-        with pytest.raises(NotIntegrable):
-            gamma_bar(expk_spec, bad, rho=1.0, theta=1.0)
-
 
 class TestNegativeDefinite:
     def test_comfortably_definite(self):
@@ -227,11 +221,10 @@ class TestFeasibilityUnderIPC:
 # Reference: the per-control and per-(time, point) loops the stacked checks
 # replaced.  The arithmetic is unchanged, so results must match bit for bit.
 
-def reference_base_ipc(spec, s, x, u_max=4.0, per_axis=41):
+def reference_base_ipc(spec, s, x):
     cq = spec.omega.cone_query(x)
-    per_axis = per_axis if spec.dim_control == 1 else min(per_axis, 9)
     best = -np.inf
-    for u in _control_grid(spec.dim_control, u_max, per_axis):
+    for u in _control_grid(spec.dim_control):
         best = max(best, cq.margin(eval_dynamics(spec, s, x, u)))
     return float(best)
 

@@ -9,7 +9,7 @@ from safelq import (AlphaPolicy, build_problem, eval_dynamics,
 from safelq.errors import (ConfigError, DimensionMismatch, GrowthViolation,
                            IntegrabilityMismatch, NegativeAlpha,
                            NonPositiveWeight, NonconformingWeight,
-                           NotIntegrable, UnknownVariant)
+                           UnknownVariant)
 from safelq.game import lambda_map
 from safelq.numerics import stage_times
 
@@ -72,6 +72,15 @@ class TestBuildProblem:
         cfg = load_config("scalar_demo.json")
         del cfg["omega"]
         with pytest.raises(ConfigError, match="omega"):
+            build_problem(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("t0", math.nan), ("t0", -math.inf), ("dt", math.nan),
+        ("dt", math.inf), ("t_max", math.nan), ("t_max", math.inf)])
+    def test_non_finite_grid_number_named(self, key, value):
+        cfg = load_config("scalar_demo.json")
+        cfg["grid"][key] = value
+        with pytest.raises(ConfigError, match=f"grid.{key}"):
             build_problem(cfg)
 
 
@@ -216,11 +225,6 @@ class TestAlphaPolicy:
         # clipped window [0.5, 2.0]: 1*0.5 + 2*1.0
         assert pol.piecewise_integral(lambda a: a, 0.5, 2.0) == 2.5
 
-    def test_divergent_tail_raises(self):
-        pol = AlphaPolicy(np.array([0.0, 1.0]), np.array([1.0, 1.0]), tail=0.5)
-        with pytest.raises(NotIntegrable):
-            pol.piecewise_integral(lambda a: a, 0.0, None)
-
     def test_constant_policy_support(self):
         pol = AlphaPolicy.constant(2.0, 0.0, 3.0)
         assert pol.value(1.5) == 2.0
@@ -231,11 +235,9 @@ class TestAlphaPolicy:
         with pytest.raises(NegativeAlpha):
             AlphaPolicy(np.array([0.0, 1.0]), np.array([0.5, -0.1]))
 
-    @pytest.mark.parametrize("values, tail", [([0.5, np.nan], 0.0),
-                                              ([0.5, 0.5], np.nan)])
-    def test_nan_weight_rejected(self, values, tail):
+    def test_nan_weight_rejected(self):
         with pytest.raises(NegativeAlpha):
-            AlphaPolicy(np.array([0.0, 1.0]), np.array(values), tail=tail)
+            AlphaPolicy(np.array([0.0, 1.0]), np.array([0.5, np.nan]))
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):

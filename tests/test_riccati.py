@@ -84,7 +84,6 @@ class TestFiniteHorizon:
 class TestStabilizing:
     def test_scalar_analytic_root(self, scalar_spec):
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 1.0, tol=1e-8)
-        assert sol.kind == "stabilizing"
         assert sol.certificate.converged
         for k in range(len(sol.nodes)):
             assert abs(sol.P[k][0, 0] - SCALAR_ROOT) <= 1e-6
@@ -429,7 +428,6 @@ class TestLanes:
                 assert type(got) is NonFiniteState
                 assert str(got) == str(exc) and got.time == exc.time
                 continue
-            assert got.kind == "stabilizing" and got.alpha is policy
             assert got.certificate is tail.certificate
             for field in ("nodes", "P", "dP"):
                 assert _bitwise_equal(getattr(got, field), getattr(ref, field))

@@ -44,8 +44,7 @@ def windowed_stabilizing(spec, alpha, t, T_eval, tol=1e-8, dt=None):
                                                     axis=(1, 2)))))
             if gaps[-1] < _gap_tol(tol, p_win):
                 return _ascending(node_times[window], p[window], dp[window], 0,
-                                  kind="stabilizing", alpha=alpha,
-                                  certificate=ConvergenceCertificate(
+                                  ConvergenceCertificate(
                                       tuple(horizons), tuple(gaps), tol, True))
             if steps >= cap_steps:
                 raise NoConvergence(f"gap {gaps[-1]} at the horizon cap")
