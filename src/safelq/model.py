@@ -273,11 +273,18 @@ def build_problem(config: dict) -> ProblemSpec:
     omega = geometry.constraint_from_config(config["omega"], n)
 
     grid_entry = config["grid"]
-    try:
-        grid = TimeGridSpec(float(grid_entry["t0"]), float(grid_entry["dt"]),
-                            float(grid_entry["t_max"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid missing key {exc}") from exc
+    if not isinstance(grid_entry, dict):
+        raise ConfigError("grid must be an object with keys t0, dt, t_max")
+    times = {}
+    for key in ("t0", "dt", "t_max"):
+        try:
+            times[key] = float(grid_entry[key])
+        except KeyError as exc:
+            raise ConfigError(f"grid missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"grid.{key} must be a number, got "
+                              f"{grid_entry[key]!r}") from exc
+    grid = TimeGridSpec(**times)
     _verify_b_bound(b_mat, grid)
 
     return ProblemSpec(dim_state=n, dim_control=m, A=a_mat, B=b_mat,

@@ -15,13 +15,17 @@ layer V(t, .) at the window's start: the later layers are finite-horizon
 values of the truncated window, so the iteration keeps only the layer it
 reads and the layer it writes.
 
-Each backward step treats all controls at once: the Euler successors of
-every (control, state) pair are located on the lattice as one sparse
-interpolation operator (a CSR matrix holding each successor's 2**n cell
-corners and weights), applied to V(s_{i+1}) as one sparse product, and
-reduced by one min over controls.  With constant A and B the operator is
-built once per run, otherwise once per step.  ``scipy.sparse`` is imported
-on the first build, not with the package.
+Each backward step treats all controls at once, and only the lattice
+points inside Omega, as every other point holds +inf: the Euler successors
+of every (control, inside point) pair are located on the lattice as one
+sparse interpolation operator (a CSR matrix holding each successor's 2**n
+cell corners and weights), applied to the whole layer V(s_{i+1}) as one
+sparse product, and reduced by one min over controls into the inside
+entries of V(s_i).  With constant A and B the operator is built once per
+run, otherwise once per step.  The cost block of a step depends on time
+only through the scalars q(s, alpha(s)) and b(alpha(s)), or K(s) in sup
+mode, so it is built again only when their bits change.  ``scipy.sparse``
+is imported on the first build, not with the package.
 """
 
 from __future__ import annotations
@@ -186,42 +190,50 @@ def brute_force_value(dp: DPProblem) -> ValueTable:
     dt = dp.dt
 
     inside = spec.omega.contains(states)
-    _check_cfl(dp, states[inside] if np.any(inside) else states)
+    kept = states[inside]
+    _check_cfl(dp, kept if len(kept) else states)
 
-    # time-free parts of cost[u, x]: |h(x)|^2, |u|^2 / 2 and the sup gains
-    hx = spec.h.forward(states)
+    # time-free parts of cost[u, x] at the kept points: |h(x)|^2, |u|^2 / 2
+    # and the sup gains
+    hx = spec.h.forward(kept)
     g = np.sum(hx * hx, axis=1)
     u_sq = 0.5 * np.vecdot(dp.controls, dp.controls)[:, None]
     if dp.cost_mode == "sup":
         gains = _sup_alpha_gain(spec.a, spec.b, g)[1]
 
-    # Euler successors of every (control, state) pair, stacked (n_u, n_pts,
-    # n); states + dt * f is formed in place on the map's fresh result, so
-    # one full-size array is alive when _locate runs
+    # Euler successors of every (control, kept point) pair, stacked (n_u,
+    # n_kept, n); kept + dt * f is formed in place on the map's fresh
+    # result, so one such array is alive when _locate runs
     def locate(s: float):
         successors = spec.h.apply_jacobian_inv(
-            states, matvec(spec.A.value(s), hx)
+            kept, matvec(spec.A.value(s), hx)
             + matvec(spec.B.value(s), dp.controls)[:, None, :])
         successors *= dt
-        successors += states
-        return _locate(dp.state_axes,
-                       successors.reshape(-1, states.shape[1]))
+        successors += kept
+        return _locate(dp.state_axes, successors.reshape(-1, kept.shape[1]))
 
     autonomous = spec.A.is_constant() and spec.B.is_constant()
     op = locate(dp.t) if autonomous else None
 
     V = np.where(inside, 0.0, _INF)
+    coeffs_seen = None
     for i in range(dp.n_steps - 1, -1, -1):
         s = dp.t + dt * i
         if not autonomous:
             op = locate(s)
         cont = _apply(V, op).reshape(len(dp.controls), -1)
+        # the cost block depends on s only through these scalars; equal bits
+        # give the same block, so it is built again only when they change
         if dp.cost_mode == "fixed":
             alpha_val = dp.alpha.value(s)
-            cost = (spec.q_coeff(s, alpha_val) * g + u_sq
-                    - float(spec.b(alpha_val)))
+            coeffs = (spec.q_coeff(s, alpha_val), float(spec.b(alpha_val)))
         else:
-            cost = 0.5 * spec.K.value(s) * g + u_sq + gains
-        V = np.where(inside, np.min(cost * dt + cont, axis=0), _INF)
+            coeffs = (spec.K.value(s),)
+        if (key := np.array(coeffs, dtype=float).tobytes()) != coeffs_seen:
+            coeffs_seen = key
+            if dp.cost_mode == "fixed":
+                step_cost = (coeffs[0] * g + u_sq - coeffs[1]) * dt
+            else:
+                step_cost = (0.5 * coeffs[0] * g + u_sq + gains) * dt
+        V[inside] = np.min(step_cost + cont, axis=0)
     return ValueTable(dp=dp, V=V.reshape(dp.state_shape))
-

@@ -333,6 +333,22 @@ class TestNonFiniteConfig:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: ") and literal in err
 
+    @pytest.mark.parametrize("key, value", [("dt", "abc"), ("t_max", [1, 2])],
+                             ids=["dt-string", "t_max-list"])
+    def test_non_numeric_grid_value_is_config_error(self, tmp_path, capsys,
+                                                    key, value):
+        cfg = load_config("scalar_demo.json")
+        cfg["grid"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     "riccati"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: grid.{key} ")
+        assert repr(value) in err and "Traceback" not in err
+
 
 class TestNumericalFailure:
     def test_escaping_sweep_exits_6(self, tmp_path, capsys):

@@ -76,7 +76,8 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("key, value", [
         ("t0", math.nan), ("t0", -math.inf), ("dt", math.nan),
-        ("dt", math.inf), ("t_max", math.nan), ("t_max", math.inf)])
+        ("dt", math.inf), ("t_max", math.nan), ("t_max", math.inf),
+        ("dt", "abc"), ("t_max", [1, 2])])
     def test_non_finite_grid_number_named(self, key, value):
         cfg = load_config("scalar_demo.json")
         cfg["grid"][key] = value

@@ -98,13 +98,15 @@ def bits(a):
 
 # (config, state_res, control_res, n_steps, u_max): an autonomous 2-d demo,
 # a time-varying demo, a non-identity coordinate map, an unstable drift
-# that leaves part of the lattice infeasible, and a 2-d demo with a
-# time-varying A, whose four corners per point are relocated every step
+# that leaves part of the lattice infeasible, a 2-d demo with a
+# time-varying A, whose four corners per point are relocated every step,
+# and an exponential K, whose cost block changes every step
 REFERENCE_GRIDS = [("ball2d_demo.json", 15, 5, 30, 1.5),
                    ("timevarying_demo.json", 61, 11, 60, 2.0),
                    ("cubic_demo.json", 61, 11, 60, 2.0),
                    ("outward_drift.json", 41, 3, 60, 0.5),
-                   ("ball2d_demo.json+sinusoid_A", 15, 3, 30, 1.5)]
+                   ("ball2d_demo.json+sinusoid_A", 15, 3, 30, 1.5),
+                   ("expk_demo.json", 61, 11, 60, 2.0)]
 
 
 def reference_spec(name):
@@ -156,6 +158,31 @@ class TestAgainstReferenceLoop:
         np.testing.assert_array_equal(
             mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
 
+    def test_piecewise_alpha_bitwise_equal(self, ball2d_spec, monkeypatch):
+        # q(s, alpha) and b(alpha) change at the policy's nodes, so the cost
+        # block is built again there and reused between them
+        alpha = AlphaPolicy(np.array([0.0, 1.6, 3.0, 4.4, 6.0]),
+                            np.array([0.3, 0.0, 0.8, 0.2, 0.2]))
+        dp = build_dp(ball2d_spec, 0.0, 6.0, n_steps=30, state_res=15,
+                      u_max=1.5, control_res=5, cost_mode="fixed",
+                      alpha=alpha)
+        assert len(set(alpha.value(dp.t + dp.dt * np.arange(30)))) == 4
+        apply, inputs = oracle._apply, []
+
+        def recording_apply(values, op):
+            inputs.append(values.copy())
+            return apply(values, op)
+
+        monkeypatch.setattr(oracle, "_apply", recording_apply)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            table = brute_force_value(dp)
+        ref = reference_value(dp)
+        assert np.isfinite(ref).any()
+        np.testing.assert_array_equal(bits(table.V), bits(ref[0]))
+        np.testing.assert_array_equal(
+            bits(np.stack(inputs[::-1]).reshape(ref[1:].shape)), bits(ref[1:]))
+
     def test_value_at_off_node_and_poisoned(self, ball2d_spec):
         dp = build_dp(ball2d_spec, 0.0, 6.0, n_steps=30, state_res=15,
                       u_max=1.5, control_res=5, cost_mode="fixed",
@@ -175,6 +202,44 @@ class TestAgainstReferenceLoop:
                for p in probes]
         assert np.isinf(ref).any() and np.isfinite(ref).any()
         np.testing.assert_array_equal(bits(got), bits(ref))
+
+
+class TestInsideOnlyRows:
+    @staticmethod
+    def located_counts(spec, monkeypatch):
+        dp = build_dp(spec, 0.0, 6.0, n_steps=30, state_res=15, u_max=1.5,
+                      control_res=5, cost_mode="fixed", alpha=ALPHA0)
+        locate, counts = oracle._locate, []
+
+        def counting_locate(axes, points):
+            counts.append(points.shape[0])
+            return locate(axes, points)
+
+        monkeypatch.setattr(oracle, "_locate", counting_locate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            table = brute_force_value(dp)
+        return dp, table, spec.omega.contains(dp.state_points()), counts
+
+    def test_ball_locates_only_points_inside_omega(self, ball2d_spec,
+                                                  monkeypatch):
+        dp, table, inside, counts = self.located_counts(ball2d_spec,
+                                                        monkeypatch)
+        # constant A and B: one operator, with a row per (control, point
+        # inside Omega) pair
+        assert 0 < inside.sum() < inside.size
+        assert counts == [len(dp.controls) * int(inside.sum())]
+        V = table.V.ravel()
+        assert np.all(V[~inside] == np.inf) and np.isfinite(V[inside]).any()
+
+    def test_box_locates_the_whole_lattice(self, timevarying_spec,
+                                           monkeypatch):
+        dp, table, inside, counts = self.located_counts(timevarying_spec,
+                                                        monkeypatch)
+        # a time-varying A: one operator per step over the whole lattice
+        assert inside.all()
+        assert counts == [len(dp.controls) * inside.size] * dp.n_steps
+        assert np.isfinite(table.V).all()
 
 
 class TestBruteForceValue:
