@@ -12,13 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonPositiveWeight, SingularJacobian,
-                     UnknownVariant)
+from .errors import DimensionMismatch, NonPositiveWeight, SingularJacobian
 from .numerics import matvec
 
-TIME_MATRIX_VARIANTS = ("constant", "sinusoid")
-STATE_WEIGHT_VARIANTS = ("truncated_constant", "exponential")
-DIFFEO_VARIANTS = ("identity", "linear", "odd_cubic")
+
+def config_array(value, shape: tuple, path: str) -> np.ndarray:
+    """value as a float array of shape, where None matches any length;
+    DimensionMismatch names path if value is missing, ragged or misshapen."""
+    if value is None:
+        raise DimensionMismatch(f"{path} is required")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:                  # ragged rows: the schema admits them
+        arr = None
+    if arr is None or arr.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape)):
+        got = "ragged rows" if arr is None else f"shape {arr.shape}"
+        want = str(shape).replace("None", "k")
+        raise DimensionMismatch(f"{path} must have shape {want}, got {got}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,22 +76,13 @@ class TimeMatrix:
 
 def time_matrix_from_config(entry: dict, shape: tuple[int, int],
                             name: str) -> TimeMatrix:
-    variant = entry.get("variant")
-    params = entry.get("params", {})
-    if variant not in TIME_MATRIX_VARIANTS:
-        raise UnknownVariant(f"{name}: unknown variant {variant!r}")
+    params = entry["params"]
 
     def _matrix(key):
-        if key not in params:
-            raise DimensionMismatch(f"{name}: missing {key!r}")
-        m = np.asarray(params[key], dtype=float)
-        if m.shape != shape:
-            raise DimensionMismatch(
-                f"{name}.{key}: expected shape {shape}, got {m.shape}")
-        return m
+        return config_array(params.get(key), shape, f"{name}.params.{key}")
 
     bound = params.get("bound")
-    if variant == "constant":
+    if entry["variant"] == "constant":
         return TimeMatrix("constant", _matrix("value"), bound=bound)
     return TimeMatrix("sinusoid", _matrix("base"), _matrix("amplitude"),
                       omega=float(params.get("omega", 1.0)), bound=bound)
@@ -131,22 +134,13 @@ class StateWeight:
 
 
 def state_weight_from_config(entry: dict) -> StateWeight:
-    variant = entry.get("variant")
-    params = entry.get("params", {})
-    if variant not in STATE_WEIGHT_VARIANTS:
-        raise UnknownVariant(f"K: unknown variant {variant!r}")
+    variant, params = entry["variant"], entry["params"]
     level = float(params.get("level", 0.0))
-    if level < 0.0:
-        raise NonPositiveWeight("K level must be nonnegative")
     if variant == "truncated_constant":
-        t_cut = float(params.get("t_cut", 0.0))
-        if t_cut < 0.0:
-            raise NonPositiveWeight("K t_cut must be nonnegative")
-        return StateWeight(variant, level, t_cut=t_cut)
-    rate = float(params.get("rate", 0.0))
-    if rate <= 0.0:
-        raise NonPositiveWeight("K exponential rate must be positive")
-    return StateWeight(variant, level, rate=rate)
+        return StateWeight(variant, level, t_cut=float(params.get("t_cut", 0.0)))
+    if "rate" not in params:
+        raise NonPositiveWeight("K.params.rate is required for exponential K")
+    return StateWeight(variant, level, rate=float(params["rate"]))
 
 
 @dataclass(frozen=True)
@@ -160,18 +154,11 @@ class PowerLaw:
         return self.coeff * np.power(alpha, self.exponent)
 
 
-def power_law_from_config(entry: dict, name: str) -> PowerLaw:
-    variant = entry.get("variant")
-    params = entry.get("params", {})
-    if variant not in ("linear", "power"):
-        raise UnknownVariant(f"{name}: unknown variant {variant!r}")
-    coeff = float(params.get("coeff", 1.0))
-    exponent = 1.0 if variant == "linear" else float(params.get("exponent", 1.0))
-    if coeff < 0.0:
-        raise NonPositiveWeight(f"{name}: coefficient must be nonnegative")
-    if exponent < 1.0:
-        raise NonPositiveWeight(f"{name}: exponent must be >= 1")
-    return PowerLaw(coeff, exponent)
+def power_law_from_config(entry: dict) -> PowerLaw:
+    params = entry["params"]
+    exponent = (1.0 if entry["variant"] == "linear"
+                else float(params.get("exponent", 1.0)))
+    return PowerLaw(float(params.get("coeff", 1.0)), exponent)
 
 
 def _cubic_inverse(y: np.ndarray, beta: float) -> np.ndarray:
@@ -263,25 +250,16 @@ class DiffeoMap:
 
 
 def diffeo_from_config(entry: dict, dim: int) -> DiffeoMap:
-    variant = entry.get("variant")
+    variant = entry["variant"]
     params = entry.get("params", {})
-    if variant not in DIFFEO_VARIANTS:
-        raise UnknownVariant(f"h: unknown variant {variant!r}")
-    if variant == "identity":
-        return DiffeoMap("identity", dim)
     if variant == "linear":
-        m = np.asarray(params.get("matrix"), dtype=float)
-        if m.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"h.matrix: expected shape {(dim, dim)}, got {m.shape}")
+        m = config_array(params.get("matrix"), (dim, dim), "h.params.matrix")
         try:
             m_inv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("h.matrix is singular") from exc
+            raise SingularJacobian("h.params.matrix is singular") from exc
         if not np.all(np.isfinite(m_inv)) or np.linalg.cond(m) > 1e12:
-            raise SingularJacobian("h.matrix is numerically singular")
+            raise SingularJacobian("h.params.matrix is numerically singular")
         return DiffeoMap("linear", dim, matrix=m, matrix_inv=m_inv)
-    beta = float(params.get("beta", 0.0))
-    if beta < 0.0:
-        raise NonPositiveWeight("h odd_cubic beta must be nonnegative")
-    return DiffeoMap("odd_cubic", dim, beta=beta)
+    # identity ignores beta
+    return DiffeoMap(variant, dim, beta=float(params.get("beta", 0.0)))

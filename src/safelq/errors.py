@@ -42,7 +42,7 @@ class NegativeAlpha(SafeLQError):
     """Adversarial weight alpha must be nonnegative."""
 
 
-class SingularJacobian(SafeLQError):
+class SingularJacobian(ConfigError):
     """Jacobian of the coordinate map is numerically singular."""
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, UnknownVariant, UnsupportedVariant
+from .catalog import config_array
+from .errors import ConfigError, DimensionMismatch, UnsupportedVariant
 from .numerics import matvec
 
 _DIRECTIONS_SEED = 20240917
@@ -158,7 +159,7 @@ class Polytope(ConstraintSet):
     def __init__(self, normals, offsets, interior=None):
         a = np.asarray(normals, dtype=float)
         c = np.asarray(offsets, dtype=float)
-        if a.ndim != 2 or len(c) != len(a):
+        if a.ndim != 2 or c.shape != (len(a),):
             raise DimensionMismatch("polytope rows/offsets mismatch")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
@@ -169,7 +170,8 @@ class Polytope(ConstraintSet):
         self._bbox = self._compute_bbox()
         self._interior = (np.asarray(interior, dtype=float)
                           if interior is not None else self._chebyshev_center())
-        if self.boundary_margin(self._interior) >= -1e-12:
+        if (self._interior.shape != (self.dim,)
+                or self.boundary_margin(self._interior) >= -1e-12):
             raise ConfigError("polytope interior witness is not strictly inside")
 
     def _support(self, d: np.ndarray) -> float:
@@ -346,20 +348,21 @@ def sample_boundary(omega: ConstraintSet, density: int) -> ConeQuery:
 
 
 def constraint_from_config(entry: dict, dim: int) -> ConstraintSet:
-    variant = entry.get("variant")
-    params = entry.get("params", {})
-    if variant == "ball":
-        omega = Ball(params.get("center", np.zeros(dim)), params.get("radius", 1.0))
-    elif variant == "box":
-        omega = Box(params.get("lo"), params.get("hi"))
-    elif variant == "polytope":
-        omega = Polytope(params.get("normals"), params.get("offsets"),
-                         interior=params.get("interior_point"))
-    elif variant == "ellipsoid":
-        omega = Ellipsoid(params.get("center", np.zeros(dim)),
-                          params.get("weights"))
-    else:
-        raise UnknownVariant(f"omega: unknown variant {variant!r}")
+    variant, p = entry["variant"], entry.get("params", {})
+    if variant == "polytope":
+        normals = config_array(p.get("normals"), (None, dim), "omega.params.normals")
+    try:
+        if variant == "ball":
+            omega = Ball(p.get("center", np.zeros(dim)), p.get("radius", 1.0))
+        elif variant == "box":
+            omega = Box(p.get("lo"), p.get("hi"))
+        elif variant == "polytope":
+            omega = Polytope(normals, p.get("offsets"),
+                             interior=p.get("interior_point"))
+        else:
+            omega = Ellipsoid(p.get("center", np.zeros(dim)), p.get("weights"))
+    except ConfigError as exc:
+        raise type(exc)(f"omega: {exc}") from exc
     if omega.dim != dim:
         raise DimensionMismatch(
             f"omega has dimension {omega.dim}, state has {dim}")

@@ -16,15 +16,18 @@ finite with argmax ((p c g)/(q d))^{1/(q-p)} at g = |h(x)|^2.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import catalog, geometry
-from .errors import (ConfigError, DimensionMismatch, GrowthViolation,
-                     IntegrabilityMismatch, NegativeAlpha, NonconformingWeight,
-                     UnboundedSup)
+from .errors import (ConfigError, GrowthViolation, IntegrabilityMismatch,
+                     NegativeAlpha, NonPositiveWeight, NonconformingWeight,
+                     UnboundedSup, UnknownVariant)
 from .numerics import matvec
 
 
@@ -187,31 +190,67 @@ def eval_lagrangian(spec: ProblemSpec, s, x: np.ndarray, u: np.ndarray,
             + 0.5 * np.vecdot(u, u) - spec.b(alpha))[()]
 
 
-def _validate_r(entry: dict, m: int) -> None:
-    if entry is None:
+def _has_type(node, kind: str) -> bool:
+    """JSON value types (bool is no number, 2.0 is an integer, no inf/NaN)."""
+    number = (isinstance(node, (int, float)) and not isinstance(node, bool)
+              and abs(node) <= sys.float_info.max)              # NaN-proof
+    return {"object": isinstance(node, dict), "array": isinstance(node, list),
+            "boolean": isinstance(node, bool), "string": isinstance(node, str),
+            "number": number, "integer": number and (
+                isinstance(node, int) or node.is_integer())}[kind]
+
+
+def _check(node, schema: dict, defs: dict, path: str = "") -> None:
+    """Raise on the first way node breaks schema, for the keywords that
+    config_schema.json uses; the message starts with node's JSON path."""
+    if "$ref" in schema:
+        _check(node, defs[schema["$ref"].rpartition("/")[2]], defs, path)
+    where, kind = path or "config", schema.get("type")
+    if kind is not None and not _has_type(node, kind):
+        raise ConfigError(f"{where} must be {'an' if kind[0] in 'aeio' else 'a'}"
+                          f" {kind}, got {node!r:.60}")
+    if "enum" in schema and node not in schema["enum"]:
+        raise UnknownVariant(f"{where} must be one of {schema['enum']}, "
+                             f"got {node!r:.60}")
+    for key, sign in (("minimum", ">="), ("exclusiveMinimum", ">")):
+        low = schema.get(key)
+        if low is not None and _has_type(node, "number") and not (
+                node >= low if sign == ">=" else node > low):
+            raise NonPositiveWeight(f"{where} must be {sign} {low}, got {node!r}")
+    if isinstance(node, dict):
+        prefix = f"{path}." if path else ""
+        props = schema.get("properties", {})
+        missing = [key for key in schema.get("required", ()) if key not in node]
+        if missing:
+            raise ConfigError(f"{prefix}{missing[0]} is required")
+        for key, value in node.items():
+            if key in props:
+                _check(value, props[key], defs, f"{prefix}{key}")
+            elif schema.get("additionalProperties") is False:
+                raise ConfigError(f"{prefix}{key} is not a known key")
+    if isinstance(node, list) and len(node) < schema.get("minItems", 0):
+        raise ConfigError(f"{where} must have at least {schema['minItems']} "
+                          f"entries, got {len(node)}")
+    for i, item in enumerate(node if isinstance(node, list) else ()):
+        _check(item, schema.get("items", {}), defs, f"{path}[{i}]")
+
+
+def _validate_r(entry: dict | None, m: int) -> None:
+    """R declares the schema's one variant, I/2, or carries that value."""
+    if entry is None or "variant" in entry:
         return
-    variant = entry.get("variant")
-    if variant == "half_identity":
-        return
-    if variant is not None:
-        raise NonconformingWeight(
-            f"control weight must be I/2, got variant {variant!r}")
-    value = entry.get("value")
-    if value is None:
-        raise NonconformingWeight("control weight entry carries no data")
-    r = np.asarray(value, dtype=float)
-    if r.shape != (m, m) or not np.allclose(r, 0.5 * np.eye(m), atol=1e-12):
-        raise NonconformingWeight("control weight must be one half identity")
+    if "value" not in entry:
+        raise NonconformingWeight("R declares neither a variant nor a value")
+    r = catalog.config_array(entry["value"], (m, m), "R.value")
+    if not np.allclose(r, 0.5 * np.eye(m), atol=1e-12):
+        raise NonconformingWeight("R.value must be one half times the identity")
 
 
 def _verify_weight_tags(entry: dict, weight: catalog.StateWeight) -> None:
-    tags = entry.get("tags", {})
-    for key, attr in (("l1", weight.is_l1), ("l2", weight.is_l2)):
-        if key in tags and bool(tags[key]) != attr:
+    for key, holds in (("l1", weight.is_l1), ("l2", weight.is_l2)):
+        if entry.get("tags", {}).get(key, holds) != holds:
             raise IntegrabilityMismatch(
-                f"K declared {key}={tags[key]} but variant gives {attr}")
-    if not weight.is_l1:
-        raise IntegrabilityMismatch("state weight K must be integrable")
+                f"K.tags.{key} is {not holds}, but the variant gives {holds}")
 
 
 def _verify_diffeo(h: catalog.DiffeoMap) -> None:
@@ -233,58 +272,38 @@ def _verify_b_bound(b_mat: catalog.TimeMatrix, grid: TimeGridSpec) -> None:
     worst = float(np.max(np.linalg.norm(b_mat.value(samples), 2,
                                         axis=(-2, -1))))
     if b_mat.bound < worst - 1e-12:
-        raise ConfigError(
-            f"declared |B| bound {b_mat.bound} below observed {worst}")
+        raise ConfigError(f"B.params.bound {b_mat.bound} is below the "
+                          f"observed sup of |B(s)|, {worst}")
 
 
 def build_problem(config: dict) -> ProblemSpec:
     """Validate a parsed configuration document and build the problem.
 
-    See ``config_schema.json`` for field names.  Raises subclasses of
-    ConfigError naming the offending key.
+    Checks ``config_schema.json`` first, then what it cannot state (shapes
+    against ``dims``, growth, tags, the |B| bound, t0 < t_max).  A failure
+    raises one ConfigError whose message starts with its JSON path:
+    UnknownVariant off an ``enum``, NonPositiveWeight below a minimum.
     """
-    dims = config.get("dims", {})
-    try:
-        n = int(dims["state"])
-        m = int(dims["control"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch("dims.state and dims.control required") from exc
-    if n < 1 or m < 1:
-        raise DimensionMismatch("dimensions must be >= 1")
-
-    for key in ("A", "B", "K", "a", "b", "h", "omega", "grid"):
-        if key not in config:
-            raise ConfigError(f"missing config key {key!r}")
-
+    schema = json.loads(Path(__file__).with_name("config_schema.json").read_text())
+    _check(config, schema, schema["$defs"])
+    n, m = int(config["dims"]["state"]), int(config["dims"]["control"])
     a_mat = catalog.time_matrix_from_config(config["A"], (n, n), "A")
     b_mat = catalog.time_matrix_from_config(config["B"], (n, m), "B")
     k_weight = catalog.state_weight_from_config(config["K"])
     _verify_weight_tags(config["K"], k_weight)
-    a_fn = catalog.power_law_from_config(config["a"], "a")
-    b_fn = catalog.power_law_from_config(config["b"], "b")
+    a_fn = catalog.power_law_from_config(config["a"])
+    b_fn = catalog.power_law_from_config(config["b"])
     if b_fn.exponent <= a_fn.exponent:
-        raise GrowthViolation(
-            f"b exponent {b_fn.exponent} must exceed a exponent {a_fn.exponent}")
+        raise GrowthViolation(f"b.params.exponent {b_fn.exponent} must exceed "
+                              f"a's exponent {a_fn.exponent}")
     if a_fn.coeff > 0.0 and b_fn.coeff <= 0.0:
-        raise GrowthViolation("b must be strictly positive for alpha > 0")
+        raise GrowthViolation("b.params.coeff must be positive when a's is")
     _validate_r(config.get("R"), m)
     h = catalog.diffeo_from_config(config["h"], n)
     _verify_diffeo(h)
     omega = geometry.constraint_from_config(config["omega"], n)
-
-    grid_entry = config["grid"]
-    if not isinstance(grid_entry, dict):
-        raise ConfigError("grid must be an object with keys t0, dt, t_max")
-    times = {}
-    for key in ("t0", "dt", "t_max"):
-        try:
-            times[key] = float(grid_entry[key])
-        except KeyError as exc:
-            raise ConfigError(f"grid missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"grid.{key} must be a number, got "
-                              f"{grid_entry[key]!r}") from exc
-    grid = TimeGridSpec(**times)
+    grid = TimeGridSpec(*(float(config["grid"][key])
+                          for key in ("t0", "dt", "t_max")))
     _verify_b_bound(b_mat, grid)
 
     return ProblemSpec(dim_state=n, dim_control=m, A=a_mat, B=b_mat,

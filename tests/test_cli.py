@@ -350,6 +350,59 @@ class TestNonFiniteConfig:
         assert repr(value) in err and "Traceback" not in err
 
 
+RAGGED = [[1.0, 0.0], [0.0]]
+
+
+def config_error(cfg, tmp_path, capsys) -> str:
+    """The one stderr line of a riccati run on cfg, which must exit 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                 "riccati"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+class TestSchemaContract:
+    # the shipped schema is enforced on load: the first four ran with exit 0
+    # before it was, and R's variant raised NonconformingWeight
+    @pytest.mark.parametrize("edit, path", [
+        (lambda c: c.update(comment="x"), "comment"),
+        (lambda c: c["K"].pop("params"), "K.params"),
+        (lambda c: c["a"].pop("params"), "a.params"),
+        (lambda c: c["grid"].update(t0=-1.0), "grid.t0"),
+        (lambda c: c.update(R={"variant": "identity"}), "R.variant")],
+        ids=["unknown-key", "K-no-params", "a-no-params", "negative-t0",
+             "R-variant"])
+    def test_schema_violation_names_its_path(self, tmp_path, capsys, edit,
+                                             path):
+        cfg = load_config("ball2d_demo.json")
+        edit(cfg)
+        assert config_error(cfg, tmp_path, capsys).startswith(
+            f"config error: {path} ")
+
+    # the schema admits rows of unequal length; they ended in a traceback
+    @pytest.mark.parametrize("edit, path", [
+        (lambda c: c["A"]["params"].update(value=RAGGED), "A.params.value"),
+        (lambda c: c["B"]["params"].update(value=RAGGED), "B.params.value"),
+        (lambda c: c.update(h={"variant": "linear",
+                               "params": {"matrix": RAGGED}}),
+         "h.params.matrix"),
+        (lambda c: c.update(R={"value": RAGGED}), "R.value"),
+        (lambda c: c.update(omega={"variant": "polytope", "params": {
+            "normals": RAGGED, "offsets": [1.0, 1.0]}}),
+         "omega.params.normals")],
+        ids=["A", "B", "h", "R", "omega"])
+    def test_ragged_matrix_names_its_path(self, tmp_path, capsys, edit, path):
+        cfg = load_config("ball2d_demo.json")
+        edit(cfg)
+        err = config_error(cfg, tmp_path, capsys)
+        assert err.startswith(f"config error: {path} must have shape ")
+        assert err.rstrip().endswith("got ragged rows")
+
+
 class TestNumericalFailure:
     def test_escaping_sweep_exits_6(self, tmp_path, capsys):
         code = main(["--config", SCALAR, "--out", str(tmp_path),
@@ -634,15 +687,18 @@ class TestColdStart:
         # linprog serves general polytopes only and is imported where they
         # need it; a box reads its bounding box off lo and hi.  The Lyapunov
         # solver of the algebraic cross-check and the oracle's sparse
-        # interpolation operator are imported where they run.
+        # interpolation operator are imported where they run.  Loading a
+        # config checks it against the schema without jsonschema.
         src = str(Path(safelq.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, safelq.cli; from safelq.geometry import Box; "
                 "Box([-1.0, 0.0], [1.0, 2.0]); "
+                f"safelq.cli._load_spec({SCALAR!r}); "
                 "print('scipy.optimize' in sys.modules, "
                 "'scipy.linalg' in sys.modules, "
-                "'scipy.sparse' in sys.modules)")
+                "'scipy.sparse' in sys.modules, "
+                "'jsonschema' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False False False"
+        assert out.stdout.strip() == "False False False False"

@@ -30,6 +30,12 @@ class TestBuildProblem:
         with pytest.raises(NonconformingWeight):
             build_problem(cfg)
 
+    def test_control_weight_variant_outside_schema_is_unknown(self):
+        cfg = load_config("scalar_demo.json")
+        cfg["R"] = {"variant": "identity"}
+        with pytest.raises(UnknownVariant, match=r"^R\.variant "):
+            build_problem(cfg)
+
     def test_rejects_growth_violation(self):
         # a(alpha) = alpha^2 and b(alpha) = alpha has unbounded supremum
         cfg = load_config("scalar_demo.json")
@@ -77,7 +83,7 @@ class TestBuildProblem:
     @pytest.mark.parametrize("key, value", [
         ("t0", math.nan), ("t0", -math.inf), ("dt", math.nan),
         ("dt", math.inf), ("t_max", math.nan), ("t_max", math.inf),
-        ("dt", "abc"), ("t_max", [1, 2])])
+        ("dt", "abc"), ("t_max", [1, 2]), ("t_max", 10**400)])
     def test_non_finite_grid_number_named(self, key, value):
         cfg = load_config("scalar_demo.json")
         cfg["grid"][key] = value
