@@ -55,11 +55,8 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _write_json(path: Path, obj, manifest_sha: str | None = None) -> None:
-    if manifest_sha is not None:
-        obj = dict(obj)
-        obj["manifest_sha256"] = manifest_sha
-    path.write_bytes(_json_bytes(obj))
+def _write_json(path: Path, obj, manifest_sha: str) -> None:
+    path.write_bytes(_json_bytes({**obj, "manifest_sha256": manifest_sha}))
 
 
 def _csv_lines(rows) -> str:
@@ -121,14 +118,16 @@ def _load_spec(path: str) -> ProblemSpec:
     return build_problem(config)
 
 
-def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
+def _parse_x0(text: str, spec: ProblemSpec) -> np.ndarray:
     try:
-        vec = np.array([float(v) for v in text.split(",")])
+        x0 = np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise ConfigError(f"{name} must be a comma-separated vector")
-    if len(vec) != dim:
-        raise ConfigError(f"{name} must have {dim} entries")
-    return vec
+        raise ConfigError("--x0 must be a comma-separated vector")
+    if len(x0) != spec.dim_state:
+        raise ConfigError(f"--x0 must have {spec.dim_state} entries")
+    if not spec.omega.contains(x0, tol=1e-9):
+        raise ConfigError("--x0 lies outside the constraint set")
+    return x0
 
 
 def _require(ok: bool, message: str) -> None:
@@ -172,10 +171,7 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_riccati(args) -> int:
-    spec = _load_spec(args.config)
-    out = Path(args.out)
-    sha = _write_manifest(out, args)
+def _cmd_riccati(args, spec: ProblemSpec, out: Path, sha: str) -> int:
     _require(0.0 < args.tol < np.inf, "--tol must be finite and positive")
     _require(0.0 <= args.eval_span < np.inf,
              "--eval-span must be finite and not negative")
@@ -194,11 +190,8 @@ def _cmd_riccati(args) -> int:
             sol = riccati.solve_stabilizing(
                 spec, alpha, t0, t0 + args.eval_span, tol=args.tol)
         except NoConvergence as exc:
-            # the first horizon has no gap yet: its NaN placeholder is dropped
-            horizons, gaps = zip(*exc.attempts)
-            certificate = riccati.ConvergenceCertificate(
-                horizons, gaps[1:], args.tol, False)
-            _write_json(out / "certificate.json", certificate.to_dict(), sha)
+            _write_json(out / "certificate.json", exc.certificate.to_dict(),
+                        sha)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         _write_json(out / "certificate.json", sol.certificate.to_dict(), sha)
@@ -212,16 +205,11 @@ def _cmd_riccati(args) -> int:
     return EXIT_OK
 
 
-def _cmd_synthesize(args) -> int:
-    spec = _load_spec(args.config)
-    out = Path(args.out)
-    sha = _write_manifest(out, args)
+def _cmd_synthesize(args, spec: ProblemSpec, out: Path, sha: str) -> int:
     _require(args.horizon is None or 0.0 < args.horizon < np.inf,
              "--horizon must be finite and positive")
     t0 = spec.grid.t0
-    x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
-    if not spec.omega.contains(x0, tol=1e-9):
-        raise ConfigError("--x0 lies outside the constraint set")
+    x0 = _parse_x0(args.x0, spec)
     alpha = _alpha_from_flag(args.alpha, spec, t0)
     horizon = args.horizon if args.horizon is not None else min(
         16.0, spec.grid.t_max - t0)
@@ -262,14 +250,9 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_game(args) -> int:
-    spec = _load_spec(args.config)
-    out = Path(args.out)
-    sha = _write_manifest(out, args)
+def _cmd_game(args, spec: ProblemSpec, out: Path, sha: str) -> int:
     t0 = spec.grid.t0
-    x0 = _parse_vector(args.x0, spec.dim_state, "--x0")
-    if not spec.omega.contains(x0, tol=1e-9):
-        raise ConfigError("--x0 lies outside the constraint set")
+    x0 = _parse_x0(args.x0, spec)
     _require(0.0 < args.tol < np.inf, "--tol must be finite and positive")
     _require(0.0 < args.relaxation <= 1.0, "--relaxation must lie in (0, 1]")
     _require(0.0 <= args.alpha_max < np.inf,
@@ -308,6 +291,11 @@ def _cmd_game(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
+def _check(name: str, passed, **values) -> dict:
+    """A verify record: the check's name, bool ``passed``, what it read."""
+    return {"check": name, "passed": bool(passed), **values}
+
+
 class _ZeroPolicySolves:
     """The alpha = 0 Riccati solutions that several verify suites read, each
     solved on first use and at most once per run."""
@@ -327,22 +315,18 @@ class _ZeroPolicySolves:
 
 def _suite_riccati(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
     t0 = spec.grid.t0
-    checks = []
     sol = zero.finite(1.0)
-    checks.append({"check": "terminal_condition_zero",
-                   "passed": bool(np.all(sol.P[-1] == 0.0)),
-                   "max_abs": float(np.max(np.abs(sol.P[-1])))})
     asym = float(np.max(np.abs(sol.P - np.swapaxes(sol.P, -1, -2))))
-    checks.append({"check": "symmetry_exact", "passed": asym == 0.0,
-                   "max_asymmetry": asym})
     lam_min = float(np.min(np.linalg.eigvalsh(sol.P)[:, 0]))
-    checks.append({"check": "positive_semidefinite",
-                   "passed": lam_min >= -DEFAULT_TOLERANCES["psd_tol"],
-                   "lambda_min": lam_min})
     short = riccati.solve_finite_horizon(spec, zero.alpha, t0, t0 + 2.0)
     mono = riccati.MonotoneReport.between(short, sol, t0)
-    checks.append({"check": "monotone_in_horizon", "passed": mono.ok,
-                   "lambda_min": mono.lambda_min})
+    checks = [
+        _check("terminal_condition_zero", np.all(sol.P[-1] == 0.0),
+               max_abs=float(np.max(np.abs(sol.P[-1])))),
+        _check("symmetry_exact", asym == 0.0, max_asymmetry=asym),
+        _check("positive_semidefinite",
+               lam_min >= -DEFAULT_TOLERANCES["psd_tol"], lambda_min=lam_min),
+        _check("monotone_in_horizon", mono.ok, lambda_min=mono.lambda_min)]
     # the algebraic cross-check needs constant coefficients over every
     # horizon the doubling limit touches
     k_constant = (spec.K.variant == "truncated_constant"
@@ -354,19 +338,18 @@ def _suite_riccati(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
             p_are = riccati.solve_are_constant(
                 spec.A.value(t0), spec.B.value(t0), spec.R, q0)
             gap = float(np.linalg.norm(stab.at(t0) - p_are, "fro"))
-            checks.append({"check": "stabilizing_matches_algebraic",
-                           "passed": gap <= 10.0 * DEFAULT_TOLERANCES["riccati_tol"],
-                           "gap": gap})
+            checks.append(_check(
+                "stabilizing_matches_algebraic",
+                gap <= 10.0 * DEFAULT_TOLERANCES["riccati_tol"], gap=gap))
         except (NoConvergence, NonFiniteState, NotStabilizable) as exc:
-            checks.append({"check": "stabilizing_matches_algebraic",
-                           "passed": False, "error": str(exc)})
+            checks.append(_check("stabilizing_matches_algebraic", False,
+                                 error=str(exc)))
     # finite-difference residual of the sweep is second order in dt
     r_coarse = _riccati_residual_max(zero.finite(2.0))
     r_fine = _riccati_residual_max(sol)
     ratios = r_coarse / r_fine if r_fine != 0.0 else 0.0
-    checks.append({"check": "sweep_residual_order",
-                   "passed": bool(2.5 <= ratios <= 6.0) or ratios == 0.0,
-                   "ratio": ratios})
+    checks.append(_check("sweep_residual_order",
+                         2.5 <= ratios <= 6.0 or ratios == 0.0, ratio=ratios))
     return checks
 
 
@@ -378,22 +361,18 @@ def _riccati_residual_max(sol) -> float:
 def _suite_ipc(spec: ProblemSpec, zero: _ZeroPolicySolves,
                seed: int) -> list[dict]:
     t0, t_end, alpha = spec.grid.t0, zero.t_end, zero.alpha
-    checks = []
     samples = sample_boundary(spec.omega, DEFAULT_TOLERANCES["ipc_density"])
     base_worst = float(np.min(ipc.check_base_ipc(spec, t0, samples.points)))
-    checks.append({"check": "base_ipc_margin", "passed": base_worst > 0.0,
-                   "worst_margin": base_worst})
     # every sampled normal generator points away from the interior point
     inward = samples.margin(spec.omega.interior_point() - samples.points)
-    checks.append({"check": "cone_polar_duality",
-                   "passed": bool(np.all(inward > 0.0))})
-
     sol = zero.stabilizing()
     times = np.linspace(t0, t_end, DEFAULT_TOLERANCES["ipc_time_samples"])
     report = ipc.check_ipc_riccati(spec, sol, times, samples)
-    checks.append({"check": "riccati_ipc_margin", "passed": report.holds,
-                   "worst_margin": report.worst_margin,
-                   "witness_s": report.witness_s})
+    checks = [
+        _check("base_ipc_margin", base_worst > 0.0, worst_margin=base_worst),
+        _check("cone_polar_duality", np.all(inward > 0.0)),
+        _check("riccati_ipc_margin", report.holds,
+               worst_margin=report.worst_margin, witness_s=report.witness_s)]
 
     if report.holds:
         # the first 20 of 10000 uniform draws from the bounding box that lie
@@ -403,9 +382,8 @@ def _suite_ipc(spec: ProblemSpec, zero: _ZeroPolicySolves,
             lo, hi, size=(10000, spec.dim_state))
         x0 = draws[spec.omega.boundary_margin(draws) <= -1e-6][:20]
         traj = synthesis.simulate_closed_loop(spec, sol, alpha, t0, x0, t_end)
-        checks.append({"check": "feasible_under_ipc",
-                       "passed": not traj.exited.any(),
-                       "n_initial_states": len(x0)})
+        checks.append(_check("feasible_under_ipc", not traj.exited.any(),
+                             n_initial_states=len(x0)))
     return checks
 
 
@@ -419,18 +397,17 @@ def _suite_hjb(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:
         max(np.max(synthesis.hjb_residual(spec, sol, alpha, float(s), xs))
             for s in s_vals) for sol in (coarse, fine))
     ratio = worst_c / worst_f if worst_f > 0.0 else 0.0
-    passed = bool(3.0 <= ratio <= 5.0
-                  or (worst_f < 1e-13 and worst_c < 1e-13))
-    return [{"check": "hjb_residual_second_order", "passed": passed,
-             "ratio": float(ratio), "max_residual_fine": float(worst_f),
-             "max_residual_coarse": float(worst_c)}]
+    passed = 3.0 <= ratio <= 5.0 or (worst_f < 1e-13 and worst_c < 1e-13)
+    return [_check("hjb_residual_second_order", passed, ratio=float(ratio),
+                   max_residual_fine=float(worst_f),
+                   max_residual_coarse=float(worst_c))]
 
 
 def _suite_oracle(spec: ProblemSpec, zero: _ZeroPolicySolves, out: Path,
                   sha: str) -> list[dict]:
     if spec.dim_state > 2:
-        return [{"check": "oracle_vs_riccati", "passed": False,
-                 "error": "oracle supports dim <= 2"}]
+        return [_check("oracle_vs_riccati", False,
+                       error="oracle supports dim <= 2")]
     t0 = spec.grid.t0
     T = t0 + 10.0
     alpha = zero.alpha
@@ -459,17 +436,12 @@ def _suite_oracle(spec: ProblemSpec, zero: _ZeroPolicySolves, out: Path,
     v = table.value_at(x0)
     scale = max(1e-12, abs(w_ref))
     above = (v - w_ref) / scale
-    passed = -1e-6 <= above <= tol_above
-    return [{"check": "oracle_vs_riccati", "passed": bool(passed),
-             "oracle_value": float(v), "riccati_value": float(w_ref),
-             "relative_gap": float(abs(above)),
-             "tolerance_above": tol_above}]
+    return [_check("oracle_vs_riccati", -1e-6 <= above <= tol_above,
+                   oracle_value=float(v), riccati_value=float(w_ref),
+                   relative_gap=float(abs(above)), tolerance_above=tol_above)]
 
 
-def _cmd_verify(args) -> int:
-    spec = _load_spec(args.config)
-    out = Path(args.out)
-    sha = _write_manifest(out, args)
+def _cmd_verify(args, spec: ProblemSpec, out: Path, sha: str) -> int:
     _require(args.seed >= 0, "--seed must not be negative")
     zero = _ZeroPolicySolves(spec)
     suites = {
@@ -487,7 +459,7 @@ def _cmd_verify(args) -> int:
         for check in checks:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"[{status}] {name}/{check['check']}")
-            all_passed &= bool(check["passed"])
+            all_passed &= check["passed"]
     _write_json(out / "verify_report.json",
                 {"suites": report, "all_passed": all_passed}, sha)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
@@ -549,7 +521,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        spec = _load_spec(args.config)
+        out = Path(args.out)
+        return handlers[args.command](args, spec, out,
+                                      _write_manifest(out, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -61,12 +61,12 @@ class NonFiniteState(SafeLQError):
 class NoConvergence(SafeLQError):
     """Horizon-doubling limit did not settle below tolerance.
 
-    ``attempts`` holds the (horizon, gap) pairs that were tried.
+    ``certificate`` records the horizons tried, with ``converged`` False.
     """
 
-    def __init__(self, message: str, attempts=()):
+    def __init__(self, message: str, certificate=None):
         super().__init__(message)
-        self.attempts = tuple(attempts)
+        self.certificate = certificate
 
 
 class NotStabilizable(SafeLQError):
@@ -82,4 +82,5 @@ class UnsupportedVariant(SafeLQError):
 
 
 class GridTooCoarseWarning(UserWarning):
-    """Dynamic-programming transition steps exceed the grid cell size."""
+    """Kept importable, no longer raised: the DP oracle's semi-Lagrangian
+    step is stable however far a transition steps across the grid."""

@@ -94,10 +94,10 @@ class RiccatiSolution:
         """P(s), stacked (..., n, n) over an array of times."""
         return sym(self._path().at(s))
 
-    def node_index(self, s: float, tol: float = 1e-9) -> int:
+    def node_index(self, s: float) -> int:
         """Index of the grid node nearest to s."""
         if len(self.nodes) == 1:
-            if abs(s - self.nodes[0]) > tol:
+            if abs(s - self.nodes[0]) > 1e-9:
                 raise OutOfGrid(f"time {s} not on the solution grid")
             return 0
         i = int(round((s - self.t_start) / self.dt))
@@ -244,9 +244,10 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     Horizons T_eval + 1, + 2, + 4, ... grow until consecutive sweeps agree
     at T_eval to within ``tol`` times max(1, |P(T_eval)|) (Frobenius norm);
     one sweep carries that P back to t, and the result holds the
-    certificate.  Raises NoConvergence when the horizon cap ``grid.t_max``
-    is reached first, NonFiniteState when a sweep escapes, and ConfigError
-    when T_eval + 1 does not lie below the cap.
+    certificate.  Raises NoConvergence, holding the unconverged certificate,
+    when the horizon cap ``grid.t_max`` is reached first, NonFiniteState
+    when a sweep escapes, and ConfigError when T_eval + 1 does not lie below
+    the cap.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -278,7 +279,8 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                 raise NoConvergence(
                     f"stabilizing limit gap {gaps[-1]} not below "
                     f"{_gap_tol(tol, p[-1])} at horizon cap {horizons[-1]}",
-                    attempts=tuple(zip(horizons, [float("nan")] + gaps)))
+                    certificate=ConvergenceCertificate(
+                        tuple(horizons), tuple(gaps), tol, False))
         prev = p[-1].copy()
         del p, dp           # only P(T_eval) outlives the horizon
         steps = min(cap_steps, 2 * steps)
@@ -292,15 +294,15 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,
-                       Q: np.ndarray, tol: float = 1e-9,
-                       max_iter: int = 60) -> np.ndarray:
+                       Q: np.ndarray) -> np.ndarray:
     """Stabilizing root of A^T P + P A - P B R^{-1} B^T P + Q = 0.
 
     Newton-Kleinman iteration from a stabilizing initial gain (zero when A is
     already Hurwitz, otherwise a Bass-type gain from a shifted Lyapunov
     solve).  Each iterate solves one Lyapunov equation; convergence is
-    quadratic.  Raises NotStabilizable when no stabilizing gain exists or the
-    residual does not drop below tolerance.
+    quadratic; it stops once a step moves P by at most 1e-9 relative to
+    max(1, |P|), or after 60 iterates.  Raises NotStabilizable when no
+    stabilizing gain exists or the residual does not drop below 1e-8.
     """
     import scipy.linalg     # slow import: only the algebraic cross-check
     A = np.asarray(A, dtype=float)
@@ -309,6 +311,7 @@ def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,
     Q = np.asarray(Q, dtype=float)
     n = A.shape[0]
     r_inv = np.linalg.inv(R)
+    tol = 1e-9
 
     def abscissa(m):
         return float(np.max(np.linalg.eigvals(m).real))
@@ -327,7 +330,7 @@ def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,
             raise NotStabilizable("no stabilizing initial gain found")
 
     p = np.zeros((n, n))
-    for _ in range(max_iter):
+    for _ in range(60):
         a_cl = A - B @ gain
         if abscissa(a_cl) >= 0.0:
             raise NotStabilizable("closed loop lost stability during iteration")

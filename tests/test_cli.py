@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,14 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"]
         assert set(report["suites"]) == {"riccati", "ipc", "hjb", "oracle"}
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_no_warning_on_shipped_configs(self, tmp_path, config):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(["--config", str(CONFIG_DIR / config), "--out", str(tmp_path),
+                  "verify", "--suite", "all"])
+        assert [str(w.message) for w in caught] == []
 
     def test_unknown_suite_exits_config(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),

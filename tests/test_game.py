@@ -428,13 +428,9 @@ class TestOracleDomination:
     def test_game_value_below_dp_upper_bound(self, scalar_spec, coupled_at_06):
         # the DP oracle restricts controls to a finite grid, so its value is
         # an upper bound for the game value up to truncation/interpolation
-        import warnings
-        from safelq.errors import GridTooCoarseWarning
         from safelq.oracle import brute_force_value, build_dp
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            table = brute_force_value(build_dp(
-                scalar_spec, 0.0, 10.0, n_steps=200, state_res=101,
-                u_max=2.0, control_res=21, cost_mode="sup"))
+        table = brute_force_value(build_dp(
+            scalar_spec, 0.0, 10.0, n_steps=200, state_res=101,
+            u_max=2.0, control_res=21, cost_mode="sup"))
         v_dp = table.value_at([0.6])
         assert coupled_at_06.W <= v_dp + 0.02 * abs(v_dp)

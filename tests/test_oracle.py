@@ -1,11 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from safelq import AlphaPolicy, build_problem, oracle
-from safelq.errors import GridTooCoarseWarning
 from safelq.model import _sup_alpha_gain, eval_dynamics
 from safelq.oracle import brute_force_value, build_dp
 from safelq.riccati import solve_stabilizing
@@ -17,10 +15,8 @@ from references import feasible_mask
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
 
 
-def quiet_dp(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridTooCoarseWarning)
-        return brute_force_value(build_dp(*args, **kwargs))
+def dp_value(*args, **kwargs):
+    return brute_force_value(build_dp(*args, **kwargs))
 
 
 # Reference: the per-(step, control) loop the batched oracle replaced, with
@@ -136,9 +132,7 @@ class TestAgainstReferenceLoop:
             return apply(values, op)
 
         monkeypatch.setattr(oracle, "_apply", recording_apply)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            table = brute_force_value(dp)
+        table = brute_force_value(dp)
         ref = reference_value(dp)
         assert np.isfinite(ref).any()
         assert table.V.shape == dp.state_shape
@@ -152,9 +146,7 @@ class TestAgainstReferenceLoop:
         dp = build_dp(reference_spec(name), 0.0, 6.0, n_steps=steps,
                       state_res=res, u_max=u_max, control_res=n_u,
                       cost_mode="fixed", alpha=ALPHA0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = feasible_mask(brute_force_value(dp))
+        mask = feasible_mask(brute_force_value(dp))
         np.testing.assert_array_equal(
             mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
 
@@ -174,9 +166,7 @@ class TestAgainstReferenceLoop:
             return apply(values, op)
 
         monkeypatch.setattr(oracle, "_apply", recording_apply)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            table = brute_force_value(dp)
+        table = brute_force_value(dp)
         ref = reference_value(dp)
         assert np.isfinite(ref).any()
         np.testing.assert_array_equal(bits(table.V), bits(ref[0]))
@@ -187,9 +177,7 @@ class TestAgainstReferenceLoop:
         dp = build_dp(ball2d_spec, 0.0, 6.0, n_steps=30, state_res=15,
                       u_max=1.5, control_res=5, cost_mode="fixed",
                       alpha=ALPHA0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            table = brute_force_value(dp)
+        table = brute_force_value(dp)
         xs = dp.state_axes[0]
         h = xs[1] - xs[0]
         probes = [[0.3 * h, -0.7 * h],          # off node, inside
@@ -216,9 +204,7 @@ class TestInsideOnlyRows:
             return locate(axes, points)
 
         monkeypatch.setattr(oracle, "_locate", counting_locate)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            table = brute_force_value(dp)
+        table = brute_force_value(dp)
         return dp, table, spec.omega.contains(dp.state_points()), counts
 
     def test_ball_locates_only_points_inside_omega(self, ball2d_spec,
@@ -247,7 +233,7 @@ class TestBruteForceValue:
         # V(0, 0.5) against the algebraic value P * 0.25, 3% grid error
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 0.0, tol=1e-9)
         ref = value_from_riccati(scalar_spec, sol, ALPHA0, 0.0, [0.5])
-        table = quiet_dp(scalar_spec, 0.0, 10.0, n_steps=800, state_res=401,
+        table = dp_value(scalar_spec, 0.0, 10.0, n_steps=800, state_res=401,
                          u_max=4.0, control_res=81, cost_mode="fixed",
                          alpha=ALPHA0)
         v = table.value_at([0.5])
@@ -259,14 +245,14 @@ class TestBruteForceValue:
         cfg["A"]["params"]["value"] = [[-1.0]]
         cfg["B"]["params"]["value"] = [[1.0]]
         spec = build_problem(cfg)
-        table = quiet_dp(spec, 0.0, 4.0, n_steps=100, state_res=41,
+        table = dp_value(spec, 0.0, 4.0, n_steps=100, state_res=41,
                          u_max=1.5, control_res=11, cost_mode="fixed",
                          alpha=ALPHA0)
         assert table.value_at([0.25]) == 0.0
 
     def test_escape_scores_infinity(self, outward_spec):
         # x' = +x with no control: 0.5 leaves [-1, 1], so no feasible run
-        table = quiet_dp(outward_spec, 0.0, 4.0, n_steps=200, state_res=101,
+        table = dp_value(outward_spec, 0.0, 4.0, n_steps=200, state_res=101,
                          u_max=1.0, control_res=3, cost_mode="fixed",
                          alpha=ALPHA0)
         assert math.isinf(table.value_at([0.5]))
@@ -275,7 +261,7 @@ class TestBruteForceValue:
         # restricted controls can only do worse than the exact minimizer
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 0.0, tol=1e-9)
         ref = value_from_riccati(scalar_spec, sol, ALPHA0, 0.0, [0.5])
-        table = quiet_dp(scalar_spec, 0.0, 10.0, n_steps=200, state_res=101,
+        table = dp_value(scalar_spec, 0.0, 10.0, n_steps=200, state_res=101,
                          u_max=2.0, control_res=21, cost_mode="fixed",
                          alpha=ALPHA0)
         assert table.value_at([0.5]) >= ref - 0.01 * abs(ref)
@@ -283,10 +269,10 @@ class TestBruteForceValue:
     def test_refinement_shrinks_the_gap(self, scalar_spec):
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 0.0, tol=1e-9)
         ref = value_from_riccati(scalar_spec, sol, ALPHA0, 0.0, [0.5])
-        coarse = quiet_dp(scalar_spec, 0.0, 10.0, n_steps=100, state_res=51,
+        coarse = dp_value(scalar_spec, 0.0, 10.0, n_steps=100, state_res=51,
                           u_max=2.0, control_res=11, cost_mode="fixed",
                           alpha=ALPHA0)
-        fine = quiet_dp(scalar_spec, 0.0, 10.0, n_steps=200, state_res=101,
+        fine = dp_value(scalar_spec, 0.0, 10.0, n_steps=200, state_res=101,
                         u_max=2.0, control_res=21, cost_mode="fixed",
                         alpha=ALPHA0)
         e_coarse = abs(coarse.value_at([0.5]) - ref)
@@ -294,21 +280,15 @@ class TestBruteForceValue:
         assert e_fine <= e_coarse  # with 2x slack: e_fine <= 2*(e_coarse/2)
 
     def test_sup_mode_exceeds_fixed_mode(self, scalar_spec):
-        fixed = quiet_dp(scalar_spec, 0.0, 6.0, n_steps=120, state_res=101,
+        fixed = dp_value(scalar_spec, 0.0, 6.0, n_steps=120, state_res=101,
                          u_max=2.0, control_res=21, cost_mode="fixed",
                          alpha=ALPHA0)
-        sup = quiet_dp(scalar_spec, 0.0, 6.0, n_steps=120, state_res=101,
+        sup = dp_value(scalar_spec, 0.0, 6.0, n_steps=120, state_res=101,
                        u_max=2.0, control_res=21, cost_mode="sup")
         assert sup.value_at([0.5]) >= fixed.value_at([0.5]) - 1e-12
 
-    def test_coarse_grid_warns(self, scalar_spec):
-        with pytest.warns(GridTooCoarseWarning):
-            brute_force_value(build_dp(
-                scalar_spec, 0.0, 10.0, n_steps=20, state_res=401,
-                u_max=4.0, control_res=5, cost_mode="fixed", alpha=ALPHA0))
-
     def test_two_dimensional_state_supported(self, ball2d_spec):
-        table = quiet_dp(ball2d_spec, 0.0, 6.0, n_steps=60, state_res=31,
+        table = dp_value(ball2d_spec, 0.0, 6.0, n_steps=60, state_res=31,
                          u_max=2.0, control_res=5, cost_mode="fixed",
                          alpha=ALPHA0)
         v = table.value_at([0.0, 0.0])
@@ -324,24 +304,32 @@ class TestBruteForceValue:
         with pytest.raises(ValueError):
             build_dp(spec, 0.0, 1.0, 10, 5, 1.0, 3)
 
+    def test_budget_admits_long_windows(self, ball2d_spec):
+        # two layers of 41 x 41 entries, however many steps the window takes
+        dp = build_dp(ball2d_spec, 0.0, 400.0, n_steps=40_000, state_res=41,
+                      u_max=1.5, control_res=13)
+        assert dp.n_steps == 40_000
+
+    def test_budget_refuses_large_operators(self, ball2d_spec):
+        # 101**2 controls x 41**2 points x 4 corners exceed 5e7 entries
+        with pytest.raises(ValueError, match="5e7"):
+            build_dp(ball2d_spec, 0.0, 6.0, n_steps=60, state_res=41,
+                     u_max=1.5, control_res=101)
+
 
 class TestFeasibleSet:
     def test_full_authority_everything_feasible(self, scalar_spec):
         dp = build_dp(scalar_spec, 0.0, 6.0, n_steps=120, state_res=41,
                       u_max=4.0, control_res=9, cost_mode="fixed",
                       alpha=ALPHA0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = feasible_mask(brute_force_value(dp))
+        mask = feasible_mask(brute_force_value(dp))
         assert mask.all()
 
     def test_outward_drift_only_near_origin(self, outward_spec):
         dp = build_dp(outward_spec, 0.0, 8.0, n_steps=400, state_res=81,
                       u_max=1.0, control_res=3, cost_mode="fixed",
                       alpha=ALPHA0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = feasible_mask(brute_force_value(dp))
+        mask = feasible_mask(brute_force_value(dp))
         xs = dp.state_axes[0]
         surviving = np.abs(xs[mask])
         # e^8 growth: anything beyond e^{-8} is gone up to grid resolution
@@ -354,9 +342,7 @@ class TestFeasibleSet:
         spec = build_problem(cfg)
         dp = build_dp(spec, 0.0, 4.0, n_steps=50, state_res=31, u_max=0.5,
                       control_res=3, cost_mode="fixed", alpha=ALPHA0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = feasible_mask(brute_force_value(dp))
+        mask = feasible_mask(brute_force_value(dp))
         assert mask.all()
 
     def test_consistent_with_base_ipc_view(self, scalar_spec):
@@ -368,15 +354,13 @@ class TestFeasibleSet:
         dp = build_dp(scalar_spec, 0.0, 6.0, n_steps=120, state_res=41,
                       u_max=4.0, control_res=9, cost_mode="fixed",
                       alpha=ALPHA0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarseWarning)
-            mask = feasible_mask(brute_force_value(dp))
+        mask = feasible_mask(brute_force_value(dp))
         assert mask.all()
 
 
 class TestValueTableDump:
     def test_csv_rows_schema(self, scalar_spec):
-        table = quiet_dp(scalar_spec, 0.0, 1.0, n_steps=4, state_res=5,
+        table = dp_value(scalar_spec, 0.0, 1.0, n_steps=4, state_res=5,
                          u_max=1.0, control_res=3, cost_mode="fixed",
                          alpha=ALPHA0)
         header, rows = table.csv_rows()

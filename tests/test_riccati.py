@@ -115,6 +115,20 @@ class TestStabilizing:
         with pytest.raises(NoConvergence):
             solve_stabilizing(spec, ALPHA0, 0.0, 1.0, tol=1e-8)
 
+    def test_no_convergence_carries_certificate(self):
+        # the config of the CLI's exit-2 run, which writes this certificate
+        cfg = load_config("outward_drift.json")
+        cfg["K"]["params"] = {"level": 2.0, "t_cut": 1000.0}
+        cfg["grid"] = {"t0": 0.0, "dt": 0.02, "t_max": 8.0}
+        spec = build_problem(cfg)
+        with pytest.raises(NoConvergence) as info:
+            solve_stabilizing(spec, ALPHA0, 0.0, 1.0, tol=1e-8)
+        cert = info.value.certificate
+        assert cert.converged is False
+        assert len(cert.gaps) == len(cert.horizons) - 1 >= 1
+        assert all(math.isfinite(g) for g in cert.gaps)
+        assert cert.horizons[-1] == spec.grid.t_max
+
     def test_window_restriction(self, scalar_spec):
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 2.5, tol=1e-8)
         assert sol.t_start == 0.0
@@ -126,7 +140,7 @@ class TestStabilizing:
         q = ball2d_spec.q_coeff(0.0, 0.0) * np.eye(2)
         p_alg = solve_are_constant(ball2d_spec.A.value(0.0),
                                    ball2d_spec.B.value(0.0),
-                                   ball2d_spec.R, q, tol=tol)
+                                   ball2d_spec.R, q)
         assert np.linalg.norm(sol.at(0.0) - p_alg, "fro") <= 10.0 * tol
 
     @settings(max_examples=12, deadline=None)
