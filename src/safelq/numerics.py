@@ -22,7 +22,12 @@ from .errors import NonFiniteState, OutOfGrid
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetrized copy (M + M^T)/2 of a matrix or of each in a stack."""
+    """Symmetrized copy (M + M^T)/2 of a matrix or of each in a stack; a
+    float is taken as a 1x1 matrix, 0.5 (m + m), overflow to inf included."""
+    # type(), not isinstance: an array fails isinstance only after a
+    # __class__ lookup that costs more than a 2x2 sym's other checks
+    if type(m) is float:
+        return 0.5 * (m + m)
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
@@ -105,14 +110,17 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
     a non-finite entry finite again, so callers scan the stored nodes once
     afterwards.
 
-    The step factors h/2, h and h/6 are 0-d float64 arrays, which numpy
-    multiplies without converting a Python float on every product, and
-    2 k is written k + k; both give the same values as the textbook
-    ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+    ``values`` and ``derivs`` are arrays, or lists for a Python float
+    state.  The step factors h/2, h and h/6 are 0-d float64 arrays for an
+    array state, which numpy multiplies without converting a Python float
+    on every product, and floats for a float state, which 0-d factors would
+    turn into np.float64; 2 k is written k + k.  All give the same values as
+    the textbook ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     """
     n = len(values) - 1
     y = values[0]
-    half, full, sixth = (np.array(c) for c in (0.5 * h, h, h / 6.0))
+    factor = float if isinstance(y, float) else np.array
+    half, full, sixth = (factor(c) for c in (0.5 * h, h, h / 6.0))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             k1 = field(2 * k, y)

@@ -28,7 +28,11 @@ one-policy doubling is the reference the tail's lanes are tested against.
 A sweep of one lane, as in the doubling and each Picard pass, integrates the
 2-D (n, n) views of its arrays with ndarray.dot instead: on such small
 matrices the cost is per-call overhead, most of it matmul's dispatch, and
-dot rounds like matmul, so both paths give the same bits.
+dot rounds like matmul, so both paths give the same bits.  A scalar state
+(n = 1) skips numpy in the loop altogether: each lane runs on Python floats,
+as a 1x1 product rounds once, like a float product, and its symmetric part
+is 0.5 (y + y) either way.  For n >= 2 this does not hold (a 2x2 product
+may fuse a multiply-add), so those states keep the dot and matmul paths.
 """
 
 from __future__ import annotations
@@ -129,9 +133,10 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     node times, P and dP (nodes, lanes, n, n), and per lane None or the
     NonFiniteState the lane ended in.
 
-    Several lanes integrate stacked states with matmul; one lane
-    integrates the 2-D views ``p[:, 0]`` with ndarray.dot, bit for bit the
-    same.
+    For n >= 2, several lanes integrate stacked states with matmul and one
+    lane integrates the 2-D views ``p[:, 0]`` with ndarray.dot, bit for bit
+    the same; for n = 1 each lane integrates a Python float, bit for bit
+    the 1x1 products, and is stored into ``p[:, lane, 0, 0]``.
     """
     n = spec.dim_state
     if T < t:
@@ -143,30 +148,45 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     steps = len(node_times) - 1
     h = (T - t) / steps if steps else 0.0
     a, s, q = _stage_data(spec, alphas, times)
-    # per stage: the A^T view and the (lanes, n, n) stack q I, built once
-    a_t = a.swapaxes(-1, -2)
-    qi = q[:, :, None, None] * np.eye(n)
     p_desc = np.empty((steps + 1, len(alphas), n, n))
     dp_desc = np.empty_like(p_desc)
     p_desc[0] = p_end
 
     # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of p;
-    # the negation stays outermost, as it fixes the sign of a zero
-    if len(alphas) == 1:
-        # ndarray.dot rounds like matmul and skips its gufunc dispatch
-        p_run, dp_run, qi = p_desc[:, 0], dp_desc[:, 0], qi[:, 0]
+    # the negation stays outermost, as it fixes the sign of a zero; an
+    # escaped lane runs on as inf/NaN: reported below, not warned
+    if n == 1:
+        # a 1x1 product rounds once, as a float product does: each lane
+        # runs alone on Python floats, read from per-stage lists; one lane's
+        # q list at a time keeps the peak memory flat in the lanes
+        a_f, s_f = a[:, 0, 0].tolist(), s[:, 0, 0].tolist()
+        for lane, p0 in enumerate(p_desc[0, :, 0, 0].tolist()):
+            q_f = q[:, lane].tolist()
 
-        def rhs(j, p):
-            return -(a_t[j].dot(p) + p.dot(a[j]) - p.dot(s[j]).dot(p)
-                     + qi[j])
+            def rhs(j, p, q_f=q_f):
+                return -(a_f[j] * p + p * a_f[j] - p * s_f[j] * p + q_f[j])
+
+            p_run, dp_run = [p0] * (steps + 1), [0.0] * (steps + 1)
+            _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
+            p_desc[:, lane, 0, 0], dp_desc[:, lane, 0, 0] = p_run, dp_run
     else:
-        p_run, dp_run = p_desc, dp_desc
+        # per stage: the A^T view and the (lanes, n, n) stack q I, built once
+        a_t = a.swapaxes(-1, -2)
+        qi = q[:, :, None, None] * np.eye(n)
+        if len(alphas) == 1:
+            # ndarray.dot rounds like matmul and skips its gufunc dispatch
+            p_run, dp_run, qi = p_desc[:, 0], dp_desc[:, 0], qi[:, 0]
 
-        def rhs(j, p):
-            return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
+            def rhs(j, p):
+                return -(a_t[j].dot(p) + p.dot(a[j]) - p.dot(s[j]).dot(p)
+                         + qi[j])
+        else:
+            p_run, dp_run = p_desc, dp_desc
 
-    # an escaped lane runs on as inf/NaN: reported below, not warned
-    _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
+            def rhs(j, p):
+                return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
+
+        _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where

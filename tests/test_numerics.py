@@ -183,6 +183,43 @@ class TestTextbookStep:
             integrate_ode(field, 0.0, 2.0, y0, 0.01)
         assert exc.value.time == times[2 * first]
 
+    # a float state steps with float factors: the same bits as a 1-element
+    # array, and every stored node and derivative stays a Python float
+    @pytest.mark.parametrize("y0", [0.7, -0.3, 3.0])
+    @pytest.mark.parametrize("case", ["sines", "escape"])
+    def test_float_state_matches_a_one_element_array(self, case, y0):
+        # the two fields above on one entry (m = -0.5 for "sines"); both
+        # take 3.0 to inf and then NaN and keep 0.7 and -0.3 finite
+        t_end = 1.3 if case == "sines" else 2.0
+        times = stage_times(0.0, t_end, 0.01)
+        if case == "sines":
+            coeffs = np.sin(3.0 * times).tolist()
+
+            def field(j, y):
+                return -0.5 * y + coeffs[j] * (y * y)
+        else:
+            coeffs = times.tolist()
+
+            def field(j, y):
+                return y * y - coeffs[j] * y
+
+        values, derivs = _textbook_rk4(field, 0.0, t_end, np.array([y0]), 0.01)
+        assert np.isfinite(values[-1, 0]) == (y0 < 3.0)
+        got_values = [y0] * len(values)
+        got_derivs = [0.0] * len(derivs)
+        _rk4(field, got_values, got_derivs, t_end / (len(values) - 1))
+        assert all(type(v) is float for v in got_values + got_derivs)
+        assert _same_bits(np.array(got_values), values[:, 0])
+        assert _same_bits(np.array(got_derivs), derivs[:, 0])
+
+    @pytest.mark.parametrize("x", [0.3, -0.0, 1e308, math.inf, math.nan])
+    def test_sym_of_a_float_is_that_of_a_1x1_matrix(self, x):
+        # 1e308 + 1e308 overflows to inf on both paths
+        with np.errstate(over="ignore"):
+            got, ref = sym(x), sym(np.array([[x]]))[0, 0]
+        assert type(got) is float
+        assert _same_bits(np.array(got), ref)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("n_samples", [3, 4, 5, 8, 9])

@@ -298,8 +298,9 @@ def _window_policy(values):
     return AlphaPolicy(np.linspace(0.0, 2.0, len(values)), np.array(values))
 
 
-def _reference_sweep(spec, alpha, t, T, dt):
-    """The one-policy backward RK4 loop with 2-d states, checked every step."""
+def _reference_sweep(spec, alpha, t, T, dt, p_end=0.0):
+    """The one-policy backward RK4 loop with 2-d states from P(T) = p_end
+    in every entry, checked every step."""
     n = spec.dim_state
     eye = np.eye(n)
     steps = int(round((T - t) / dt))
@@ -318,7 +319,7 @@ def _reference_sweep(spec, alpha, t, T, dt):
     def rhs(p, a, s, q):
         return -(a.T @ p + p @ a - p @ s @ p + q * eye)
 
-    p = np.zeros((n, n))
+    p = np.full((n, n), p_end)
     ps, dps = [p], []
     for k in range(steps):
         k1 = rhs(p, a_n[k], s_n[k], q_n[k])
@@ -448,9 +449,10 @@ class TestLanes:
 
 
 class TestOneLane:
-    """A one-lane sweep integrates 2-D states with ndarray.dot, a sweep of
-    several lanes stacked states with matmul; both round like the reference
-    loop's 2-D ``@``."""
+    """For n >= 2 a one-lane sweep integrates 2-D states with ndarray.dot, a
+    sweep of several lanes stacked states with matmul; for n = 1 each lane
+    integrates a Python float.  All round like the reference loop's 2-D
+    ``@``."""
 
     @pytest.mark.parametrize("config", sorted(
         p.name for p in CONFIG_DIR.glob("*.json")))
@@ -492,6 +494,39 @@ class TestOneLane:
         assert str(error) == str(ref.value)
         assert error.time == ref.value.time
         assert not np.isfinite(p[-1]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           level=st.just(0.0) | st.floats(0.0, 4.0),
+           p_end=st.just(0.0) | st.floats(-1e200, 1e200),
+           alphas=st.lists(st.just(0.0) | st.floats(0.0, 3.0) | st.just(1e300),
+                           min_size=1, max_size=3))
+    # K = 0 and alpha = 0 leave q = 0: from P = 0 every product is a signed
+    # zero; 1e200 squared overflows to inf in the first step
+    @example(seed=0, level=0.0, p_end=0.0, alphas=[0.0, 0.0])
+    @example(seed=0, level=1.0, p_end=1e200, alphas=[0.5])
+    def test_scalar_lanes_match_the_reference(self, seed, level, p_end,
+                                              alphas):
+        # random constant 1-D data: each float lane rounds like the
+        # reference's (1, 1) matmul, overflow and the sign of zero included
+        rng = np.random.default_rng(seed)
+        spec = _constant_spec(rng.uniform(-2.0, 1.0, (1, 1)),
+                              rng.uniform(0.5, 1.5, (1, 1)), level)
+        policies = [AlphaPolicy.constant(v, 0.0, 2.0) for v in alphas]
+        _, p, dp, errors = riccati._sweep(spec, policies, 0.0, 4.0, 0.05,
+                                          p_end=p_end)
+        for lane, policy in enumerate(policies):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 4.0,
+                                                     0.05, p_end=p_end)
+            except NonFiniteState as exc:
+                assert str(errors[lane]) == str(exc)
+                assert errors[lane].time == exc.time
+                continue
+            assert errors[lane] is None
+            assert _bitwise_equal(p[:, lane], p_ref)
+            assert _bitwise_equal(dp[:, lane], dp_ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dot_rounds_like_matmul(self, n):
