@@ -382,7 +382,9 @@ def _suite_ipc(spec: ProblemSpec, zero: _ZeroPolicySolves,
             lo, hi, size=(10000, spec.dim_state))
         x0 = draws[spec.omega.boundary_margin(draws) <= -1e-6][:20]
         traj = synthesis.simulate_closed_loop(spec, sol, alpha, t0, x0, t_end)
-        checks.append(_check("feasible_under_ipc", not traj.exited.any(),
+        # no start drawn inside Omega is no evidence of feasibility
+        checks.append(_check("feasible_under_ipc",
+                             len(x0) > 0 and not traj.exited.any(),
                              n_initial_states=len(x0)))
     return checks
 

@@ -4,11 +4,12 @@ One grid rule, :func:`stage_times`, fixes the steps and stage times of
 every integration in the package, and one fixed-step classical Runge-Kutta
 loop, :func:`_rk4`, runs them: its right-hand side reads stage data by stage
 index, in the backward Riccati sweeps and in :func:`integrate_ode`, the
-forward integrator of the closed and open loops.  Also here: cubic-Hermite
-dense output, composite Simpson weights, stacked matrix-vector products, and
-symmetric eigenvalue extremes.  Everything is deterministic: uniform grids,
-fixed evaluation order, no adaptivity.  Finiteness is checked once, after
-the loop, over the stored nodes.
+forward integrator of the closed and open loops; both can step a scalar
+state as a Python float.  Also here: cubic-Hermite dense output, composite
+Simpson weights, stacked matrix-vector products, and symmetric eigenvalue
+extremes.  Everything is deterministic: uniform grids, fixed evaluation
+order, no adaptivity.  Finiteness is checked once, after the loop, over the
+stored nodes.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class SampledPath:
 
     ``values[i]`` is the state at ``nodes[i]`` and ``derivs[i]`` the RHS
     there; dense output is cubic Hermite on each interval.  States may be
-    vectors (N, d) or matrices (N, n, n).
+    scalars (N,), vectors (N, d) or matrices (N, n, n).
     """
 
     nodes: np.ndarray
@@ -136,22 +137,29 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
 
 
 def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],
-                  t_start: float, t_end: float, y0: np.ndarray,
+                  t_start: float, t_end: float, y0: np.ndarray | float,
                   dt: float) -> SampledPath:
     """Classical RK4 forward over [t_start, t_end] on the grid of
     :func:`stage_times`; ``field(j, y)`` is the right-hand side at stage j.
 
+    A Python float ``y0`` runs on floats, bit for bit a one-element array
+    start, and gives values and derivs of shape (nodes,); a float field
+    should use only * and +, as float ** and / raise where numpy gives inf.
     Raises NonFiniteState naming the first node whose state is not finite.
     """
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
     nodes = stage_times(t_start, t_end, dt)[::2].copy()
     n = len(nodes) - 1
-    y0 = np.asarray(y0, dtype=float)
-    values = np.empty((n + 1,) + y0.shape)
-    derivs = np.empty_like(values)
-    values[0] = y0
+    if type(y0) is float:
+        values, derivs = [y0] * (n + 1), [0.0] * (n + 1)
+    else:
+        y0 = np.asarray(y0, dtype=float)
+        values = np.empty((n + 1,) + y0.shape)
+        derivs = np.empty_like(values)
+        values[0] = y0
     _rk4(field, values, derivs, (t_end - t_start) / n)
+    values, derivs = np.asarray(values), np.asarray(derivs)
 
     finite = np.isfinite(values.reshape(n + 1, -1)).all(axis=1)
     if not finite[-1]:

@@ -26,9 +26,10 @@ stacked (lanes, n, n) states sharing A and S = B R^{-1} B^T.  Stacked matmul
 works per matrix, so each lane is bit for bit a sweep of its own, and the
 one-policy doubling is the reference the tail's lanes are tested against.
 A sweep of one lane, as in the doubling and each Picard pass, integrates the
-2-D (n, n) views of its arrays with ndarray.dot instead: on such small
-matrices the cost is per-call overhead, most of it matmul's dispatch, and
-dot rounds like matmul, so both paths give the same bits.  A scalar state
+2-D (n, n) views of its arrays with ndarray.dot instead, and sums its
+right-hand side in place: on such small matrices the cost is per-call
+overhead, most of it matmul's dispatch and the temporaries, and dot rounds
+like matmul, so both paths give the same bits.  A scalar state
 (n = 1) skips numpy in the loop altogether: each lane runs on Python floats,
 as a 1x1 product rounds once, like a float product, and its symmetric part
 is 0.5 (y + y) either way.  For n >= 2 this does not hold (a 2x2 product
@@ -174,12 +175,16 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
         a_t = a.swapaxes(-1, -2)
         qi = q[:, :, None, None] * np.eye(n)
         if len(alphas) == 1:
-            # ndarray.dot rounds like matmul and skips its gufunc dispatch
+            # ndarray.dot rounds like matmul and skips its gufunc dispatch;
+            # the sum is built in place, in the stacked path's order
             p_run, dp_run, qi = p_desc[:, 0], dp_desc[:, 0], qi[:, 0]
 
             def rhs(j, p):
-                return -(a_t[j].dot(p) + p.dot(a[j]) - p.dot(s[j]).dot(p)
-                         + qi[j])
+                r = a_t[j].dot(p)
+                r += p.dot(a[j])
+                r -= p.dot(s[j]).dot(p)
+                r += qi[j]
+                return np.negative(r, out=r)
         else:
             p_run, dp_run = p_desc, dp_desc
 

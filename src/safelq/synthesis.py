@@ -19,7 +19,10 @@ precomputed array, then builds the controls and running costs of all nodes
 and starts at once with stacked matmul and vecdot, so each start's
 trajectory is bit for bit the one it gets alone.  The field of a single
 start (n,) is ``Gamma.dot(h(x))``: ndarray.dot rounds like the stacked
-matmul and skips its per-call dispatch.
+matmul and skips its per-call dispatch.  With the identity h it is
+``Gamma.dot(x)``, without h's copies, and a scalar state runs on Python
+floats, ``0.0 + g x``: a float product rounds like the 1x1 matmul, and the
++0.0 it is added to gives a zero product matmul's sign.
 """
 
 from __future__ import annotations
@@ -141,18 +144,31 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
     gammas = gamma_matrices(spec, P, stage_times(t, T_sim, dt))
 
     forward, jacobian_inv = spec.h.forward, spec.h.apply_jacobian_inv
+    start = x0
 
-    if x0.ndim == 1:
-        def field(j, x):
-            return jacobian_inv(x, gammas[j].dot(forward(x)))
-    else:
+    if x0.ndim != 1:
         def field(j, x):
             # matvec less its conversion: h(x) is a float array already
             return jacobian_inv(
                 x, np.matmul(gammas[j], forward(x)[..., None])[..., 0])
+    elif spec.h.variant != "identity":
+        def field(j, x):
+            return jacobian_inv(x, gammas[j].dot(forward(x)))
+    elif len(x0) == 1:
+        # a 1x1 product rounds once, as a float product does; matmul sums
+        # it onto +0.0, which turns a -0.0 product (from a start at -0.0)
+        # into +0.0, where dot keeps -0.0
+        g, start = gammas[:, 0, 0].tolist(), float(x0[0])
 
-    path = integrate_ode(field, t, T_sim, x0, dt)
-    states = np.moveaxis(path.values, 0, -2)
+        def field(j, x):
+            return 0.0 + g[j] * x
+    else:
+        def field(j, x):
+            return gammas[j].dot(x)
+
+    path = integrate_ode(field, t, T_sim, start, dt)
+    states = np.moveaxis(path.values.reshape(path.nodes.shape + x0.shape),
+                         0, -2)
     controls = feedback_control(spec, P, path.nodes, states)
     return _trajectory(spec, path.nodes, states, controls, alpha)
 

@@ -11,6 +11,7 @@ import pytest
 
 import safelq
 from safelq import ConeQuery, cli, oracle, riccati
+from safelq.geometry import Ball
 from safelq.cli import main
 
 from conftest import CONFIG_DIR, load_config, load_spec
@@ -539,6 +540,21 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         checks = {c["check"]: c for c in report["suites"]["ipc"]}
         assert checks["cone_polar_duality"]["passed"] is (flip > 0.0)
+
+    def test_feasibility_fails_without_starts(self, tmp_path, monkeypatch):
+        # a bounding box outside the ball: none of the draws lands inside
+        # Omega, and an empty set of starts proves nothing
+        monkeypatch.setattr(Ball, "bounding_box", lambda self: (
+            np.array([5.0, 5.0]), np.array([6.0, 6.0])))
+        code = main(["--config", str(CONFIG_DIR / "ball2d_demo.json"),
+                     "--out", str(tmp_path), "verify", "--suite", "ipc"])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        checks = {c["check"]: c for c in report["suites"]["ipc"]}
+        assert checks["riccati_ipc_margin"]["passed"]
+        assert checks["feasible_under_ipc"] == {
+            "check": "feasible_under_ipc", "passed": False,
+            "n_initial_states": 0}
+        assert code == cli.EXIT_VERIFY_FAILED
 
     def test_single_suite_selectable(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),

@@ -212,6 +212,37 @@ class TestTextbookStep:
         assert _same_bits(np.array(got_values), values[:, 0])
         assert _same_bits(np.array(got_derivs), derivs[:, 0])
 
+    # integrate_ode from a Python float: values and derivs (nodes,), the
+    # bits of a (1,) start; the fields use only * and +, as float ** and /
+    # raise where numpy gives inf
+    @pytest.mark.parametrize("y0", [0.7, -0.0, 3.0])
+    @pytest.mark.parametrize("case", ["linear", "escape"])
+    def test_float_start_matches_a_one_element_start(self, case, y0):
+        times = stage_times(0.0, 2.0, 0.01)
+        coeffs = (-1.5 + np.sin(3.0 * times)).tolist()
+        if case == "linear":
+            def field(j, y):
+                return coeffs[j] * y
+        else:
+            def field(j, y):
+                return y * y + coeffs[j] * y
+
+        def run(start):
+            try:
+                return integrate_ode(field, 0.0, 2.0, start, 0.01)
+            except NonFiniteState as exc:
+                return exc
+
+        got, ref = run(y0), run(np.array([y0]))
+        if case == "escape" and y0 == 3.0:
+            assert isinstance(got, NonFiniteState)
+            assert isinstance(ref, NonFiniteState)
+            assert (got.time, str(got)) == (ref.time, str(ref))
+            return
+        assert np.array_equal(got.nodes, ref.nodes)
+        assert _same_bits(got.values, ref.values[:, 0])
+        assert _same_bits(got.derivs, ref.derivs[:, 0])
+
     @pytest.mark.parametrize("x", [0.3, -0.0, 1e308, math.inf, math.nan])
     def test_sym_of_a_float_is_that_of_a_1x1_matrix(self, x):
         # 1e308 + 1e308 overflows to inf on both paths

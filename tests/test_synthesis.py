@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from safelq import AlphaPolicy
-from safelq.errors import OutOfGrid
+from safelq import AlphaPolicy, build_problem, synthesis
+from safelq.catalog import DiffeoMap
+from safelq.errors import NonFiniteState, OutOfGrid
 from safelq.model import eval_lagrangian
 from safelq.numerics import integrate_ode, simpson_samples
 from safelq.riccati import solve_finite_horizon, solve_stabilizing
@@ -12,7 +14,7 @@ from safelq.synthesis import (cost_of_trajectory, feedback_control,
                               gamma_matrices, hamiltonian, hjb_residual,
                               simulate_closed_loop, value_from_riccati)
 
-from conftest import CONFIG_DIR, load_spec
+from conftest import CONFIG_DIR, load_config, load_spec
 from references import finite_value_from_riccati, simulate_open_loop
 
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
@@ -107,6 +109,33 @@ def _per_node_closed_loop(spec, P, alpha, t, x0, T_sim, dt):
     return path.nodes, path.values, controls, running, cum, margins
 
 
+@st.composite
+def _scalar_time_matrix(draw, lo, hi):
+    # a constant or sinusoidal 1x1 entry with a declared bound above its sup
+    base = draw(st.floats(lo, hi))
+    if draw(st.booleans()):
+        return {"variant": "constant",
+                "params": {"value": [[base]], "bound": abs(base) + 1.0}}
+    amplitude = draw(st.floats(-1.0, 1.0))
+    return {"variant": "sinusoid",
+            "params": {"base": [[base]], "amplitude": [[amplitude]],
+                       "omega": draw(st.floats(0.1, 5.0)),
+                       "bound": abs(base) + abs(amplitude) + 1.0}}
+
+
+def _scalar_spec(a_entry, b_entry, k_level=2.0):
+    config = load_config("scalar_demo.json")
+    config["A"], config["B"] = a_entry, b_entry
+    config["K"]["params"]["level"] = k_level
+    return build_problem(config)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
 class TestClosedLoopFromArrays:
     @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
     def test_bitwise_equal_to_per_node_loop(self, config):
@@ -144,6 +173,93 @@ class TestClosedLoopFromArrays:
         assert list(batch.exited) == ([True, False, True]
                                       if config == "outward_drift.json"
                                       else [False] * 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_scalar_time_matrix(-2.0, 2.0), b=_scalar_time_matrix(0.2, 1.5),
+           levels=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+           x0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9)))
+    # Gamma > 0 throughout: dot gives -0.0 from a start at -0.0, matmul +0.0
+    @example(a={"variant": "constant", "params": {"value": [[1.0]]}},
+             b={"variant": "constant",
+                "params": {"value": [[0.1]], "bound": 1.0}},
+             levels=[0.5], x0=-0.0)
+    def test_scalar_start_matches_the_batch_and_the_reference(self, a, b,
+                                                              levels, x0):
+        # a 1-D identity-h start runs on floats: its trajectory is row 0 of
+        # the batch and the per-node loop, bit for bit; the sign of a zero
+        # start included
+        spec = _scalar_spec(a, b)
+        alpha = AlphaPolicy(np.linspace(0.0, 1.2, len(levels)), levels)
+        P = solve_finite_horizon(spec, alpha, 0.0, 1.5)
+        one = simulate_closed_loop(spec, P, alpha, 0.0, [x0], 1.0)
+        batch = simulate_closed_loop(spec, P, alpha, 0.0, [[x0], [0.5]], 1.0)
+        ref = _per_node_closed_loop(spec, P, alpha, 0.0, [x0], 1.0,
+                                    spec.grid.dt)
+        for name, r in zip(("nodes", "states", "controls", "running_cost",
+                            "cum_cost", "margins"), ref):
+            got = getattr(one, name)
+            assert _same_bits(got, r), name
+            if name != "nodes":
+                assert _same_bits(got, getattr(batch, name)[0]), name
+        for name in ("exit_index", "exit_time"):
+            assert _same_bits(np.asarray(getattr(one, name)),
+                              np.asarray(getattr(batch, name)[0])), name
+
+    def test_escaping_scalar_start_raises_like_the_batch(self):
+        # with q = 0 the sweep keeps P = 0, so Gamma = A = 2000 and RK4's
+        # growth of about 8e3 per step overflows well before t = 1
+        spec = _scalar_spec({"variant": "constant",
+                             "params": {"value": [[2000.0]]}},
+                            {"variant": "constant",
+                             "params": {"value": [[1.0]], "bound": 1.0}},
+                            k_level=0.0)
+        P = solve_finite_horizon(spec, ALPHA0, 0.0, 1.5)
+        assert not np.any(P.P)
+        raised = []
+        for run in (
+                lambda: simulate_closed_loop(spec, P, ALPHA0, 0.0, [0.5], 1.0),
+                lambda: simulate_closed_loop(spec, P, ALPHA0, 0.0, [[0.5]],
+                                             1.0),
+                lambda: _per_node_closed_loop(spec, P, ALPHA0, 0.0, [0.5], 1.0,
+                                              spec.grid.dt)):
+            with pytest.raises(NonFiniteState) as exc:
+                run()
+            raised.append((exc.value.time, str(exc.value)))
+        assert raised[0] == raised[1] == raised[2]
+
+    @pytest.mark.parametrize("config", ["timevarying_demo.json",
+                                        "ball2d_demo.json"])
+    def test_identity_start_calls_no_map_per_stage(self, config,
+                                                   monkeypatch):
+        # an identity h leaves h out of the field: the map is called only by
+        # the batched feedback_control and eval_lagrangian after the loop,
+        # not 4 times per RK4 step; a scalar state reaches the field as a
+        # Python float
+        spec = load_spec(config)
+        P = solve_stabilizing(spec, ALPHA0, 0.0, 4.0, tol=1e-8)
+        calls = {"forward": 0, "apply_jacobian_inv": 0}
+        for name in calls:
+            method = getattr(DiffeoMap, name)
+
+            def counting(self, *args, name=name, method=method):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(DiffeoMap, name, counting)
+        states = set()
+
+        def integrate(field, *args):
+            def seen(j, x):
+                states.add(type(x))
+                return field(j, x)
+            return integrate_ode(seen, *args)
+
+        monkeypatch.setattr(synthesis, "integrate_ode", integrate)
+        x0 = 0.5 * spec.omega.interior_point() + 0.25
+        simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 4.0)
+        assert calls["forward"] <= 2
+        assert calls["apply_jacobian_inv"] == 0
+        assert states == ({float} if spec.dim_state == 1 else {np.ndarray})
 
     def test_one_start_with_full_matrices(self, full2d_spec):
         spec = full2d_spec
