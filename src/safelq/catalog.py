@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveWeight, SingularJacobian
+from .errors import ConfigError
 from .numerics import matvec
 
 
 def config_array(value, shape: tuple, path: str) -> np.ndarray:
     """value as a float array of shape, where None matches any length;
-    DimensionMismatch names path if value is missing, ragged or misshapen."""
+    ConfigError names path if value is missing, ragged or misshapen."""
     if value is None:
-        raise DimensionMismatch(f"{path} is required")
+        raise ConfigError(f"{path} is required")
     try:
         arr = np.asarray(value, dtype=float)
     except ValueError:                  # ragged rows: the schema admits them
@@ -29,7 +29,7 @@ def config_array(value, shape: tuple, path: str) -> np.ndarray:
             want not in (None, got) for want, got in zip(shape, arr.shape)):
         got = "ragged rows" if arr is None else f"shape {arr.shape}"
         want = str(shape).replace("None", "k")
-        raise DimensionMismatch(f"{path} must have shape {want}, got {got}")
+        raise ConfigError(f"{path} must have shape {want}, got {got}")
     return arr
 
 
@@ -49,10 +49,6 @@ class TimeMatrix:
     amplitude: np.ndarray | None = None
     omega: float = 0.0
     bound: float | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.base.shape
 
     def is_constant(self) -> bool:
         return self.variant == "constant" or (
@@ -120,7 +116,7 @@ class StateWeight:
             hi = self.t_cut if t1 is None else min(t1, self.t_cut)
             return self.level * max(0.0, hi - t0)
         if self.rate <= 0.0:
-            raise NonPositiveWeight("exponential weight needs a positive rate")
+            raise ConfigError("exponential weight needs a positive rate")
         upper = 0.0 if t1 is None else np.exp(-self.rate * t1)
         return self.level / self.rate * (np.exp(-self.rate * t0) - upper)
 
@@ -139,7 +135,7 @@ def state_weight_from_config(entry: dict) -> StateWeight:
     if variant == "truncated_constant":
         return StateWeight(variant, level, t_cut=float(params.get("t_cut", 0.0)))
     if "rate" not in params:
-        raise NonPositiveWeight("K.params.rate is required for exponential K")
+        raise ConfigError("K.params.rate is required for exponential K")
     return StateWeight(variant, level, rate=float(params["rate"]))
 
 
@@ -257,9 +253,9 @@ def diffeo_from_config(entry: dict, dim: int) -> DiffeoMap:
         try:
             m_inv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("h.params.matrix is singular") from exc
+            raise ConfigError("h.params.matrix is singular") from exc
         if not np.all(np.isfinite(m_inv)) or np.linalg.cond(m) > 1e12:
-            raise SingularJacobian("h.params.matrix is numerically singular")
+            raise ConfigError("h.params.matrix is numerically singular")
         return DiffeoMap("linear", dim, matrix=m, matrix_inv=m_inv)
     # identity ignores beta
     return DiffeoMap(variant, dim, beta=float(params.get("beta", 0.0)))

@@ -7,10 +7,12 @@ with a schema header line.  Outputs carry no timestamps, so identical
 configs and flags reproduce byte-identical files.
 
 Exit codes: 0 ok, 1 configuration/user error, 2 stabilizing solve did not
-converge, 3 IPC check failed (synthesis still emitted, marked unverified) or
-the game's closed loop left Omega, 4 coupled fixed point did not converge,
-5 verification suite failure, 6 numerical failure (a Riccati sweep escaped
-to inf/NaN, or no stabilizing algebraic solution exists).
+converge (whatever the command, ``certificate.json`` then records the
+horizons and gaps tried), 3 IPC check failed (synthesis still emitted,
+marked unverified) or the game's closed loop left Omega, 4 coupled fixed
+point did not converge, 5 verification suite failure, 6 numerical failure
+(a Riccati sweep escaped to inf/NaN, or no stabilizing algebraic solution
+exists).
 """
 
 from __future__ import annotations
@@ -186,14 +188,8 @@ def _cmd_riccati(args, spec: ProblemSpec, out: Path, sha: str) -> int:
     alpha = _alpha_from_flag(args.alpha, spec, t0)
 
     if args.horizon == "stabilizing":
-        try:
-            sol = riccati.solve_stabilizing(
-                spec, alpha, t0, t0 + args.eval_span, tol=args.tol)
-        except NoConvergence as exc:
-            _write_json(out / "certificate.json", exc.certificate.to_dict(),
-                        sha)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        sol = riccati.solve_stabilizing(spec, alpha, t0, t0 + args.eval_span,
+                                        tol=args.tol)
         _write_json(out / "certificate.json", sol.certificate.to_dict(), sha)
     else:
         sol = riccati.solve_finite_horizon(spec, alpha, t0, t0 + horizon)
@@ -525,12 +521,14 @@ def main(argv=None) -> int:
     try:
         spec = _load_spec(args.config)
         out = Path(args.out)
-        return handlers[args.command](args, spec, out,
-                                      _write_manifest(out, args))
+        sha = _write_manifest(out, args)
+        return handlers[args.command](args, spec, out, sha)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:
+        # raised only after the manifest is written, by any command
+        _write_json(out / "certificate.json", exc.certificate.to_dict(), sha)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (NonFiniteState, NotStabilizable) as exc:

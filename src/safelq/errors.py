@@ -1,8 +1,8 @@
 """Shared exception taxonomy.
 
-Configuration problems derive from :class:`ConfigError` (CLI exit code 1).
-Numerical failures carry enough context to locate the offending run;
-:class:`NonFiniteState` and :class:`NotStabilizable` exit with code 6.
+Every rejected configuration or flag raises :class:`ConfigError`, whose
+message starts with what was rejected.  Numerical failures carry enough
+context to locate the offending run.  ``cli`` maps each to its exit code.
 """
 
 
@@ -11,39 +11,11 @@ class SafeLQError(Exception):
 
 
 class ConfigError(SafeLQError):
-    """Invalid problem configuration."""
-
-
-class UnknownVariant(ConfigError):
-    """Catalog variant name not recognized."""
-
-
-class DimensionMismatch(ConfigError):
-    """Declared dimensions are inconsistent with supplied data."""
-
-
-class NonPositiveWeight(ConfigError):
-    """A weight that must be nonnegative/nondecreasing is not."""
-
-
-class GrowthViolation(ConfigError):
-    """The penalty b does not grow strictly faster than the gain a (q <= p)."""
-
-
-class NonconformingWeight(ConfigError):
-    """Control weight R declared, but not one half times the identity."""
-
-
-class IntegrabilityMismatch(ConfigError):
-    """Declared integrability tags contradict the catalog variant."""
+    """Invalid problem configuration or command-line flag."""
 
 
 class NegativeAlpha(SafeLQError):
     """Adversarial weight alpha must be nonnegative."""
-
-
-class SingularJacobian(ConfigError):
-    """Jacobian of the coordinate map is numerically singular."""
 
 
 class UnboundedSup(SafeLQError):
@@ -64,7 +36,7 @@ class NoConvergence(SafeLQError):
     ``certificate`` records the horizons tried, with ``converged`` False.
     """
 
-    def __init__(self, message: str, certificate=None):
+    def __init__(self, message: str, certificate):
         super().__init__(message)
         self.certificate = certificate
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import config_array
-from .errors import ConfigError, DimensionMismatch, UnsupportedVariant
+from .errors import ConfigError, UnsupportedVariant
 from .numerics import matvec
 
 _DIRECTIONS_SEED = 20240917
@@ -160,7 +160,7 @@ class Polytope(ConstraintSet):
         a = np.asarray(normals, dtype=float)
         c = np.asarray(offsets, dtype=float)
         if a.ndim != 2 or c.shape != (len(a),):
-            raise DimensionMismatch("polytope rows/offsets mismatch")
+            raise ConfigError("polytope rows/offsets mismatch")
         norms = np.linalg.norm(a, axis=1)
         if np.any(norms == 0.0):
             raise ConfigError("polytope has a zero normal row")
@@ -272,7 +272,7 @@ class Box(Polytope):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("box lo/hi mismatch")
+            raise ConfigError("box lo/hi mismatch")
         if np.any(hi <= lo):
             raise ConfigError("box needs lo < hi per axis")
         self.lo = lo
@@ -362,8 +362,7 @@ def constraint_from_config(entry: dict, dim: int) -> ConstraintSet:
         else:
             omega = Ellipsoid(p.get("center", np.zeros(dim)), p.get("weights"))
     except ConfigError as exc:
-        raise type(exc)(f"omega: {exc}") from exc
+        raise ConfigError(f"omega: {exc}") from exc
     if omega.dim != dim:
-        raise DimensionMismatch(
-            f"omega has dimension {omega.dim}, state has {dim}")
+        raise ConfigError(f"omega has dimension {omega.dim}, state has {dim}")
     return omega

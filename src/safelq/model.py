@@ -25,9 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, geometry
-from .errors import (ConfigError, GrowthViolation, IntegrabilityMismatch,
-                     NegativeAlpha, NonPositiveWeight, NonconformingWeight,
-                     UnboundedSup, UnknownVariant)
+from .errors import ConfigError, NegativeAlpha, UnboundedSup
 from .numerics import matvec
 
 
@@ -210,13 +208,13 @@ def _check(node, schema: dict, defs: dict, path: str = "") -> None:
         raise ConfigError(f"{where} must be {'an' if kind[0] in 'aeio' else 'a'}"
                           f" {kind}, got {node!r:.60}")
     if "enum" in schema and node not in schema["enum"]:
-        raise UnknownVariant(f"{where} must be one of {schema['enum']}, "
-                             f"got {node!r:.60}")
+        raise ConfigError(f"{where} must be one of {schema['enum']}, "
+                          f"got {node!r:.60}")
     for key, sign in (("minimum", ">="), ("exclusiveMinimum", ">")):
         low = schema.get(key)
         if low is not None and _has_type(node, "number") and not (
                 node >= low if sign == ">=" else node > low):
-            raise NonPositiveWeight(f"{where} must be {sign} {low}, got {node!r}")
+            raise ConfigError(f"{where} must be {sign} {low}, got {node!r}")
     if isinstance(node, dict):
         prefix = f"{path}." if path else ""
         props = schema.get("properties", {})
@@ -240,17 +238,17 @@ def _validate_r(entry: dict | None, m: int) -> None:
     if entry is None or "variant" in entry:
         return
     if "value" not in entry:
-        raise NonconformingWeight("R declares neither a variant nor a value")
+        raise ConfigError("R declares neither a variant nor a value")
     r = catalog.config_array(entry["value"], (m, m), "R.value")
     if not np.allclose(r, 0.5 * np.eye(m), atol=1e-12):
-        raise NonconformingWeight("R.value must be one half times the identity")
+        raise ConfigError("R.value must be one half times the identity")
 
 
 def _verify_weight_tags(entry: dict, weight: catalog.StateWeight) -> None:
     for key, holds in (("l1", weight.is_l1), ("l2", weight.is_l2)):
         if entry.get("tags", {}).get(key, holds) != holds:
-            raise IntegrabilityMismatch(
-                f"K.tags.{key} is {not holds}, but the variant gives {holds}")
+            raise ConfigError(f"K.tags.{key} is {not holds}, but the variant "
+                              f"gives {holds}")
 
 
 def _verify_diffeo(h: catalog.DiffeoMap) -> None:
@@ -281,8 +279,7 @@ def build_problem(config: dict) -> ProblemSpec:
 
     Checks ``config_schema.json`` first, then what it cannot state (shapes
     against ``dims``, growth, tags, the |B| bound, t0 < t_max).  A failure
-    raises one ConfigError whose message starts with its JSON path:
-    UnknownVariant off an ``enum``, NonPositiveWeight below a minimum.
+    raises one ConfigError whose message starts with its JSON path.
     """
     schema = json.loads(Path(__file__).with_name("config_schema.json").read_text())
     _check(config, schema, schema["$defs"])
@@ -294,10 +291,10 @@ def build_problem(config: dict) -> ProblemSpec:
     a_fn = catalog.power_law_from_config(config["a"])
     b_fn = catalog.power_law_from_config(config["b"])
     if b_fn.exponent <= a_fn.exponent:
-        raise GrowthViolation(f"b.params.exponent {b_fn.exponent} must exceed "
-                              f"a's exponent {a_fn.exponent}")
+        raise ConfigError(f"b.params.exponent {b_fn.exponent} must exceed "
+                          f"a's exponent {a_fn.exponent}")
     if a_fn.coeff > 0.0 and b_fn.coeff <= 0.0:
-        raise GrowthViolation("b.params.coeff must be positive when a's is")
+        raise ConfigError("b.params.coeff must be positive when a's is")
     _validate_r(config.get("R"), m)
     h = catalog.diffeo_from_config(config["h"], n)
     _verify_diffeo(h)

@@ -66,17 +66,19 @@ class SampledPath:
     derivs: np.ndarray
 
     def at(self, s) -> np.ndarray:
-        """Dense output at a time or at each of an array of times."""
+        """Dense output at a time or at each of an array of times; a time
+        more than 1e-9 (1 + span) outside the nodes raises OutOfGrid."""
         s = np.asarray(s, dtype=float)
-        if len(self.nodes) == 1:
-            return np.broadcast_to(self.values[0], s.shape + self.values[0].shape).copy()
         nodes = self.nodes
-        dt = nodes[1] - nodes[0]
         tol = 1e-9 * (1.0 + abs(nodes[-1] - nodes[0]))
         outside = (s < nodes[0] - tol) | (s > nodes[-1] + tol)
         if np.any(outside):
             raise OutOfGrid(f"time {s[outside].flat[0]} outside "
                             f"[{nodes[0]}, {nodes[-1]}]")
+        if len(nodes) == 1:
+            return np.broadcast_to(self.values[0],
+                                   s.shape + self.values[0].shape).copy()
+        dt = nodes[1] - nodes[0]
         idx = np.clip(np.floor((s - nodes[0]) / dt).astype(int), 0, len(nodes) - 2)
         theta = np.clip((s - nodes[idx]) / dt, 0.0, 1.0)
         extra = (1,) * (self.values.ndim - 1)

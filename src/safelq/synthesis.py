@@ -17,12 +17,12 @@ A simulation integrates a stack of starts with RK4 on the grid of
 ``numerics.stage_times``, reading Gamma at each stage index from one
 precomputed array, then builds the controls and running costs of all nodes
 and starts at once with stacked matmul and vecdot, so each start's
-trajectory is bit for bit the one it gets alone.  The field of a single
-start (n,) is ``Gamma.dot(h(x))``: ndarray.dot rounds like the stacked
-matmul and skips its per-call dispatch.  With the identity h it is
-``Gamma.dot(x)``, without h's copies, and a scalar state runs on Python
-floats, ``0.0 + g x``: a float product rounds like the 1x1 matmul, and the
-+0.0 it is added to gives a zero product matmul's sign.
+trajectory is bit for bit the one it gets alone.  A single start (n,)
+with a non-identity h takes the same stacked field.  With the identity h
+the field is ``Gamma.dot(x)``: ndarray.dot rounds like the stacked matmul
+and skips its per-call dispatch and h's copies.  A scalar state then runs
+on Python floats, ``0.0 + g x``: a float product rounds like the 1x1
+matmul, and the +0.0 it is added to gives a zero product matmul's sign.
 """
 
 from __future__ import annotations
@@ -146,14 +146,11 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
     forward, jacobian_inv = spec.h.forward, spec.h.apply_jacobian_inv
     start = x0
 
-    if x0.ndim != 1:
+    if x0.ndim != 1 or spec.h.variant != "identity":
         def field(j, x):
             # matvec less its conversion: h(x) is a float array already
             return jacobian_inv(
                 x, np.matmul(gammas[j], forward(x)[..., None])[..., 0])
-    elif spec.h.variant != "identity":
-        def field(j, x):
-            return jacobian_inv(x, gammas[j].dot(forward(x)))
     elif len(x0) == 1:
         # a 1x1 product rounds once, as a float product does; matmul sums
         # it onto +0.0, which turns a -0.0 product (from a start at -0.0)

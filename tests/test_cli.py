@@ -32,6 +32,30 @@ def read_csv(path: Path):
     return header, rows
 
 
+def _unconverging_config(tmp_path) -> str:
+    """outward_drift with a positive weight and the cap at 8: no control
+    authority over unstable drift, so the doubling cannot settle."""
+    cfg = load_config("outward_drift.json")
+    cfg["K"]["params"] = {"level": 2.0, "t_cut": 1000.0}
+    cfg["grid"] = {"t0": 0.0, "dt": 0.02, "t_max": 8.0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _assert_unconverged_certificate(out: Path, cap: float = 8.0) -> None:
+    cert = json.loads((out / "certificate.json").read_text(),
+                      parse_constant=reject_constant)
+    # the success schema; the first horizon has no gap
+    assert set(cert) == {"horizons", "gaps", "tol", "converged",
+                         "manifest_sha256"}
+    assert cert["converged"] is False
+    assert cert["tol"] == 1e-8
+    assert cert["horizons"][-1] == cap
+    assert len(cert["gaps"]) == len(cert["horizons"]) - 1 >= 1
+    assert all(g >= 1e-8 for g in cert["gaps"])
+
+
 class TestRiccatiCommand:
     def test_stabilizing_first_row(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),
@@ -66,24 +90,10 @@ class TestRiccatiCommand:
         assert code == 1
 
     def test_no_convergence_exit_code(self, tmp_path):
-        cfg = load_config("outward_drift.json")
-        cfg["K"]["params"] = {"level": 2.0, "t_cut": 1000.0}
-        cfg["grid"] = {"t0": 0.0, "dt": 0.02, "t_max": 8.0}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["--config", str(path), "--out", str(tmp_path),
-                     "riccati", "--horizon", "stabilizing"])
+        code = main(["--config", _unconverging_config(tmp_path), "--out",
+                     str(tmp_path), "riccati", "--horizon", "stabilizing"])
         assert code == 2
-        cert = json.loads((tmp_path / "certificate.json").read_text(),
-                          parse_constant=reject_constant)
-        # the success schema; the first horizon has no gap
-        assert set(cert) == {"horizons", "gaps", "tol", "converged",
-                             "manifest_sha256"}
-        assert cert["converged"] is False
-        assert cert["tol"] == 1e-8
-        assert cert["horizons"][-1] == 8.0
-        assert len(cert["gaps"]) == len(cert["horizons"]) - 1 >= 1
-        assert all(g >= 1e-8 for g in cert["gaps"])
+        _assert_unconverged_certificate(tmp_path)
 
     @pytest.mark.parametrize("rows, where", [
         ("0.0,0.5\n1;x\n", "line 3"),       # one field
@@ -113,6 +123,18 @@ class TestSynthesizeCommand:
         header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header[:2] == ["s", "xi_1"]
         assert rows[0][1] == 0.9
+
+    def test_no_convergence_writes_the_certificate(self, tmp_path, capsys):
+        code = main(["--config", _unconverging_config(tmp_path), "--out",
+                     str(tmp_path), "synthesize", "--x0", "0.1",
+                     "--horizon", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: stabilizing limit gap ")
+        _assert_unconverged_certificate(tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "bad.json", "certificate.json", "manifest.json"]
 
     def test_start_outside_rejected(self, tmp_path):
         code = main(["--config", SCALAR, "--out", str(tmp_path),
@@ -277,6 +299,16 @@ class TestBadFlags:
         assert flag in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
+    def test_negative_alpha_is_a_one_line_error(self, tmp_path, capsys):
+        # NegativeAlpha is no ConfigError: main's catch-all SafeLQError
+        # branch exits 1 with its message
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "riccati", "--alpha", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: alpha policy values must be nonnegative\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     @pytest.mark.parametrize("argv, flag, key, recorded", [
         (["riccati", "--tol", "nan"], "--tol", "tol", "nan"),
         (["game", "--x0", "0.6", "--alpha-max", "inf"], "--alpha-max",
@@ -369,7 +401,7 @@ def config_error(cfg, tmp_path, capsys) -> str:
 
 class TestSchemaContract:
     # the shipped schema is enforced on load: the first four ran with exit 0
-    # before it was, and R's variant raised NonconformingWeight
+    # before it was, and R's variant was rejected only by _validate_r
     @pytest.mark.parametrize("edit, path", [
         (lambda c: c.update(comment="x"), "comment"),
         (lambda c: c["K"].pop("params"), "K.params"),
@@ -384,6 +416,13 @@ class TestSchemaContract:
         edit(cfg)
         assert config_error(cfg, tmp_path, capsys).startswith(
             f"config error: {path} ")
+
+    def test_exponential_weight_needs_a_rate(self, tmp_path, capsys):
+        # the schema leaves K.params.rate optional for every variant
+        cfg = load_config("expk_demo.json")
+        del cfg["K"]["params"]["rate"]
+        assert config_error(cfg, tmp_path, capsys) == (
+            "config error: K.params.rate is required for exponential K\n")
 
     # the schema admits rows of unequal length; they ended in a traceback
     @pytest.mark.parametrize("edit, path", [
@@ -476,8 +515,9 @@ class TestHorizonBeyondCap:
         assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(40.0)
 
     def test_game_tail_short_of_its_limit_exits_2(self, tmp_path, capsys):
-        # t_max 20 leaves the tail at 16.01 room for horizons up to 19.99,
-        # too short for its doubling to converge
+        # t_max 20 leaves the tail at 16.01 room for horizons up to 20,
+        # too short for its doubling to converge; the certificate records
+        # the horizons tried
         code, out = _run_with_t_max(
             tmp_path, 20.0, ["game", "--x0", "0.6", "--alpha-points", "1"])
         assert code == 2
@@ -485,6 +525,7 @@ class TestHorizonBeyondCap:
         assert len(err.strip().splitlines()) == 1
         assert "horizon cap" in err
         assert not (out / "game.json").exists()
+        _assert_unconverged_certificate(out, cap=20.0)
 
 
 class TestVerifyCommand:

@@ -33,6 +33,23 @@ class TestLambdaMap:
     def test_zero_at_origin(self, cubic_spec):
         assert lambda_map(cubic_spec, 0.0, np.array([0.0])) == 0.0
 
+    def test_vanishing_gain_and_penalty_give_zero(self, tmp_path):
+        # a = b = 0: every alpha attains the sup 0, and the smallest is 0;
+        # the zero gain returns before the strictly-increasing-b check
+        cfg = load_config("scalar_demo.json")
+        cfg["a"]["params"]["coeff"] = 0.0
+        cfg["b"]["params"]["coeff"] = 0.0
+        spec = build_problem(cfg)
+        xs = np.array([[0.5], [0.0], [-1.0]])
+        assert lambda_map(spec, 0.0, xs).tolist() == [0.0, 0.0, 0.0]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "game", "--x0", "0.6"]) == 0
+        lines = (tmp_path / "out" / "alpha_star.csv").read_text().splitlines()
+        assert len(lines) > 3
+        assert all(line.endswith(",0") for line in lines[2:])
+
     def test_cubic_penalty_stationarity(self):
         # a = alpha, b = alpha^3 at g = 3: 3 alpha^2 = g gives alpha = 1
         cfg = load_config("scalar_demo.json")

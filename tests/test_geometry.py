@@ -138,8 +138,8 @@ class TestEllipsoid:
 
 class TestConfigParsing:
     def test_dimension_checked(self):
-        from safelq.errors import DimensionMismatch
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError,
+                           match=r"^omega has dimension 1, state has 2$"):
             constraint_from_config(
                 {"variant": "ball", "params": {"center": [0.0], "radius": 1.0}}, 2)
 

@@ -160,6 +160,17 @@ class TestGammaBar:
         val = gamma_bar(expk_spec, alpha, rho=1.0, theta=1.0)
         assert val == pytest.approx(base + 1.0, rel=1e-12)
 
+    def test_unbounded_sinusoid_input_uses_the_derived_bound(self):
+        # no declared bound: |B|_inf = |base| + |amplitude| = 1.5, and the
+        # integral of K/2 is 1
+        cfg = load_config("expk_demo.json")
+        cfg["B"] = {"variant": "sinusoid", "params": {
+            "base": [[1.0]], "amplitude": [[-0.5]], "omega": 2.0}}
+        spec = build_problem(cfg)
+        assert spec.B.bound is None
+        val = gamma_bar(spec, ALPHA0, rho=1.0, theta=1.0)
+        assert val == pytest.approx(1.5**2, rel=1e-12)
+
 
 class TestNegativeDefinite:
     def test_comfortably_definite(self):

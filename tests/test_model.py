@@ -6,10 +6,7 @@ import pytest
 
 from safelq import (AlphaPolicy, build_problem, eval_dynamics,
                     eval_lagrangian)
-from safelq.errors import (ConfigError, DimensionMismatch, GrowthViolation,
-                           IntegrabilityMismatch, NegativeAlpha,
-                           NonPositiveWeight, NonconformingWeight,
-                           UnknownVariant)
+from safelq.errors import ConfigError, NegativeAlpha
 from safelq.game import lambda_map
 from safelq.numerics import stage_times
 
@@ -27,13 +24,13 @@ class TestBuildProblem:
     def test_rejects_identity_control_weight(self):
         cfg = load_config("scalar_demo.json")
         cfg["R"] = {"value": [[1.0]]}
-        with pytest.raises(NonconformingWeight):
+        with pytest.raises(ConfigError, match=r"^R\.value must be one half"):
             build_problem(cfg)
 
     def test_control_weight_variant_outside_schema_is_unknown(self):
         cfg = load_config("scalar_demo.json")
         cfg["R"] = {"variant": "identity"}
-        with pytest.raises(UnknownVariant, match=r"^R\.variant "):
+        with pytest.raises(ConfigError, match=r"^R\.variant must be one of "):
             build_problem(cfg)
 
     def test_rejects_growth_violation(self):
@@ -41,31 +38,34 @@ class TestBuildProblem:
         cfg = load_config("scalar_demo.json")
         cfg["a"] = {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}}
         cfg["b"] = {"variant": "power", "params": {"coeff": 1.0, "exponent": 1.0}}
-        with pytest.raises(GrowthViolation):
+        with pytest.raises(ConfigError, match=r"^b\.params\.exponent 1\.0 "
+                           r"must exceed a's exponent 2\.0$"):
             build_problem(cfg)
 
     def test_unknown_variant(self):
         cfg = load_config("scalar_demo.json")
         cfg["A"]["variant"] = "quadratic"
-        with pytest.raises(UnknownVariant):
+        with pytest.raises(ConfigError, match=r"^A\.variant must be one of "):
             build_problem(cfg)
 
     def test_dimension_mismatch(self):
         cfg = load_config("scalar_demo.json")
         cfg["B"]["params"]["value"] = [[1.0, 0.0]]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match=r"^B\.params\.value must have "
+                           r"shape \(1, 1\), got shape \(1, 2\)$"):
             build_problem(cfg)
 
     def test_negative_weight(self):
         cfg = load_config("scalar_demo.json")
         cfg["K"]["params"]["level"] = -1.0
-        with pytest.raises(NonPositiveWeight):
+        with pytest.raises(ConfigError,
+                           match=r"^K\.params\.level must be >= 0, got -1\.0$"):
             build_problem(cfg)
 
     def test_integrability_tags_verified(self):
         cfg = load_config("scalar_demo.json")
         cfg["K"]["tags"] = {"l1": False}
-        with pytest.raises(IntegrabilityMismatch):
+        with pytest.raises(ConfigError, match=r"^K\.tags\.l1 is False"):
             build_problem(cfg)
 
     def test_declared_b_bound_must_dominate(self):
@@ -232,6 +232,12 @@ class TestAlphaPolicy:
         # clipped window [0.5, 2.0]: 1*0.5 + 2*1.0
         assert pol.piecewise_integral(lambda a: a, 0.5, 2.0) == 2.5
 
+    def test_integral_before_the_first_node_clamps(self):
+        pol = AlphaPolicy(np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 5.0]))
+        # [0.25, 1) reads values[0] = 2: 0.75 * 2 + 1 * 2 + 1 * 1
+        assert pol.piecewise_integral(lambda a: a, 0.25, None) == 4.5
+        assert pol.piecewise_integral(lambda a: a, 0.25, 0.5) == 0.5
+
     def test_constant_policy_support(self):
         pol = AlphaPolicy.constant(2.0, 0.0, 3.0)
         assert pol.value(1.5) == 2.0
@@ -289,8 +295,8 @@ class TestDiffeoInvariants:
 
     def test_singular_linear_map_rejected(self):
         from safelq.catalog import diffeo_from_config
-        from safelq.errors import SingularJacobian
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(ConfigError,
+                           match=r"^h\.params\.matrix is singular$"):
             diffeo_from_config(
                 {"variant": "linear",
                  "params": {"matrix": [[1.0, 2.0], [2.0, 4.0]]}}, 2)

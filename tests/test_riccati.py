@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from safelq import AlphaPolicy, build_problem, riccati
 from safelq.cli import main
-from safelq.errors import NoConvergence, NonFiniteState, NotStabilizable
+from safelq.errors import (NoConvergence, NonFiniteState, NotStabilizable,
+                           OutOfGrid)
 from safelq.numerics import sym
 from safelq.riccati import (_gap_tol, check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
@@ -128,6 +129,17 @@ class TestStabilizing:
         assert len(cert.gaps) == len(cert.horizons) - 1 >= 1
         assert all(math.isfinite(g) for g in cert.gaps)
         assert cert.horizons[-1] == spec.grid.t_max
+
+    def test_one_node_solution_answers_only_at_its_node(self, scalar_spec):
+        sol = solve_stabilizing(scalar_spec, ALPHA0, 5.0, 5.0, tol=1e-8)
+        assert len(sol.nodes) == 1
+        assert abs(sol.at(5.0 + 5e-10)[0, 0] - SCALAR_ROOT) <= 1e-7
+        with pytest.raises(OutOfGrid, match=r"^time 0\.0 outside "):
+            sol.at(0.0)
+        with pytest.raises(OutOfGrid):
+            sol.at([5.0, 5.1])
+        with pytest.raises(OutOfGrid):
+            value_from_riccati(scalar_spec, sol, ALPHA0, 0.0, np.array([0.5]))
 
     def test_window_restriction(self, scalar_spec):
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 2.5, tol=1e-8)

@@ -274,6 +274,24 @@ class TestClosedLoopFromArrays:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
             assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
 
+    @pytest.mark.parametrize("config", ["cubic_demo.json",
+                                        "outward_drift.json"])
+    @pytest.mark.parametrize("x0", [-0.0, 0.0, 0.3])
+    def test_one_start_with_a_cubic_map_is_its_batch_row(self, config, x0):
+        # outward_drift under h = x + x^3/2 keeps P = 0, so Gamma = A = 1:
+        # a 1x1 dot keeps the -0.0 product of a start at -0.0, the stacked
+        # matmul of the batch gives +0.0
+        cfg = load_config(config)
+        cfg["h"] = {"variant": "odd_cubic", "params": {"beta": 0.5}}
+        spec = build_problem(cfg)
+        P = solve_stabilizing(spec, ALPHA0, 0.0, 1.0, tol=1e-8)
+        one = simulate_closed_loop(spec, P, ALPHA0, 0.0, [x0], 1.0)
+        batch = simulate_closed_loop(spec, P, ALPHA0, 0.0, [[x0]], 1.0)
+        for name in ("states", "controls", "running_cost", "cum_cost",
+                     "margins", "exit_index", "exit_time"):
+            assert _same_bits(np.asarray(getattr(one, name)),
+                              np.asarray(getattr(batch, name)[0])), name
+
 
 class TestValues:
     def test_scalar_infinite_horizon(self, scalar_spec, scalar_P):

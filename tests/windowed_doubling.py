@@ -47,6 +47,9 @@ def windowed_stabilizing(spec, alpha, t, T_eval, tol=1e-8, dt=None):
                                   ConvergenceCertificate(
                                       tuple(horizons), tuple(gaps), tol, True))
             if steps >= cap_steps:
-                raise NoConvergence(f"gap {gaps[-1]} at the horizon cap")
+                raise NoConvergence(
+                    f"gap {gaps[-1]} at the horizon cap",
+                    ConvergenceCertificate(tuple(horizons), tuple(gaps), tol,
+                                           False))
         prev = p_win
         steps = min(cap_steps, 2 * steps)
