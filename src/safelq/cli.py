@@ -294,7 +294,7 @@ def _check(name: str, passed, **values) -> dict:
 
 class _ZeroPolicySolves:
     """The alpha = 0 Riccati solutions that several verify suites read, each
-    solved on first use and at most once per run."""
+    solved on first use and at most once per run, a failed one included."""
 
     def __init__(self, spec: ProblemSpec):
         t0 = spec.grid.t0
@@ -305,8 +305,22 @@ class _ZeroPolicySolves:
         # the stabilizing solution on the IPC window [t0, t_end]; the
         # riccati and oracle suites read it at t0
         self.t_end = t_end = t0 + min(8.0, spec.grid.t_max - t0)
-        self.stabilizing = cache(lambda: riccati.solve_stabilizing(
-            spec, alpha, t0, t_end, tol=DEFAULT_TOLERANCES["riccati_tol"]))
+        self._solve_stabilizing = lambda: riccati.solve_stabilizing(
+            spec, alpha, t0, t_end, tol=DEFAULT_TOLERANCES["riccati_tol"])
+        self._stabilizing = None
+
+    def stabilizing(self):
+        """The stabilizing solution, solved on the first call; a failed
+        solve is not repeated: each later call raises its exception again
+        (``functools.cache`` keeps no exception)."""
+        if self._stabilizing is None:
+            try:
+                self._stabilizing = self._solve_stabilizing()
+            except SafeLQError as exc:
+                self._stabilizing = exc
+        if isinstance(self._stabilizing, SafeLQError):
+            raise self._stabilizing
+        return self._stabilizing
 
 
 def _suite_riccati(spec: ProblemSpec, zero: _ZeroPolicySolves) -> list[dict]:

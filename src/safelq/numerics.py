@@ -5,11 +5,11 @@ every integration in the package, and one fixed-step classical Runge-Kutta
 loop, :func:`_rk4`, runs them: its right-hand side reads stage data by stage
 index, in the backward Riccati sweeps and in :func:`integrate_ode`, the
 forward integrator of the closed and open loops; both can step a scalar
-state as a Python float.  Also here: cubic-Hermite dense output, composite
-Simpson weights, stacked matrix-vector products, and symmetric eigenvalue
-extremes.  Everything is deterministic: uniform grids, fixed evaluation
-order, no adaptivity.  Finiteness is checked once, after the loop, over the
-stored nodes.
+state as a Python float, and the sweeps a 2x2 state as a tuple of four.
+Also here: cubic-Hermite dense output, composite Simpson weights, stacked
+matrix-vector products, and symmetric eigenvalue extremes.  Everything is
+deterministic: uniform grids, fixed evaluation order, no adaptivity.
+Finiteness is checked once, after the loop, over the stored nodes.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from .errors import NonFiniteState, OutOfGrid
 
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetrized copy (M + M^T)/2 of a matrix or of each in a stack; a
-    float is taken as a 1x1 matrix, 0.5 (m + m), overflow to inf included."""
+    float is taken as a 1x1 matrix, 0.5 (m + m), and a 4-tuple as the
+    entries (m00, m01, m10, m11) of a 2x2, overflow to inf included."""
     # type(), not isinstance: an array fails isinstance only after a
     # __class__ lookup that costs more than a 2x2 sym's other checks
     if type(m) is float:
         return 0.5 * (m + m)
+    if type(m) is tuple:
+        m00, m01, m10, m11 = m
+        off = 0.5 * (m01 + m10)
+        return (0.5 * (m00 + m00), off, off, 0.5 * (m11 + m11))
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
@@ -114,28 +119,60 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
     afterwards.
 
     ``values`` and ``derivs`` are arrays, or lists for a Python float
-    state.  The step factors h/2, h and h/6 are 0-d float64 arrays for an
-    array state, which numpy multiplies without converting a Python float
-    on every product, and floats for a float state, which 0-d factors would
-    turn into np.float64; 2 k is written k + k.  All give the same values as
-    the textbook ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+    state or a 2x2 state held as the tuple of floats (y00, y01, y10, y11),
+    which :func:`_axpy` and :func:`_rk4_sum` step entry by entry with the
+    inline forms' operations.  The step factors h/2, h and h/6 are 0-d
+    float64 arrays for an array state, which numpy multiplies without
+    converting a Python float on every product, and floats otherwise, which
+    0-d factors would turn into np.float64; 2 k is written k + k.  All give
+    the same values as the textbook
+    ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     """
     n = len(values) - 1
     y = values[0]
-    factor = float if isinstance(y, float) else np.array
+    # a tuple has no entrywise arithmetic; a branch costs a float state
+    # less than a helper call per stage would
+    pair = type(y) is tuple
+    factor = np.array if isinstance(y, np.ndarray) else float
     half, full, sixth = (factor(c) for c in (0.5 * h, h, h / 6.0))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             k1 = field(2 * k, y)
             derivs[k] = k1
-            k2 = field(2 * k + 1, y + half * k1)
-            k3 = field(2 * k + 1, y + half * k2)
-            k4 = field(2 * k + 2, y + full * k3)
-            y = y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            k2 = field(2 * k + 1,
+                       _axpy(y, half, k1) if pair else y + half * k1)
+            k3 = field(2 * k + 1,
+                       _axpy(y, half, k2) if pair else y + half * k2)
+            k4 = field(2 * k + 2,
+                       _axpy(y, full, k3) if pair else y + full * k3)
+            y = (_rk4_sum(y, sixth, k1, k2, k3, k4) if pair else
+                 y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4))
             if postprocess is not None:
                 y = postprocess(y)
             values[k + 1] = y
         derivs[n] = field(2 * n, y)
+
+
+def _axpy(y: tuple, c: float, k: tuple) -> tuple:
+    """y + c k for the 2x2 tuple state of :func:`_rk4`, entry by entry."""
+    y0, y1, y2, y3 = y
+    k0, k1, k2, k3 = k
+    return (y0 + c * k0, y1 + c * k1, y2 + c * k2, y3 + c * k3)
+
+
+def _rk4_sum(y: tuple, c: float, k1: tuple, k2: tuple, k3: tuple,
+             k4: tuple) -> tuple:
+    """y + c (k1 + (k2 + k2) + (k3 + k3) + k4) for the 2x2 tuple state of
+    :func:`_rk4`, entry by entry."""
+    y0, y1, y2, y3 = y
+    a0, a1, a2, a3 = k1
+    b0, b1, b2, b3 = k2
+    d0, d1, d2, d3 = k3
+    e0, e1, e2, e3 = k4
+    return (y0 + c * (a0 + (b0 + b0) + (d0 + d0) + e0),
+            y1 + c * (a1 + (b1 + b1) + (d1 + d1) + e1),
+            y2 + c * (a2 + (b2 + b2) + (d2 + d2) + e2),
+            y3 + c * (a3 + (b3 + b3) + (d3 + d3) + e3))
 
 
 def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],

@@ -8,9 +8,9 @@ The finite-horizon terminal-value problem
 is integrated backward by the package's one RK4 loop (``numerics._rk4``,
 step -h, symmetrizing after every step) on the stage grid of
 ``numerics.stage_times``, read in descending order; its right-hand side
-reads the stage data by stage index: A, its transpose view, S and each
-lane's q I, all built once per sweep.  A lane that escapes runs on as inf/NaN
-and is found by one scan of the stored nodes afterwards.
+reads the stage data, A, S and each lane's q, by stage index, all built
+once per sweep.  A lane that escapes runs on as inf/NaN and is found by one
+scan of the stored nodes afterwards.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit, at the window's end T_eval, of finite-horizon
 sweeps over geometrically growing horizons, compared there until the gap
@@ -22,24 +22,28 @@ cross-check for constant coefficients.
 A sweep may also start from a given terminal value (:func:`solve_from_tail`):
 the game solves the policy-free tail beyond its simulation window once, by
 doubling, and sweeps each policy back from it, several policies as lanes of
-stacked (lanes, n, n) states sharing A and S = B R^{-1} B^T.  Stacked matmul
-works per matrix, so each lane is bit for bit a sweep of its own, and the
-one-policy doubling is the reference the tail's lanes are tested against.
-A sweep of one lane, as in the doubling and each Picard pass, integrates the
-2-D (n, n) views of its arrays with ndarray.dot instead, and sums its
-right-hand side in place: on such small matrices the cost is per-call
-overhead, most of it matmul's dispatch and the temporaries, and dot rounds
-like matmul, so both paths give the same bits.  A scalar state
-(n = 1) skips numpy in the loop altogether: each lane runs on Python floats,
-as a 1x1 product rounds once, like a float product, and its symmetric part
-is 0.5 (y + y) either way.  For n >= 2 this does not hold (a 2x2 product
-may fuse a multiply-add), so those states keep the dot and matmul paths.
+one sweep sharing A and S = B R^{-1} B^T; each lane is bit for bit a sweep
+of its own, and the one-policy doubling is the reference the tail's lanes
+are tested against.
+
+States of n <= 2 skip numpy in the loop: on such small matrices its cost is
+per-call overhead, not arithmetic.  Each lane runs alone on Python floats,
+one float for n = 1 and the four entries (p00, p01, p10, p11) of the 2x2 for
+n = 2, its products written out entry by entry in matmul's operand order.
+A 1x1 product rounds once, like a float product, so n = 1 keeps the bits of
+matmul.  A 2x2 product entry is a sum of two products, which BLAS may fuse
+into one multiply-add: on full 2x2 data the float lanes agree with matmul
+to rounding, not bit for bit, and their bits do not depend on the
+machine's BLAS; where every such sum has one non-zero term, as with the
+shipped diagonal A and B, they are matmul's bits.  States of n >= 3 step
+all lanes at once as stacked (lanes, n, n) matmul, which works per matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,16 +132,59 @@ def _stage_data(spec: ProblemSpec, alphas, times: np.ndarray):
     return a_arr, s_arr, q_arr
 
 
+def _scalar_field(a_f, s_f, q_f):
+    """The right-hand side of the backward equation for a 1x1 state, a
+    Python float, from per-stage lists of A, S and q: a 1x1 product rounds
+    once, as a float product does."""
+    (a_00,), (s_00,) = a_f, s_f
+
+    def rhs(j, p):
+        return -(a_00[j] * p + p * a_00[j] - p * s_00[j] * p + q_f[j])
+    return rhs
+
+
+def _pair_field(a_f, s_f, q_f):
+    """The right-hand side of the backward equation for a 2x2 state, the
+    floats (p00, p01, p10, p11), from per-entry stage lists of A and S (in
+    that entry order) and a stage list of q.
+
+    Each entry is -(((A^T P + P A) - (P S) P) + q I) written out, every
+    product entry the sum of its two float products in matmul's order, and
+    q I off the diagonal q * 0.0, as ``q * np.eye(2)`` gives it.
+    """
+    a_00, a_01, a_10, a_11 = a_f
+    s_00, s_01, s_10, s_11 = s_f
+
+    def rhs(j, p):
+        p00, p01, p10, p11 = p
+        a00, a01, a10, a11 = a_00[j], a_01[j], a_10[j], a_11[j]
+        s00, s01, s10, s11 = s_00[j], s_01[j], s_10[j], s_11[j]
+        q = q_f[j]
+        q_off = q * 0.0
+        ps00 = p00 * s00 + p01 * s10
+        ps01 = p00 * s01 + p01 * s11
+        ps10 = p10 * s00 + p11 * s10
+        ps11 = p10 * s01 + p11 * s11
+        return (-((a00 * p00 + a10 * p10) + (p00 * a00 + p01 * a10)
+                  - (ps00 * p00 + ps01 * p10) + q),
+                -((a00 * p01 + a10 * p11) + (p00 * a01 + p01 * a11)
+                  - (ps00 * p01 + ps01 * p11) + q_off),
+                -((a01 * p00 + a11 * p10) + (p10 * a00 + p11 * a10)
+                  - (ps10 * p00 + ps11 * p10) + q_off),
+                -((a01 * p01 + a11 * p11) + (p10 * a01 + p11 * a11)
+                  - (ps10 * p01 + ps11 * p11) + q))
+    return rhs
+
+
 def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
            p_end: np.ndarray | float = 0.0):
     """Backward RK4 sweeps from P(T) = p_end, one lane per policy: descending
     node times, P and dP (nodes, lanes, n, n), and per lane None or the
     NonFiniteState the lane ended in.
 
-    For n >= 2, several lanes integrate stacked states with matmul and one
-    lane integrates the 2-D views ``p[:, 0]`` with ndarray.dot, bit for bit
-    the same; for n = 1 each lane integrates a Python float, bit for bit
-    the 1x1 products, and is stored into ``p[:, lane, 0, 0]``.
+    For n <= 2 each lane integrates Python floats on its own, a float or
+    the 2x2 tuple of :func:`_pair_field`, and is stored into ``p[:, lane]``;
+    for n >= 3 all lanes integrate stacked states with matmul.
     """
     n = spec.dim_state
     if T < t:
@@ -156,42 +203,35 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of p;
     # the negation stays outermost, as it fixes the sign of a zero; an
     # escaped lane runs on as inf/NaN: reported below, not warned
-    if n == 1:
-        # a 1x1 product rounds once, as a float product does: each lane
-        # runs alone on Python floats, read from per-stage lists; one lane's
-        # q list at a time keeps the peak memory flat in the lanes
-        a_f, s_f = a[:, 0, 0].tolist(), s[:, 0, 0].tolist()
-        for lane, p0 in enumerate(p_desc[0, :, 0, 0].tolist()):
-            q_f = q[:, lane].tolist()
+    if n <= 2:
+        # each lane runs alone on Python floats, read from per-entry stage
+        # lists; one lane's q list at a time keeps the peak memory flat in
+        # the lanes
+        a_f = [a[:, i, k].tolist() for i in range(n) for k in range(n)]
+        s_f = [s[:, i, k].tolist() for i in range(n) for k in range(n)]
+        field = _scalar_field if n == 1 else _pair_field
 
-            def rhs(j, p, q_f=q_f):
-                return -(a_f[j] * p + p * a_f[j] - p * s_f[j] * p + q_f[j])
+        def stacked(run):
+            # the nodes' floats or 2x2 tuples as (nodes, n, n)
+            flat = run if n == 1 else chain.from_iterable(run)
+            return np.fromiter(flat, float, len(run) * n * n).reshape(-1, n, n)
 
-            p_run, dp_run = [p0] * (steps + 1), [0.0] * (steps + 1)
+        for lane in range(len(alphas)):
+            rhs = field(a_f, s_f, q[:, lane].tolist())
+            p0 = p_desc[0, lane].ravel().tolist()
+            p_run = [p0[0] if n == 1 else tuple(p0)] * (steps + 1)
+            dp_run = p_run.copy()
             _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
-            p_desc[:, lane, 0, 0], dp_desc[:, lane, 0, 0] = p_run, dp_run
+            p_desc[:, lane], dp_desc[:, lane] = stacked(p_run), stacked(dp_run)
     else:
         # per stage: the A^T view and the (lanes, n, n) stack q I, built once
         a_t = a.swapaxes(-1, -2)
         qi = q[:, :, None, None] * np.eye(n)
-        if len(alphas) == 1:
-            # ndarray.dot rounds like matmul and skips its gufunc dispatch;
-            # the sum is built in place, in the stacked path's order
-            p_run, dp_run, qi = p_desc[:, 0], dp_desc[:, 0], qi[:, 0]
 
-            def rhs(j, p):
-                r = a_t[j].dot(p)
-                r += p.dot(a[j])
-                r -= p.dot(s[j]).dot(p)
-                r += qi[j]
-                return np.negative(r, out=r)
-        else:
-            p_run, dp_run = p_desc, dp_desc
+        def rhs(j, p):
+            return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
 
-            def rhs(j, p):
-                return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
-
-        _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
+        _rk4(rhs, p_desc, dp_desc, -h, postprocess=sym)
 
     # no step turns a non-finite entry finite again: the last state shows
     # which lanes escaped, the first non-finite one where
@@ -221,10 +261,11 @@ def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
 
 
 # lanes per sweep back from a tail: the game's 11 default constant policies
-# fit one sweep, and a step of 12 lanes costs little more than a step of one,
-# as per-call overhead dominates on small matrices; a sweep's (nodes, lanes,
-# n, n) arrays are freed before the next chunk's sweep starts, so the peak
-# memory does not grow with the number of policies
+# fit one sweep.  For n >= 3 a step of 12 stacked lanes costs little more
+# than a step of one, as per-call overhead dominates on small matrices; for
+# n <= 2 the lanes share only the stage data and step one after another.  A
+# sweep's (nodes, lanes, n, n) arrays are freed before the next chunk's
+# sweep starts, so the peak memory does not grow with the number of policies
 _TAIL_LANES = 12
 
 

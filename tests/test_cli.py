@@ -568,6 +568,47 @@ class TestVerifyCommand:
         assert code == 0
         assert calls[0] <= 9
 
+    def test_failed_stabilizing_solve_runs_once(self, tmp_path, monkeypatch,
+                                                capsys):
+        # outward_drift with a positive weight: the alpha = 0 doubling on
+        # [0, 8] reaches its cap; the riccati suite records the failure and
+        # the ipc suite, reading the same solve, ends the run with exit 2
+        cfg = load_config("outward_drift.json")
+        cfg["K"]["params"] = {"level": 2.0, "t_cut": 1000.0}
+        cfg["grid"]["dt"] = 0.02
+        cfg["grid"]["t_max"] = 16.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        calls = []
+        solve = riccati.solve_stabilizing
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(riccati, "solve_stabilizing", counting)
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--out", str(out),
+                     "verify", "--suite", "all"])
+        assert code == 2
+        assert calls == [(0.0, 8.0)]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "[PASS] riccati/terminal_condition_zero",
+            "[PASS] riccati/symmetry_exact",
+            "[PASS] riccati/positive_semidefinite",
+            "[PASS] riccati/monotone_in_horizon",
+            "[FAIL] riccati/stabilizing_matches_algebraic",
+            "[PASS] riccati/sweep_residual_order"]
+        assert captured.err == (
+            "error: stabilizing limit gap 4441563.314639351 not below "
+            "0.04443053293386833 at horizon cap 16.0\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "certificate.json", "manifest.json"]
+        _assert_unconverged_certificate(out, cap=16.0)
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["horizons"] == [9.0, 10.0, 12.0, 16.0]
+
     @pytest.mark.parametrize("flip", [1.0, -1.0])
     def test_polar_duality_sees_flipped_normals(self, tmp_path, monkeypatch,
                                                 flip):

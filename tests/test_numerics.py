@@ -251,6 +251,55 @@ class TestTextbookStep:
         assert type(got) is float
         assert _same_bits(np.array(got), ref)
 
+    # a 2x2 state as the tuple (y00, y01, y10, y11) steps entry by entry:
+    # the bits of a (2, 2) array under an entrywise field
+    @pytest.mark.parametrize("case", ["sines", "escape"])
+    def test_tuple_state_matches_a_2x2_array(self, case):
+        # the fields above, per entry: 3.0 goes to inf and then NaN, the
+        # other entries, a negative zero among them, stay finite
+        t_end = 1.3 if case == "sines" else 2.0
+        times = stage_times(0.0, t_end, 0.01)
+        y0 = (0.7, -0.3, -0.0, 3.0)
+        if case == "sines":
+            coeffs = np.sin(3.0 * times).tolist()
+
+            def field(j, y):
+                c = coeffs[j]
+                return tuple([-0.5 * u + c * (u * u) for u in y])
+        else:
+            coeffs = times.tolist()
+
+            def field(j, y):
+                c = coeffs[j]
+                return tuple([u * u - c * u for u in y])
+
+        def array_field(j, y):
+            return np.reshape(field(j, tuple(y.ravel().tolist())), (2, 2))
+
+        values, derivs = _textbook_rk4(array_field, 0.0, t_end,
+                                       np.reshape(y0, (2, 2)), 0.01)
+        assert np.isfinite(values[-1]).tolist() == [[True, True],
+                                                    [True, False]]
+        got_values = [y0] * len(values)
+        got_derivs = [y0] * len(derivs)
+        _rk4(field, got_values, got_derivs, t_end / (len(values) - 1))
+        assert all(type(v) is tuple and len(v) == 4
+                   for v in got_values + got_derivs)
+        assert _same_bits(np.reshape(got_values, values.shape), values)
+        assert _same_bits(np.reshape(got_derivs, derivs.shape), derivs)
+
+    @pytest.mark.parametrize("m", [
+        (0.3, -0.0, 0.0, 2.0),
+        (1e308, 1e308, 1e308, -1e308),
+        (math.inf, math.nan, 1.0, -0.0),
+        (-0.0, 0.1, 0.3, -0.0)])
+    def test_sym_of_a_tuple_is_that_of_a_2x2_matrix(self, m):
+        # 1e308 + 1e308 overflows to inf on both paths
+        with np.errstate(over="ignore"):
+            got, ref = sym(m), sym(np.reshape(m, (2, 2)))
+        assert type(got) is tuple
+        assert _same_bits(np.reshape(got, (2, 2)), ref)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("n_samples", [3, 4, 5, 8, 9])

@@ -311,8 +311,8 @@ def _window_policy(values):
 
 
 def _reference_sweep(spec, alpha, t, T, dt, p_end=0.0):
-    """The one-policy backward RK4 loop with 2-d states from P(T) = p_end
-    in every entry, checked every step."""
+    """The one-policy backward RK4 loop with 2-d states from P(T) = p_end,
+    an (n, n) matrix or a float in every entry, checked every step."""
     n = spec.dim_state
     eye = np.eye(n)
     steps = int(round((T - t) / dt))
@@ -460,11 +460,20 @@ class TestLanes:
                 assert _bitwise_equal(getattr(got, field), getattr(ref, field))
 
 
+def _within_rounding(a, b):
+    # 1e-13 relative to max(1, max |b|): far above the 2x2 float sweeps'
+    # distance from a BLAS reference (1.6e-16 on P, 6.1e-15 on dP over five
+    # random full A and B), far below any error of the method
+    return a.shape == b.shape and float(np.max(np.abs(a - b))) <= 1e-13 * max(
+        1.0, float(np.max(np.abs(b))))
+
+
 class TestOneLane:
-    """For n >= 2 a one-lane sweep integrates 2-D states with ndarray.dot, a
-    sweep of several lanes stacked states with matmul; for n = 1 each lane
-    integrates a Python float.  All round like the reference loop's 2-D
-    ``@``."""
+    """For n <= 2 each lane integrates Python floats, one float for n = 1
+    and the four entries of the 2x2 for n = 2; for n >= 3 the lanes
+    integrate stacked states with matmul.  Wherever a product's rounding
+    does not depend on BLAS, as with the shipped configs' diagonal A and B,
+    all round like the reference loop's 2-D ``@``."""
 
     @pytest.mark.parametrize("config", sorted(
         p.name for p in CONFIG_DIR.glob("*.json")))
@@ -472,10 +481,12 @@ class TestOneLane:
         self._check_against_reference(build_problem(load_config(config)))
 
     def test_matches_the_reference_with_full_matrices(self, full2d_spec):
-        self._check_against_reference(full2d_spec)
+        # on a full 2x2 BLAS may fuse a product's multiply-adds, which the
+        # float lanes never do: the two agree to rounding, not bit for bit
+        self._check_against_reference(full2d_spec, same=_within_rounding)
 
     @staticmethod
-    def _check_against_reference(spec):
+    def _check_against_reference(spec, same=_bitwise_equal):
         t, dt = spec.grid.t0, spec.grid.dt
         # positive on [t + 4, t + 8], so that P(t + 4) is not zero even
         # where K is (outward_drift)
@@ -484,8 +495,8 @@ class TestOneLane:
         p_ref, dp_ref = _reference_sweep(spec, policy, t, t + 8.0, dt)
         nodes, p, dp, errors = riccati._sweep(spec, [policy], t, t + 8.0, dt)
         assert errors == [None]
-        assert _bitwise_equal(p[:, 0], p_ref)
-        assert _bitwise_equal(dp[:, 0], dp_ref)
+        assert same(p[:, 0], p_ref)
+        assert same(dp[:, 0], dp_ref)
         # from a non-zero P(t + 4), the sweep repeats the reference's last
         # half, node for node
         half = (len(nodes) - 1) // 2
@@ -493,19 +504,24 @@ class TestOneLane:
         _, p, dp, errors = riccati._sweep(spec, [policy], t, t + 4.0, dt,
                                           p_end=p_ref[half])
         assert errors == [None] and np.any(p_ref[half] != 0.0)
-        assert _bitwise_equal(p[:, 0], p_ref[half:])
-        assert _bitwise_equal(dp[:, 0], dp_ref[half:])
+        assert same(p[:, 0], p_ref[half:])
+        assert same(dp[:, 0], dp_ref[half:])
 
-    def test_escape_reports_the_reference_time_and_message(self, scalar_spec):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec"])
+    def test_escape_reports_the_reference_time_and_message(self, name, lanes,
+                                                           request):
+        spec = request.getfixturevalue(name)
         policy = AlphaPolicy.constant(1e300, 0.0, 64.0)
         with pytest.raises(NonFiniteState) as ref, \
                 np.errstate(over="ignore", invalid="ignore"):
-            _reference_sweep(scalar_spec, policy, 0.0, 2.0, 0.01)
-        _, p, _, (error,) = riccati._sweep(scalar_spec, [policy], 0.0, 2.0,
-                                           0.01)
-        assert str(error) == str(ref.value)
-        assert error.time == ref.value.time
-        assert not np.isfinite(p[-1]).all()
+            _reference_sweep(spec, policy, 0.0, 2.0, 0.01)
+        _, p, _, errors = riccati._sweep(spec, [policy] * lanes, 0.0, 2.0,
+                                         0.01)
+        for lane, error in enumerate(errors):
+            assert str(error) == str(ref.value)
+            assert error.time == ref.value.time
+            assert not np.isfinite(p[-1, lane]).all()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -540,9 +556,43 @@ class TestOneLane:
             assert _bitwise_equal(p[:, lane], p_ref)
             assert _bitwise_equal(dp[:, lane], dp_ref)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           level=st.just(0.0) | st.floats(0.0, 4.0),
+           p_end=st.just(0.0) | st.floats(-1e200, 1e200),
+           alphas=st.lists(st.just(0.0) | st.floats(0.0, 3.0) | st.just(1e300),
+                           min_size=1, max_size=3))
+    @example(seed=0, level=0.0, p_end=0.0, alphas=[0.0, 0.0])
+    @example(seed=0, level=1.0, p_end=1e200, alphas=[0.5])
+    @example(seed=0, level=1.0, p_end=-1.0, alphas=[0.0, 1e300])
+    def test_two_dim_lanes_match_the_reference(self, seed, level, p_end,
+                                               alphas):
+        # random diagonal 2-D data from P(4) = p_end I: every product of
+        # the reference's 2x2 matmul has at most one non-zero term, so each
+        # float lane rounds like it, overflow and the sign of zero included
+        rng = np.random.default_rng(seed)
+        spec = _constant_spec(np.diag(rng.uniform(-2.0, 1.0, 2)),
+                              np.diag(rng.uniform(0.5, 1.5, 2)), level)
+        policies = [AlphaPolicy.constant(v, 0.0, 2.0) for v in alphas]
+        p_end = p_end * np.eye(2)
+        _, p, dp, errors = riccati._sweep(spec, policies, 0.0, 4.0, 0.05,
+                                          p_end=p_end)
+        for lane, policy in enumerate(policies):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 4.0,
+                                                     0.05, p_end=p_end)
+            except NonFiniteState as exc:
+                assert str(errors[lane]) == str(exc)
+                assert errors[lane].time == exc.time
+                continue
+            assert errors[lane] is None
+            assert _bitwise_equal(p[:, lane], p_ref)
+            assert _bitwise_equal(dp[:, lane], dp_ref)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dot_rounds_like_matmul(self, n):
-        # the premise of the one-lane sweep and the one-start closed loop:
+        # the premise of the one-start closed loop with n >= 2:
         # ndarray.dot and matmul give the same bits on (n, n) products and
         # (n, n) (n,) products, transposed views and non-finite entries
         # included; a BLAS or numpy build that breaks it fails here
