@@ -27,8 +27,7 @@ import numpy as np
 from .errors import NonFiniteState
 from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
 from .numerics import stage_times
-from .riccati import (RiccatiSolution, _sweep_from_tail, solve_from_tail,
-                      solve_stabilizing)
+from .riccati import RiccatiSolution, solve_from_tail, solve_stabilizing
 from .synthesis import Trajectory, simulate_closed_loop, value_from_riccati
 
 # residual differences per Anderson step: the step mixes the last
@@ -83,14 +82,14 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
     if tail is None:
         _, _, tail = _game_window(spec, t)
     T_sim = stage_times(t, tail.t_start, spec.grid.dt)[-3]
-    policies = [AlphaPolicy.constant(float(val), t, T_sim)
-                for val in alpha_grid]
     table, skipped = [], []
-    for val, policy, sol in zip(alpha_grid, policies,
-                                _sweep_from_tail(spec, policies, t, tail)):
-        if isinstance(sol, NonFiniteState):
-            warnings.warn(f"constant alpha={val}: {sol}")
-            skipped.append((float(val), str(sol)))
+    for val in alpha_grid:
+        policy = AlphaPolicy.constant(float(val), t, T_sim)
+        try:
+            sol = solve_from_tail(spec, policy, t, tail)
+        except NonFiniteState as exc:
+            warnings.warn(f"constant alpha={val}: {exc}")
+            skipped.append((float(val), str(exc)))
             w = -np.inf
         else:
             w = value_from_riccati(spec, sol, policy, t, x)
@@ -185,7 +184,7 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     """
     if not 0.0 < relaxation <= 1.0:
         raise ValueError("relaxation must lie in (0, 1]")
-    if tol <= 0.0:
+    if not tol > 0.0:                                           # NaN-proof
         raise ValueError("tol must be positive")
     x0 = np.asarray(x0, dtype=float)
     if not spec.omega.contains(x0, tol=1e-9):

@@ -8,9 +8,10 @@ The finite-horizon terminal-value problem
 is integrated backward by the package's one RK4 loop (``numerics._rk4``,
 step -h, symmetrizing after every step) on the stage grid of
 ``numerics.stage_times``, read in descending order; its right-hand side
-reads the stage data, A, S and each lane's q, by stage index, all built
-once per sweep.  A lane that escapes runs on as inf/NaN and is found by one
-scan of the stored nodes afterwards.
+reads the stage data, A, S and q, by stage index, all built once per sweep.
+One sweep integrates one policy.  A sweep that escapes runs on as inf/NaN;
+one scan of the stored nodes afterwards raises NonFiniteState at the first
+non-finite one.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit, at the window's end T_eval, of finite-horizon
 sweeps over geometrically growing horizons, compared there until the gap
@@ -21,22 +22,19 @@ cross-check for constant coefficients.
 
 A sweep may also start from a given terminal value (:func:`solve_from_tail`):
 the game solves the policy-free tail beyond its simulation window once, by
-doubling, and sweeps each policy back from it, several policies as lanes of
-one sweep sharing A and S = B R^{-1} B^T; each lane is bit for bit a sweep
-of its own, and the one-policy doubling is the reference the tail's lanes
-are tested against.
+doubling, and sweeps each policy back from it.
 
 States of n <= 2 skip numpy in the loop: on such small matrices its cost is
-per-call overhead, not arithmetic.  Each lane runs alone on Python floats,
-one float for n = 1 and the four entries (p00, p01, p10, p11) of the 2x2 for
+per-call overhead, not arithmetic.  The sweep runs on Python floats, one
+float for n = 1 and the four entries (p00, p01, p10, p11) of the 2x2 for
 n = 2, its products written out entry by entry in matmul's operand order.
 A 1x1 product rounds once, like a float product, so n = 1 keeps the bits of
 matmul.  A 2x2 product entry is a sum of two products, which BLAS may fuse
-into one multiply-add: on full 2x2 data the float lanes agree with matmul
-to rounding, not bit for bit, and their bits do not depend on the
-machine's BLAS; where every such sum has one non-zero term, as with the
-shipped diagonal A and B, they are matmul's bits.  States of n >= 3 step
-all lanes at once as stacked (lanes, n, n) matmul, which works per matrix.
+into one multiply-add: on full 2x2 data the float sweep agrees with matmul
+to rounding, not bit for bit, and its bits do not depend on the machine's
+BLAS; where every such sum has one non-zero term, as with the shipped
+diagonal A and B, they are matmul's bits.  States of n >= 3 step (n, n)
+arrays with matmul.
 """
 
 from __future__ import annotations
@@ -122,44 +120,37 @@ class RiccatiSolution:
             [self.nodes, self.P[:, rows, cols]]).tolist()
 
 
-def _stage_data(spec: ProblemSpec, alphas, times: np.ndarray):
-    """Per-time A(s), S(s) = B R^{-1} B^T and q(s), one q column per policy."""
+def _stage_data(spec: ProblemSpec, alpha: AlphaPolicy, times: np.ndarray):
+    """Per-time A(s), S(s) = B R^{-1} B^T and q(s)."""
     a_arr = spec.A.value(times)
     b_arr = spec.B.value(times)
     s_arr = 2.0 * np.einsum("kij,klj->kil", b_arr, b_arr)
-    q_arr = np.stack([spec.q_coeff(times, alpha.value(times))
-                      for alpha in alphas], axis=1)
-    return a_arr, s_arr, q_arr
+    return a_arr, s_arr, spec.q_coeff(times, alpha.value(times))
 
 
 def _scalar_field(a_f, s_f, q_f):
     """The right-hand side of the backward equation for a 1x1 state, a
     Python float, from per-stage lists of A, S and q: a 1x1 product rounds
     once, as a float product does."""
-    (a_00,), (s_00,) = a_f, s_f
 
     def rhs(j, p):
-        return -(a_00[j] * p + p * a_00[j] - p * s_00[j] * p + q_f[j])
+        return -(a_f[j] * p + p * a_f[j] - p * s_f[j] * p + q_f[j])
     return rhs
 
 
-def _pair_field(a_f, s_f, q_f):
+def _pair_field(stages):
     """The right-hand side of the backward equation for a 2x2 state, the
-    floats (p00, p01, p10, p11), from per-entry stage lists of A and S (in
-    that entry order) and a stage list of q.
+    floats (p00, p01, p10, p11), from one list of per-stage tuples
+    (a00, a01, a10, a11, s00, s01, s10, s11, q) of A, S and q.
 
     Each entry is -(((A^T P + P A) - (P S) P) + q I) written out, every
     product entry the sum of its two float products in matmul's order, and
     q I off the diagonal q * 0.0, as ``q * np.eye(2)`` gives it.
     """
-    a_00, a_01, a_10, a_11 = a_f
-    s_00, s_01, s_10, s_11 = s_f
 
     def rhs(j, p):
         p00, p01, p10, p11 = p
-        a00, a01, a10, a11 = a_00[j], a_01[j], a_10[j], a_11[j]
-        s00, s01, s10, s11 = s_00[j], s_01[j], s_10[j], s_11[j]
-        q = q_f[j]
+        a00, a01, a10, a11, s00, s01, s10, s11, q = stages[j]
         q_off = q * 0.0
         ps00 = p00 * s00 + p01 * s10
         ps01 = p00 * s01 + p01 * s11
@@ -176,15 +167,15 @@ def _pair_field(a_f, s_f, q_f):
     return rhs
 
 
-def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
-           p_end: np.ndarray | float = 0.0):
-    """Backward RK4 sweeps from P(T) = p_end, one lane per policy: descending
-    node times, P and dP (nodes, lanes, n, n), and per lane None or the
-    NonFiniteState the lane ended in.
+def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
+           dt: float, p_end: np.ndarray | float = 0.0):
+    """Backward RK4 sweep from P(T) = p_end: descending node times, P and
+    dP (nodes, n, n).  Raises the NonFiniteState of the first non-finite
+    node.
 
-    For n <= 2 each lane integrates Python floats on its own, a float or
-    the 2x2 tuple of :func:`_pair_field`, and is stored into ``p[:, lane]``;
-    for n >= 3 all lanes integrate stacked states with matmul.
+    For n <= 2 the sweep integrates Python floats, a float or the 2x2 tuple
+    of :func:`_pair_field`; for n >= 3 it integrates (n, n) arrays with
+    matmul.
     """
     n = spec.dim_state
     if T < t:
@@ -195,93 +186,65 @@ def _sweep(spec: ProblemSpec, alphas, t: float, T: float, dt: float,
     node_times = times[::2]
     steps = len(node_times) - 1
     h = (T - t) / steps if steps else 0.0
-    a, s, q = _stage_data(spec, alphas, times)
-    p_desc = np.empty((steps + 1, len(alphas), n, n))
-    dp_desc = np.empty_like(p_desc)
-    p_desc[0] = p_end
+    a, s, q = _stage_data(spec, alpha, times)
+    p_end = np.full((n, n), p_end, dtype=float)
 
-    # backward equation: P' = -(A^T P + P A - P S P + q I), per lane of p;
-    # the negation stays outermost, as it fixes the sign of a zero; an
-    # escaped lane runs on as inf/NaN: reported below, not warned
+    # backward equation: P' = -(A^T P + P A - P S P + q I); the negation
+    # stays outermost, as it fixes the sign of a zero; an escaping sweep
+    # runs on as inf/NaN: reported below, not warned
     if n <= 2:
-        # each lane runs alone on Python floats, read from per-entry stage
-        # lists; one lane's q list at a time keeps the peak memory flat in
-        # the lanes
-        a_f = [a[:, i, k].tolist() for i in range(n) for k in range(n)]
-        s_f = [s[:, i, k].tolist() for i in range(n) for k in range(n)]
-        field = _scalar_field if n == 1 else _pair_field
-
-        def stacked(run):
-            # the nodes' floats or 2x2 tuples as (nodes, n, n)
-            flat = run if n == 1 else chain.from_iterable(run)
-            return np.fromiter(flat, float, len(run) * n * n).reshape(-1, n, n)
-
-        for lane in range(len(alphas)):
-            rhs = field(a_f, s_f, q[:, lane].tolist())
-            p0 = p_desc[0, lane].ravel().tolist()
-            p_run = [p0[0] if n == 1 else tuple(p0)] * (steps + 1)
-            dp_run = p_run.copy()
-            _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
-            p_desc[:, lane], dp_desc[:, lane] = stacked(p_run), stacked(dp_run)
+        # A, S and q read once per sweep into Python floats: flat stage
+        # lists for n = 1, one list of per-stage tuples for n = 2
+        if n == 1:
+            rhs = _scalar_field(a.ravel().tolist(), s.ravel().tolist(),
+                                q.tolist())
+        else:
+            rhs = _pair_field(list(zip(*a.reshape(-1, 4).T.tolist(),
+                                       *s.reshape(-1, 4).T.tolist(),
+                                       q.tolist())))
+        p0 = p_end.ravel().tolist()
+        p_run = [p0[0] if n == 1 else tuple(p0)] * (steps + 1)
+        dp_run = p_run.copy()
+        _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
+        # the nodes' floats or 2x2 tuples as (nodes, n, n)
+        p_desc, dp_desc = (
+            np.fromiter(run if n == 1 else chain.from_iterable(run), float,
+                        len(run) * n * n).reshape(-1, n, n)
+            for run in (p_run, dp_run))
     else:
-        # per stage: the A^T view and the (lanes, n, n) stack q I, built once
+        # per stage: the A^T view and q I, built once
         a_t = a.swapaxes(-1, -2)
-        qi = q[:, :, None, None] * np.eye(n)
+        qi = q[:, None, None] * np.eye(n)
 
         def rhs(j, p):
             return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
 
+        p_desc = np.empty((steps + 1, n, n))
+        dp_desc = np.empty_like(p_desc)
+        p_desc[0] = p_end
         _rk4(rhs, p_desc, dp_desc, -h, postprocess=sym)
 
-    # no step turns a non-finite entry finite again: the last state shows
-    # which lanes escaped, the first non-finite one where
-    finite = np.isfinite(p_desc).all(axis=(2, 3))
-    errors = [None if finite[-1, lane] else NonFiniteState(
-        f"Riccati sweep escaped at s={node_times[k]}", time=float(node_times[k]))
-        for lane, k in enumerate(np.argmin(finite, axis=0))]
-    return node_times, p_desc, dp_desc, errors
+    # no step turns a non-finite entry finite again: the last node shows
+    # whether the sweep escaped, the first non-finite one where
+    finite = np.isfinite(p_desc).all(axis=(1, 2))
+    if not finite[-1]:
+        k = np.argmin(finite)
+        raise NonFiniteState(f"Riccati sweep escaped at s={node_times[k]}",
+                             time=float(node_times[k]))
+    return node_times, p_desc, dp_desc
 
 
-def _ascending(node_times, p, dp, lane: int,
-               certificate=None) -> RiccatiSolution:
-    """One lane of descending :func:`_sweep` arrays, on the ascending grid."""
-    return RiccatiSolution(nodes=node_times[::-1].copy(),
-                           P=p[::-1, lane].copy(), dP=dp[::-1, lane].copy(),
-                           certificate=certificate)
+def _ascending(node_times, p, dp, certificate=None) -> RiccatiSolution:
+    """Descending :func:`_sweep` arrays on the ascending grid."""
+    return RiccatiSolution(nodes=node_times[::-1].copy(), P=p[::-1].copy(),
+                           dP=dp[::-1].copy(), certificate=certificate)
 
 
 def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                          T: float, dt: float | None = None) -> RiccatiSolution:
     """Finite-horizon sweep with zero terminal condition on [t, T]."""
     dt = spec.grid.dt if dt is None else dt
-    nodes, p, dp, (error,) = _sweep(spec, [alpha], t, T, dt)
-    if error is not None:
-        raise error
-    return _ascending(nodes, p, dp, 0)
-
-
-# lanes per sweep back from a tail: the game's 11 default constant policies
-# fit one sweep.  For n >= 3 a step of 12 stacked lanes costs little more
-# than a step of one, as per-call overhead dominates on small matrices; for
-# n <= 2 the lanes share only the stage data and step one after another.  A
-# sweep's (nodes, lanes, n, n) arrays are freed before the next chunk's
-# sweep starts, so the peak memory does not grow with the number of policies
-_TAIL_LANES = 12
-
-
-def _sweep_from_tail(spec: ProblemSpec, alphas, t: float,
-                     tail: RiccatiSolution):
-    """Per policy, in order, :func:`solve_from_tail`'s solution or the
-    NonFiniteState its lane ended in; each is copied out of the sweep when
-    asked for."""
-    for lo in range(0, len(alphas), _TAIL_LANES):
-        chunk = alphas[lo:lo + _TAIL_LANES]
-        node_times, p, dp, errors = _sweep(spec, chunk, t, tail.t_start,
-                                           spec.grid.dt, p_end=tail.P[0])
-        for lane, error in enumerate(errors):
-            yield error or _ascending(node_times, p, dp, lane,
-                                      tail.certificate)
-        del p, dp
+    return _ascending(*_sweep(spec, alpha, t, T, dt))
 
 
 def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -289,16 +252,14 @@ def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     """Stabilizing solution on [t, tail.t_start] for a policy that agrees
     with the tail's from tail.t_start on: one sweep back from the tail's
     P(tail.t_start), carrying the tail's certificate."""
-    (result,) = _sweep_from_tail(spec, [alpha], t, tail)
-    if isinstance(result, NonFiniteState):
-        raise result
-    return result
+    return _ascending(*_sweep(spec, alpha, t, tail.t_start, spec.grid.dt,
+                              p_end=tail.P[0]), tail.certificate)
 
 
 def _gap_tol(tol: float, p: np.ndarray) -> float:
     # relative above |P| = 1: the sweeps' rounding floor grows with |P|, so
     # an absolute test never passes for a large root
-    return tol * max(1.0, float(np.max(np.linalg.norm(p, axis=(1, 2)))))
+    return tol * max(1.0, float(np.max(np.linalg.norm(p, axis=(-2, -1)))))
 
 
 def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -315,7 +276,7 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     when a sweep escapes, and ConfigError when T_eval + 1 does not lie below
     the cap.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:                                           # NaN-proof
         raise ValueError("tol must be positive")
     dt = spec.grid.dt if dt is None else dt
     if T_eval < t:
@@ -333,12 +294,9 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     horizons, gaps, prev = [], [], None
     while True:
         horizons.append(T_eval + steps * dt)
-        node_times, p, dp, (error,) = _sweep(spec, [alpha], T_eval,
-                                             horizons[-1], dt)
-        if error is not None:
-            raise error
+        _, p, dp = _sweep(spec, alpha, T_eval, horizons[-1], dt)
         if prev is not None:
-            gaps.append(float(np.linalg.norm(p[-1] - prev, axis=(1, 2)).max()))
+            gaps.append(float(np.linalg.norm(p[-1] - prev, axis=(-2, -1))))
             if gaps[-1] < _gap_tol(tol, p[-1]):
                 break
             if steps >= cap_steps:
@@ -351,12 +309,9 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
         del p, dp           # only P(T_eval) outlives the horizon
         steps = min(cap_steps, 2 * steps)
 
-    node_times, p, dp, (error,) = _sweep(spec, [alpha], t, T_eval, dt,
-                                         p_end=p[-1, 0])
-    if error is not None:
-        raise error
-    return _ascending(node_times, p, dp, 0, ConvergenceCertificate(
-        tuple(horizons), tuple(gaps), tol, True))
+    return _ascending(*_sweep(spec, alpha, t, T_eval, dt, p_end=p[-1]),
+                      ConvergenceCertificate(tuple(horizons), tuple(gaps),
+                                             tol, True))
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,

@@ -193,9 +193,9 @@ class TestGameCommand:
         spans = []
         sweep = riccati._sweep
 
-        def recording(spec, alphas, t, T, *args, **kwargs):
+        def recording(spec, alpha, t, T, *args, **kwargs):
             spans.append((t, T))
-            return sweep(spec, alphas, t, T, *args, **kwargs)
+            return sweep(spec, alpha, t, T, *args, **kwargs)
 
         monkeypatch.setattr(riccati, "_sweep", recording)
         code = main(["--config", SCALAR, "--out", str(tmp_path),

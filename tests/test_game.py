@@ -187,7 +187,7 @@ def _per_policy_table(spec, t, x, alpha_grid, T_sim):
     return np.array(table)
 
 
-class TestConstantAlphaLanes:
+class TestConstantAlphaAgainstDoubling:
     # the game window of every shipped config is [0, 16]
     @pytest.mark.parametrize("name, x", [("ball2d_spec", [0.28, -0.19]),
                                          ("timevarying_spec", [0.32]),
@@ -202,7 +202,7 @@ class TestConstantAlphaLanes:
         assert sweep.w_lower == ref[:, 1].max()
         assert sweep.skipped == ()
 
-    def test_escaping_lane_is_skipped(self, scalar_spec):
+    def test_escaping_policy_is_skipped(self, scalar_spec):
         grid = [0.0, 0.5, 1e300]
         with pytest.warns(UserWarning, match="alpha=1e\\+300.*escaped at s="):
             sweep = sup_over_constant_alpha(scalar_spec, 0.0, [0.6], grid)
@@ -217,20 +217,31 @@ class TestConstantAlphaLanes:
 
     def test_default_game_sweeps_its_constant_policies_once(
             self, tmp_path, monkeypatch):
-        # every sweep of a default run is one lane (the tail's doubling and
-        # the Picard passes) but the last: the 11 constant policies at once
-        lanes = []
+        # every sweep of a default run takes one policy: the tail's
+        # doubling, the Picard passes, and last the 11 constant policies,
+        # each swept once back over [0, T_seed]
+        calls = []
         sweep = riccati._sweep
 
-        def counting_sweep(spec, alphas, *args, **kwargs):
-            lanes.append(len(alphas))
-            return sweep(spec, alphas, *args, **kwargs)
+        def recording(spec, alpha, t, T, *args, **kwargs):
+            calls.append((alpha, t, T))
+            return sweep(spec, alpha, t, T, *args, **kwargs)
 
-        monkeypatch.setattr(riccati, "_sweep", counting_sweep)
+        monkeypatch.setattr(riccati, "_sweep", recording)
         code = main(["--config", str(CONFIG_DIR / "scalar_demo.json"),
                      "--out", str(tmp_path), "game", "--x0", "0.6"])
         assert code == 0
-        assert lanes[-1] == 11 and set(lanes[:-1]) == {1}
+        assert all(type(alpha) is AlphaPolicy for alpha, _, _ in calls)
+        t_seed = 16.0 + 16.0 / 1600
+        constant = calls[-11:]
+        assert {(t, T) for _, t, T in constant} == {(0.0, t_seed)}
+        assert [alpha.values[0] for alpha, _, _ in constant] == list(
+            np.linspace(0.0, 2.0, 11))
+        # the doubling's horizons and its sweep back, one sweep per Picard
+        # pass and one for P*, then the constant policies
+        game = json.loads((tmp_path / "game.json").read_text())
+        assert len(calls) == (len(game["tail_certificate"]["horizons"]) + 1
+                              + game["iterations"] + 1 + 11)
         rows = (tmp_path / "constant_alpha_sweep.csv").read_text()
         assert len(rows.splitlines()) == 2 + 11
 
@@ -321,6 +332,11 @@ class TestSolveCoupled:
     def test_rejects_bad_relaxation(self, scalar_spec):
         with pytest.raises(ValueError):
             solve_coupled(scalar_spec, 0.0, [0.5], relaxation=0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_a_tolerance_that_is_not_positive(self, scalar_spec, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_coupled(scalar_spec, 0.0, [0.5], tol=tol)
 
 
 def _plain_picard(spec, t, x0, tol, max_iter=50, relaxation=0.5):

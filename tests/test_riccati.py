@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from safelq import AlphaPolicy, build_problem, riccati
 from safelq.cli import main
 from safelq.errors import (NoConvergence, NonFiniteState, NotStabilizable,
                            OutOfGrid)
-from safelq.numerics import sym
+from safelq.game import sup_over_constant_alpha
+from safelq.numerics import stage_times, sym
 from safelq.riccati import (_gap_tol, check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
 from safelq.synthesis import value_from_riccati
@@ -83,6 +85,11 @@ class TestFiniteHorizon:
 
 
 class TestStabilizing:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_a_tolerance_that_is_not_positive(self, scalar_spec, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_stabilizing(scalar_spec, ALPHA0, 0.0, 1.0, tol=tol)
+
     def test_scalar_analytic_root(self, scalar_spec):
         sol = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 1.0, tol=1e-8)
         assert sol.certificate.converged
@@ -354,54 +361,54 @@ def _bitwise_equal(a, b):
         np.ascontiguousarray(b).view(np.uint64))
 
 
-class TestLanes:
+class TestOnePolicyPerSweep:
     @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec",
                                       "timevarying_spec", "cubic_spec"])
-    def test_lanes_match_the_per_step_reference(self, name, request):
-        # as many lanes as a sweep back from the game's tail holds
+    def test_policies_match_the_per_step_reference(self, name, request):
+        # window policies, the zero policy and constant ones, each swept
+        # alone
         spec = request.getfixturevalue(name)
         policies = [_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0,
                     _window_policy([0.9, 0.2, 0.5, 0.6, 0.0])] + [
             AlphaPolicy.constant(val, 0.0, 2.0)
             for val in np.linspace(0.2, 1.8, 9)]
-        assert len(policies) == riccati._TAIL_LANES
-        nodes, p, dp, errors = riccati._sweep(spec, policies, 0.0, 8.0, 0.01)
-        assert errors == [None] * 12
-        for lane, policy in enumerate(policies):
+        for policy in policies:
+            nodes, p, dp = riccati._sweep(spec, policy, 0.0, 8.0, 0.01)
             p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 8.0, 0.01)
-            assert _bitwise_equal(p[:, lane], p_ref)
-            assert _bitwise_equal(dp[:, lane], dp_ref)
+            assert _bitwise_equal(p, p_ref)
+            assert _bitwise_equal(dp, dp_ref)
 
-    def test_escaping_lane_keeps_its_time_and_spares_the_others(
-            self, scalar_spec):
-        policies = [ALPHA0, AlphaPolicy.constant(1e300, 0.0, 64.0)]
+    def test_escaping_policy_raises_the_reference_error(self, scalar_spec):
+        escaping = AlphaPolicy.constant(1e300, 0.0, 64.0)
         with pytest.raises(NonFiniteState) as ref, \
                 np.errstate(over="ignore", invalid="ignore"):
-            _reference_sweep(scalar_spec, policies[1], 0.0, 2.0, 0.01)
-        _, p, _, errors = riccati._sweep(scalar_spec, policies, 0.0, 2.0, 0.01)
-        assert errors[0] is None
-        assert str(errors[1]) == str(ref.value)
-        assert errors[1].time == ref.value.time
+            _reference_sweep(scalar_spec, escaping, 0.0, 2.0, 0.01)
+        with pytest.raises(NonFiniteState) as got:
+            riccati._sweep(scalar_spec, escaping, 0.0, 2.0, 0.01)
+        assert str(got.value) == str(ref.value)
+        assert got.value.time == ref.value.time
+        # and a finite policy still matches after it
+        _, p, _ = riccati._sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
         p_ref, _ = _reference_sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
-        assert _bitwise_equal(p[:, 0], p_ref)
+        assert _bitwise_equal(p, p_ref)
 
     @pytest.mark.parametrize("name", ["ball2d_spec", "timevarying_spec"])
     def test_terminal_value_resumes_a_longer_sweep(self, name, request):
         # both sweeps are anchored at 0 with step 0.01: from P(4) of the
         # sweep over [0, 8], the sweep over [0, 4] repeats its last 400 steps
         spec = request.getfixturevalue(name)
-        policies = [_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0]
-        _, p_long, dp_long, _ = riccati._sweep(spec, policies, 0.0, 8.0, 0.01)
-        nodes, p, dp, errors = riccati._sweep(spec, policies, 0.0, 4.0, 0.01,
-                                              p_end=p_long[400])
-        assert errors == [None, None]
-        assert nodes[0] == 4.0
-        assert _bitwise_equal(p, p_long[400:])
-        assert _bitwise_equal(dp, dp_long[400:])
+        for policy in (_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0):
+            _, p_long, dp_long = riccati._sweep(spec, policy, 0.0, 8.0, 0.01)
+            nodes, p, dp = riccati._sweep(spec, policy, 0.0, 4.0, 0.01,
+                                          p_end=p_long[400])
+            assert nodes[0] == 4.0
+            assert _bitwise_equal(p, p_long[400:])
+            assert _bitwise_equal(dp, dp_long[400:])
 
-    def test_game_sweep_matches_one_lane_solves(self, tmp_path):
-        # the CLI's constant-policy lanes, swept back from the Picard loop's
-        # tail, print what per-policy doubling solves of the game class give
+    def test_game_sweep_matches_doubling_solves(self, tmp_path):
+        # the CLI's constant policies, each swept back from the Picard
+        # loop's tail, print what per-policy doubling solves of the game
+        # class give
         config = str(CONFIG_DIR / "scalar_demo.json")
         main(["--config", config, "--out", str(tmp_path), "game", "--x0",
               "0.6", "--max-iter", "1", "--alpha-points", "4"])
@@ -419,9 +426,9 @@ class TestLanes:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
            m=st.integers(1, 2), support=st.floats(0.5, 3.0),
            grid=st.lists(st.floats(0.0, 3.0) | st.just(1e300), min_size=1,
-                         max_size=2 * riccati._TAIL_LANES + 1))
-    def test_tail_lanes_equal_one_lane_solves(self, seed, n, m, support,
-                                              grid):
+                         max_size=13))
+    def test_constant_sweep_equals_per_policy_solves(self, seed, n, m,
+                                                     support, grid):
         # random constant (A, B); a random B is controllable almost surely
         rng = np.random.default_rng(seed)
         spec = build_problem({
@@ -445,19 +452,28 @@ class TestLanes:
                                      t_seed, t_seed)
         except NoConvergence:
             assume(False)
-        policies = [AlphaPolicy.constant(v, 0.0, support) for v in grid]
-        lanes = list(riccati._sweep_from_tail(spec, policies, 0.0, tail))
-        assert len(lanes) == len(policies)
-        for policy, got in zip(policies, lanes):
+        x = np.full(n, 0.5 / n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep = sup_over_constant_alpha(spec, 0.0, x, grid, tail=tail)
+        # the reference: each policy of the game class, constant up to the
+        # node before the tail, solved from the tail on its own
+        t_sim = stage_times(0.0, t_seed, spec.grid.dt)[-3]
+        table, skipped = [], []
+        for val in grid:
+            policy = AlphaPolicy.constant(val, 0.0, t_sim)
             try:
-                ref = riccati.solve_from_tail(spec, policy, 0.0, tail)
+                sol = riccati.solve_from_tail(spec, policy, 0.0, tail)
             except NonFiniteState as exc:
-                assert type(got) is NonFiniteState
-                assert str(got) == str(exc) and got.time == exc.time
+                skipped.append((val, str(exc)))
+                table.append((val, -np.inf))
                 continue
-            assert got.certificate is tail.certificate
-            for field in ("nodes", "P", "dP"):
-                assert _bitwise_equal(getattr(got, field), getattr(ref, field))
+            assert sol.certificate is tail.certificate
+            table.append((val, float(value_from_riccati(spec, sol, policy,
+                                                        0.0, x))))
+        assert _bitwise_equal(np.array(sweep.table), np.array(table))
+        assert sweep.skipped == tuple(skipped)
+        assert len(caught) == len(skipped)
 
 
 def _within_rounding(a, b):
@@ -469,11 +485,11 @@ def _within_rounding(a, b):
 
 
 class TestOneLane:
-    """For n <= 2 each lane integrates Python floats, one float for n = 1
-    and the four entries of the 2x2 for n = 2; for n >= 3 the lanes
-    integrate stacked states with matmul.  Wherever a product's rounding
-    does not depend on BLAS, as with the shipped configs' diagonal A and B,
-    all round like the reference loop's 2-D ``@``."""
+    """A sweep of n <= 2 integrates Python floats, one float for n = 1 and
+    the four entries of the 2x2 for n = 2; a sweep of n >= 3 integrates
+    (n, n) arrays with matmul.  Wherever a product's rounding does not
+    depend on BLAS, as with the shipped configs' diagonal A and B, all
+    round like the reference loop's 2-D ``@``."""
 
     @pytest.mark.parametrize("config", sorted(
         p.name for p in CONFIG_DIR.glob("*.json")))
@@ -482,8 +498,17 @@ class TestOneLane:
 
     def test_matches_the_reference_with_full_matrices(self, full2d_spec):
         # on a full 2x2 BLAS may fuse a product's multiply-adds, which the
-        # float lanes never do: the two agree to rounding, not bit for bit
+        # float sweep never does: the two agree to rounding, not bit for bit
         self._check_against_reference(full2d_spec, same=_within_rounding)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_three_states_match_the_reference(self, seed):
+        # the matmul path on random full 3x3 A and 3x2 B: the sweep's (3, 3)
+        # products are the reference's own, bit for bit
+        rng = np.random.default_rng(seed)
+        spec = _constant_spec(rng.uniform(-2.0, 1.0, (3, 3)),
+                              rng.uniform(0.5, 1.5, (3, 2)), 1.0)
+        self._check_against_reference(spec)
 
     @staticmethod
     def _check_against_reference(spec, same=_bitwise_equal):
@@ -493,102 +518,87 @@ class TestOneLane:
         policy = AlphaPolicy(t + np.linspace(0.0, 8.0, 5),
                              np.array([0.3, 0.7, 0.1, 0.2, 0.4]))
         p_ref, dp_ref = _reference_sweep(spec, policy, t, t + 8.0, dt)
-        nodes, p, dp, errors = riccati._sweep(spec, [policy], t, t + 8.0, dt)
-        assert errors == [None]
-        assert same(p[:, 0], p_ref)
-        assert same(dp[:, 0], dp_ref)
+        nodes, p, dp = riccati._sweep(spec, policy, t, t + 8.0, dt)
+        assert same(p, p_ref)
+        assert same(dp, dp_ref)
         # from a non-zero P(t + 4), the sweep repeats the reference's last
         # half, node for node
         half = (len(nodes) - 1) // 2
         assert nodes[half] == t + 4.0
-        _, p, dp, errors = riccati._sweep(spec, [policy], t, t + 4.0, dt,
-                                          p_end=p_ref[half])
-        assert errors == [None] and np.any(p_ref[half] != 0.0)
-        assert same(p[:, 0], p_ref[half:])
-        assert same(dp[:, 0], dp_ref[half:])
+        _, p, dp = riccati._sweep(spec, policy, t, t + 4.0, dt,
+                                  p_end=p_ref[half])
+        assert np.any(p_ref[half] != 0.0)
+        assert same(p, p_ref[half:])
+        assert same(dp, dp_ref[half:])
 
-    @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec"])
-    def test_escape_reports_the_reference_time_and_message(self, name, lanes,
+    def test_escape_reports_the_reference_time_and_message(self, name,
                                                            request):
         spec = request.getfixturevalue(name)
         policy = AlphaPolicy.constant(1e300, 0.0, 64.0)
         with pytest.raises(NonFiniteState) as ref, \
                 np.errstate(over="ignore", invalid="ignore"):
             _reference_sweep(spec, policy, 0.0, 2.0, 0.01)
-        _, p, _, errors = riccati._sweep(spec, [policy] * lanes, 0.0, 2.0,
-                                         0.01)
-        for lane, error in enumerate(errors):
-            assert str(error) == str(ref.value)
-            assert error.time == ref.value.time
-            assert not np.isfinite(p[-1, lane]).all()
+        with pytest.raises(NonFiniteState) as got:
+            riccati._sweep(spec, policy, 0.0, 2.0, 0.01)
+        assert str(got.value) == str(ref.value)
+        assert got.value.time == ref.value.time
+
+    @staticmethod
+    def _check_random_sweep(spec, alpha, p_end):
+        # the sweep from P(4) = p_end against the reference: the same bits,
+        # or the reference's escape message and time
+        policy = AlphaPolicy.constant(alpha, 0.0, 2.0)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 4.0, 0.05,
+                                                 p_end=p_end)
+        except NonFiniteState as exc:
+            with pytest.raises(NonFiniteState) as got:
+                riccati._sweep(spec, policy, 0.0, 4.0, 0.05, p_end=p_end)
+            assert str(got.value) == str(exc)
+            assert got.value.time == exc.time
+            return
+        _, p, dp = riccati._sweep(spec, policy, 0.0, 4.0, 0.05, p_end=p_end)
+        assert _bitwise_equal(p, p_ref)
+        assert _bitwise_equal(dp, dp_ref)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            level=st.just(0.0) | st.floats(0.0, 4.0),
            p_end=st.just(0.0) | st.floats(-1e200, 1e200),
-           alphas=st.lists(st.just(0.0) | st.floats(0.0, 3.0) | st.just(1e300),
-                           min_size=1, max_size=3))
+           alpha=st.just(0.0) | st.floats(0.0, 3.0) | st.just(1e300))
     # K = 0 and alpha = 0 leave q = 0: from P = 0 every product is a signed
     # zero; 1e200 squared overflows to inf in the first step
-    @example(seed=0, level=0.0, p_end=0.0, alphas=[0.0, 0.0])
-    @example(seed=0, level=1.0, p_end=1e200, alphas=[0.5])
-    def test_scalar_lanes_match_the_reference(self, seed, level, p_end,
-                                              alphas):
-        # random constant 1-D data: each float lane rounds like the
+    @example(seed=0, level=0.0, p_end=0.0, alpha=0.0)
+    @example(seed=0, level=1.0, p_end=1e200, alpha=0.5)
+    def test_scalar_sweep_matches_the_reference(self, seed, level, p_end,
+                                                alpha):
+        # random constant 1-D data: the float sweep rounds like the
         # reference's (1, 1) matmul, overflow and the sign of zero included
         rng = np.random.default_rng(seed)
         spec = _constant_spec(rng.uniform(-2.0, 1.0, (1, 1)),
                               rng.uniform(0.5, 1.5, (1, 1)), level)
-        policies = [AlphaPolicy.constant(v, 0.0, 2.0) for v in alphas]
-        _, p, dp, errors = riccati._sweep(spec, policies, 0.0, 4.0, 0.05,
-                                          p_end=p_end)
-        for lane, policy in enumerate(policies):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 4.0,
-                                                     0.05, p_end=p_end)
-            except NonFiniteState as exc:
-                assert str(errors[lane]) == str(exc)
-                assert errors[lane].time == exc.time
-                continue
-            assert errors[lane] is None
-            assert _bitwise_equal(p[:, lane], p_ref)
-            assert _bitwise_equal(dp[:, lane], dp_ref)
+        self._check_random_sweep(spec, alpha, p_end)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            level=st.just(0.0) | st.floats(0.0, 4.0),
            p_end=st.just(0.0) | st.floats(-1e200, 1e200),
-           alphas=st.lists(st.just(0.0) | st.floats(0.0, 3.0) | st.just(1e300),
-                           min_size=1, max_size=3))
-    @example(seed=0, level=0.0, p_end=0.0, alphas=[0.0, 0.0])
-    @example(seed=0, level=1.0, p_end=1e200, alphas=[0.5])
-    @example(seed=0, level=1.0, p_end=-1.0, alphas=[0.0, 1e300])
-    def test_two_dim_lanes_match_the_reference(self, seed, level, p_end,
-                                               alphas):
+           alpha=st.just(0.0) | st.floats(0.0, 3.0) | st.just(1e300))
+    @example(seed=0, level=0.0, p_end=0.0, alpha=0.0)
+    @example(seed=0, level=1.0, p_end=1e200, alpha=0.5)
+    @example(seed=0, level=1.0, p_end=-1.0, alpha=0.0)
+    @example(seed=0, level=1.0, p_end=-1.0, alpha=1e300)
+    def test_two_dim_sweep_matches_the_reference(self, seed, level, p_end,
+                                                 alpha):
         # random diagonal 2-D data from P(4) = p_end I: every product of
-        # the reference's 2x2 matmul has at most one non-zero term, so each
-        # float lane rounds like it, overflow and the sign of zero included
+        # the reference's 2x2 matmul has at most one non-zero term, so the
+        # float sweep rounds like it, overflow and the sign of zero included
         rng = np.random.default_rng(seed)
         spec = _constant_spec(np.diag(rng.uniform(-2.0, 1.0, 2)),
                               np.diag(rng.uniform(0.5, 1.5, 2)), level)
-        policies = [AlphaPolicy.constant(v, 0.0, 2.0) for v in alphas]
-        p_end = p_end * np.eye(2)
-        _, p, dp, errors = riccati._sweep(spec, policies, 0.0, 4.0, 0.05,
-                                          p_end=p_end)
-        for lane, policy in enumerate(policies):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 4.0,
-                                                     0.05, p_end=p_end)
-            except NonFiniteState as exc:
-                assert str(errors[lane]) == str(exc)
-                assert errors[lane].time == exc.time
-                continue
-            assert errors[lane] is None
-            assert _bitwise_equal(p[:, lane], p_ref)
-            assert _bitwise_equal(dp[:, lane], dp_ref)
+        self._check_random_sweep(spec, alpha, p_end * np.eye(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dot_rounds_like_matmul(self, n):

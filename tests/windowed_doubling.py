@@ -32,18 +32,15 @@ def windowed_stabilizing(spec, alpha, t, T_eval, tol=1e-8, dt=None):
     horizons, gaps, prev = [], [], None
     while True:
         horizons.append(t + steps * dt)
-        node_times, p, dp, (error,) = _sweep(spec, [alpha], t, horizons[-1],
-                                             dt)
-        if error is not None:
-            raise error
+        node_times, p, dp = _sweep(spec, alpha, t, horizons[-1], dt)
         # [t, T_eval] as the tail of the descending arrays
         window = slice(len(node_times) - 1 - m_eval, None)
-        p_win = p[window, 0].copy()
+        p_win = p[window].copy()
         if prev is not None:
             gaps.append(float(np.max(np.linalg.norm(p_win - prev,
                                                     axis=(1, 2)))))
             if gaps[-1] < _gap_tol(tol, p_win):
-                return _ascending(node_times[window], p[window], dp[window], 0,
+                return _ascending(node_times[window], p[window], dp[window],
                                   ConvergenceCertificate(
                                       tuple(horizons), tuple(gaps), tol, True))
             if steps >= cap_steps:
