@@ -62,6 +62,13 @@ class TimeMatrix:
         wave = np.sin(self.omega * s)[..., None, None]
         return self.base + wave * self.amplitude
 
+    def gram(self, s) -> np.ndarray:
+        """M(s) M(s)^T, stacked (..., rows, rows) over an array of times;
+        formed once for a constant M."""
+        m = self.base if self.variant == "constant" else self.value(s)
+        mmt = np.einsum("...ij,...kj->...ik", m, m)
+        return np.broadcast_to(mmt, np.shape(s) + mmt.shape[-2:])
+
     def norm_bound(self) -> float:
         """Exact sup-norm bound derived from the parameters."""
         b = float(np.linalg.norm(self.base, 2))

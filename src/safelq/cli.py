@@ -158,6 +158,8 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
             values.append(a_val)
         _require(np.all(np.isfinite(nodes + values)),
                  f"--alpha file {path}: entries must be finite")
+        _require(all(v >= 0.0 for v in values),
+                 f"--alpha file {path}: values must be nonnegative")
         try:
             return AlphaPolicy(np.array(nodes), np.array(values))
         except ValueError as exc:
@@ -166,7 +168,8 @@ def _alpha_from_flag(flag: str, spec: ProblemSpec, t0: float) -> AlphaPolicy:
         value = float(flag)
     except ValueError:
         raise ConfigError(f"--alpha must be a number or a CSV file: {flag!r}")
-    _require(np.isfinite(value), f"--alpha must be finite: {flag!r}")
+    _require(0.0 <= value < np.inf,                             # NaN-proof
+             f"--alpha must be finite and nonnegative: {flag!r}")
     return AlphaPolicy.constant(value, t0, spec.grid.t_max)
 
 

@@ -152,12 +152,17 @@ class ProblemSpec:
     omega: geometry.ConstraintSet
     grid: TimeGridSpec
     R: np.ndarray = field(init=False)
-    Rinv: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = self.dim_control
-        object.__setattr__(self, "R", 0.5 * np.eye(m))
-        object.__setattr__(self, "Rinv", 2.0 * np.eye(m))
+        object.__setattr__(self, "R", 0.5 * np.eye(self.dim_control))
+
+    def control_gram(self, s) -> np.ndarray:
+        """B(s) R^{-1} B(s)^T = 2 B B^T, stacked (..., n, n) over times."""
+        return 2.0 * self.B.gram(s)
+
+    def feedback_gain(self, s) -> np.ndarray:
+        """-R^{-1} B(s)^T = -2 B^T, stacked (..., m, n) over times."""
+        return -2.0 * np.swapaxes(self.B.value(s), -1, -2)
 
     def q_coeff(self, s, alpha):
         """Scalar multiplier of the identity in Q(s, alpha), per time."""

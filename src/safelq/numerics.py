@@ -2,14 +2,15 @@
 
 One grid rule, :func:`stage_times`, fixes the steps and stage times of
 every integration in the package, and one fixed-step classical Runge-Kutta
-loop, :func:`_rk4`, runs them: its right-hand side reads stage data by stage
-index, in the backward Riccati sweeps and in :func:`integrate_ode`, the
-forward integrator of the closed and open loops; both can step a scalar
-state as a Python float, and the sweeps a 2x2 state as a tuple of four.
+loop, :func:`_rk4`, runs them and returns the node states and right-hand
+sides it computed.  Its right-hand side reads stage data by stage index, in
+the backward Riccati sweeps and in :func:`integrate_ode`, the forward
+integrator of the closed and open loops; both can step a scalar state as a
+Python float, and the sweeps a 2x2 state as a tuple of four.
 Also here: cubic-Hermite dense output, composite Simpson weights, stacked
 matrix-vector products, and symmetric eigenvalue extremes.  Everything is
 deterministic: uniform grids, fixed evaluation order, no adaptivity.
-Finiteness is checked once, after the loop, over the stored nodes.
+Finiteness is checked once, after the loop, over the returned nodes.
 """
 
 from __future__ import annotations
@@ -106,39 +107,38 @@ def stage_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
     return t_start + h * (0.5 * np.arange(2 * n + 1))
 
 
-def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
-         derivs: np.ndarray, h: float,
-         postprocess: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
-    """Fixed-step classical RK4 from ``values[0]``, in place.
+def _rk4(field: Callable[[int, np.ndarray], np.ndarray], y, steps: int,
+         h: float,
+         postprocess: Callable[[np.ndarray], np.ndarray] | None = None
+         ) -> tuple[list, list]:
+    """Fixed-step classical RK4 from ``y``: the lists of the ``steps + 1``
+    node states and of the right-hand side at each.
 
-    Fills ``values[1:]`` and ``derivs``.  ``field(j, y)`` is
-    the right-hand side at stage j of :func:`stage_times`: step k reads
-    stages 2k, 2k+1, 2k+1 and 2k+2.  ``postprocess`` is applied to the state
-    after every step.  Overflow and NaN are not checked here: no step turns
-    a non-finite entry finite again, so callers scan the stored nodes once
-    afterwards.
+    ``field(j, y)`` is the right-hand side at stage j of
+    :func:`stage_times`: step k reads stages 2k, 2k+1, 2k+1 and 2k+2.
+    ``postprocess`` is applied to the state after every step.  Overflow and
+    NaN are not checked here: no step turns a non-finite entry finite again,
+    so callers scan the returned nodes once afterwards.
 
-    ``values`` and ``derivs`` are arrays, or lists for a Python float
-    state or a 2x2 state held as the tuple of floats (y00, y01, y10, y11),
-    which :func:`_axpy` and :func:`_rk4_sum` step entry by entry with the
-    inline forms' operations.  The step factors h/2, h and h/6 are 0-d
-    float64 arrays for an array state, which numpy multiplies without
-    converting a Python float on every product, and floats otherwise, which
-    0-d factors would turn into np.float64; 2 k is written k + k.  All give
-    the same values as the textbook
+    ``y`` is an array, a Python float, or a 2x2 state held as the tuple of
+    floats (y00, y01, y10, y11), which :func:`_axpy` and :func:`_rk4_sum`
+    step entry by entry with the inline forms' operations.  The step factors
+    h/2, h and h/6 are 0-d float64 arrays for an array state, which numpy
+    multiplies without converting a Python float on every product, and
+    floats otherwise, which 0-d factors would turn into np.float64; 2 k is
+    written k + k.  All give the same values as the textbook
     ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     """
-    n = len(values) - 1
-    y = values[0]
     # a tuple has no entrywise arithmetic; a branch costs a float state
     # less than a helper call per stage would
     pair = type(y) is tuple
     factor = np.array if isinstance(y, np.ndarray) else float
     half, full, sixth = (factor(c) for c in (0.5 * h, h, h / 6.0))
+    values, derivs = [y], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
+        for k in range(steps):
             k1 = field(2 * k, y)
-            derivs[k] = k1
+            derivs.append(k1)
             k2 = field(2 * k + 1,
                        _axpy(y, half, k1) if pair else y + half * k1)
             k3 = field(2 * k + 1,
@@ -149,8 +149,9 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], values: np.ndarray,
                  y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4))
             if postprocess is not None:
                 y = postprocess(y)
-            values[k + 1] = y
-        derivs[n] = field(2 * n, y)
+            values.append(y)
+        derivs.append(field(2 * steps, y))
+    return values, derivs
 
 
 def _axpy(y: tuple, c: float, k: tuple) -> tuple:
@@ -190,15 +191,10 @@ def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],
         raise ValueError("t_end must exceed t_start")
     nodes = stage_times(t_start, t_end, dt)[::2].copy()
     n = len(nodes) - 1
-    if type(y0) is float:
-        values, derivs = [y0] * (n + 1), [0.0] * (n + 1)
-    else:
+    if type(y0) is not float:
         y0 = np.asarray(y0, dtype=float)
-        values = np.empty((n + 1,) + y0.shape)
-        derivs = np.empty_like(values)
-        values[0] = y0
-    _rk4(field, values, derivs, (t_end - t_start) / n)
-    values, derivs = np.asarray(values), np.asarray(derivs)
+    values, derivs = (np.array(run) for run in
+                      _rk4(field, y0, n, (t_end - t_start) / n))
 
     finite = np.isfinite(values.reshape(n + 1, -1)).all(axis=1)
     if not finite[-1]:

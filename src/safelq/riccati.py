@@ -9,9 +9,9 @@ is integrated backward by the package's one RK4 loop (``numerics._rk4``,
 step -h, symmetrizing after every step) on the stage grid of
 ``numerics.stage_times``, read in descending order; its right-hand side
 reads the stage data, A, S and q, by stage index, all built once per sweep.
-One sweep integrates one policy.  A sweep that escapes runs on as inf/NaN;
-one scan of the stored nodes afterwards raises NonFiniteState at the first
-non-finite one.
+One sweep integrates one policy and returns its solution on the ascending
+grid.  A sweep that escapes runs on as inf/NaN; one scan of the nodes
+afterwards raises NonFiniteState at the first non-finite one it reached.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit, at the window's end T_eval, of finite-horizon
 sweeps over geometrically growing horizons, compared there until the gap
@@ -40,7 +40,7 @@ arrays with matmul.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -122,10 +122,8 @@ class RiccatiSolution:
 
 def _stage_data(spec: ProblemSpec, alpha: AlphaPolicy, times: np.ndarray):
     """Per-time A(s), S(s) = B R^{-1} B^T and q(s)."""
-    a_arr = spec.A.value(times)
-    b_arr = spec.B.value(times)
-    s_arr = 2.0 * np.einsum("kij,klj->kil", b_arr, b_arr)
-    return a_arr, s_arr, spec.q_coeff(times, alpha.value(times))
+    return (spec.A.value(times), spec.control_gram(times),
+            spec.q_coeff(times, alpha.value(times)))
 
 
 def _scalar_field(a_f, s_f, q_f):
@@ -168,10 +166,10 @@ def _pair_field(stages):
 
 
 def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
-           dt: float, p_end: np.ndarray | float = 0.0):
-    """Backward RK4 sweep from P(T) = p_end: descending node times, P and
-    dP (nodes, n, n).  Raises the NonFiniteState of the first non-finite
-    node.
+           dt: float, p_end: np.ndarray | float = 0.0) -> RiccatiSolution:
+    """Backward RK4 sweep from P(T) = p_end over [t, T]: the solution on the
+    ascending grid, without a certificate.  Raises the NonFiniteState of the
+    first non-finite node the sweep reaches.
 
     For n <= 2 the sweep integrates Python floats, a float or the 2x2 tuple
     of :func:`_pair_field`; for n >= 3 it integrates (n, n) arrays with
@@ -182,11 +180,11 @@ def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
         raise ValueError("terminal time must not precede the start time")
     # anchored at t, so sweeps with different horizons evaluate the (possibly
     # discontinuous) coefficients at bit-identical times
-    times = stage_times(t, T, dt)[::-1]                 # descending
-    node_times = times[::2]
-    steps = len(node_times) - 1
+    times = stage_times(t, T, dt)
+    nodes = times[::2].copy()
+    steps = len(nodes) - 1
     h = (T - t) / steps if steps else 0.0
-    a, s, q = _stage_data(spec, alpha, times)
+    a, s, q = _stage_data(spec, alpha, times[::-1])     # descending
     p_end = np.full((n, n), p_end, dtype=float)
 
     # backward equation: P' = -(A^T P + P A - P S P + q I); the negation
@@ -203,14 +201,13 @@ def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
                                        *s.reshape(-1, 4).T.tolist(),
                                        q.tolist())))
         p0 = p_end.ravel().tolist()
-        p_run = [p0[0] if n == 1 else tuple(p0)] * (steps + 1)
-        dp_run = p_run.copy()
-        _rk4(rhs, p_run, dp_run, -h, postprocess=sym)
-        # the nodes' floats or 2x2 tuples as (nodes, n, n)
-        p_desc, dp_desc = (
-            np.fromiter(run if n == 1 else chain.from_iterable(run), float,
-                        len(run) * n * n).reshape(-1, n, n)
-            for run in (p_run, dp_run))
+        runs = _rk4(rhs, p0[0] if n == 1 else tuple(p0), steps, -h,
+                    postprocess=sym)
+        # node floats or 2x2 tuples, reversed in C, as ascending (nodes, n, n)
+        p, dp = (np.fromiter(reversed(run) if n == 1 else
+                             chain.from_iterable(reversed(run)), float,
+                             len(run) * n * n).reshape(-1, n, n)
+                 for run in runs)
     else:
         # per stage: the A^T view and q I, built once
         a_t = a.swapaxes(-1, -2)
@@ -219,32 +216,23 @@ def _sweep(spec: ProblemSpec, alpha: AlphaPolicy, t: float, T: float,
         def rhs(j, p):
             return -(a_t[j] @ p + p @ a[j] - p @ s[j] @ p + qi[j])
 
-        p_desc = np.empty((steps + 1, n, n))
-        dp_desc = np.empty_like(p_desc)
-        p_desc[0] = p_end
-        _rk4(rhs, p_desc, dp_desc, -h, postprocess=sym)
+        p, dp = (np.array(run[::-1])
+                 for run in _rk4(rhs, p_end, steps, -h, postprocess=sym))
 
-    # no step turns a non-finite entry finite again: the last node shows
-    # whether the sweep escaped, the first non-finite one where
-    finite = np.isfinite(p_desc).all(axis=(1, 2))
-    if not finite[-1]:
-        k = np.argmin(finite)
-        raise NonFiniteState(f"Riccati sweep escaped at s={node_times[k]}",
-                             time=float(node_times[k]))
-    return node_times, p_desc, dp_desc
-
-
-def _ascending(node_times, p, dp, certificate=None) -> RiccatiSolution:
-    """Descending :func:`_sweep` arrays on the ascending grid."""
-    return RiccatiSolution(nodes=node_times[::-1].copy(), P=p[::-1].copy(),
-                           dP=dp[::-1].copy(), certificate=certificate)
+    # no step turns a non-finite entry finite again: the first node shows
+    # whether the sweep escaped, the last non-finite one where
+    finite = np.isfinite(p).all(axis=(1, 2))
+    if not finite[0]:
+        s_esc = float(nodes[np.flatnonzero(~finite)[-1]])
+        raise NonFiniteState(f"Riccati sweep escaped at s={s_esc}",
+                             time=s_esc)
+    return RiccatiSolution(nodes=nodes, P=p, dP=dp)
 
 
 def solve_finite_horizon(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
                          T: float, dt: float | None = None) -> RiccatiSolution:
     """Finite-horizon sweep with zero terminal condition on [t, T]."""
-    dt = spec.grid.dt if dt is None else dt
-    return _ascending(*_sweep(spec, alpha, t, T, dt))
+    return _sweep(spec, alpha, t, T, spec.grid.dt if dt is None else dt)
 
 
 def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
@@ -252,8 +240,8 @@ def solve_from_tail(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     """Stabilizing solution on [t, tail.t_start] for a policy that agrees
     with the tail's from tail.t_start on: one sweep back from the tail's
     P(tail.t_start), carrying the tail's certificate."""
-    return _ascending(*_sweep(spec, alpha, t, tail.t_start, spec.grid.dt,
-                              p_end=tail.P[0]), tail.certificate)
+    return replace(_sweep(spec, alpha, t, tail.t_start, spec.grid.dt,
+                          p_end=tail.P[0]), certificate=tail.certificate)
 
 
 def _gap_tol(tol: float, p: np.ndarray) -> float:
@@ -294,24 +282,24 @@ def solve_stabilizing(spec: ProblemSpec, alpha: AlphaPolicy, t: float,
     horizons, gaps, prev = [], [], None
     while True:
         horizons.append(T_eval + steps * dt)
-        _, p, dp = _sweep(spec, alpha, T_eval, horizons[-1], dt)
+        # only P(T_eval) outlives the horizon
+        p = _sweep(spec, alpha, T_eval, horizons[-1], dt).P[0].copy()
         if prev is not None:
-            gaps.append(float(np.linalg.norm(p[-1] - prev, axis=(-2, -1))))
-            if gaps[-1] < _gap_tol(tol, p[-1]):
+            gaps.append(float(np.linalg.norm(p - prev, axis=(-2, -1))))
+            if gaps[-1] < _gap_tol(tol, p):
                 break
             if steps >= cap_steps:
                 raise NoConvergence(
                     f"stabilizing limit gap {gaps[-1]} not below "
-                    f"{_gap_tol(tol, p[-1])} at horizon cap {horizons[-1]}",
+                    f"{_gap_tol(tol, p)} at horizon cap {horizons[-1]}",
                     certificate=ConvergenceCertificate(
                         tuple(horizons), tuple(gaps), tol, False))
-        prev = p[-1].copy()
-        del p, dp           # only P(T_eval) outlives the horizon
+        prev = p
         steps = min(cap_steps, 2 * steps)
 
-    return _ascending(*_sweep(spec, alpha, t, T_eval, dt, p_end=p[-1]),
-                      ConvergenceCertificate(tuple(horizons), tuple(gaps),
-                                             tol, True))
+    return replace(_sweep(spec, alpha, t, T_eval, dt, p_end=p),
+                   certificate=ConvergenceCertificate(
+                       tuple(horizons), tuple(gaps), tol, True))
 
 
 def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,

@@ -88,17 +88,15 @@ def feedback_control(spec: ProblemSpec, P: RiccatiSolution, s,
                      x: np.ndarray) -> np.ndarray:
     """Optimal feedback -R^{-1} B(s)^T P(s) h(x), per time of s and stacked
     state of x."""
-    gain = -spec.Rinv @ np.swapaxes(spec.B.value(s), -1, -2)
     # P.at raises OutOfGrid beyond the solution span
-    return matvec(gain, matvec(P.at(s), spec.h.forward(x)))
+    return matvec(spec.feedback_gain(s),
+                  matvec(P.at(s), spec.h.forward(x)))
 
 
 def gamma_matrices(spec: ProblemSpec, P: RiccatiSolution, s: np.ndarray
                    ) -> np.ndarray:
     """A(s) - B(s) R^{-1} B(s)^T P(s), stacked over the given times."""
-    a = spec.A.value(s)
-    b = spec.B.value(s)
-    return a - np.einsum("kij,jl,kml,kmo->kio", b, spec.Rinv, b, P.at(s))
+    return spec.A.value(s) - np.matmul(spec.control_gram(s), P.at(s))
 
 
 def _trajectory(spec: ProblemSpec, nodes: np.ndarray, states: np.ndarray,

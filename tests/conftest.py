@@ -17,6 +17,15 @@ def load_spec(name: str):
     return build_problem(load_config(name))
 
 
+def within_rounding(a, b):
+    # 1e-13 relative to max(1, max |b|): far above the 2x2 float sweeps'
+    # distance from a BLAS reference (1.6e-16 on P, 6.1e-15 on dP over five
+    # random full A and B) and Gamma's (8.5e-16 over 22), far below any
+    # error of the method
+    return a.shape == b.shape and float(np.max(np.abs(a - b))) <= 1e-13 * max(
+        1.0, float(np.max(np.abs(b))))
+
+
 @pytest.fixture(scope="session")
 def scalar_spec():
     return load_spec("scalar_demo.json")

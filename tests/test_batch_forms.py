@@ -8,6 +8,7 @@ import pytest
 from safelq import (AlphaPolicy, ConeQuery, Ellipsoid, Polytope,
                     build_problem, eval_dynamics, eval_lagrangian,
                     integrate_ode, sample_boundary, solve_finite_horizon)
+from safelq.catalog import TimeMatrix
 from safelq.game import lambda_map
 from safelq.geometry import Ball, Box
 from safelq.model import _sup_alpha_gain
@@ -104,7 +105,8 @@ class TestProblemData:
 
     def test_time_data(self, spec):
         times = RNG.uniform(-1.0, 20.0, N_ROWS)
-        for fn in (spec.A.value, spec.B.value, spec.K.value):
+        for fn in (spec.A.value, spec.B.value, spec.K.value, spec.A.gram,
+                   spec.B.gram, spec.control_gram, spec.feedback_gain):
             assert_rows_equal(fn(times), [fn(float(s)) for s in times])
         alphas = RNG.uniform(0.0, 3.0, N_ROWS)
         assert_rows_equal(spec.q_coeff(times, alphas),
@@ -112,6 +114,21 @@ class TestProblemData:
                            for s, a in zip(times, alphas)])
         assert type(spec.K.value(0.5)) is np.float64
         assert type(spec.q_coeff(0.5, 0.2)) is np.float64
+
+    def test_constant_gram_is_the_stacked_product(self):
+        # M M^T formed once from a constant M has the bits of the product
+        # formed at every time, zeros of either sign included
+        rng = np.random.default_rng(5)
+        times = rng.uniform(0.0, 5.0, 7)
+        for _ in range(400):
+            shape = tuple(rng.integers(1, 5, 2))
+            base = rng.standard_normal(shape) * 10.0 ** rng.integers(
+                -5, 6, shape)
+            base[rng.random(shape) < 0.3] = rng.choice([0.0, -0.0])
+            m = TimeMatrix("constant", base)
+            stacked = m.value(times)
+            assert_rows_equal(m.gram(times),
+                              np.einsum("kij,klj->kil", stacked, stacked))
 
     def test_truncated_weight(self):
         from safelq.catalog import StateWeight

@@ -99,6 +99,7 @@ class TestRiccatiCommand:
         ("0.0,0.5\n1;x\n", "line 3"),       # one field
         ("0.0,0.5\n1.0,x\n", "line 3"),     # not a number
         ("1.0,0.5\n0.0,0.5\n", "strictly increasing"),
+        ("0.0,0.5\n1.0,-0.5\n", "nonnegative"),
     ])
     def test_malformed_alpha_csv_is_config_error(self, tmp_path, capsys,
                                                  rows, where):
@@ -109,7 +110,8 @@ class TestRiccatiCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert str(policy) in err and where in err
+        assert err.startswith(f"config error: --alpha file {policy}")
+        assert where in err
 
 
 class TestSynthesizeCommand:
@@ -300,13 +302,13 @@ class TestBadFlags:
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     def test_negative_alpha_is_a_one_line_error(self, tmp_path, capsys):
-        # NegativeAlpha is no ConfigError: main's catch-all SafeLQError
-        # branch exits 1 with its message
+        # a rejected flag is a ConfigError, checked before AlphaPolicy
+        # raises its own NegativeAlpha
         code = main(["--config", SCALAR, "--out", str(tmp_path),
                      "riccati", "--alpha", "-1"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: alpha policy values must be nonnegative\n")
+            "config error: --alpha must be finite and nonnegative: '-1'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("argv, flag, key, recorded", [

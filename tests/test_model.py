@@ -19,7 +19,6 @@ class TestBuildProblem:
         assert scalar_spec.dim_state == 1
         assert scalar_spec.dim_control == 1
         np.testing.assert_array_equal(scalar_spec.R, [[0.5]])
-        np.testing.assert_array_equal(scalar_spec.Rinv, [[2.0]])
 
     def test_rejects_identity_control_weight(self):
         cfg = load_config("scalar_demo.json")

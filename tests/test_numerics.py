@@ -172,12 +172,10 @@ class TestTextbookStep:
         values, derivs = _textbook_rk4(field, 0.0, 2.0, y0, 0.01)
         assert not np.all(np.isfinite(values[-1, 0]))
         assert np.all(np.isfinite(values[:, 1]))
-        got_values = np.empty_like(values)
-        got_derivs = np.empty_like(derivs)
-        got_values[0] = y0
-        _rk4(field, got_values, got_derivs, 2.0 / (len(values) - 1))
-        assert _same_bits(got_values, values)
-        assert _same_bits(got_derivs, derivs)
+        got_values, got_derivs = _rk4(field, y0, len(values) - 1,
+                                      2.0 / (len(values) - 1))
+        assert _same_bits(np.array(got_values), values)
+        assert _same_bits(np.array(got_derivs), derivs)
         first = np.argmin(np.isfinite(values.reshape(len(values), -1)).all(1))
         with pytest.raises(NonFiniteState) as exc:
             integrate_ode(field, 0.0, 2.0, y0, 0.01)
@@ -205,9 +203,8 @@ class TestTextbookStep:
 
         values, derivs = _textbook_rk4(field, 0.0, t_end, np.array([y0]), 0.01)
         assert np.isfinite(values[-1, 0]) == (y0 < 3.0)
-        got_values = [y0] * len(values)
-        got_derivs = [0.0] * len(derivs)
-        _rk4(field, got_values, got_derivs, t_end / (len(values) - 1))
+        got_values, got_derivs = _rk4(field, y0, len(values) - 1,
+                                      t_end / (len(values) - 1))
         assert all(type(v) is float for v in got_values + got_derivs)
         assert _same_bits(np.array(got_values), values[:, 0])
         assert _same_bits(np.array(got_derivs), derivs[:, 0])
@@ -280,9 +277,8 @@ class TestTextbookStep:
                                        np.reshape(y0, (2, 2)), 0.01)
         assert np.isfinite(values[-1]).tolist() == [[True, True],
                                                     [True, False]]
-        got_values = [y0] * len(values)
-        got_derivs = [y0] * len(derivs)
-        _rk4(field, got_values, got_derivs, t_end / (len(values) - 1))
+        got_values, got_derivs = _rk4(field, y0, len(values) - 1,
+                                      t_end / (len(values) - 1))
         assert all(type(v) is tuple and len(v) == 4
                    for v in got_values + got_derivs)
         assert _same_bits(np.reshape(got_values, values.shape), values)

@@ -16,7 +16,7 @@ from safelq.riccati import (_gap_tol, check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
 from safelq.synthesis import value_from_riccati
 
-from conftest import CONFIG_DIR, load_config
+from conftest import CONFIG_DIR, load_config, within_rounding
 from windowed_doubling import windowed_stabilizing
 
 # stabilizing root of 2 P^2 + 2 P - 1 = 0 for A=-1, B=1, R=1/2, Q=1
@@ -373,10 +373,11 @@ class TestOnePolicyPerSweep:
             AlphaPolicy.constant(val, 0.0, 2.0)
             for val in np.linspace(0.2, 1.8, 9)]
         for policy in policies:
-            nodes, p, dp = riccati._sweep(spec, policy, 0.0, 8.0, 0.01)
+            sol = riccati._sweep(spec, policy, 0.0, 8.0, 0.01)
             p_ref, dp_ref = _reference_sweep(spec, policy, 0.0, 8.0, 0.01)
-            assert _bitwise_equal(p, p_ref)
-            assert _bitwise_equal(dp, dp_ref)
+            assert sol.certificate is None
+            assert _bitwise_equal(sol.P, p_ref[::-1])
+            assert _bitwise_equal(sol.dP, dp_ref[::-1])
 
     def test_escaping_policy_raises_the_reference_error(self, scalar_spec):
         escaping = AlphaPolicy.constant(1e300, 0.0, 64.0)
@@ -388,9 +389,9 @@ class TestOnePolicyPerSweep:
         assert str(got.value) == str(ref.value)
         assert got.value.time == ref.value.time
         # and a finite policy still matches after it
-        _, p, _ = riccati._sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
+        sol = riccati._sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
         p_ref, _ = _reference_sweep(scalar_spec, ALPHA0, 0.0, 2.0, 0.01)
-        assert _bitwise_equal(p, p_ref)
+        assert _bitwise_equal(sol.P, p_ref[::-1])
 
     @pytest.mark.parametrize("name", ["ball2d_spec", "timevarying_spec"])
     def test_terminal_value_resumes_a_longer_sweep(self, name, request):
@@ -398,12 +399,13 @@ class TestOnePolicyPerSweep:
         # sweep over [0, 8], the sweep over [0, 4] repeats its last 400 steps
         spec = request.getfixturevalue(name)
         for policy in (_window_policy([0.3, 0.7, 0.1, 0.0, 0.4]), ALPHA0):
-            _, p_long, dp_long = riccati._sweep(spec, policy, 0.0, 8.0, 0.01)
-            nodes, p, dp = riccati._sweep(spec, policy, 0.0, 4.0, 0.01,
-                                          p_end=p_long[400])
-            assert nodes[0] == 4.0
-            assert _bitwise_equal(p, p_long[400:])
-            assert _bitwise_equal(dp, dp_long[400:])
+            long = riccati._sweep(spec, policy, 0.0, 8.0, 0.01)
+            sol = riccati._sweep(spec, policy, 0.0, 4.0, 0.01,
+                                 p_end=long.P[400])
+            assert sol.nodes[-1] == 4.0
+            assert _bitwise_equal(sol.nodes, long.nodes[:401])
+            assert _bitwise_equal(sol.P, long.P[:401])
+            assert _bitwise_equal(sol.dP, long.dP[:401])
 
     def test_game_sweep_matches_doubling_solves(self, tmp_path):
         # the CLI's constant policies, each swept back from the Picard
@@ -476,14 +478,6 @@ class TestOnePolicyPerSweep:
         assert len(caught) == len(skipped)
 
 
-def _within_rounding(a, b):
-    # 1e-13 relative to max(1, max |b|): far above the 2x2 float sweeps'
-    # distance from a BLAS reference (1.6e-16 on P, 6.1e-15 on dP over five
-    # random full A and B), far below any error of the method
-    return a.shape == b.shape and float(np.max(np.abs(a - b))) <= 1e-13 * max(
-        1.0, float(np.max(np.abs(b))))
-
-
 class TestOneLane:
     """A sweep of n <= 2 integrates Python floats, one float for n = 1 and
     the four entries of the 2x2 for n = 2; a sweep of n >= 3 integrates
@@ -499,7 +493,7 @@ class TestOneLane:
     def test_matches_the_reference_with_full_matrices(self, full2d_spec):
         # on a full 2x2 BLAS may fuse a product's multiply-adds, which the
         # float sweep never does: the two agree to rounding, not bit for bit
-        self._check_against_reference(full2d_spec, same=_within_rounding)
+        self._check_against_reference(full2d_spec, same=within_rounding)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_three_states_match_the_reference(self, seed):
@@ -518,18 +512,17 @@ class TestOneLane:
         policy = AlphaPolicy(t + np.linspace(0.0, 8.0, 5),
                              np.array([0.3, 0.7, 0.1, 0.2, 0.4]))
         p_ref, dp_ref = _reference_sweep(spec, policy, t, t + 8.0, dt)
-        nodes, p, dp = riccati._sweep(spec, policy, t, t + 8.0, dt)
-        assert same(p, p_ref)
-        assert same(dp, dp_ref)
+        sol = riccati._sweep(spec, policy, t, t + 8.0, dt)
+        assert same(sol.P, p_ref[::-1])
+        assert same(sol.dP, dp_ref[::-1])
         # from a non-zero P(t + 4), the sweep repeats the reference's last
         # half, node for node
-        half = (len(nodes) - 1) // 2
-        assert nodes[half] == t + 4.0
-        _, p, dp = riccati._sweep(spec, policy, t, t + 4.0, dt,
-                                  p_end=p_ref[half])
+        half = (len(sol.nodes) - 1) // 2
+        assert sol.nodes[half] == t + 4.0
+        sol = riccati._sweep(spec, policy, t, t + 4.0, dt, p_end=p_ref[half])
         assert np.any(p_ref[half] != 0.0)
-        assert same(p, p_ref[half:])
-        assert same(dp, dp_ref[half:])
+        assert same(sol.P, p_ref[half:][::-1])
+        assert same(sol.dP, dp_ref[half:][::-1])
 
     @pytest.mark.parametrize("name", ["scalar_spec", "ball2d_spec"])
     def test_escape_reports_the_reference_time_and_message(self, name,
@@ -559,9 +552,9 @@ class TestOneLane:
             assert str(got.value) == str(exc)
             assert got.value.time == exc.time
             return
-        _, p, dp = riccati._sweep(spec, policy, 0.0, 4.0, 0.05, p_end=p_end)
-        assert _bitwise_equal(p, p_ref)
-        assert _bitwise_equal(dp, dp_ref)
+        sol = riccati._sweep(spec, policy, 0.0, 4.0, 0.05, p_end=p_end)
+        assert _bitwise_equal(sol.P, p_ref[::-1])
+        assert _bitwise_equal(sol.dP, dp_ref[::-1])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

@@ -8,13 +8,13 @@ from safelq import AlphaPolicy, build_problem, synthesis
 from safelq.catalog import DiffeoMap
 from safelq.errors import NonFiniteState, OutOfGrid
 from safelq.model import eval_lagrangian
-from safelq.numerics import integrate_ode, simpson_samples
+from safelq.numerics import integrate_ode, simpson_samples, stage_times
 from safelq.riccati import solve_finite_horizon, solve_stabilizing
 from safelq.synthesis import (cost_of_trajectory, feedback_control,
                               gamma_matrices, hamiltonian, hjb_residual,
                               simulate_closed_loop, value_from_riccati)
 
-from conftest import CONFIG_DIR, load_config, load_spec
+from conftest import CONFIG_DIR, load_config, load_spec, within_rounding
 from references import finite_value_from_riccati, simulate_open_loop
 
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
@@ -45,6 +45,31 @@ class TestFeedback:
     def test_out_of_grid(self, scalar_spec, scalar_P):
         with pytest.raises(OutOfGrid):
             feedback_control(scalar_spec, scalar_P, 99.0, np.array([0.5]))
+
+    @pytest.mark.parametrize("config", sorted(
+        p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_gamma_is_the_papers_closed_loop_matrix(self, config):
+        self._check_gamma(load_spec(config), _same_bits)
+
+    def test_gamma_with_full_matrices(self, full2d_spec):
+        # S P sums its products in another order than (B R^{-1} B^T) P
+        self._check_gamma(full2d_spec, within_rounding)
+
+    @staticmethod
+    def _check_gamma(spec, same):
+        # A - B R^{-1} B^T P, one stage time at a time with @
+        t = spec.grid.t0
+        policy = AlphaPolicy(t + np.linspace(0.0, 4.0, 5),
+                             np.array([0.3, 0.7, 0.1, 0.2, 0.4]))
+        sol = solve_finite_horizon(spec, policy, t, t + 4.0)
+        times = stage_times(t, t + 4.0, spec.grid.dt)
+        p = sol.at(times)
+        r_inv = np.linalg.inv(spec.R)
+        ref = np.array([spec.A.value(s) - spec.B.value(s) @ r_inv
+                        @ spec.B.value(s).T @ p[k]
+                        for k, s in enumerate(times)])
+        assert np.any(p != 0.0)
+        assert same(gamma_matrices(spec, sol, times), ref)
 
 
 class TestClosedLoop:

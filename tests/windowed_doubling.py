@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from safelq.errors import ConfigError, NoConvergence
-from safelq.riccati import (ConvergenceCertificate, _ascending, _gap_tol,
-                            _sweep)
+from safelq.riccati import (ConvergenceCertificate, RiccatiSolution,
+                            _gap_tol, _sweep)
 
 
 def windowed_stabilizing(spec, alpha, t, T_eval, tol=1e-8, dt=None):
@@ -32,17 +32,19 @@ def windowed_stabilizing(spec, alpha, t, T_eval, tol=1e-8, dt=None):
     horizons, gaps, prev = [], [], None
     while True:
         horizons.append(t + steps * dt)
-        node_times, p, dp = _sweep(spec, alpha, t, horizons[-1], dt)
-        # [t, T_eval] as the tail of the descending arrays
-        window = slice(len(node_times) - 1 - m_eval, None)
-        p_win = p[window].copy()
+        sol = _sweep(spec, alpha, t, horizons[-1], dt)
+        # [t, T_eval] as the head of the ascending arrays
+        window = slice(None, m_eval + 1)
+        p_win = sol.P[window].copy()
         if prev is not None:
             gaps.append(float(np.max(np.linalg.norm(p_win - prev,
                                                     axis=(1, 2)))))
             if gaps[-1] < _gap_tol(tol, p_win):
-                return _ascending(node_times[window], p[window], dp[window],
-                                  ConvergenceCertificate(
-                                      tuple(horizons), tuple(gaps), tol, True))
+                return RiccatiSolution(
+                    nodes=sol.nodes[window].copy(), P=p_win,
+                    dP=sol.dP[window].copy(),
+                    certificate=ConvergenceCertificate(
+                        tuple(horizons), tuple(gaps), tol, True))
             if steps >= cap_steps:
                 raise NoConvergence(
                     f"gap {gaps[-1]} at the horizon cap",
