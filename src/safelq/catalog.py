@@ -1,7 +1,7 @@
 """Function catalogs for problem data.
 
 Every time-dependent coefficient, scalar weight, and coordinate map is a
-tagged, parameter-complete value: configurations serialize to JSON and
+tagged, parameter-complete value built from its JSON config entry, and
 integrability is decided symbolically per variant instead of by quadrature
 to infinity.
 """

@@ -49,10 +49,6 @@ class OutOfGrid(SafeLQError):
     """Query time outside the span of a sampled solution."""
 
 
-class UnsupportedVariant(SafeLQError):
-    """Operation not implemented for this constraint-set variant."""
-
-
 class GridTooCoarseWarning(UserWarning):
     """Kept importable, no longer raised: the DP oracle's semi-Lagrangian
     step is stable however far a transition steps across the grid."""

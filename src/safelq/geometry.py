@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import config_array
-from .errors import ConfigError, UnsupportedVariant
+from .errors import ConfigError
 from .numerics import matvec
 
 _DIRECTIONS_SEED = 20240917
@@ -252,8 +252,8 @@ class Polytope(ConstraintSet):
             # one-dimensional polytope is an interval
             return self.cone_query(np.array(self._bbox))
         if self.dim != 2:
-            raise UnsupportedVariant(
-                "polytope boundary sampling implemented for dim <= 2")
+            raise ConfigError(
+                "omega: polytope boundary sampling implemented for dim <= 2")
         v0 = self._vertices_2d()[:, None, :]
         v1 = np.roll(v0, -1, axis=0)
         theta = np.linspace(0.0, 1.0, max(2, int(density)),

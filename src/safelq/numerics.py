@@ -4,13 +4,14 @@ One grid rule, :func:`stage_times`, fixes the steps and stage times of
 every integration in the package, and one fixed-step classical Runge-Kutta
 loop, :func:`_rk4`, runs them and returns the node states and right-hand
 sides it computed.  Its right-hand side reads stage data by stage index, in
-the backward Riccati sweeps and in :func:`integrate_ode`, the forward
-integrator of the closed and open loops; both can step a scalar state as a
-Python float, and the sweeps a 2x2 state as a tuple of four.
-Also here: cubic-Hermite dense output, composite Simpson weights, stacked
-matrix-vector products, and symmetric eigenvalue extremes.  Everything is
-deterministic: uniform grids, fixed evaluation order, no adaptivity.
-Finiteness is checked once, after the loop, over the returned nodes.
+the backward Riccati sweeps, which keep both lists, and in
+:func:`integrate_ode`, the forward integrator of the closed and open loops,
+which keeps the states; both can step a scalar state as a Python float, and
+the sweeps a 2x2 state as a tuple of four.  Also here: composite Simpson
+weights, stacked matrix-vector products, and symmetric eigenvalue extremes.
+Everything is deterministic: uniform grids, fixed evaluation order, no
+adaptivity.  Finiteness is checked once, after the loop, over the returned
+nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteState, OutOfGrid
+from .errors import NonFiniteState
 
 
 def sym(m: np.ndarray) -> np.ndarray:
@@ -47,50 +48,13 @@ def matvec(m: np.ndarray, x) -> np.ndarray:
     return np.matmul(m, np.asarray(x, dtype=float)[..., None])[..., 0]
 
 
-def _hermite(theta: np.ndarray, dt: float, y0, y1, f0, f1):
-    """Cubic Hermite combination at fractions ``theta`` of one interval."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + theta
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return h00 * y0 + (dt * h10) * f0 + h01 * y1 + (dt * h11) * f1
-
-
 @dataclass(frozen=True, eq=False)
 class SampledPath:
-    """ODE solution on a uniform ascending grid with dense output.
-
-    ``values[i]`` is the state at ``nodes[i]`` and ``derivs[i]`` the RHS
-    there; dense output is cubic Hermite on each interval.  States may be
-    scalars (N,), vectors (N, d) or matrices (N, n, n).
-    """
+    """ODE solution on a uniform ascending grid: ``values[i]`` is the state,
+    a scalar or a stack of vectors, at ``nodes[i]``."""
 
     nodes: np.ndarray
     values: np.ndarray
-    derivs: np.ndarray
-
-    def at(self, s) -> np.ndarray:
-        """Dense output at a time or at each of an array of times; a time
-        more than 1e-9 (1 + span) outside the nodes raises OutOfGrid."""
-        s = np.asarray(s, dtype=float)
-        nodes = self.nodes
-        tol = 1e-9 * (1.0 + abs(nodes[-1] - nodes[0]))
-        outside = (s < nodes[0] - tol) | (s > nodes[-1] + tol)
-        if np.any(outside):
-            raise OutOfGrid(f"time {s[outside].flat[0]} outside "
-                            f"[{nodes[0]}, {nodes[-1]}]")
-        if len(nodes) == 1:
-            return np.broadcast_to(self.values[0],
-                                   s.shape + self.values[0].shape).copy()
-        dt = nodes[1] - nodes[0]
-        idx = np.clip(np.floor((s - nodes[0]) / dt).astype(int), 0, len(nodes) - 2)
-        theta = np.clip((s - nodes[idx]) / dt, 0.0, 1.0)
-        extra = (1,) * (self.values.ndim - 1)
-        theta = theta.reshape(theta.shape + extra)
-        return _hermite(theta, dt, self.values[idx], self.values[idx + 1],
-                        self.derivs[idx], self.derivs[idx + 1])
 
 
 def stage_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
@@ -183,8 +147,8 @@ def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],
     :func:`stage_times`; ``field(j, y)`` is the right-hand side at stage j.
 
     A Python float ``y0`` runs on floats, bit for bit a one-element array
-    start, and gives values and derivs of shape (nodes,); a float field
-    should use only * and +, as float ** and / raise where numpy gives inf.
+    start, and gives values of shape (nodes,); a float field should use
+    only * and +, as float ** and / raise where numpy gives inf.
     Raises NonFiniteState naming the first node whose state is not finite.
     """
     if not t_end > t_start:
@@ -193,14 +157,14 @@ def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],
     n = len(nodes) - 1
     if type(y0) is not float:
         y0 = np.asarray(y0, dtype=float)
-    values, derivs = (np.array(run) for run in
-                      _rk4(field, y0, n, (t_end - t_start) / n))
+    # the right-hand-side list is dropped before the states are stacked
+    values = np.array(_rk4(field, y0, n, (t_end - t_start) / n)[0])
 
     finite = np.isfinite(values.reshape(n + 1, -1)).all(axis=1)
     if not finite[-1]:
         s = float(nodes[np.argmin(finite)])
         raise NonFiniteState(f"state not finite at t={s}", time=s)
-    return SampledPath(nodes=nodes, values=values, derivs=derivs)
+    return SampledPath(nodes=nodes, values=values)
 
 
 def _simpson_weights(n_intervals: int, dt: float) -> np.ndarray:

@@ -10,8 +10,9 @@ step -h, symmetrizing after every step) on the stage grid of
 ``numerics.stage_times``, read in descending order; its right-hand side
 reads the stage data, A, S and q, by stage index, all built once per sweep.
 One sweep integrates one policy and returns its solution on the ascending
-grid.  A sweep that escapes runs on as inf/NaN; one scan of the nodes
-afterwards raises NonFiniteState at the first non-finite one it reached.
+grid, P and dP at each node, which ``RiccatiSolution.at`` interpolates as
+a cubic Hermite.  A sweep that escapes runs on as inf/NaN; one scan of the
+nodes afterwards raises NonFiniteState at the first non-finite one it reached.
 The stabilizing (minimal) infinite-horizon solution is obtained
 constructively as the limit, at the window's end T_eval, of finite-horizon
 sweeps over geometrically growing horizons, compared there until the gap
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import (ConfigError, NoConvergence, NonFiniteState,
                      NotStabilizable, OutOfGrid)
 from .model import AlphaPolicy, ProblemSpec
-from .numerics import SampledPath, _rk4, stage_times, sym
+from .numerics import _rk4, stage_times, sym
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ class RiccatiSolution:
     A stabilizing solution (the converged limit restricted to the evaluation
     window) carries its ``certificate``; a finite-horizon one, whose P
     vanishes at the terminal node, carries None.  ``dP`` stores the exact
-    time derivative at each node so dense output is cubic Hermite.
+    time derivative at each node so dense output, :meth:`at`, is cubic
+    Hermite.
     """
 
     nodes: np.ndarray
@@ -94,12 +96,30 @@ class RiccatiSolution:
             return 0.0
         return float(self.nodes[1] - self.nodes[0])
 
-    def _path(self) -> SampledPath:
-        return SampledPath(nodes=self.nodes, values=self.P, derivs=self.dP)
-
     def at(self, s) -> np.ndarray:
-        """P(s), stacked (..., n, n) over an array of times."""
-        return sym(self._path().at(s))
+        """P(s), stacked (..., n, n) over an array of times; a time more
+        than 1e-9 (1 + span) outside the nodes raises OutOfGrid."""
+        s = np.asarray(s, dtype=float)
+        nodes, p, dp = self.nodes, self.P, self.dP
+        tol = 1e-9 * (1.0 + abs(nodes[-1] - nodes[0]))
+        outside = (s < nodes[0] - tol) | (s > nodes[-1] + tol)
+        if np.any(outside):
+            raise OutOfGrid(f"time {s[outside].flat[0]} outside "
+                            f"[{nodes[0]}, {nodes[-1]}]")
+        if len(nodes) == 1:
+            return sym(np.broadcast_to(p[0], s.shape + p[0].shape))
+        dt = nodes[1] - nodes[0]
+        i = np.clip(np.floor((s - nodes[0]) / dt).astype(int), 0,
+                    len(nodes) - 2)
+        theta = np.clip((s - nodes[i]) / dt, 0.0, 1.0)[..., None, None]
+        t2 = theta * theta
+        t3 = t2 * theta
+        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
+        h10 = t3 - 2.0 * t2 + theta
+        h01 = -2.0 * t3 + 3.0 * t2
+        h11 = t3 - t2
+        return sym(h00 * p[i] + (dt * h10) * dp[i] + h01 * p[i + 1]
+                   + (dt * h11) * dp[i + 1])
 
     def node_index(self, s: float) -> int:
         """Index of the grid node nearest to s."""

@@ -8,9 +8,10 @@ The feedback law is u(s) = -R^{-1} B(s)^T P(s) h(xi(s)) and the closed loop
 which is exactly the field obtained by minimizing the Hamiltonian at the
 gradient 2 grad_h^T P h of the quadratic value candidate.  Values come from
 
-    W(t, x) = <h(x), P(t) h(x)> - integral of b(alpha) over [t, inf)
+    W(t, x) = <h(x), P(t) h(x)> - integral of b(alpha) over [t, inf),
 
-and the verification residual |dV/ds + H(s, x, grad_x V)| is measured with
+:func:`value_from_riccati`, which also prices a trajectory's tail, and the
+verification residual |dV/ds + H(s, x, grad_x V)| is measured with
 central differences of P in time.
 
 A simulation integrates a stack of starts with RK4 on the grid of
@@ -240,15 +241,13 @@ def cost_of_trajectory(spec: ProblemSpec, traj: Trajectory,
     """Simpson quadrature of the running cost, plus an optional tail.
 
     With a stabilizing ``tail_P`` the remainder beyond the simulated horizon
-    is estimated by the value at the final state:
-    <h(xi_end), P(s_end) h(xi_end)> minus the remaining b-integral.
+    is the value at the final state, :func:`value_from_riccati` at the last
+    node s_end; a ``tail_P`` that ends before s_end raises OutOfGrid.
     """
     truncated = simpson_samples(traj.running_cost, traj.dt)
     tail = 0.0
     if tail_P is not None:
-        s_end = float(traj.nodes[-1])
-        hx = spec.h.forward(traj.final_state())
-        tail = float(hx @ (tail_P.at(min(s_end, tail_P.t_end)) @ hx))
-        tail -= alpha.piecewise_integral(spec.b, s_end, None)
+        tail = value_from_riccati(spec, tail_P, alpha, float(traj.nodes[-1]),
+                                  traj.final_state())
     return CostBreakdown(truncated=float(truncated), tail=float(tail))
 

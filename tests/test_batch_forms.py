@@ -7,12 +7,11 @@ import pytest
 
 from safelq import (AlphaPolicy, ConeQuery, Ellipsoid, Polytope,
                     build_problem, eval_dynamics, eval_lagrangian,
-                    integrate_ode, sample_boundary, solve_finite_horizon)
+                    sample_boundary, solve_finite_horizon)
 from safelq.catalog import TimeMatrix
 from safelq.game import lambda_map
 from safelq.geometry import Ball, Box
 from safelq.model import _sup_alpha_gain
-from safelq.numerics import stage_times
 from safelq.synthesis import feedback_control, hamiltonian, hjb_residual
 
 from references import eval_sup_lagrangian
@@ -175,13 +174,6 @@ class TestProblemData:
 
 
 class TestPaths:
-    def test_sampled_path(self, spec):
-        sines = np.sin(stage_times(0.0, 2.0, 0.1))
-        path = integrate_ode(lambda j, y: sines[j] - 0.3 * y, 0.0, 2.0,
-                             np.ones(spec.dim_state), 0.1)
-        times = np.concatenate([RNG.uniform(0.0, 2.0, N_ROWS), path.nodes])
-        assert_rows_equal(path.at(times), [path.at(float(s)) for s in times])
-
     def test_riccati_solution(self, spec):
         sol = solve_finite_horizon(spec, AlphaPolicy.zero(0.0, 16.0), 0.0, 2.0)
         times = np.concatenate([RNG.uniform(0.0, 2.0, N_ROWS), sol.nodes])

@@ -446,6 +446,37 @@ class TestSchemaContract:
         assert err.rstrip().endswith("got ragged rows")
 
 
+def _cube3d_config(tmp_path) -> str:
+    """ball2d_demo in three states with Omega the cube [-1, 1]^3 given as a
+    general polytope, whose boundary is sampled only up to dimension 2."""
+    cfg = load_config("ball2d_demo.json")
+    eye = np.eye(3)
+    cfg["dims"] = {"state": 3, "control": 3}
+    cfg["A"]["params"]["value"] = (-eye).tolist()
+    cfg["B"]["params"]["value"] = eye.tolist()
+    cfg["omega"] = {"variant": "polytope", "params": {
+        "normals": np.vstack([eye, -eye]).tolist(), "offsets": [1.0] * 6}}
+    path = tmp_path / "cube3d.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestUnsampledOmega:
+    # an Omega whose boundary cannot be sampled is a rejected configuration
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--x0=0.1,0.1,0.1", "--check-ipc"],
+        ["verify", "--suite", "ipc"]], ids=["synthesize", "verify"])
+    def test_3d_polytope_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main(["--config", _cube3d_config(tmp_path), "--out", str(out)]
+                    + argv)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: omega: polytope boundary sampling implemented "
+            "for dim <= 2\n")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 class TestNumericalFailure:
     def test_escaping_sweep_exits_6(self, tmp_path, capsys):
         code = main(["--config", SCALAR, "--out", str(tmp_path),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safelq.errors import ConfigError, UnsupportedVariant
+from safelq.errors import ConfigError
 from safelq.geometry import (Ball, Box, Ellipsoid, Polytope, _unit_directions,
                              constraint_from_config, sample_boundary)
 
@@ -114,7 +114,7 @@ class TestPolytope:
     def test_3d_sampling_unsupported(self):
         eye = np.eye(3)
         poly = Polytope(np.vstack([eye, -eye]), np.ones(6))
-        with pytest.raises(UnsupportedVariant):
+        with pytest.raises(ConfigError, match=r"^omega: "):
             sample_boundary(poly, 4)
 
     def test_rows_are_normalized(self):

@@ -83,6 +83,20 @@ class TestFiniteHorizon:
         ratio = residual(0.02) / residual(0.01)
         assert 2.5 <= ratio <= 6.0
 
+    def test_dense_output_matches_analytic(self, scalar_spec):
+        # -P' = 2 a P - s P^2 + q with a = -1, s = 2, q = 1 and P(T) = 0 is
+        # p = r1 r2 (1 - E) / (r2 - r1 E), E = exp(-s (r1 - r2) (T - t)),
+        # r1 > r2 the roots of s p^2 - 2 a p - q = 0.  The cubic Hermite of
+        # P and dP is 5.6e-7 off at the interval midpoints; the linear
+        # interpolant of the nodes is 6.2e-4 off near T
+        T = 4.0
+        sol = solve_finite_horizon(scalar_spec, ALPHA0, 0.0, T, dt=0.05)
+        r1, r2 = SCALAR_ROOT, (-1.0 - math.sqrt(3.0)) / 2.0
+        mid = sol.nodes[:-1] + 0.025
+        e = np.exp(-2.0 * (r1 - r2) * (T - mid))
+        exact = r1 * r2 * (1.0 - e) / (r2 - r1 * e)
+        assert np.max(np.abs(sol.at(mid)[:, 0, 0] - exact)) <= 1e-6
+
 
 class TestStabilizing:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])

@@ -433,6 +433,27 @@ class TestCost:
         c2 = cost_of_trajectory(spec2, t2, ALPHA0, tail_P=p2)
         assert c2.total > c1.total
 
+    @pytest.mark.parametrize("config, x0", [
+        ("scalar_demo.json", [0.8]), ("ball2d_demo.json", [0.5, -0.3])])
+    def test_tail_is_the_value_at_the_final_state(self, config, x0):
+        spec = load_spec(config)
+        alpha = AlphaPolicy.constant(0.5, 0.0, 8.0)
+        sol = solve_stabilizing(spec, alpha, 0.0, 5.0, tol=1e-9)
+        traj = simulate_closed_loop(spec, sol, alpha, 0.0, x0, 5.0)
+        cost = cost_of_trajectory(spec, traj, alpha, tail_P=sol)
+        value = value_from_riccati(spec, sol, alpha, float(traj.nodes[-1]),
+                                   traj.final_state())
+        assert _same_bits(np.array(cost.tail), np.array(value))
+
+    def test_tail_P_ending_before_the_trajectory_is_out_of_grid(
+            self, scalar_spec):
+        short = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 3.0, tol=1e-9)
+        long = solve_stabilizing(scalar_spec, ALPHA0, 0.0, 5.0, tol=1e-9)
+        traj = simulate_closed_loop(scalar_spec, long, ALPHA0, 0.0, [0.8],
+                                    5.0)
+        with pytest.raises(OutOfGrid):
+            cost_of_trajectory(scalar_spec, traj, ALPHA0, tail_P=short)
+
 
 class TestSuboptimalityOfPerturbations:
     def test_perturbed_controls_cost_at_least_the_value(self, scalar_spec):
