@@ -187,6 +187,9 @@ def _cmd_riccati(args, spec: ProblemSpec, out: Path, sha: str) -> int:
             raise ConfigError("--horizon must be a number or 'stabilizing'")
         _require(0.0 <= horizon < np.inf,
                  "--horizon must be finite and not negative")
+        _require(spec.grid.t0 + horizon <= spec.grid.t_max,
+                 f"--horizon {horizon:g} ends past the horizon cap "
+                 f"grid.t_max {spec.grid.t_max:g}")
     t0 = spec.grid.t0
     alpha = _alpha_from_flag(args.alpha, spec, t0)
 

@@ -18,8 +18,9 @@ constructively as the limit, at the window's end T_eval, of finite-horizon
 sweeps over geometrically growing horizons, compared there until the gap
 drops below tolerance (relative to |P| once |P| exceeds 1); one sweep back
 from that limit covers the window, as the stabilizing solution attracts the
-backward flow.  A Newton-Kleinman algebraic solve provides an independent
-cross-check for constant coefficients.
+backward flow.  For constant coefficients the algebraic root gives an
+independent cross-check: read off the stable invariant subspace of the
+Hamiltonian and polished by Newton-Kleinman steps, with numpy alone.
 
 A sweep may also start from a given terminal value (:func:`solve_from_tail`):
 the game solves the policy-free tail beyond its simulation window once, by
@@ -326,57 +327,46 @@ def solve_are_constant(A: np.ndarray, B: np.ndarray, R: np.ndarray,
                        Q: np.ndarray) -> np.ndarray:
     """Stabilizing root of A^T P + P A - P B R^{-1} B^T P + Q = 0.
 
-    Newton-Kleinman iteration from a stabilizing initial gain (zero when A is
-    already Hurwitz, otherwise a Bass-type gain from a shifted Lyapunov
-    solve).  Each iterate solves one Lyapunov equation; convergence is
-    quadratic; it stops once a step moves P by at most 1e-9 relative to
-    max(1, |P|), or after 60 iterates.  Raises NotStabilizable when no
-    stabilizing gain exists or the residual does not drop below 1e-8.
+    With S = B R^{-1} B^T, the n eigenvectors [X; Y] of the Hamiltonian
+    [[A, -S], [-Q, -A^T]] with eigenvalues of negative real part span the
+    graph of the root, P = Y X^{-1} (Laub, 1979).  Three Newton-Kleinman
+    steps polish it, P += D with (A - S P)^T D + D (A - S P) = -res(P), each
+    Lyapunov equation solved as its n^2 x n^2 Kronecker system.  res(P) is
+    formed in long double: in double, near a large root it sits at its
+    rounding floor, about eps |P|^2 |S|.  Raises NotStabilizable when that
+    graph does not exist, a solve is singular, the residual is not below
+    1e-8 or the root is not stabilizing.
     """
-    import scipy.linalg     # slow import: only the algebraic cross-check
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    R = np.asarray(R, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    A, B, R, Q = (np.asarray(m, dtype=float) for m in (A, B, R, Q))
     n = A.shape[0]
-    r_inv = np.linalg.inv(R)
-    tol = 1e-9
+    eye = np.eye(n)
+    try:
+        s = B @ np.linalg.inv(R) @ B.T
+        a_l, s_l, q_l = (m.astype(np.longdouble) for m in (A, s, Q))
 
-    def abscissa(m):
-        return float(np.max(np.linalg.eigvals(m).real))
+        def res(p):
+            p = p.astype(np.longdouble)
+            return (a_l.T @ p + p @ a_l - p @ s_l @ p + q_l).astype(float)
 
-    if abscissa(A) < 0.0:
-        gain = np.zeros((B.shape[1], n))
-    else:
-        beta = float(np.linalg.norm(A, "fro")) + 1.0
-        try:
-            z = scipy.linalg.solve_continuous_lyapunov(
-                -(A + beta * np.eye(n)), -2.0 * B @ B.T)
-            gain = B.T @ np.linalg.inv(z)
-        except np.linalg.LinAlgError as exc:
-            raise NotStabilizable("Bass initialization failed") from exc
-        if abscissa(A - B @ gain) >= 0.0:
-            raise NotStabilizable("no stabilizing initial gain found")
-
-    p = np.zeros((n, n))
-    for _ in range(60):
-        a_cl = A - B @ gain
-        if abscissa(a_cl) >= 0.0:
-            raise NotStabilizable("closed loop lost stability during iteration")
-        p_new = scipy.linalg.solve_continuous_lyapunov(
-            a_cl.T, -(Q + gain.T @ R @ gain))
-        p_new = sym(p_new)
-        gain = r_inv @ B.T @ p_new
-        if np.linalg.norm(p_new - p, "fro") <= tol * max(1.0, np.linalg.norm(p_new, "fro")):
-            p = p_new
-            break
-        p = p_new
-
-    residual = A.T @ p + p @ A - p @ B @ r_inv @ B.T @ p + Q
-    if np.linalg.norm(residual, "fro") >= tol * 10.0:
+        eigs, vecs = np.linalg.eig(np.block([[A, -s], [-Q, -A.T]]))
+        graph = vecs[:, eigs.real < 0.0]
+        if graph.shape[1] != n:
+            raise NotStabilizable(f"Hamiltonian has {graph.shape[1]} stable "
+                                  f"eigenvalues, not {n}")
+        # Y X^{-1} = (X^{-T} Y^T)^T
+        p = sym(np.linalg.solve(graph[:n].T, graph[n:].T).T.real)
+        for _ in range(3):
+            a_cl_t = (A - s @ p).T
+            lyap = np.kron(a_cl_t, eye) + np.kron(eye, a_cl_t)
+            p = sym(p + np.linalg.solve(lyap, -res(p).ravel()).reshape(n, n))
+        residual = float(np.linalg.norm(res(p), "fro"))
+        closed_loop = np.linalg.eigvals(A - s @ p)
+    except np.linalg.LinAlgError as exc:
+        raise NotStabilizable(f"algebraic Riccati solve failed: {exc}") from exc
+    if not residual < 1e-8:                                     # NaN-proof
         raise NotStabilizable(
-            f"Riccati residual {np.linalg.norm(residual, 'fro'):.3e} not below tolerance")
-    if abscissa(A - B @ r_inv @ B.T @ p) >= 0.0:
+            f"Riccati residual {residual:.3e} not below tolerance")
+    if np.max(closed_loop.real) >= 0.0:
         raise NotStabilizable("candidate solution is not stabilizing")
     return p
 

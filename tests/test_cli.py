@@ -287,6 +287,9 @@ class TestBadFlags:
         (["game", "--x0", "0.6", "--alpha-max", "inf"], "--alpha-max"),
         (["riccati", "--eval-span", "inf"], "--eval-span"),
         (["riccati", "--horizon", "inf"], "--horizon"),
+        # t0 + horizon past grid.t_max = 64
+        (["riccati", "--horizon", "65"], "--horizon"),
+        (["riccati", "--horizon", "1e300"], "--horizon"),
         (["synthesize", "--x0", "0.5", "--horizon", "inf"], "--horizon"),
         (["riccati", "--tol", "inf"], "--tol"),
         (["game", "--x0", "0.6", "--tol", "inf"], "--tol"),
@@ -537,6 +540,13 @@ class TestHorizonBeyondCap:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: ") and "horizon cap" in err
         assert not (out / "verify_report.json").exists()
+
+    def test_finite_horizon_up_to_the_cap_is_solved(self, tmp_path):
+        code = main(["--config", SCALAR, "--out", str(tmp_path),
+                     "riccati", "--horizon", "64"])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "riccati.csv")
+        assert rows[-1][0] == pytest.approx(64.0) and rows[-1][1] == 0.0
 
     def test_window_past_half_the_cap_is_solved(self, tmp_path):
         # T_eval + 1 = 41 lies below t_max = 64, although the whole window
@@ -822,16 +832,22 @@ class TestHJBSuiteScaling:
         assert 3.0 <= check["ratio"] <= 5.0
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's safelq."""
+    src = str(Path(safelq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+
+
 class TestColdStart:
     def test_cli_import_leaves_scipy_optimize_out(self):
         # linprog serves general polytopes only and is imported where they
-        # need it; a box reads its bounding box off lo and hi.  The Lyapunov
-        # solver of the algebraic cross-check and the oracle's sparse
-        # interpolation operator are imported where they run.  Loading a
-        # config checks it against the schema without jsonschema.
-        src = str(Path(safelq.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # need it; a box reads its bounding box off lo and hi.  The oracle's
+        # sparse interpolation operator is imported where it runs, and
+        # nothing imports scipy.linalg.  Loading a config checks it against
+        # the schema without jsonschema.
         code = ("import sys, safelq.cli; from safelq.geometry import Box; "
                 "Box([-1.0, 0.0], [1.0, 2.0]); "
                 f"safelq.cli._load_spec({SCALAR!r}); "
@@ -839,6 +855,20 @@ class TestColdStart:
                 "'scipy.linalg' in sys.modules, "
                 "'scipy.sparse' in sys.modules, "
                 "'jsonschema' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+        out = _fresh_python(code)
         assert out.stdout.strip() == "False False False False"
+
+    @pytest.mark.parametrize("config", ["scalar_demo", "ball2d_demo"])
+    def test_algebraic_check_leaves_scipy_linalg_out(self, tmp_path, config):
+        # the riccati suite runs stabilizing_matches_algebraic on both
+        # configs; the algebraic root is computed with numpy alone
+        code = ("import sys, safelq.cli; "
+                "code = safelq.cli.main(['--config', "
+                f"{str(CONFIG_DIR / (config + '.json'))!r}, '--out', "
+                f"{str(tmp_path)!r}, 'verify', '--suite', 'riccati']); "
+                "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)")
+        out = _fresh_python(code)
+        assert out.stderr.strip() == "0 False"
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        passed = {c["check"]: c["passed"] for c in report["suites"]["riccati"]}
+        assert passed["stabilizing_matches_algebraic"]

@@ -262,7 +262,36 @@ def _constant_spec(a_mat, b_mat, level):
         "grid": {"t0": 0.0, "dt": 0.05, "t_max": 64.0}})
 
 
+# 50-digit roots (mpmath Newton), rounded to 20 digits: the large root of
+# test_large_root_converges, and a nearly uncontrollable pair whose double
+# residual at the root sits above 1e-8
+PINNED_ROOTS = [
+    ([[0.5612246778267531, -1.828790112691582],
+      [-1.2467575483576243, -0.037920438585175464]],
+     [[1.0777274848434863], [1.0626059820303024]],
+     [[6126.5160889557808959, -6114.7198582533663201],
+      [-6114.7198582533663201, 6103.2528136375437861]]),
+    ([[0.33, 0.349], [1.805, -0.648]], [[-0.0003], [0.0003]],
+     [[15094601.615091741335, 3706641.6328157604865],
+      [3706641.6328157604865, 910205.92733312879368]]),
+]
+
+
 class TestAlgebraicSolver:
+    @pytest.mark.parametrize("a_mat, b_mat, root", PINNED_ROOTS)
+    def test_pinned_root(self, a_mat, b_mat, root):
+        p = solve_are_constant(np.array(a_mat), np.array(b_mat),
+                               0.5 * np.eye(1), 0.5 * np.eye(2))
+        assert np.linalg.norm(p - np.array(root), "fro") <= 1e-9
+
+    def test_long_double_is_wider_than_double(self):
+        # the solver forms its residual in long double: in double, near a
+        # large root it sits at its rounding floor, eps |P|^2 |S|, and the
+        # 1e-8 residual test refuses roots it should accept
+        assert np.finfo(np.longdouble).eps < np.finfo(float).eps, (
+            "np.longdouble is plain double on this platform, so the "
+            "algebraic Riccati residual is formed without extra precision")
+
     def test_scalar_quadratic_formula(self):
         p = solve_are_constant(np.array([[-1.0]]), np.array([[1.0]]),
                                np.array([[0.5]]), np.array([[1.0]]))
@@ -280,7 +309,8 @@ class TestAlgebraicSolver:
         np.testing.assert_allclose(p, SCALAR_ROOT * np.eye(2), atol=1e-10)
 
     def test_unstable_drift_stabilized_by_control(self):
-        # A = +1 needs feedback; Bass initialization must kick in
+        # A = +1 needs feedback: the Hamiltonian's stable graph is the
+        # root whose closed loop is stable
         p = solve_are_constant(np.array([[1.0]]), np.array([[1.0]]),
                                np.array([[0.5]]), np.array([[1.0]]))
         # root of -P^2*2 + 2P + 1 = 0 ... 2P^2 - 2P - 1 = 0
@@ -289,9 +319,19 @@ class TestAlgebraicSolver:
         assert 1.0 - 2.0 * p[0, 0] < 0.0  # closed loop stable
 
     def test_not_stabilizable(self):
+        # no control: X of the Hamiltonian's stable graph is singular
         with pytest.raises(NotStabilizable):
             solve_are_constant(np.array([[1.0]]), np.array([[0.0]]),
                                np.array([[0.5]]), np.array([[1.0]]))
+
+    # A = 0, Q = 0: the Hamiltonian has no stable eigenvalue (P = 0 solves
+    # the ARE, but its closed loop is not stable); R singular: a failed
+    # linear algebra call is NotStabilizable, never LinAlgError
+    @pytest.mark.parametrize("a, r, q", [(0.0, 0.5, 0.0), (1.0, 0.0, 1.0)])
+    def test_refusals_are_not_stabilizable(self, a, r, q):
+        with pytest.raises(NotStabilizable):
+            solve_are_constant(np.array([[a]]), np.array([[1.0]]),
+                               np.array([[r]]), np.array([[q]]))
 
 
 class TestMonotoneInHorizon:
