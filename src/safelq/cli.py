@@ -267,7 +267,8 @@ def _cmd_game(args, spec: ProblemSpec, out: Path, sha: str) -> int:
                                   relaxation=args.relaxation)
     grid = np.linspace(0.0, args.alpha_max, args.alpha_points)
     sweep = game.sup_over_constant_alpha(spec, t0, x0, grid,
-                                         tail=solution.tail)
+                                         tail=solution.tail,
+                                         zero=solution.zero)
     record = solution.to_dict()
     record["skipped_constant_policies"] = [
         {"alpha": val, "reason": reason} for val, reason in sweep.skipped]

@@ -68,16 +68,19 @@ def _game_window(spec: ProblemSpec, t: float, riccati_tol: float = 1e-8
 
 
 def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
-                            alpha_grid, tail: RiccatiSolution | None = None
+                            alpha_grid, tail: RiccatiSolution | None = None,
+                            zero: RiccatiSolution | None = None
                             ) -> ConstantAlphaSweep:
     """Evaluate W^alpha for each constant policy on the grid and keep the max.
 
     Each policy holds its value on [t, T_sim], T_sim the node one step before
     ``tail.t_start`` (by default the game window's tail), and is zero
     afterwards, as the coupled iteration's policies are; each is swept back
-    from the tail's P.  The max is a certified lower bound on the supremum
-    over all measurable policies.  Policies whose sweep escapes are skipped
-    with a warning and scored -inf.
+    from the tail's P.  ``zero``, the sweep of the zero policy back from the
+    same tail from t (a game's ``GameSolution.zero``), serves the rows of
+    alpha = 0 in place of their sweep.  The max is a certified lower bound
+    on the supremum over all measurable policies.  Policies whose sweep
+    escapes are skipped with a warning and scored -inf.
     """
     if tail is None:
         _, _, tail = _game_window(spec, t)
@@ -86,7 +89,8 @@ def sup_over_constant_alpha(spec: ProblemSpec, t: float, x: np.ndarray,
     for val in alpha_grid:
         policy = AlphaPolicy.constant(float(val), t, T_sim)
         try:
-            sol = solve_from_tail(spec, policy, t, tail)
+            sol = (zero if zero is not None and val == 0.0 else
+                   solve_from_tail(spec, policy, t, tail))
         except NonFiniteState as exc:
             warnings.warn(f"constant alpha={val}: {exc}")
             skipped.append((float(val), str(exc)))
@@ -119,6 +123,7 @@ class GameSolution:
     update_norm_history: tuple[float, ...]
     mixed_steps: int
     tail: RiccatiSolution   # the policy-free tail all policies sweep back from
+    zero: RiccatiSolution   # the zero policy's sweep back from the tail
 
     def to_dict(self) -> dict:
         return {"W": self.W, "iterations": self.iterations,
@@ -170,10 +175,11 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     """Anderson-accelerated relaxed Picard iteration for the coupled
     (P*, xi*, alpha*) system.
 
-    Starting from alpha = 0 (the pure quadratic solve), each pass computes
-    the stabilizing P for the current policy (one sweep back from the
-    policy-free tail, :func:`solve_from_tail`), simulates the closed loop
-    from x0 over [t, t + min(16, t_max - t)], and evaluates the relaxed map
+    Starting from alpha = 0 (the pure quadratic solve, kept as ``zero``),
+    each pass computes the stabilizing P for the current policy (one sweep
+    back from the policy-free tail, :func:`solve_from_tail`), simulates the
+    closed loop from x0 over [t, t + min(16, t_max - t)], and evaluates the
+    relaxed map
     G(alpha) = (1 - relaxation) alpha + relaxation Lambda(xi) sampled along
     the trajectory.  The next policy mixes the latest map values
     (:func:`_anderson_step`).  Stops when the sup-norm residual
@@ -191,6 +197,9 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
         raise ValueError("initial state is outside the constraint set")
     T_sim, nodes, tail = _game_window(spec, t, min(1e-8, 0.01 * tol))
     alpha = AlphaPolicy(nodes, np.zeros_like(nodes))
+    # the zero policy's sweep serves pass 1 and the constant table's
+    # alpha = 0 row
+    zero = solve_from_tail(spec, alpha, t, tail)
 
     update_norm = np.inf
     norms: list[float] = []
@@ -199,7 +208,8 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        sol = solve_from_tail(spec, alpha, t, tail)
+        sol = zero if iterations == 1 else solve_from_tail(spec, alpha, t,
+                                                            tail)
         traj = simulate_closed_loop(spec, sol, alpha, t, x0, T_sim)
         target = lambda_map(spec, nodes, traj.states)
         relaxed = (1.0 - relaxation) * alpha.values + relaxation * target
@@ -221,4 +231,4 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
                         W=float(w), iterations=iterations,
                         alpha_update_norm=update_norm, converged=converged,
                         update_norm_history=tuple(norms),
-                        mixed_steps=mixed_steps, tail=tail)
+                        mixed_steps=mixed_steps, tail=tail, zero=zero)

@@ -29,6 +29,11 @@ from .errors import ConfigError, NegativeAlpha, UnboundedSup
 from .numerics import matvec
 
 
+# steps of grid.dt over [t0, t_max]: every integration lies in that span,
+# and holds stage data and nodes for each step, about 1 kB for n = 2
+MAX_GRID_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class TimeGridSpec:
     """Default grid parameters: start time, step, and maximum horizon."""
@@ -43,6 +48,11 @@ class TimeGridSpec:
         if not -np.inf < self.t0 < self.t_max < np.inf:         # NaN-proof
             raise ConfigError("grid.t0 and grid.t_max must be finite, with "
                               "grid.t_max above grid.t0")
+        steps = (self.t_max - self.t0) / self.dt    # inf past the float range
+        if not steps <= MAX_GRID_STEPS:
+            raise ConfigError(f"grid.dt {self.dt!r} takes {steps:.3g} steps "
+                              f"over [grid.t0, grid.t_max], above the budget "
+                              f"of {MAX_GRID_STEPS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +293,9 @@ def build_problem(config: dict) -> ProblemSpec:
     """Validate a parsed configuration document and build the problem.
 
     Checks ``config_schema.json`` first, then what it cannot state (shapes
-    against ``dims``, growth, tags, the |B| bound, t0 < t_max).  A failure
-    raises one ConfigError whose message starts with its JSON path.
+    against ``dims``, growth, tags, the |B| bound, t0 < t_max, the grid's
+    step budget).  A failure raises one ConfigError whose message starts
+    with its JSON path.
     """
     schema = json.loads(Path(__file__).with_name("config_schema.json").read_text())
     _check(config, schema, schema["$defs"])

@@ -6,8 +6,9 @@ loop, :func:`_rk4`, runs them and returns the node states and right-hand
 sides it computed.  Its right-hand side reads stage data by stage index, in
 the backward Riccati sweeps, which keep both lists, and in
 :func:`integrate_ode`, the forward integrator of the closed and open loops,
-which keeps the states; both can step a scalar state as a Python float, and
-the sweeps a 2x2 state as a tuple of four.  Also here: composite Simpson
+which keeps the states; both can step a scalar state as a Python float,
+the sweeps a 2x2 state as a tuple of four, and the forward integrator a
+2-vector as a tuple of two.  Also here: composite Simpson
 weights, stacked matrix-vector products, and symmetric eigenvalue extremes.
 Everything is deterministic: uniform grids, fixed evaluation order, no
 adaptivity.  Finiteness is checked once, after the loop, over the returned
@@ -84,18 +85,22 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], y, steps: int,
     NaN are not checked here: no step turns a non-finite entry finite again,
     so callers scan the returned nodes once afterwards.
 
-    ``y`` is an array, a Python float, or a 2x2 state held as the tuple of
-    floats (y00, y01, y10, y11), which :func:`_axpy` and :func:`_rk4_sum`
-    step entry by entry with the inline forms' operations.  The step factors
-    h/2, h and h/6 are 0-d float64 arrays for an array state, which numpy
-    multiplies without converting a Python float on every product, and
-    floats otherwise, which 0-d factors would turn into np.float64; 2 k is
-    written k + k.  All give the same values as the textbook
-    ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+    ``y`` is an array, a Python float, or a tuple of floats: a 2x2 state
+    (y00, y01, y10, y11), which :func:`_axpy` and :func:`_rk4_sum` step
+    entry by entry with the inline forms' operations, or a 2-vector
+    (y0, y1), which their siblings :func:`_axpy2` and :func:`_rk4_sum2`
+    step.  The step factors h/2, h and h/6 are 0-d float64 arrays for an
+    array state, which numpy multiplies without converting a Python float
+    on every product, and floats otherwise, which 0-d factors would turn
+    into np.float64; 2 k is written k + k.  All give the same values as the
+    textbook ``(h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     """
-    # a tuple has no entrywise arithmetic; a branch costs a float state
-    # less than a helper call per stage would
-    pair = type(y) is tuple
+    # a tuple has no entrywise arithmetic: helpers for its length, picked
+    # once per call, step it; a branch costs a float state less than a
+    # helper call per stage would
+    tup = type(y) is tuple
+    axpy, rk4_sum = ((_axpy2, _rk4_sum2) if tup and len(y) == 2 else
+                     (_axpy, _rk4_sum))
     factor = np.array if isinstance(y, np.ndarray) else float
     half, full, sixth = (factor(c) for c in (0.5 * h, h, h / 6.0))
     values, derivs = [y], []
@@ -104,12 +109,12 @@ def _rk4(field: Callable[[int, np.ndarray], np.ndarray], y, steps: int,
             k1 = field(2 * k, y)
             derivs.append(k1)
             k2 = field(2 * k + 1,
-                       _axpy(y, half, k1) if pair else y + half * k1)
+                       axpy(y, half, k1) if tup else y + half * k1)
             k3 = field(2 * k + 1,
-                       _axpy(y, half, k2) if pair else y + half * k2)
+                       axpy(y, half, k2) if tup else y + half * k2)
             k4 = field(2 * k + 2,
-                       _axpy(y, full, k3) if pair else y + full * k3)
-            y = (_rk4_sum(y, sixth, k1, k2, k3, k4) if pair else
+                       axpy(y, full, k3) if tup else y + full * k3)
+            y = (rk4_sum(y, sixth, k1, k2, k3, k4) if tup else
                  y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4))
             if postprocess is not None:
                 y = postprocess(y)
@@ -140,22 +145,46 @@ def _rk4_sum(y: tuple, c: float, k1: tuple, k2: tuple, k3: tuple,
             y3 + c * (a3 + (b3 + b3) + (d3 + d3) + e3))
 
 
+def _axpy2(y: tuple, c: float, k: tuple) -> tuple:
+    """y + c k for the 2-vector tuple state of :func:`_rk4`, entry by
+    entry."""
+    y0, y1 = y
+    k0, k1 = k
+    return (y0 + c * k0, y1 + c * k1)
+
+
+def _rk4_sum2(y: tuple, c: float, k1: tuple, k2: tuple, k3: tuple,
+              k4: tuple) -> tuple:
+    """y + c (k1 + (k2 + k2) + (k3 + k3) + k4) for the 2-vector tuple state
+    of :func:`_rk4`, entry by entry."""
+    y0, y1 = y
+    a0, a1 = k1
+    b0, b1 = k2
+    d0, d1 = k3
+    e0, e1 = k4
+    return (y0 + c * (a0 + (b0 + b0) + (d0 + d0) + e0),
+            y1 + c * (a1 + (b1 + b1) + (d1 + d1) + e1))
+
+
 def integrate_ode(field: Callable[[int, np.ndarray], np.ndarray],
-                  t_start: float, t_end: float, y0: np.ndarray | float,
-                  dt: float) -> SampledPath:
+                  t_start: float, t_end: float,
+                  y0: np.ndarray | float | tuple, dt: float) -> SampledPath:
     """Classical RK4 forward over [t_start, t_end] on the grid of
     :func:`stage_times`; ``field(j, y)`` is the right-hand side at stage j.
 
     A Python float ``y0`` runs on floats, bit for bit a one-element array
-    start, and gives values of shape (nodes,); a float field should use
-    only * and +, as float ** and / raise where numpy gives inf.
-    Raises NonFiniteState naming the first node whose state is not finite.
+    start, and gives values of shape (nodes,); a tuple of two floats runs
+    on 2-tuples, bit for bit a (2,) array start under a field that rounds
+    as the array field does, and gives values of shape (nodes, 2).  A float
+    field should use only * and +, as float ** and / raise where numpy
+    gives inf.  Raises NonFiniteState naming the first node whose state is
+    not finite.
     """
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
     nodes = stage_times(t_start, t_end, dt)[::2].copy()
     n = len(nodes) - 1
-    if type(y0) is not float:
+    if type(y0) is not float and not (type(y0) is tuple and len(y0) == 2):
         y0 = np.asarray(y0, dtype=float)
     # the right-hand-side list is dropped before the states are stacked
     values = np.array(_rk4(field, y0, n, (t_end - t_start) / n)[0])

@@ -18,12 +18,20 @@ A simulation integrates a stack of starts with RK4 on the grid of
 ``numerics.stage_times``, reading Gamma at each stage index from one
 precomputed array, then builds the controls and running costs of all nodes
 and starts at once with stacked matmul and vecdot, so each start's
-trajectory is bit for bit the one it gets alone.  A single start (n,)
-with a non-identity h takes the same stacked field.  With the identity h
-the field is ``Gamma.dot(x)``: ndarray.dot rounds like the stacked matmul
-and skips its per-call dispatch and h's copies.  A scalar state then runs
-on Python floats, ``0.0 + g x``: a float product rounds like the 1x1
-matmul, and the +0.0 it is added to gives a zero product matmul's sign.
+trajectory is bit for bit the one it gets in a stack of its own.  A
+single start (n,) with a non-identity h takes the same stacked field.
+With the identity h and n >= 3 the field is ``Gamma.dot(x)``: ndarray.dot
+rounds like the stacked matmul and skips its per-call dispatch and h's
+copies.  With the identity h and n <= 2 the state runs on Python floats: a scalar as
+``0.0 + g x``, g read once per simulation into a list, whose float product
+rounds like the 1x1 matmul, and a 2-vector as the tuple of its two rows
+``0.0 + g00 x0 + g01 x1`` and ``0.0 + g10 x0 + g11 x1``, each entry of
+Gamma read through a memoryview, which keeps the float loop's memory peak
+at the array loop's.  The +0.0 a row is summed onto gives a zero row
+matmul's sign.  Where each row has at most one non-zero product, as on
+diagonal data, the float rows have matmul's bits; where a row has two,
+BLAS may fuse them into one multiply-add, and the single start agrees
+with its batch row to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -158,6 +166,20 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
 
         def field(j, x):
             return 0.0 + g[j] * x
+    elif len(x0) == 2:
+        # a view of each entry of Gamma reads it as a float, holding no
+        # float objects per stage as lists would; a row of two products is
+        # summed onto +0.0 as matmul sums it: with at most one non-zero
+        # product the row has matmul's bits, the sign of a zero included;
+        # with two, BLAS may fuse them into one multiply-add, and the float
+        # row agrees with it to rounding
+        g00, g01, g10, g11 = map(memoryview, gammas.reshape(-1, 4).T)
+        start = tuple(x0.tolist())
+
+        def field(j, x):
+            y0, y1 = x
+            return (0.0 + g00[j] * y0 + g01[j] * y1,
+                    0.0 + g10[j] * y0 + g11[j] * y1)
     else:
         def field(j, x):
             return gammas[j].dot(x)

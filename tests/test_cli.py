@@ -372,6 +372,28 @@ class TestNonFiniteConfig:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: ") and literal in err
 
+    # a grid of more than MAX_GRID_STEPS steps is refused when the config is
+    # read: 1e-300 overflowed stage_times' array size, and a large span
+    # over a fine step would build stage data of gigabytes
+    @pytest.mark.parametrize("grid", [{"dt": 1e-300}, {"t_max": 1e12}],
+                             ids=["dt-1e-300", "t_max-1e12"])
+    @pytest.mark.parametrize("command", [
+        ["riccati"], ["riccati", "--horizon", "1"],
+        ["synthesize", "--x0", "0.5"], ["game", "--x0", "0.5"], ["verify"]],
+        ids=lambda argv: "-".join(argv[:2]))
+    def test_grid_past_the_step_budget_is_config_error(self, tmp_path, capsys,
+                                                       grid, command):
+        cfg = load_config("scalar_demo.json")
+        cfg["grid"].update(grid)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["--config", str(bad), "--out", str(tmp_path / "out")]
+                    + command)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: grid.dt ") and "budget" in err
+
     @pytest.mark.parametrize("key, value", [("dt", "abc"), ("t_max", [1, 2])],
                              ids=["dt-string", "t_max-list"])
     def test_non_numeric_grid_value_is_config_error(self, tmp_path, capsys,

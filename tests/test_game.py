@@ -13,7 +13,7 @@ from safelq.game import (_anderson_step, lambda_map, solve_coupled,
 from safelq.riccati import _gap_tol, solve_from_tail, solve_stabilizing
 from safelq.synthesis import simulate_closed_loop, value_from_riccati
 
-from conftest import CONFIG_DIR, load_config
+from conftest import CONFIG_DIR, load_config, load_spec
 from references import lambda_map_numeric
 from windowed_doubling import windowed_stabilizing
 
@@ -202,6 +202,21 @@ class TestConstantAlphaAgainstDoubling:
         assert sweep.w_lower == ref[:, 1].max()
         assert sweep.skipped == ()
 
+    @pytest.mark.parametrize("name, x", [("ball2d_spec", [0.28, -0.19]),
+                                         ("timevarying_spec", [0.32]),
+                                         ("scalar_spec", [0.6])])
+    def test_game_zero_is_the_constant_zero_sweep(self, name, x, request):
+        # the first Picard pass's policy, zeros on the window's nodes, and
+        # the constant policy 0 sweep to the same bits, so the game's sweep
+        # serves the table's alpha = 0 row
+        spec = request.getfixturevalue(name)
+        game = solve_coupled(spec, 0.0, x, max_iter=1)
+        ref = solve_from_tail(spec, AlphaPolicy.constant(0.0, 0.0, 16.0),
+                              0.0, game.tail)
+        for field in ("nodes", "P", "dP"):
+            assert np.array_equal(getattr(game.zero, field).view(np.uint64),
+                                  getattr(ref, field).view(np.uint64))
+
     def test_escaping_policy_is_skipped(self, scalar_spec):
         grid = [0.0, 0.5, 1e300]
         with pytest.warns(UserWarning, match="alpha=1e\\+300.*escaped at s="):
@@ -218,32 +233,61 @@ class TestConstantAlphaAgainstDoubling:
     def test_default_game_sweeps_its_constant_policies_once(
             self, tmp_path, monkeypatch):
         # every sweep of a default run takes one policy: the tail's
-        # doubling, the Picard passes, and last the 11 constant policies,
-        # each swept once back over [0, T_seed]
-        calls = []
-        sweep = riccati._sweep
-
-        def recording(spec, alpha, t, T, *args, **kwargs):
-            calls.append((alpha, t, T))
-            return sweep(spec, alpha, t, T, *args, **kwargs)
-
-        monkeypatch.setattr(riccati, "_sweep", recording)
+        # doubling, the Picard passes, and last the 10 non-zero constant
+        # policies, each swept once back over [0, T_seed]; the row alpha = 0
+        # takes the first Picard pass's sweep of the zero policy
+        calls = _record_sweeps(monkeypatch)
         code = main(["--config", str(CONFIG_DIR / "scalar_demo.json"),
                      "--out", str(tmp_path), "game", "--x0", "0.6"])
         assert code == 0
         assert all(type(alpha) is AlphaPolicy for alpha, _, _ in calls)
         t_seed = 16.0 + 16.0 / 1600
-        constant = calls[-11:]
+        constant = calls[-10:]
         assert {(t, T) for _, t, T in constant} == {(0.0, t_seed)}
         assert [alpha.values[0] for alpha, _, _ in constant] == list(
-            np.linspace(0.0, 2.0, 11))
-        # the doubling's horizons and its sweep back, one sweep per Picard
-        # pass and one for P*, then the constant policies
+            np.linspace(0.0, 2.0, 11)[1:])
+        # the doubling's horizons and its sweep back, one sweep for the
+        # zero policy and one per Picard pass, then the constant policies
         game = json.loads((tmp_path / "game.json").read_text())
         assert len(calls) == (len(game["tail_certificate"]["horizons"]) + 1
-                              + game["iterations"] + 1 + 11)
+                              + 1 + game["iterations"] + 10)
         rows = (tmp_path / "constant_alpha_sweep.csv").read_text()
         assert len(rows.splitlines()) == 2 + 11
+
+    def test_zero_row_reuses_the_first_picard_sweep(self, tmp_path,
+                                                    monkeypatch):
+        # ball2d_demo at perfbench's seed-1 x0 takes 4 Picard passes: 5
+        # sweeps back from the tail for the passes and P*, and 10, not 11,
+        # for the constant table, which stays the per-policy solves' bits
+        calls = _record_sweeps(monkeypatch)
+        x0 = [0.28463, -0.191796]
+        code = main(["--config", str(CONFIG_DIR / "ball2d_demo.json"),
+                     "--out", str(tmp_path), "game",
+                     "--x0", ",".join(map(str, x0))])
+        assert code == 0
+        game = json.loads((tmp_path / "game.json").read_text())
+        assert game["iterations"] == 4
+        t_seed = 16.0 + 16.0 / 1600
+        assert sum((t, T) == (0.0, t_seed) for _, t, T in calls) == 15
+        lines = (tmp_path / "constant_alpha_sweep.csv").read_text()
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in lines.splitlines()[2:]])
+        ref = _per_policy_table(load_spec("ball2d_demo.json"), 0.0, x0,
+                                np.linspace(0.0, 2.0, 11), 16.0)
+        assert np.array_equal(table.view(np.uint64), ref.view(np.uint64))
+
+
+def _record_sweeps(monkeypatch):
+    # (policy, t, T) of every Riccati sweep, in call order
+    calls = []
+    sweep = riccati._sweep
+
+    def recording(spec, alpha, t, T, *args, **kwargs):
+        calls.append((alpha, t, T))
+        return sweep(spec, alpha, t, T, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "_sweep", recording)
+    return calls
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from safelq import (AlphaPolicy, build_problem, eval_dynamics,
                     eval_lagrangian)
 from safelq.errors import ConfigError, NegativeAlpha
 from safelq.game import lambda_map
+from safelq.model import MAX_GRID_STEPS
 from safelq.numerics import stage_times
 
 from conftest import load_config
@@ -88,6 +89,19 @@ class TestBuildProblem:
         cfg["grid"][key] = value
         with pytest.raises(ConfigError, match=f"grid.{key}"):
             build_problem(cfg)
+
+    @pytest.mark.parametrize("steps", [0.99 * MAX_GRID_STEPS,
+                                       1.01 * MAX_GRID_STEPS])
+    def test_grid_step_budget(self, steps):
+        # validation only: nothing is integrated on these grids
+        cfg = load_config("scalar_demo.json")
+        grid = cfg["grid"]
+        grid["dt"] = (grid["t_max"] - grid["t0"]) / steps
+        if steps <= MAX_GRID_STEPS:
+            assert build_problem(cfg).grid.dt == grid["dt"]
+        else:
+            with pytest.raises(ConfigError, match="grid.dt .* budget"):
+                build_problem(cfg)
 
 
 class TestDynamics:

@@ -235,15 +235,23 @@ class TestTextbookStep:
         assert type(got) is float
         assert _same_bits(np.array(got), ref)
 
-    # a 2x2 state as the tuple (y00, y01, y10, y11) steps entry by entry:
-    # the bits of a (2, 2) array under an entrywise field
+    # a 2x2 state as the tuple (y00, y01, y10, y11) and a 2-vector as the
+    # tuple (y0, y1) step entry by entry: the bits of a (2, 2) or a (2,)
+    # array under an entrywise field
     @pytest.mark.parametrize("case", ["sines", "escape"])
     def test_tuple_state_matches_a_2x2_array(self, case):
+        self._check_tuple_state(case, (0.7, -0.3, -0.0, 3.0), (2, 2))
+
+    @pytest.mark.parametrize("case", ["sines", "escape"])
+    def test_pair_state_matches_a_2_vector(self, case):
+        self._check_tuple_state(case, (-0.0, 3.0), (2,))
+
+    @staticmethod
+    def _check_tuple_state(case, y0, shape):
         # the fields above, per entry: 3.0 goes to inf and then NaN, the
         # other entries, a negative zero among them, stay finite
         t_end = 1.3 if case == "sines" else 2.0
         times = stage_times(0.0, t_end, 0.01)
-        y0 = (0.7, -0.3, -0.0, 3.0)
         if case == "sines":
             coeffs = np.sin(3.0 * times).tolist()
 
@@ -258,15 +266,15 @@ class TestTextbookStep:
                 return tuple([u * u - c * u for u in y])
 
         def array_field(j, y):
-            return np.reshape(field(j, tuple(y.ravel().tolist())), (2, 2))
+            return np.reshape(field(j, tuple(y.ravel().tolist())), shape)
 
         values, derivs = _textbook_rk4(array_field, 0.0, t_end,
-                                       np.reshape(y0, (2, 2)), 0.01)
-        assert np.isfinite(values[-1]).tolist() == [[True, True],
-                                                    [True, False]]
+                                       np.reshape(y0, shape), 0.01)
+        assert np.isfinite(values[-1]).ravel().tolist() == [v != 3.0
+                                                            for v in y0]
         got_values, got_derivs = _rk4(field, y0, len(values) - 1,
                                       t_end / (len(values) - 1))
-        assert all(type(v) is tuple and len(v) == 4
+        assert all(type(v) is tuple and len(v) == len(y0)
                    for v in got_values + got_derivs)
         assert _same_bits(np.reshape(got_values, values.shape), values)
         assert _same_bits(np.reshape(got_derivs, derivs.shape), derivs)

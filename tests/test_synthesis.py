@@ -259,7 +259,7 @@ class TestClosedLoopFromArrays:
         # an identity h leaves h out of the field: the map is called only by
         # the batched feedback_control and eval_lagrangian after the loop,
         # not 4 times per RK4 step; a scalar state reaches the field as a
-        # Python float
+        # Python float, a 2-D state as a tuple of two
         spec = load_spec(config)
         P = solve_stabilizing(spec, ALPHA0, 0.0, 4.0, tol=1e-8)
         calls = {"forward": 0, "apply_jacobian_inv": 0}
@@ -284,9 +284,12 @@ class TestClosedLoopFromArrays:
         simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 4.0)
         assert calls["forward"] <= 2
         assert calls["apply_jacobian_inv"] == 0
-        assert states == ({float} if spec.dim_state == 1 else {np.ndarray})
+        assert states == ({float} if spec.dim_state == 1 else {tuple})
 
     def test_one_start_with_full_matrices(self, full2d_spec):
+        # the batch row is the per-node loop's, bit for bit; the one start
+        # sums each row of Gamma x in floats, where BLAS may fuse the two
+        # products of a full row: it agrees to rounding
         spec = full2d_spec
         P = solve_stabilizing(spec, ALPHA0, 0.0, 4.0, tol=1e-8)
         starts = np.array([[0.3, -0.2], [-0.5, 0.1]])
@@ -296,8 +299,52 @@ class TestClosedLoopFromArrays:
                                     spec.grid.dt)
         for a, b, c in ((one.states, batch.states[0], ref[1]),
                         (one.controls, batch.controls[0], ref[2])):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            assert np.array_equal(a.view(np.uint64), c.view(np.uint64))
+            assert _same_bits(b, c)
+            assert within_rounding(a, b)
+
+    @pytest.mark.parametrize("signed_zeros", [False, True],
+                             ids=["ball2d", "signed_zeros"])
+    @pytest.mark.parametrize("x0", [(-0.0, 0.3), (-0.0, -0.0), (0.3, -0.0)],
+                             ids=["-0,0.3", "-0,-0", "0.3,-0"])
+    def test_two_state_start_is_its_batch_row(self, x0, signed_zeros):
+        # on diagonal data each row of Gamma x has one non-zero product, so
+        # the float field keeps matmul's bits, the sign of a zero included;
+        # in the signed-zero variant q = 0 keeps P = 0, so Gamma = A = I
+        # with -0.0 off the diagonal, and a row sum not started at +0.0
+        # would give -0.0 from the starts (-0.0, 0.3) and (0.3, -0.0)
+        if signed_zeros:
+            config = load_config("ball2d_demo.json")
+            config["A"]["params"]["value"] = [[1.0, -0.0], [-0.0, 1.0]]
+            config["K"]["params"]["level"] = 0.0
+            spec = build_problem(config)
+            P = solve_finite_horizon(spec, ALPHA0, 0.0, 1.5)
+            assert not np.any(P.P)
+        else:
+            spec = load_spec("ball2d_demo.json")
+            P = solve_stabilizing(spec, ALPHA0, 0.0, 1.0, tol=1e-8)
+        one = simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 1.0)
+        batch = simulate_closed_loop(spec, P, ALPHA0, 0.0, [x0, (0.5, 0.1)],
+                                     1.0)
+        for name in ("states", "controls", "running_cost", "cum_cost",
+                     "margins", "exit_index", "exit_time"):
+            assert _same_bits(np.asarray(getattr(one, name)),
+                              np.asarray(getattr(batch, name)[0])), name
+
+    def test_escaping_two_state_start_raises_like_the_batch(self):
+        # with q = 0 the sweep keeps P = 0, so Gamma = A = 2000 I, and the
+        # state overflows well before t = 1, as in the scalar case
+        config = load_config("ball2d_demo.json")
+        config["A"]["params"]["value"] = [[2000.0, 0.0], [0.0, 2000.0]]
+        config["K"]["params"]["level"] = 0.0
+        spec = build_problem(config)
+        P = solve_finite_horizon(spec, ALPHA0, 0.0, 1.5)
+        assert not np.any(P.P)
+        raised = []
+        for x0 in ([0.5, 0.1], [[0.5, 0.1]]):
+            with pytest.raises(NonFiniteState) as exc:
+                simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 1.0)
+            raised.append((exc.value.time, str(exc.value)))
+        assert raised[0] == raised[1]
 
     @pytest.mark.parametrize("config", ["cubic_demo.json",
                                         "outward_drift.json"])
