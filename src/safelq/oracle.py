@@ -1,32 +1,45 @@
 """Brute-force dynamic-programming oracle.
 
 Backward value iteration on a rectangular state lattice over the constraint
-set, a bounded control grid, and an explicit-Euler time discretization:
+set, a bounded control grid, and a second-order semi-Lagrangian time step
+(after Falcone & Ferretti, *Semi-Lagrangian Approximation Schemes for
+Linear and Hamilton-Jacobi Equations*, SIAM 2013):
 
-    V(s_i, x) = min over u of [ cost(s_i, x, u) dt + V(s_{i+1}, x + f dt) ]
+    V(s_i, x) = min over u of [ dt/2 (l(s_i, x, u) + l(s_{i+1}, x', u))
+                                + V(s_{i+1}, x') ],
+    x' = x + dt/2 (f(s_i, x, u) + f(s_{i+1}, x + dt f(s_i, x, u), u)),
 
-with multilinear interpolation for off-grid next states, a semi-Lagrangian
-step that convex weights keep stable at any Courant number.  Any transition
-whose interpolation cell touches the complement of Omega is poisoned to
-+inf, so feasibility is never certified through boundary-crossing cells.
-Restricting controls to a finite grid makes the table an upper bound on the
-true value; it serves as the independent ground truth for the Riccati-based
-value W(t, x) at desk scale (state dimension <= 2).  The product is the one
-layer V(t, .) at the window's start: the later layers are finite-horizon
-values of the truncated window, so the iteration keeps only the layer it
-reads and the layer it writes.
+a Heun foot and a trapezoid running cost, with multilinear interpolation
+for off-grid feet, which convex weights keep stable at any Courant number.
+Any transition whose interpolation cell touches the complement of Omega is
+poisoned to +inf, so feasibility is never certified through
+boundary-crossing cells.  The min runs over the control grid plus one
+candidate per point, the Hamiltonian's minimizer
+``u = clip(-B(s_i)^T grad_h(x)^{-T} grad V)`` with ``grad V`` the central
+difference of the layer V(s_{i+1}); where a neighbor holds +inf that
+difference is not finite, and the point keeps its grid minimum.  The
+candidate does what a finer control grid would, at O(1) cost per point.
+The table is an upper bound on the same scheme's value over the whole
+control box, not on the true value: the trapezoid cost can fall on either
+side of it.  It serves as the independent ground truth for the
+Riccati-based value W(t, x) at desk scale (state dimension <= 2).  The
+product is the one layer V(t, .) at the window's start: the later layers
+are finite-horizon values of the truncated window, so the iteration keeps
+only the layer it reads and the layer it writes.
 
-Each backward step treats all controls at once, and only the lattice
-points inside Omega, as every other point holds +inf: the Euler successors
-of every (control, inside point) pair are located on the lattice as one
-sparse interpolation operator (a CSR matrix holding each successor's 2**n
-cell corners and weights), applied to the whole layer V(s_{i+1}) as one
-sparse product, and reduced by one min over controls into the inside
-entries of V(s_i).  With constant A and B the operator is built once per
-run, otherwise once per step.  The cost block of a step depends on time
-only through the scalars q(s, alpha(s)) and b(alpha(s)), or K(s) in sup
-mode, so it is built again only when their bits change.  ``scipy.sparse``
-is imported on the first build, not with the package.
+Each backward step treats all grid controls at once, and only the lattice
+points inside Omega, as every other point holds +inf: the feet of every
+(control, inside point) pair are located on the lattice as one sparse
+interpolation operator (a CSR matrix holding each foot's 2**n cell corners
+and weights), applied to the whole layer V(s_{i+1}) as one sparse product,
+and reduced by one min over controls.  With constant A and B the feet,
+their operator and |h|^2 at them are built once per run, otherwise once
+per step.  The cost block of a step depends on time only through the
+scalars q and b at s_i and s_{i+1} (alpha's values there), or K there in
+sup mode, so it is built again only when their bits or the feet change.
+The candidate stage then costs O(points) per step: one gradient, one
+Heun foot and one interpolation row per inside point.  ``scipy.sparse`` is
+imported on the first build, not with the package.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
+from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain, eval_dynamics
 from .numerics import matvec
 
 _INF = np.inf
@@ -107,7 +120,7 @@ def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray):
     d), so ``op @ [V, 0.0, inf]`` sums them in that order.  The two trailing
     columns are sentinels: zero-weight corners (and snapped on-node
     neighbors) point at 0.0 so they cannot poison, and off-lattice queries
-    point at +inf with weight 1.
+    (a non-finite coordinate among them) point at +inf with weight 1.
     """
     from scipy.sparse import csr_matrix
 
@@ -121,7 +134,9 @@ def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray):
     for d in reversed(range(n)):
         ax = axes[d]
         pos = (points[:, d] - ax[0]) / (ax[1] - ax[0])
-        outside |= (pos < -snap) | (pos > len(ax) - 1 + snap)
+        off = ~((pos >= -snap) & (pos <= len(ax) - 1 + snap))  # NaN-proof
+        outside |= off
+        pos[off] = 0.0      # a NaN coordinate would not cast to an index
         i = np.clip(np.floor(pos), 0, len(ax) - 2)
         f = np.clip(pos - i, 0.0, 1.0)
         f[f < snap] = 0.0
@@ -173,56 +188,90 @@ class ValueTable:
                         in zip(pts.tolist(), self.V.ravel().tolist())]
 
 
+def _heun_feet(spec: ProblemSpec, s0: float, s1: float, dt: float,
+               x: np.ndarray, a_hx: np.ndarray, u: np.ndarray):
+    """Heun feet ``x + dt/2 (f(s0, x, u) + f(s1, x + dt f(s0, x, u), u))``
+    of points x (N, n) under controls u that broadcast against them, given
+    ``a_hx = A(s0) h(x)``, and ``|h|^2`` at the feet."""
+    f0 = spec.h.apply_jacobian_inv(x, a_hx + matvec(spec.B.value(s0), u))
+    f1 = eval_dynamics(spec, s1, x + dt * f0, u)
+    feet = x + 0.5 * dt * (f0 + f1)
+    h_feet = spec.h.forward(feet)
+    return feet, np.vecdot(h_feet, h_feet)
+
+
+def _gradient_controls(dp: DPProblem, s: float, V: np.ndarray,
+                       inside: np.ndarray, kept: np.ndarray):
+    """The Hamiltonian's minimizer ``-B(s)^T grad_h(x)^{-T} grad V`` at the
+    points ``kept`` (the lattice points where ``inside``), clipped to the
+    box the control grid spans, with ``grad V`` the central difference of
+    the layer V (state_shape); and a mask of the points where that
+    difference is finite.  Elsewhere (a neighbor at +inf) the control is 0.
+    """
+    spacing = [ax[1] - ax[0] for ax in dp.state_axes]
+    with np.errstate(invalid="ignore"):
+        grads = np.gradient(V.reshape(dp.state_shape), *spacing)
+    grad = np.stack([grads] if len(spacing) == 1 else grads, axis=-1)
+    grad = grad.reshape(-1, len(spacing))[inside]
+    ok = np.isfinite(grad).all(axis=-1)
+    grad[~ok] = 0.0
+    u = -matvec(dp.spec.B.value(s).T,
+                dp.spec.h.apply_jacobian_inv_t(kept, grad))
+    return np.clip(u, dp.controls.min(axis=0), dp.controls.max(axis=0)), ok
+
+
 def brute_force_value(dp: DPProblem) -> ValueTable:
     """Backward value iteration; transitions leaving Omega score +inf."""
-    spec = dp.spec
+    spec, dt, controls = dp.spec, dp.dt, dp.controls
     states = dp.state_points()
-    dt = dp.dt
-
     inside = spec.omega.contains(states)
     kept = states[inside]
-
-    # time-free parts of cost[u, x] at the kept points: |h(x)|^2, |u|^2 / 2
-    # and the sup gains
     hx = spec.h.forward(kept)
-    g = np.sum(hx * hx, axis=1)
-    u_sq = 0.5 * np.vecdot(dp.controls, dp.controls)[:, None]
-    if dp.cost_mode == "sup":
-        gains = _sup_alpha_gain(spec.a, spec.b, g)[1]
+    g = np.vecdot(hx, hx)
+    u_sq = 0.5 * np.vecdot(controls, controls)[:, None]
 
-    # Euler successors of every (control, kept point) pair, stacked (n_u,
-    # n_kept, n); kept + dt * f is formed in place on the map's fresh
-    # result, so one such array is alive when _locate runs
-    def locate(s: float):
-        successors = spec.h.apply_jacobian_inv(
-            kept, matvec(spec.A.value(s), hx)
-            + matvec(spec.B.value(s), dp.controls)[:, None, :])
-        successors *= dt
-        successors += kept
-        return _locate(dp.state_axes, successors.reshape(-1, kept.shape[1]))
+    # the running cost at a time depends on it only through these scalars
+    def scalars(s):
+        if dp.cost_mode == "sup":
+            return (spec.K.value(s),)
+        alpha_val = dp.alpha.value(s)
+        return spec.q_coeff(s, alpha_val), float(spec.b(alpha_val))
+
+    def rate(c, g, u_sq):
+        """Running cost for the scalars c of a time, |h|^2 = g and
+        |u|^2 / 2 = u_sq."""
+        if dp.cost_mode == "sup":
+            return (0.5 * c[0] * g + u_sq
+                    + _sup_alpha_gain(spec.a, spec.b, g)[1])
+        return c[0] * g + u_sq - c[1]
 
     autonomous = spec.A.is_constant() and spec.B.is_constant()
-    op = locate(dp.t) if autonomous else None
-
     V = np.where(inside, 0.0, _INF)
-    coeffs_seen = None
+    op = None
     for i in range(dp.n_steps - 1, -1, -1):
-        s = dp.t + dt * i
-        if not autonomous:
-            op = locate(s)
-        cont = _apply(V, op).reshape(len(dp.controls), -1)
-        # the cost block depends on s only through these scalars; equal bits
-        # give the same block, so it is built again only when they change
-        if dp.cost_mode == "fixed":
-            alpha_val = dp.alpha.value(s)
-            coeffs = (spec.q_coeff(s, alpha_val), float(spec.b(alpha_val)))
-        else:
-            coeffs = (spec.K.value(s),)
-        if (key := np.array(coeffs, dtype=float).tobytes()) != coeffs_seen:
-            coeffs_seen = key
-            if dp.cost_mode == "fixed":
-                step_cost = (coeffs[0] * g + u_sq - coeffs[1]) * dt
-            else:
-                step_cost = (0.5 * coeffs[0] * g + u_sq + gains) * dt
-        V[inside] = np.min(step_cost + cont, axis=0)
+        s0, s1 = dp.t + dt * i, dp.t + dt * (i + 1)
+        if op is None or not autonomous:
+            # the feet of every (control, kept point) pair, stacked (n_u,
+            # n_kept, n), located as one operator
+            a_hx = matvec(spec.A.value(s0), hx)
+            feet, g_feet = _heun_feet(spec, s0, s1, dt, kept, a_hx,
+                                      controls[:, None, :])
+            op = _locate(dp.state_axes, feet.reshape(-1, kept.shape[1]))
+            key_seen = None
+        c0, c1 = scalars(s0), scalars(s1)
+        # trapezoid cost block (n_u, n_kept); equal scalars and feet give
+        # the same block, so it is built again only when either changes
+        if (key := np.array(c0 + c1, dtype=float).tobytes()) != key_seen:
+            key_seen = key
+            step_cost = 0.5 * dt * (rate(c0, g, u_sq)
+                                    + rate(c1, g_feet, u_sq))
+        best = np.min(step_cost + _apply(V, op).reshape(len(controls), -1),
+                      axis=0)
+        # one more control per point: the layer's gradient minimizer
+        u, ok = _gradient_controls(dp, s0, V, inside, kept)
+        u_feet, g_u = _heun_feet(spec, s0, s1, dt, kept, a_hx, u)
+        cand_u_sq = 0.5 * np.vecdot(u, u)
+        cand = (0.5 * dt * (rate(c0, g, cand_u_sq) + rate(c1, g_u, cand_u_sq))
+                + _apply(V, _locate(dp.state_axes, u_feet)))
+        V[inside] = np.minimum(best, np.where(ok, cand, _INF))
     return ValueTable(dp=dp, V=V.reshape(dp.state_shape))

@@ -739,6 +739,53 @@ class TestEveryShippedConfig:
                 json.loads(path.read_text(), parse_constant=reject_constant)
 
 
+class TestOracleCheck:
+    # signed gaps (V - W) / W of oracle_vs_riccati on the first-order grids
+    # the second-order oracle replaced (201 / 41 / 400 in 1-d and 41 / 13 /
+    # 200 in 2-d: states, controls per axis, steps), and their upper bounds
+    # 0.05 and 0.25
+    EULER_GAPS = {"ball2d_demo.json": 0.1530, "cubic2d_demo.json": 0.1797,
+                  "geometric_ball.json": 0.1629, "scalar_demo.json": 0.0388,
+                  "cubic_demo.json": 0.0452, "expk_demo.json": 0.0457,
+                  "timevarying_demo.json": 0.0354}
+    EULER_TOL_ABOVE = {1: 0.05, 2: 0.25}
+
+    @staticmethod
+    def oracle_record(tmp_path, config):
+        code = main(["--config", str(CONFIG_DIR / config),
+                     "--out", str(tmp_path), "verify", "--suite", "oracle"])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        (check,) = report["suites"]["oracle"]
+        return code, check
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_gap_no_wider_than_the_first_order_grid(self, tmp_path, config):
+        code, check = self.oracle_record(tmp_path, config)
+        if config == "outward_drift.json":
+            # no feasible run from the probe: the oracle reads +inf
+            assert code == cli.EXIT_VERIFY_FAILED
+            assert not check["passed"] and check["oracle_value"] == math.inf
+            return
+        gap = ((check["oracle_value"] - check["riccati_value"])
+               / abs(check["riccati_value"]))
+        assert -1e-6 <= gap <= self.EULER_GAPS[config]
+        assert check["passed"] and code == 0
+
+    @pytest.mark.parametrize("config, scale", [
+        ("scalar_demo.json", 1.02), ("ball2d_demo.json", 1.10),   # lower side
+        ("scalar_demo.json", 0.993), ("ball2d_demo.json", 0.93)])  # upper side
+    def test_catches_a_scaled_value_the_first_order_grid_missed(
+            self, tmp_path, monkeypatch, config, scale):
+        dim = load_spec(config).dim_state
+        euler_gap = (1.0 + self.EULER_GAPS[config]) / scale - 1.0
+        assert -1e-6 <= euler_gap <= self.EULER_TOL_ABOVE[dim]
+        value = cli.synthesis.value_from_riccati
+        monkeypatch.setattr(cli.synthesis, "value_from_riccati",
+                            lambda *args: scale * value(*args))
+        code, check = self.oracle_record(tmp_path, config)
+        assert not check["passed"] and code == cli.EXIT_VERIFY_FAILED
+
+
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, tmp_path):
         out = tmp_path / "v"

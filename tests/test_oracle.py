@@ -1,16 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from safelq import AlphaPolicy, build_problem, oracle
-from safelq.model import _sup_alpha_gain, eval_dynamics
+from safelq.model import eval_dynamics, eval_lagrangian
+from safelq.numerics import matvec
 from safelq.oracle import brute_force_value, build_dp
 from safelq.riccati import solve_stabilizing
 from safelq.synthesis import value_from_riccati
 
 from conftest import load_config, load_spec
-from references import feasible_mask
+from references import eval_sup_lagrangian, feasible_mask
 
 ALPHA0 = AlphaPolicy.zero(0.0, 64.0)
 
@@ -19,9 +21,10 @@ def dp_value(*args, **kwargs):
     return brute_force_value(build_dp(*args, **kwargs))
 
 
-# Reference: the per-(step, control) loop the batched oracle replaced, with
-# its own multilinear interpolation and stage cost.  The oracle must match it
-# bit for bit.
+# Reference: a per-(step, control) loop over the whole lattice, with its own
+# multilinear interpolation, central differences and candidate stage, on
+# the model's dynamics and running cost.  The oracle must match it bit for
+# bit.
 
 def reference_interpolate(values, axes, points):
     n, n_pts, snap = len(axes), points.shape[0], 1e-9
@@ -54,20 +57,55 @@ def reference_interpolate(values, axes, points):
     return out
 
 
-def reference_stage_cost(dp, s, states, u):
-    spec = dp.spec
-    hx = spec.h.forward(states)
-    g = np.sum(hx * hx, axis=1)
-    u_sq = 0.5 * float(u @ u)
+def reference_rate(dp, s, states, u):
+    """Running cost at s per state, for one control or one per state."""
     if dp.cost_mode == "fixed":
-        alpha_val = dp.alpha.value(s)
-        return (spec.q_coeff(s, alpha_val) * g + u_sq
-                - float(spec.b(alpha_val)))
-    gains = np.array([_sup_alpha_gain(spec.a, spec.b, gi)[1] for gi in g])
-    return 0.5 * spec.K.value(s) * g + u_sq + gains
+        return eval_lagrangian(dp.spec, s, states, u, dp.alpha.value(s))
+    return eval_sup_lagrangian(dp.spec, s, states, u)
 
 
-def reference_value(dp, with_cost=True):
+def reference_transition(dp, s0, s1, states, u, layer, with_cost):
+    """Trapezoid cost plus the layer at the Heun foot, per state."""
+    spec, dt = dp.spec, dp.dt
+    f0 = eval_dynamics(spec, s0, states, u)
+    f1 = eval_dynamics(spec, s1, states + dt * f0, u)
+    feet = states + 0.5 * dt * (f0 + f1)
+    total = reference_interpolate(layer, dp.state_axes, feet)
+    if with_cost:
+        total = 0.5 * dt * (reference_rate(dp, s0, states, u)
+                            + reference_rate(dp, s1, feet, u)) + total
+    return total
+
+
+def reference_gradient(layer, axes):
+    """Central differences of a lattice layer, one-sided at its edges,
+    stacked (..., n); not finite next to a +inf entry."""
+    grads = []
+    with np.errstate(invalid="ignore"):
+        for d, ax in enumerate(axes):
+            f = np.moveaxis(layer, d, 0)
+            h = ax[1] - ax[0]
+            out = np.empty_like(f)
+            out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+            out[0] = (f[1] - f[0]) / h
+            out[-1] = (f[-1] - f[-2]) / h
+            grads.append(np.moveaxis(out, 0, d))
+    return np.stack(grads, axis=-1).reshape(-1, len(axes))
+
+
+def reference_candidate(dp, s0, s1, states, layer, u_max, with_cost):
+    """The transition under the gradient control clip(-B^T grad_h^{-T}
+    grad V), per state; +inf where grad V is not finite."""
+    spec = dp.spec
+    grad = reference_gradient(layer.reshape(dp.state_shape), dp.state_axes)
+    ok = np.isfinite(grad).all(axis=1)
+    w = spec.h.apply_jacobian_inv_t(states, np.where(ok[:, None], grad, 0.0))
+    u = np.clip(-matvec(spec.B.value(s0).T, w), -u_max, u_max)
+    total = reference_transition(dp, s0, s1, states, u, layer, with_cost)
+    return np.where(ok, total, np.inf)
+
+
+def reference_value(dp, u_max, with_cost=True):
     spec, dt = dp.spec, dp.dt
     states = dp.state_points()
     inside = np.array([spec.omega.boundary_margin(p) for p in states]) <= 1e-12
@@ -75,14 +113,13 @@ def reference_value(dp, with_cost=True):
     tables[-1] = np.where(inside, 0.0, np.inf)
     time_nodes = dp.t + dt * np.arange(dp.n_steps + 1)
     for i in range(dp.n_steps - 1, -1, -1):
-        s = float(time_nodes[i])
+        s0, s1 = float(time_nodes[i]), float(time_nodes[i + 1])
         best = np.full(len(states), np.inf)
         for u in dp.controls:
-            nxt = states + dt * eval_dynamics(spec, s, states, u)
-            total = reference_interpolate(tables[i + 1], dp.state_axes, nxt)
-            if with_cost:
-                total = reference_stage_cost(dp, s, states, u) * dt + total
-            np.minimum(best, total, out=best)
+            np.minimum(best, reference_transition(
+                dp, s0, s1, states, u, tables[i + 1], with_cost), out=best)
+        np.minimum(best, reference_candidate(
+            dp, s0, s1, states, tables[i + 1], u_max, with_cost), out=best)
         best[~inside] = np.inf
         tables[i] = best
     return tables.reshape((dp.n_steps + 1,) + dp.state_shape)
@@ -115,30 +152,39 @@ def reference_spec(name):
     return load_spec(name)
 
 
+def recorded_layers(monkeypatch):
+    """Record the layer V(s_{i+1}) that each backward step reads."""
+    gradient_controls, layers = oracle._gradient_controls, []
+
+    def recording(dp, s, V, inside, kept):
+        layers.append(V.copy())
+        return gradient_controls(dp, s, V, inside, kept)
+
+    monkeypatch.setattr(oracle, "_gradient_controls", recording)
+    return layers
+
+
+def assert_matches_reference(dp, u_max, layers, table):
+    # the table holds the layer at t only: every later layer is checked
+    # as the input of the step that reads it
+    ref = reference_value(dp, u_max)
+    assert np.isfinite(ref).any()
+    assert table.V.shape == dp.state_shape
+    np.testing.assert_array_equal(bits(table.V), bits(ref[0]))
+    np.testing.assert_array_equal(
+        bits(np.stack(layers[::-1]).reshape(ref[1:].shape)), bits(ref[1:]))
+
+
 class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("mode", ["fixed", "sup"])
     @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
     def test_value_tables_bitwise_equal(self, name, res, n_u, steps, u_max,
                                         mode, monkeypatch):
-        # the table holds the layer at t only: every later layer is checked
-        # as the input of the step that reads it
         dp = build_dp(reference_spec(name), 0.0, 6.0, n_steps=steps,
                       state_res=res, u_max=u_max, control_res=n_u,
                       cost_mode=mode, alpha=ALPHA0)
-        apply, inputs = oracle._apply, []
-
-        def recording_apply(values, op):
-            inputs.append(values.copy())
-            return apply(values, op)
-
-        monkeypatch.setattr(oracle, "_apply", recording_apply)
-        table = brute_force_value(dp)
-        ref = reference_value(dp)
-        assert np.isfinite(ref).any()
-        assert table.V.shape == dp.state_shape
-        np.testing.assert_array_equal(bits(table.V), bits(ref[0]))
-        np.testing.assert_array_equal(
-            bits(np.stack(inputs[::-1]).reshape(ref[1:].shape)), bits(ref[1:]))
+        layers = recorded_layers(monkeypatch)
+        assert_matches_reference(dp, u_max, layers, brute_force_value(dp))
 
     @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
     def test_feasible_set_matches_zero_cost_loop(self, name, res, n_u, steps,
@@ -148,7 +194,7 @@ class TestAgainstReferenceLoop:
                       cost_mode="fixed", alpha=ALPHA0)
         mask = feasible_mask(brute_force_value(dp))
         np.testing.assert_array_equal(
-            mask, np.isfinite(reference_value(dp, with_cost=False)[0]))
+            mask, np.isfinite(reference_value(dp, u_max, with_cost=False)[0]))
 
     def test_piecewise_alpha_bitwise_equal(self, ball2d_spec, monkeypatch):
         # q(s, alpha) and b(alpha) change at the policy's nodes, so the cost
@@ -159,19 +205,8 @@ class TestAgainstReferenceLoop:
                       u_max=1.5, control_res=5, cost_mode="fixed",
                       alpha=alpha)
         assert len(set(alpha.value(dp.t + dp.dt * np.arange(30)))) == 4
-        apply, inputs = oracle._apply, []
-
-        def recording_apply(values, op):
-            inputs.append(values.copy())
-            return apply(values, op)
-
-        monkeypatch.setattr(oracle, "_apply", recording_apply)
-        table = brute_force_value(dp)
-        ref = reference_value(dp)
-        assert np.isfinite(ref).any()
-        np.testing.assert_array_equal(bits(table.V), bits(ref[0]))
-        np.testing.assert_array_equal(
-            bits(np.stack(inputs[::-1]).reshape(ref[1:].shape)), bits(ref[1:]))
+        layers = recorded_layers(monkeypatch)
+        assert_matches_reference(dp, 1.5, layers, brute_force_value(dp))
 
     def test_value_at_off_node_and_poisoned(self, ball2d_spec):
         dp = build_dp(ball2d_spec, 0.0, 6.0, n_steps=30, state_res=15,
@@ -212,9 +247,11 @@ class TestInsideOnlyRows:
         dp, table, inside, counts = self.located_counts(ball2d_spec,
                                                         monkeypatch)
         # constant A and B: one operator, with a row per (control, point
-        # inside Omega) pair
-        assert 0 < inside.sum() < inside.size
-        assert counts == [len(dp.controls) * int(inside.sum())]
+        # inside Omega) pair, then one candidate row per inside point and
+        # step
+        n_kept = int(inside.sum())
+        assert 0 < n_kept < inside.size
+        assert counts == [len(dp.controls) * n_kept] + [n_kept] * dp.n_steps
         V = table.V.ravel()
         assert np.all(V[~inside] == np.inf) and np.isfinite(V[inside]).any()
 
@@ -222,10 +259,88 @@ class TestInsideOnlyRows:
                                            monkeypatch):
         dp, table, inside, counts = self.located_counts(timevarying_spec,
                                                         monkeypatch)
-        # a time-varying A: one operator per step over the whole lattice
+        # a time-varying A: one operator per step over the whole lattice,
+        # and one candidate row per lattice point
         assert inside.all()
-        assert counts == [len(dp.controls) * inside.size] * dp.n_steps
+        assert counts == [len(dp.controls) * inside.size,
+                          inside.size] * dp.n_steps
         assert np.isfinite(table.V).all()
+
+
+class TestCandidateStage:
+    @pytest.mark.parametrize("mode", ["fixed", "sup"])
+    @pytest.mark.parametrize("name, res, n_u, steps, u_max", REFERENCE_GRIDS)
+    def test_candidates_only_lower_the_table(self, name, res, n_u, steps,
+                                             u_max, mode, monkeypatch):
+        # the DP operator is monotone and the candidate only adds a
+        # control: without it no layer value goes down, with it none goes
+        # up
+        dp = build_dp(reference_spec(name), 0.0, 6.0, n_steps=steps,
+                      state_res=res, u_max=u_max, control_res=n_u,
+                      cost_mode=mode, alpha=ALPHA0)
+        with_layers = recorded_layers(monkeypatch)
+        with_table = brute_force_value(dp)
+        coarse_layers = []
+
+        def no_candidates(dp, s, V, inside, kept):
+            coarse_layers.append(V.copy())
+            return (np.zeros((len(kept), dp.spec.dim_control)),
+                    np.zeros(len(kept), dtype=bool))
+
+        monkeypatch.setattr(oracle, "_gradient_controls", no_candidates)
+        coarse = brute_force_value(dp)
+        for lo, hi in zip(with_layers + [with_table.V.ravel()],
+                          coarse_layers + [coarse.V.ravel()]):
+            assert np.all(hi >= lo)
+        # outward_drift keeps only the origin, at zero cost either way
+        assert np.any(coarse.V > with_table.V) == (name != "outward_drift.json")
+
+    def test_candidate_clipped_to_the_control_box(self, scalar_spec):
+        dp = build_dp(scalar_spec, 0.0, 1.0, n_steps=1, state_res=21,
+                      u_max=0.5, control_res=3, cost_mode="fixed",
+                      alpha=ALPHA0)
+        states = dp.state_points()
+        inside = np.ones(len(states), dtype=bool)
+        layer = 3.0 * states[:, 0] ** 3 - 3.0 * states[:, 0]
+        u, ok = oracle._gradient_controls(dp, 0.0, layer, inside, states)
+        assert ok.all()
+        assert u.min() == -0.5 and u.max() == 0.5
+        assert np.all(np.abs(u) <= 0.5)
+
+    def test_inf_neighbor_keeps_the_grid_minimum(self, scalar_spec):
+        dp = build_dp(scalar_spec, 0.0, 1.0, n_steps=1, state_res=21,
+                      u_max=0.5, control_res=3, cost_mode="fixed",
+                      alpha=ALPHA0)
+        states = dp.state_points()
+        inside = np.ones(len(states), dtype=bool)
+        layer = states[:, 0] ** 2
+        layer[10] = np.inf
+        u, ok = oracle._gradient_controls(dp, 0.0, layer, inside, states)
+        # the central difference reads the two neighbors, not the point
+        np.testing.assert_array_equal(np.flatnonzero(~ok), [9, 11])
+        assert np.isfinite(u).all() and np.all(u[~ok] == 0.0)
+
+
+class TestLocateNonFinite:
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_value_at_non_finite_is_inf(self, scalar_spec, x):
+        table = dp_value(scalar_spec, 0.0, 1.0, n_steps=4, state_res=21,
+                         u_max=1.0, control_res=3, cost_mode="fixed",
+                         alpha=ALPHA0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.value_at([x]) == np.inf
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [0.0, np.inf],
+                                   [-np.inf, np.nan]])
+    def test_non_finite_coordinate_in_2d(self, ball2d_spec, x):
+        table = dp_value(ball2d_spec, 0.0, 1.0, n_steps=4, state_res=15,
+                         u_max=1.0, control_res=3, cost_mode="fixed",
+                         alpha=ALPHA0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.value_at(x) == np.inf
+            assert table.value_at([0.0, 0.0]) == 0.0
 
 
 class TestBruteForceValue:
