@@ -29,27 +29,27 @@ only the layer it reads and the layer it writes.
 
 Each backward step treats all grid controls at once, and only the lattice
 points inside Omega, as every other point holds +inf: the feet of every
-(control, inside point) pair are located on the lattice as one sparse
-interpolation operator (a CSR matrix holding each foot's 2**n cell corners
-and weights), applied to the whole layer V(s_{i+1}) as one sparse product,
-and reduced by one min over controls.  With constant A and B the feet,
-their operator and |h|^2 at them are built once per run, otherwise once
-per step.  The cost block of a step depends on time only through the
-scalars q and b at s_i and s_{i+1} (alpha's values there), or K there in
-sup mode, so it is built again only when their bits or the feet change.
-The candidate stage then costs O(points) per step: one gradient, one
-Heun foot and one interpolation row per inside point.  ``scipy.sparse`` is
-imported on the first build, not with the package.
+(control, inside point) pair are located on the lattice as one
+interpolation operator (each foot's 2**n cell corners as flat indices and
+weights, stored corner-major), applied to the whole layer V(s_{i+1}) as
+one gather per corner, and reduced by one min over controls.  With
+constant A and B the feet, their operator and |h|^2 at them are built
+once per run, otherwise once per step.  The cost block of a step depends
+on time only through the scalars q and b at s_i and s_{i+1} (alpha's
+values there), or K there in sup mode, so it is built again only when
+their bits or the feet change.  The candidate stage then costs O(points)
+per step: one gradient, one Heun foot and one interpolation row per
+inside point.  The oracle needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain, eval_dynamics
+from .model import AlphaPolicy, ProblemSpec, _sup_alpha_gain
 from .numerics import matvec
 
 _INF = np.inf
@@ -80,6 +80,11 @@ class DPProblem:
     def state_shape(self) -> tuple[int, ...]:
         return tuple(len(ax) for ax in self.state_axes)
 
+    @cached_property
+    def control_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-axis bounds (lo, hi) of the box the control grid spans."""
+        return self.controls.min(axis=0), self.controls.max(axis=0)
+
     def state_points(self) -> np.ndarray:
         mesh = np.meshgrid(*self.state_axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=1)
@@ -97,9 +102,20 @@ def build_dp(spec: ProblemSpec, t: float, T: float, n_steps: int,
         raise ValueError("cost_mode must be 'sup' or 'fixed'")
     if cost_mode == "fixed" and alpha is None:
         raise ValueError("fixed cost mode needs an alpha policy")
+    if not T > t:                                               # NaN-proof
+        raise ValueError("the window needs T > t")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if state_res < 2:
+        raise ValueError("state_res must be at least 2 (a cell per axis)")
+    if control_res < 1:
+        raise ValueError("control_res must be at least 1")
+    if not 0.0 <= u_max < np.inf:                               # NaN-proof
+        raise ValueError("u_max must be finite and nonnegative")
     m = spec.dim_control
     # the iteration keeps two layers; its interpolation operator holds
-    # 2**n corners per (control, lattice point) pair
+    # 2**n corners per (control, lattice point) pair, 16 B each (an intp
+    # index and a float64 weight)
     if control_res**m * state_res**n * 2**n > 50_000_000:
         raise ValueError(
             "interpolation operator would exceed the 5e7-entry budget")
@@ -113,17 +129,16 @@ def build_dp(spec: ProblemSpec, t: float, T: float, n_steps: int,
 
 
 def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray):
-    """Multilinear interpolation at ``points`` (N, n) as one sparse operator.
+    """Multilinear interpolation at ``points`` (N, n) as one operator.
 
-    A CSR matrix of shape (N, lattice + 2): row p holds the 2**n cell
-    corners of point p in corner order (bit d of a corner steps along axis
-    d), so ``op @ [V, 0.0, inf]`` sums them in that order.  The two trailing
-    columns are sentinels: zero-weight corners (and snapped on-node
-    neighbors) point at 0.0 so they cannot poison, and off-lattice queries
-    (a non-finite coordinate among them) point at +inf with weight 1.
+    A pair ``(flat, weight)`` of corner-major arrays, each (2**n, N): row c
+    holds corner c of every point's cell (bit d of c steps along axis d)
+    as an index into ``[V, 0.0, inf]`` and its weight, and :func:`_apply`
+    sums the corners in that order.  The two trailing entries are
+    sentinels: zero-weight corners (and snapped on-node neighbors) point at
+    0.0 so they cannot poison, and off-lattice queries (a non-finite
+    coordinate among them) point at +inf with weight 1.
     """
-    from scipy.sparse import csr_matrix
-
     n, n_pts = len(axes), points.shape[0]
     size = int(np.prod([len(ax) for ax in axes]))
     outside = np.zeros(n_pts, dtype=bool)
@@ -141,29 +156,37 @@ def _locate(axes: tuple[np.ndarray, ...], points: np.ndarray):
         f = np.clip(pos - i, 0.0, 1.0)
         f[f < snap] = 0.0
         f[f > 1.0 - snap] = 1.0
-        lo = i.astype(np.int32) * np.int32(stride)
-        sides.append((d, (1.0 - f, f), (lo, lo + np.int32(stride))))
+        # intp, as np.take would cast any other index type on every call
+        lo = i.astype(np.intp) * stride
+        sides.append((d, (1.0 - f, f), (lo, lo + stride)))
         stride *= len(ax)
-    # rows of 2**n corners, built in the layout and dtype the matrix stores
-    weight = np.empty((n_pts, 1 << n))
-    flat = np.empty((n_pts, 1 << n), dtype=np.int32)
+    weight = np.empty((1 << n, n_pts))
+    flat = np.empty((1 << n, n_pts), dtype=np.intp)
     for corner in range(1 << n):
         picks = [(w[(corner >> d) & 1], c[(corner >> d) & 1])
                  for d, w, c in sides]
-        weight[:, corner] = reduce(np.multiply, [w for w, _ in picks])
-        flat[:, corner] = reduce(np.add, [c for _, c in picks])
+        weight[corner] = reduce(np.multiply, [w for w, _ in picks])
+        flat[corner] = reduce(np.add, [c for _, c in picks])
     flat[~(weight > 0.0)] = size
-    flat[outside] = size + 1
-    weight[outside] = 1.0
-    indptr = np.arange(0, flat.size + 1, flat.shape[1], dtype=np.int32)
-    return csr_matrix((weight.ravel(), flat.ravel(), indptr),
-                      shape=(n_pts, size + 2))
+    np.copyto(flat, size + 1, where=outside)
+    np.copyto(weight, 1.0, where=outside)
+    return flat, weight
 
 
 def _apply(values: np.ndarray, op) -> np.ndarray:
     """Interpolate ``values`` through a :func:`_locate` operator; +inf off
     the lattice or where a corner of positive weight is non-finite."""
-    out = op @ np.concatenate([values.ravel(), [0.0, _INF]])
+    flat, weight = op
+    ext = np.concatenate([values.ravel(), [0.0, _INF]])
+    # the indices lie in range by construction, so "clip" changes nothing
+    # but spares take the bounds check and output buffering of "raise"
+    out = ext.take(flat[0], mode="clip")
+    out *= weight[0]
+    term = np.empty_like(out)
+    for c in range(1, len(flat)):
+        ext.take(flat[c], out=term, mode="clip")
+        term *= weight[c]
+        out += term
     out[~np.isfinite(out)] = _INF
     return out
 
@@ -192,9 +215,15 @@ def _heun_feet(spec: ProblemSpec, s0: float, s1: float, dt: float,
                x: np.ndarray, a_hx: np.ndarray, u: np.ndarray):
     """Heun feet ``x + dt/2 (f(s0, x, u) + f(s1, x + dt f(s0, x, u), u))``
     of points x (N, n) under controls u that broadcast against them, given
-    ``a_hx = A(s0) h(x)``, and ``|h|^2`` at the feet."""
-    f0 = spec.h.apply_jacobian_inv(x, a_hx + matvec(spec.B.value(s0), u))
-    f1 = eval_dynamics(spec, s1, x + dt * f0, u)
+    ``a_hx = A(s0) h(x)``, and ``|h|^2`` at the feet.  The second slope is
+    the dynamics at s1, with a constant B's product reused."""
+    bu = matvec(spec.B.value(s0), u)
+    f0 = spec.h.apply_jacobian_inv(x, a_hx + bu)
+    y = x + dt * f0
+    if not spec.B.is_constant():
+        bu = matvec(spec.B.value(s1), u)
+    f1 = spec.h.apply_jacobian_inv(
+        y, matvec(spec.A.value(s1), spec.h.forward(y)) + bu)
     feet = x + 0.5 * dt * (f0 + f1)
     h_feet = spec.h.forward(feet)
     return feet, np.vecdot(h_feet, h_feet)
@@ -217,7 +246,7 @@ def _gradient_controls(dp: DPProblem, s: float, V: np.ndarray,
     grad[~ok] = 0.0
     u = -matvec(dp.spec.B.value(s).T,
                 dp.spec.h.apply_jacobian_inv_t(kept, grad))
-    return np.clip(u, dp.controls.min(axis=0), dp.controls.max(axis=0)), ok
+    return np.clip(u, *dp.control_box), ok
 
 
 def brute_force_value(dp: DPProblem) -> ValueTable:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -913,10 +914,9 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 class TestColdStart:
     def test_cli_import_leaves_scipy_optimize_out(self):
         # linprog serves general polytopes only and is imported where they
-        # need it; a box reads its bounding box off lo and hi.  The oracle's
-        # sparse interpolation operator is imported where it runs, and
-        # nothing imports scipy.linalg.  Loading a config checks it against
-        # the schema without jsonschema.
+        # need it; a box reads its bounding box off lo and hi.  Nothing
+        # else in the package imports scipy.  Loading a config checks it
+        # against the schema without jsonschema.
         code = ("import sys, safelq.cli; from safelq.geometry import Box; "
                 "Box([-1.0, 0.0], [1.0, 2.0]); "
                 f"safelq.cli._load_spec({SCALAR!r}); "
@@ -926,6 +926,45 @@ class TestColdStart:
                 "'jsonschema' in sys.modules)")
         out = _fresh_python(code)
         assert out.stdout.strip() == "False False False False"
+
+    @pytest.mark.parametrize("config", ["ball2d_demo", "timevarying_demo"])
+    def test_verify_all_leaves_scipy_out(self, tmp_path, config):
+        # the oracle interpolates with numpy alone, and neither config's
+        # Omega needs a linear program
+        code = ("import sys, safelq.cli; "
+                "code = safelq.cli.main(['--config', "
+                f"{str(CONFIG_DIR / (config + '.json'))!r}, '--out', "
+                f"{str(tmp_path)!r}, 'verify', '--suite', 'all']); "
+                "print(code, *(m in sys.modules for m in ('scipy.sparse', "
+                "'scipy.linalg', 'scipy.optimize')), file=sys.stderr)")
+        out = _fresh_python(code)
+        assert out.stderr.strip() == "0 False False False"
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert "oracle_vs_riccati" in {
+            c["check"] for c in report["suites"]["oracle"]}
+
+    def test_scipy_imports_are_polytope_lps_only(self):
+        # a static guard: the one scipy import the package may hold is
+        # geometry's function-level linprog, so no heavy import creeps
+        # back in at module level or in another module
+        found = []
+        for path in sorted(Path(safelq.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            functions = [node for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            nested = {id(inner) for f in functions for inner in ast.walk(f)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                for name in names:
+                    if name.split(".")[0] == "scipy":
+                        found.append((path.name, name, id(node) in nested))
+        assert found
+        assert set(found) == {("geometry.py", "scipy.optimize.linprog", True)}
 
     @pytest.mark.parametrize("config", ["scalar_demo", "ball2d_demo"])
     def test_algebraic_check_leaves_scipy_linalg_out(self, tmp_path, config):

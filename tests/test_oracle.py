@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -133,20 +134,24 @@ def bits(a):
 # a time-varying demo, a non-identity coordinate map, an unstable drift
 # that leaves part of the lattice infeasible, a 2-d demo with a
 # time-varying A, whose four corners per point are relocated every step,
-# and an exponential K, whose cost block changes every step
+# the same with a time-varying B, whose B u differs between a step's two
+# slopes, and an exponential K, whose cost block changes every step
 REFERENCE_GRIDS = [("ball2d_demo.json", 15, 5, 30, 1.5),
                    ("timevarying_demo.json", 61, 11, 60, 2.0),
                    ("cubic_demo.json", 61, 11, 60, 2.0),
                    ("outward_drift.json", 41, 3, 60, 0.5),
                    ("ball2d_demo.json+sinusoid_A", 15, 3, 30, 1.5),
+                   ("ball2d_demo.json+sinusoid_B", 15, 3, 30, 1.5),
                    ("expk_demo.json", 61, 11, 60, 2.0)]
 
 
 def reference_spec(name):
-    if name == "ball2d_demo.json+sinusoid_A":
-        cfg = load_config("ball2d_demo.json")
-        cfg["A"] = {"variant": "sinusoid", "params": {
-            "base": [[-1.0, 0.0], [0.0, -1.0]],
+    base, _, variant = name.partition("+sinusoid_")
+    if variant:
+        cfg = load_config(base)
+        cfg[variant] = {"variant": "sinusoid", "params": {
+            "base": [[-1.0, 0.0], [0.0, -1.0]] if variant == "A" else
+                    [[1.0, 0.0], [0.0, 1.0]],
             "amplitude": [[0.4, 0.3], [-0.3, 0.2]], "omega": 1.0}}
         return build_problem(cfg)
     return load_spec(name)
@@ -307,6 +312,17 @@ class TestCandidateStage:
         assert u.min() == -0.5 and u.max() == 0.5
         assert np.all(np.abs(u) <= 0.5)
 
+    def test_candidate_clipped_to_an_asymmetric_box(self, scalar_spec):
+        dp = build_dp(scalar_spec, 0.0, 1.0, n_steps=1, state_res=21,
+                      u_max=0.5, control_res=3, cost_mode="fixed",
+                      alpha=ALPHA0)
+        dp = dataclasses.replace(dp, controls=np.array([[-0.2], [0.7]]))
+        states = dp.state_points()
+        inside = np.ones(len(states), dtype=bool)
+        layer = 3.0 * states[:, 0] ** 3 - 3.0 * states[:, 0]
+        u, ok = oracle._gradient_controls(dp, 0.0, layer, inside, states)
+        assert ok.all() and u.min() == -0.2 and u.max() == 0.7
+
     def test_inf_neighbor_keeps_the_grid_minimum(self, scalar_spec):
         dp = build_dp(scalar_spec, 0.0, 1.0, n_steps=1, state_res=21,
                       u_max=0.5, control_res=3, cost_mode="fixed",
@@ -341,6 +357,80 @@ class TestLocateNonFinite:
             warnings.simplefilter("error")
             assert table.value_at(x) == np.inf
             assert table.value_at([0.0, 0.0]) == 0.0
+
+
+def corner_order_sum(values, axes, point):
+    """Multilinear interpolation at one point in Python floats: the cell's
+    corners in order (bit d of a corner steps along axis d), each weight
+    the product of its per-axis factors, zero-weight corners adding 0.0,
+    +inf off the lattice or for a non-finite result."""
+    snap, cells = 1e-9, []
+    for d, ax in enumerate(axes):
+        pos = (float(point[d]) - float(ax[0])) / (float(ax[1]) - float(ax[0]))
+        if not -snap <= pos <= len(ax) - 1 + snap:
+            return math.inf
+        i = min(max(math.floor(pos), 0), len(ax) - 2)
+        f = min(max(pos - i, 0.0), 1.0)
+        cells.append((i, 0.0 if f < snap else 1.0 if f > 1.0 - snap else f))
+    total = None
+    for corner in range(1 << len(axes)):
+        bits_ = [(corner >> d) & 1 for d in range(len(axes))]
+        weight = 1.0
+        for d in reversed(range(len(axes))):
+            i, f = cells[d]
+            weight *= f if bits_[d] else 1.0 - f
+        index = tuple(i + b for (i, _), b in zip(cells, bits_))
+        term = weight * float(values[index]) if weight > 0.0 else 0.0
+        total = term if total is None else total + term
+    return total if math.isfinite(total) else math.inf
+
+
+class TestInterpolationOperator:
+    @staticmethod
+    def check(values, axes, points):
+        points = np.array(points, dtype=float)
+        op = oracle._locate(axes, points)
+        flat, weight = op
+        assert flat.shape == weight.shape == (1 << len(axes), len(points))
+        assert flat.dtype == np.intp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle._apply(values, op)
+        ref = [corner_order_sum(values, axes, p) for p in points]
+        np.testing.assert_array_equal(bits(got), bits(ref))
+        return got
+
+    def test_one_dimensional_rows(self):
+        axes = (np.linspace(-1.0, 2.0, 7),)
+        values = np.array([0.3, 1.7, 0.9, np.inf, 2.2, 0.1, 5.0])
+        got = self.check(values, axes, [
+            [-0.8], [0.1], [1.35],        # off node, finite cells
+            [0.0], [0.0 + 1e-12],         # on node / snapped, +inf neighbor
+            [1.0 - 1e-12],                # snapped onto the node after it
+            [0.25],                       # a +inf corner of weight 1/2
+            [2.0], [-1.0],                # the lattice's two ends
+            [2.5], [-1.5], [np.nan], [np.inf], [-np.inf]])
+        np.testing.assert_array_equal(got[3:6], [0.9, 0.9, 2.2])
+        assert np.all(got[6] == np.inf) and np.all(got[9:] == np.inf)
+        assert got[7] == 5.0 and got[8] == 0.3
+
+    def test_two_dimensional_rows(self):
+        axes = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3))
+        values = np.arange(15.0).reshape(5, 3) / 7.0
+        values[2, 1] = np.inf
+        got = self.check(values, axes, [
+            [-0.8, 0.3], [0.9, 1.6],      # off node, finite cells
+            [0.0, 0.0], [0.0 + 1e-12, 2.0 - 1e-12],   # on node / snapped
+            [-0.5, 1.0], [0.0, 0.0 + 1e-12],  # +inf corners of zero weight
+            [0.5, 1.0],                   # on node
+            [0.2, 0.9], [0.0, 1.5],       # a +inf corner of positive weight
+            [1.0, 2.0], [-1.0, 0.0],      # the lattice's corners
+            [1.2, 1.0], [0.0, -0.1], [np.nan, 1.0], [0.0, np.inf],
+            [-np.inf, np.nan]])
+        assert got[2] == values[2, 0] and got[3] == values[2, 2]
+        assert np.isfinite(got[4:7]).all()
+        assert np.all(got[7:9] == np.inf) and np.all(got[11:] == np.inf)
+        assert got[9] == values[4, 2] and got[10] == values[0, 0]
 
 
 class TestBruteForceValue:
@@ -418,6 +508,24 @@ class TestBruteForceValue:
         spec = build_problem(cfg)
         with pytest.raises(ValueError):
             build_dp(spec, 0.0, 1.0, 10, 5, 1.0, 3)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"state_res": 1}, "state_res"), ({"n_steps": 0}, "n_steps"),
+        ({"control_res": 0}, "control_res"), ({"T": 0.0}, "T > t"),
+        ({"T": -1.0}, "T > t"), ({"T": math.nan}, "T > t"),
+        ({"u_max": -0.5}, "u_max"), ({"u_max": math.inf}, "u_max"),
+        ({"u_max": math.nan}, "u_max")])
+    def test_degenerate_grids_refused(self, scalar_spec, change, match):
+        grid = dict(t=0.0, T=1.0, n_steps=4, state_res=5, u_max=1.0,
+                    control_res=3, cost_mode="fixed", alpha=ALPHA0)
+        with pytest.raises(ValueError, match=match):
+            build_dp(scalar_spec, **{**grid, **change})
+
+    def test_smallest_grids_run(self, scalar_spec):
+        table = dp_value(scalar_spec, 0.0, 1.0, n_steps=1, state_res=2,
+                         u_max=0.0, control_res=1, cost_mode="fixed",
+                         alpha=ALPHA0)
+        assert table.V.shape == (2,)
 
     def test_budget_admits_long_windows(self, ball2d_spec):
         # two layers of 41 x 41 entries, however many steps the window takes
