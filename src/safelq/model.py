@@ -109,19 +109,21 @@ class AlphaPolicy:
     def piecewise_integral(self, fn: Callable[[float], float], t_from: float,
                            t_to: float | None = None) -> float:
         """Exact integral of fn(alpha(s)) over [t_from, t_to] (None -> inf),
-        for an fn with fn(0) = 0, as past the last node alpha is 0."""
-        nodes, values = self.nodes, self.values
-        total = 0.0
-        # region before the grid clamps to values[0]
-        if t_from < nodes[0]:
-            hi = nodes[0] if t_to is None else min(t_to, nodes[0])
-            total += float(fn(values[0])) * max(0.0, hi - t_from)
-        for i in range(len(nodes) - 1):
-            lo = max(t_from, nodes[i])
-            hi = nodes[i + 1] if t_to is None else min(t_to, nodes[i + 1])
-            if hi > lo:
-                total += float(fn(values[i])) * (hi - lo)
-        return total
+        for an fn with fn(0) = 0, as past the last node alpha is 0.
+
+        fn is applied to the array of values.  The region before the first
+        node reads values[0] and is the first interval, (-inf, nodes[0]);
+        an empty interval adds exactly 0.0, and the terms are summed onto
+        0.0 one after another in node order.
+        """
+        edges = np.concatenate([[-np.inf], self.nodes])
+        lo = np.maximum(t_from, edges[:-1])
+        hi = edges[1:] if t_to is None else np.minimum(t_to, edges[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.where(hi > lo, fn(np.concatenate(
+                [self.values[:1], self.values[:-1]])) * (hi - lo), 0.0)
+            # accumulate adds in order, where np.sum would pair the terms up
+            return float(np.add.accumulate(np.concatenate([[0.0], terms]))[-1])
 
 
 def _sup_alpha_gain(a: catalog.PowerLaw, b: catalog.PowerLaw, g):

@@ -178,6 +178,9 @@ def _apply(values: np.ndarray, op) -> np.ndarray:
     the lattice or where a corner of positive weight is non-finite."""
     flat, weight = op
     ext = np.concatenate([values.ravel(), [0.0, _INF]])
+    # NaN and -inf read as +inf; positive weights then keep every sum
+    # finite or +inf, and zero-weight corners read the 0.0 sentinel
+    ext[~(ext > -_INF)] = _INF
     # the indices lie in range by construction, so "clip" changes nothing
     # but spares take the bounds check and output buffering of "raise"
     out = ext.take(flat[0], mode="clip")
@@ -187,7 +190,6 @@ def _apply(values: np.ndarray, op) -> np.ndarray:
         ext.take(flat[c], out=term, mode="clip")
         term *= weight[c]
         out += term
-    out[~np.isfinite(out)] = _INF
     return out
 
 
@@ -207,8 +209,8 @@ class ValueTable:
         """Header and one ``(s, x_*, V)`` row per lattice point, s = dp.t."""
         pts = self.dp.state_points()
         header = ["s"] + [f"x_{i + 1}" for i in range(pts.shape[1])] + ["V"]
-        return header, [[self.dp.t, *x, v] for x, v
-                        in zip(pts.tolist(), self.V.ravel().tolist())]
+        return header, np.column_stack(
+            [np.full(len(pts), self.dp.t), pts, self.V.ravel()]).tolist()
 
 
 def _heun_feet(spec: ProblemSpec, s0: float, s1: float, dt: float,

@@ -17,6 +17,23 @@ def load_spec(name: str):
     return build_problem(load_config(name))
 
 
+def constant_spec(a_mat, b_mat, level):
+    # constant (A, B), K = level up to t_max, R = I/2, identity h
+    n, m = b_mat.shape
+    return build_problem({
+        "dims": {"state": n, "control": m},
+        "A": {"variant": "constant", "params": {"value": a_mat.tolist()}},
+        "B": {"variant": "constant", "params": {"value": b_mat.tolist()}},
+        "K": {"variant": "truncated_constant",
+              "params": {"level": level, "t_cut": 64.0}},
+        "a": {"variant": "linear", "params": {"coeff": 1.0}},
+        "b": {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}},
+        "h": {"variant": "identity"},
+        "omega": {"variant": "ball",
+                  "params": {"center": [0.0] * n, "radius": 1.0}},
+        "grid": {"t0": 0.0, "dt": 0.05, "t_max": 64.0}})
+
+
 def within_rounding(a, b):
     # 1e-13 relative to max(1, max |b|): far above the 2x2 float sweeps'
     # distance from a BLAS reference (1.6e-16 on P, 6.1e-15 on dP over five

@@ -8,7 +8,9 @@
   zero terminal condition;
 * ``eval_sup_lagrangian``: the marginal-function cost, the sup over alpha of
   the running cost, which the oracle's sup mode builds from its parts;
-* ``feasible_mask``: the lattice points where a DP value table is finite.
+* ``feasible_mask``: the lattice points where a DP value table is finite;
+* ``piecewise_integral_loop``: ``AlphaPolicy.piecewise_integral`` one node
+  at a time in Python floats.
 """
 
 import numpy as np
@@ -90,3 +92,21 @@ def eval_sup_lagrangian(spec, s, x, u):
 def feasible_mask(table):
     """Where the value table ``table.V`` is finite."""
     return np.isfinite(table.V)
+
+
+def piecewise_integral_loop(policy, fn, t_from, t_to=None):
+    """Integral of fn(alpha(s)) over [t_from, t_to] (None -> inf), summed
+    interval by interval onto 0.0; the region before the first node reads
+    values[0], and an empty interval adds nothing."""
+    nodes, values = policy.nodes, policy.values
+    total = 0.0
+    if t_from < nodes[0]:
+        hi = nodes[0] if t_to is None else min(t_to, nodes[0])
+        if hi > t_from:
+            total += float(fn(values[0])) * (hi - t_from)
+    for i in range(len(nodes) - 1):
+        lo = max(t_from, nodes[i])
+        hi = nodes[i + 1] if t_to is None else min(t_to, nodes[i + 1])
+        if hi > lo:
+            total += float(fn(values[i])) * (hi - lo)
+    return total

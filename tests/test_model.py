@@ -6,13 +6,14 @@ import pytest
 
 from safelq import (AlphaPolicy, build_problem, eval_dynamics,
                     eval_lagrangian)
+from safelq.catalog import PowerLaw
 from safelq.errors import ConfigError, NegativeAlpha
 from safelq.game import lambda_map
 from safelq.model import MAX_GRID_STEPS
 from safelq.numerics import stage_times
 
 from conftest import load_config
-from references import eval_sup_lagrangian
+from references import eval_sup_lagrangian, piecewise_integral_loop
 
 
 class TestBuildProblem:
@@ -250,6 +251,38 @@ class TestAlphaPolicy:
         # [0.25, 1) reads values[0] = 2: 0.75 * 2 + 1 * 2 + 1 * 1
         assert pol.piecewise_integral(lambda a: a, 0.25, None) == 4.5
         assert pol.piecewise_integral(lambda a: a, 0.25, 0.5) == 0.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integral_is_the_loop_bit_for_bit(self, seed):
+        # random policies, a zero and an inf value among them, against the
+        # node loop: windows that start before, inside and after the nodes
+        # and end at inf, inside the nodes or below their start
+        rng = np.random.default_rng(seed)
+        fns = [PowerLaw(1.0, 1.0), PowerLaw(0.7, 2.0),
+               PowerLaw(rng.uniform(0.1, 3.0), rng.uniform(1.1, 4.0))]
+        for size in (1, 2, 7, 60):
+            nodes = rng.uniform(-2.0, 2.0) + np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(0.01, 0.5, size - 1))])
+            values = rng.uniform(0.0, 3.0, size) ** 2
+            values[rng.integers(size)] = 0.0
+            for inf_at in (None, 0, size // 2):
+                held = values.copy()
+                if inf_at is not None:
+                    held[inf_at] = np.inf
+                pol = AlphaPolicy(nodes, held)
+                inside = rng.uniform(nodes[0], nodes[-1], 3)
+                starts = [nodes[0] - 0.3, nodes[0], nodes[-1] + 0.2,
+                          nodes[size // 2], *inside]
+                for t_from in starts:
+                    for t_to in (None, rng.uniform(nodes[0], nodes[-1]),
+                                 nodes[-1], t_from - 0.1):
+                        for fn in fns:
+                            got = pol.piecewise_integral(fn, t_from, t_to)
+                            ref = piecewise_integral_loop(pol, fn, t_from,
+                                                          t_to)
+                            assert type(got) is float
+                            assert np.float64(got).view(np.uint64) == \
+                                np.float64(ref).view(np.uint64)
 
     def test_constant_policy_support(self):
         pol = AlphaPolicy.constant(2.0, 0.0, 3.0)

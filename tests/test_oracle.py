@@ -432,6 +432,31 @@ class TestInterpolationOperator:
         assert np.all(got[7:9] == np.inf) and np.all(got[11:] == np.inf)
         assert got[9] == values[4, 2] and got[10] == values[0, 0]
 
+    def test_nan_and_negative_infinity_read_as_infinity(self):
+        axes = (np.linspace(0.0, 3.0, 4),)
+        values = np.array([1.0, np.nan, -np.inf, 2.0])
+        got = self.check(values, axes, [
+            [0.5], [1.5], [2.5],          # a NaN or -inf corner of weight > 0
+            [1.0], [2.0],                 # on the NaN / -inf node
+            [0.0], [3.0],                 # their neighbors of zero weight
+            [1e-12], [3.0 - 1e-12]])
+        assert np.all(got[:5] == np.inf)
+        np.testing.assert_array_equal(got[5:], [1.0, 2.0, 1.0, 2.0])
+
+    def test_two_dimensional_nan_and_negative_infinity(self):
+        axes = (np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 3))
+        values = np.arange(9.0).reshape(3, 3) / 3.0
+        values[1, 1], values[2, 2] = np.nan, -np.inf
+        got = self.check(values, axes, [
+            [-0.5, 0.25], [0.5, 0.75],    # a NaN or -inf corner of weight > 0
+            [0.0, 0.5], [1.0, 1.0],       # on the NaN / -inf node
+            [0.0, 0.0], [-1.0, 0.5],      # neighbors, zero-weight corners
+            [1.0, 0.5], [0.5, 0.0]])
+        assert np.all(got[:4] == np.inf)
+        np.testing.assert_array_equal(
+            got[4:], [values[1, 0], values[0, 1], values[2, 1],
+                      0.5 * values[1, 0] + 0.5 * values[2, 0]])
+
 
 class TestBruteForceValue:
     def test_scalar_fixed_alpha_matches_riccati(self, scalar_spec):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -16,7 +15,7 @@ from safelq.riccati import (_gap_tol, check_monotone_in_T, solve_are_constant,
                             solve_finite_horizon, solve_stabilizing)
 from safelq.synthesis import value_from_riccati
 
-from conftest import CONFIG_DIR, load_config, within_rounding
+from conftest import CONFIG_DIR, constant_spec, load_config, within_rounding
 from windowed_doubling import windowed_stabilizing
 
 # stabilizing root of 2 P^2 + 2 P - 1 = 0 for A=-1, B=1, R=1/2, Q=1
@@ -201,7 +200,7 @@ class TestStabilizing:
         # pairs have |P| in the thousands)
         closed = a_mat - 2.0 * b_mat @ b_mat.T @ p_are
         assume(np.max(np.linalg.eigvals(closed).real) < -0.5)
-        spec = _constant_spec(a_mat, b_mat, level)
+        spec = constant_spec(a_mat, b_mat, level)
         assert np.array_equal(spec.q_coeff(0.0, 0.0) * np.eye(n), q_mat)
         riccati_tol = 1e-8
         # the limit at the window's end, swept back over [0, span]
@@ -220,7 +219,7 @@ class TestStabilizing:
         p_are = solve_are_constant(a_mat, b_mat, 0.5 * np.eye(1),
                                    0.5 * np.eye(2))
         assert np.linalg.norm(p_are) > 1e4
-        sol = solve_stabilizing(_constant_spec(a_mat, b_mat, 1.0), ALPHA0,
+        sol = solve_stabilizing(constant_spec(a_mat, b_mat, 1.0), ALPHA0,
                                 0.0, 0.0, tol=1e-8)
         assert sol.certificate.converged
         assert np.linalg.norm(sol.at(0.0) - p_are, "fro") <= 1e-7
@@ -243,23 +242,6 @@ class TestAgainstWindowedDoubling:
         gap = float(np.max(np.linalg.norm(sol.P - ref.P, axis=(1, 2))))
         assert gap < _gap_tol(tol, ref.P)
         assert sol.certificate.horizons[0] == pytest.approx(window + 1.0)
-
-
-def _constant_spec(a_mat, b_mat, level):
-    # constant (A, B), K = level up to t_max, R = I/2, identity h
-    n, m = b_mat.shape
-    return build_problem({
-        "dims": {"state": n, "control": m},
-        "A": {"variant": "constant", "params": {"value": a_mat.tolist()}},
-        "B": {"variant": "constant", "params": {"value": b_mat.tolist()}},
-        "K": {"variant": "truncated_constant",
-              "params": {"level": level, "t_cut": 64.0}},
-        "a": {"variant": "linear", "params": {"coeff": 1.0}},
-        "b": {"variant": "power", "params": {"coeff": 1.0, "exponent": 2.0}},
-        "h": {"variant": "identity"},
-        "omega": {"variant": "ball",
-                  "params": {"center": [0.0] * n, "radius": 1.0}},
-        "grid": {"t0": 0.0, "dt": 0.05, "t_max": 64.0}})
 
 
 # 50-digit roots (mpmath Newton), rounded to 20 digits: the large root of
@@ -554,8 +536,8 @@ class TestOneLane:
         # the matmul path on random full 3x3 A and 3x2 B: the sweep's (3, 3)
         # products are the reference's own, bit for bit
         rng = np.random.default_rng(seed)
-        spec = _constant_spec(rng.uniform(-2.0, 1.0, (3, 3)),
-                              rng.uniform(0.5, 1.5, (3, 2)), 1.0)
+        spec = constant_spec(rng.uniform(-2.0, 1.0, (3, 3)),
+                             rng.uniform(0.5, 1.5, (3, 2)), 1.0)
         self._check_against_reference(spec)
 
     @staticmethod
@@ -624,8 +606,8 @@ class TestOneLane:
         # random constant 1-D data: the float sweep rounds like the
         # reference's (1, 1) matmul, overflow and the sign of zero included
         rng = np.random.default_rng(seed)
-        spec = _constant_spec(rng.uniform(-2.0, 1.0, (1, 1)),
-                              rng.uniform(0.5, 1.5, (1, 1)), level)
+        spec = constant_spec(rng.uniform(-2.0, 1.0, (1, 1)),
+                             rng.uniform(0.5, 1.5, (1, 1)), level)
         self._check_random_sweep(spec, alpha, p_end)
 
     @settings(max_examples=40, deadline=None)
@@ -643,27 +625,6 @@ class TestOneLane:
         # the reference's 2x2 matmul has at most one non-zero term, so the
         # float sweep rounds like it, overflow and the sign of zero included
         rng = np.random.default_rng(seed)
-        spec = _constant_spec(np.diag(rng.uniform(-2.0, 1.0, 2)),
-                              np.diag(rng.uniform(0.5, 1.5, 2)), level)
+        spec = constant_spec(np.diag(rng.uniform(-2.0, 1.0, 2)),
+                             np.diag(rng.uniform(0.5, 1.5, 2)), level)
         self._check_random_sweep(spec, alpha, p_end * np.eye(2))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_dot_rounds_like_matmul(self, n):
-        # the premise of the one-start closed loop with n >= 2:
-        # ndarray.dot and matmul give the same bits on (n, n) products and
-        # (n, n) (n,) products, transposed views and non-finite entries
-        # included; a BLAS or numpy build that breaks it fails here
-        rng = np.random.default_rng(n)
-        for trial in range(400):
-            a, b = rng.standard_normal((2, n, n)) * 10.0 ** rng.integers(
-                -8, 9, (2, n, n))
-            if trial % 4 == 3:
-                a.flat[rng.integers(n * n)] = rng.choice([np.inf, -np.inf,
-                                                          np.nan])
-            for left, right in itertools.product((a, a.T, b, b.T), repeat=2):
-                x = right[0]
-                with np.errstate(invalid="ignore"):
-                    assert _bitwise_equal(left.dot(right),
-                                          np.matmul(left, right))
-                    assert _bitwise_equal(
-                        left.dot(x), np.matmul(left, x[:, None])[:, 0])

@@ -14,7 +14,8 @@ from safelq.synthesis import (cost_of_trajectory, feedback_control,
                               gamma_matrices, hamiltonian, hjb_residual,
                               simulate_closed_loop, value_from_riccati)
 
-from conftest import CONFIG_DIR, load_config, load_spec, within_rounding
+from conftest import (CONFIG_DIR, constant_spec, load_config, load_spec,
+                      within_rounding)
 from references import finite_value_from_riccati, simulate_open_loop
 
 SCALAR_ROOT = (-1.0 + math.sqrt(3.0)) / 2.0
@@ -345,6 +346,23 @@ class TestClosedLoopFromArrays:
                 simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 1.0)
             raised.append((exc.value.time, str(exc.value)))
         assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_state_start_is_its_batch_row(self, seed):
+        # n = 3 takes the stacked matmul field, one identity-h start too: on
+        # random full 3x3 A and 3x2 B it is its batch row, bit for bit
+        rng = np.random.default_rng(seed)
+        spec = constant_spec(rng.uniform(-2.0, 1.0, (3, 3)),
+                             rng.uniform(0.5, 1.5, (3, 2)), 1.0)
+        P = solve_finite_horizon(spec, ALPHA0, 0.0, 1.5)
+        x0 = np.array([rng.uniform(-0.5, 0.5), -0.0, rng.uniform(-0.5, 0.5)])
+        one = simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 1.0)
+        batch = simulate_closed_loop(spec, P, ALPHA0, 0.0, [x0, 0.5 * x0],
+                                     1.0)
+        for name in ("states", "controls", "running_cost", "cum_cost",
+                     "margins", "exit_index", "exit_time"):
+            assert _same_bits(np.asarray(getattr(one, name)),
+                              np.asarray(getattr(batch, name)[0])), name
 
     @pytest.mark.parametrize("config", ["cubic_demo.json",
                                         "outward_drift.json"])
