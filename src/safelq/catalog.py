@@ -169,7 +169,8 @@ def _cubic_inverse(y: np.ndarray, beta: float) -> np.ndarray:
     Newton polish step)."""
     p = 1.0 / beta
     q = -y / beta
-    disc = np.sqrt(0.25 * q * q + (p / 3.0) ** 3)
+    # hypot, not the sqrt of squares, stays finite for |y| above 1e154
+    disc = np.hypot(0.5 * q, (p / 3.0) ** 1.5)
     x = np.cbrt(-0.5 * q + disc) + np.cbrt(-0.5 * q - disc)
     return x - (beta * x**3 + x - y) / (3.0 * beta * x * x + 1.0)
 

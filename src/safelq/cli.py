@@ -213,9 +213,7 @@ def _cmd_synthesize(args, spec: ProblemSpec, out: Path, sha: str) -> int:
     t0 = spec.grid.t0
     x0 = _parse_x0(args.x0, spec)
     alpha = _alpha_from_flag(args.alpha, spec, t0)
-    horizon = args.horizon if args.horizon is not None else min(
-        16.0, spec.grid.t_max - t0)
-    t_end = t0 + horizon
+    t_end = t0 + (args.horizon if args.horizon is not None else 16.0)
 
     sol = riccati.solve_stabilizing(spec, alpha, t0, t_end,
                                     tol=DEFAULT_TOLERANCES["riccati_tol"])
@@ -311,7 +309,7 @@ class _ZeroPolicySolves:
             spec, alpha, t0, t0 + 4.0, dt=spec.grid.dt * scale))
         # the stabilizing solution on the IPC window [t0, t_end]; the
         # riccati and oracle suites read it at t0
-        self.t_end = t_end = t0 + min(8.0, spec.grid.t_max - t0)
+        self.t_end = t_end = t0 + 8.0
         self._solve_stabilizing = lambda: riccati.solve_stabilizing(
             spec, alpha, t0, t_end, tol=DEFAULT_TOLERANCES["riccati_tol"])
         self._stabilizing = None

@@ -55,11 +55,11 @@ class ConstantAlphaSweep:
 
 def _game_window(spec: ProblemSpec, t: float, riccati_tol: float = 1e-8
                  ) -> tuple[float, np.ndarray, RiccatiSolution]:
-    """The window's end T_sim = t + min(16, t_max - t), its policy nodes,
-    and the stabilizing P at T_seed = T_sim + h: every policy on the nodes
-    is zero from T_seed on (the step that ends at T_sim still reads alpha
-    there), so this one tail serves them all."""
-    T_sim = t + min(16.0, spec.grid.t_max - t)
+    """The window's end T_sim = t + 16, its policy nodes, and the
+    stabilizing P at T_seed = T_sim + h: every policy on the nodes is zero
+    from T_seed on (the step that ends at T_sim still reads alpha there),
+    so this one tail serves them all."""
+    T_sim = t + 16.0
     nodes = stage_times(t, T_sim, spec.grid.dt)[::2]
     T_seed = T_sim + (T_sim - t) / (len(nodes) - 1)
     tail = solve_stabilizing(spec, AlphaPolicy.zero(t, T_seed), T_seed, T_seed,
@@ -178,8 +178,7 @@ def solve_coupled(spec: ProblemSpec, t: float, x0: np.ndarray,
     Starting from alpha = 0 (the pure quadratic solve, kept as ``zero``),
     each pass computes the stabilizing P for the current policy (one sweep
     back from the policy-free tail, :func:`solve_from_tail`), simulates the
-    closed loop from x0 over [t, t + min(16, t_max - t)], and evaluates the
-    relaxed map
+    closed loop from x0 over [t, t + 16], and evaluates the relaxed map
     G(alpha) = (1 - relaxation) alpha + relaxation Lambda(xi) sampled along
     the trajectory.  The next policy mixes the latest map values
     (:func:`_anderson_step`).  Stops when the sup-norm residual

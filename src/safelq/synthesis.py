@@ -14,18 +14,19 @@ gradient 2 grad_h^T P h of the quadratic value candidate.  Values come from
 verification residual |dV/ds + H(s, x, grad_x V)| is measured with
 central differences of P in time.
 
-A simulation integrates a stack of starts with RK4 on the grid of
+In y = h(xi) the closed loop is the linear y' = Gamma(s) y.  A simulation
+maps a stack of starts to h(x0), integrates y with RK4 on the grid of
 ``numerics.stage_times``, reading Gamma at each stage index from one
-precomputed array, then builds the controls and running costs of all nodes
-and starts at once with stacked matmul and vecdot, so each start's
+precomputed array, and maps all nodes back with one h^{-1} (the first to
+x0 up to rounding); it then builds the controls and running costs of all
+nodes and starts at once with stacked matmul and vecdot, so each start's
 trajectory is bit for bit the one it gets in a stack of its own.  The
-field takes one of two forms.  A single start (n,) with the identity h and
-n <= 2 runs on Python floats: a scalar as ``0.0 + g x``, g read once per
-simulation into a list, and a 2-vector as the tuple of its two rows
-``0.0 + g00 x0 + g01 x1`` and ``0.0 + g10 x0 + g11 x1``, each entry of
-Gamma read through a memoryview, which keeps the float loop's memory peak
-at the array loop's.  Every other start (a stack, n >= 3 or a
-non-identity h) takes the stacked matmul field.  The +0.0 a float row is
+start's shape picks the field.  A single start (n,) with n <= 2 runs on
+Python floats: a scalar as ``0.0 + g y``, g read once per simulation into
+a list, and a 2-vector as the tuple of its two rows ``0.0 + g00 y0 +
+g01 y1`` and ``0.0 + g10 y0 + g11 y1``, each entry of Gamma read through a
+memoryview, which keeps the float loop's memory peak at the array loop's.
+Every other start takes the stacked matmul field.  The +0.0 a float row is
 summed onto gives a zero row matmul's sign.  Where each row has at most
 one non-zero product, as on diagonal data, the float rows have matmul's
 bits; where a row has two, BLAS may fuse them into one multiply-add, and
@@ -148,37 +149,36 @@ def simulate_closed_loop(spec: ProblemSpec, P: RiccatiSolution,
     dt = spec.grid.dt
     gammas = gamma_matrices(spec, P, stage_times(t, T_sim, dt))
 
-    start = x0
-    if x0.ndim == 1 and len(x0) <= 2 and spec.h.variant == "identity":
+    # y = h(xi) obeys the linear y' = Gamma(s) y
+    start = spec.h.forward(x0)
+    if start.ndim == 1 and len(start) <= 2:
         # each row summed onto +0.0, as matmul sums it
-        if len(x0) == 1:
-            g, start = gammas[:, 0, 0].tolist(), float(x0[0])
+        if len(start) == 1:
+            g, start = gammas[:, 0, 0].tolist(), float(start[0])
 
-            def field(j, x):
-                return 0.0 + g[j] * x
+            def field(j, y):
+                return 0.0 + g[j] * y
         else:
             # a view reads each entry of Gamma as a float, holding no
             # float object per stage as a list would
             g00, g01, g10, g11 = map(memoryview, gammas.reshape(-1, 4).T)
-            start = tuple(x0.tolist())
+            start = tuple(start.tolist())
 
-            def field(j, x):
-                y0, y1 = x
+            def field(j, y):
+                y0, y1 = y
                 return (0.0 + g00[j] * y0 + g01[j] * y1,
                         0.0 + g10[j] * y0 + g11[j] * y1)
     else:
-        forward, jacobian_inv = spec.h.forward, spec.h.apply_jacobian_inv
-
-        def field(j, x):
-            # matvec less its conversion: h(x) is a float array already
-            return jacobian_inv(
-                x, np.matmul(gammas[j], forward(x)[..., None])[..., 0])
+        def field(j, y):
+            return np.matmul(gammas[j], y[..., None])[..., 0]
 
     path = integrate_ode(field, t, T_sim, start, dt)
-    states = np.moveaxis(path.values.reshape(path.nodes.shape + x0.shape),
-                         0, -2)
-    controls = feedback_control(spec, P, path.nodes, states)
-    return _trajectory(spec, path.nodes, states, controls, alpha)
+    nodes = path.nodes
+    states = spec.h.inverse(np.moveaxis(
+        path.values.reshape(nodes.shape + x0.shape), 0, -2))
+    del path  # frees the y path before the controls and costs are built
+    controls = feedback_control(spec, P, nodes, states)
+    return _trajectory(spec, nodes, states, controls, alpha)
 
 
 def value_from_riccati(spec: ProblemSpec, P: RiccatiSolution,

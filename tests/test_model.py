@@ -339,6 +339,20 @@ class TestDiffeoInvariants:
                 fd[:, j] = (h.forward(x + step) - h.forward(x - step)) / (2 * eps)
             np.testing.assert_allclose(jac, fd, atol=1e-6)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_cubic_inverse_of_huge_values(self, beta):
+        # a closed loop maps its nodes back with h^{-1}, an escaping one from
+        # any finite y; the root stays finite and exact to rounding beyond
+        # |y| = 1e154, where the square of y / (2 beta) overflows
+        from safelq.catalog import diffeo_from_config
+        h = diffeo_from_config({"variant": "odd_cubic",
+                                "params": {"beta": beta}}, 1)
+        y = np.array([1e150, -1e160, 1e200, -1e300, 1e307])
+        with np.errstate(all="raise"):
+            x = h.inverse(y)
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(h.forward(x), y, rtol=1e-15)
+
     def test_singular_linear_map_rejected(self):
         from safelq.catalog import diffeo_from_config
         with pytest.raises(ConfigError,

@@ -110,7 +110,8 @@ class TestClosedLoop:
 
 def _per_node_closed_loop(spec, P, alpha, t, x0, T_sim, dt):
     # reference: Gamma at the nodes and at the midpoints from two separate
-    # calls, picked by stage parity, then one feedback_control and one
+    # calls, picked by stage parity, y = h(xi) stepped as y' = Gamma y from
+    # h(x0) and mapped back by one h^{-1}, then one feedback_control and one
     # eval_lagrangian call per node
     n_steps = max(1, int(round((T_sim - t) / dt)))
     half = 0.5 * ((T_sim - t) / n_steps)
@@ -118,21 +119,34 @@ def _per_node_closed_loop(spec, P, alpha, t, x0, T_sim, dt):
                               t + half * np.arange(0, 2 * n_steps + 1, 2))
     at_mids = gamma_matrices(spec, P, t + half * np.arange(1, 2 * n_steps, 2))
 
-    def field(j, x):
+    def field(j, y):
         gamma = at_mids[j // 2] if j % 2 else at_nodes[j // 2]
-        return spec.h.apply_jacobian_inv(x, gamma @ spec.h.forward(x))
+        return gamma @ y
 
-    path = integrate_ode(field, t, T_sim, np.asarray(x0, dtype=float), dt)
-    controls = np.array([feedback_control(spec, P, s, path.values[k])
+    path = integrate_ode(field, t, T_sim, spec.h.forward(x0), dt)
+    states = spec.h.inverse(path.values)
+    controls = np.array([feedback_control(spec, P, s, states[k])
                          for k, s in enumerate(path.nodes)])
     alphas = alpha.value(path.nodes)
-    running = np.array([eval_lagrangian(spec, s, path.values[k], controls[k],
+    running = np.array([eval_lagrangian(spec, s, states[k], controls[k],
                                         alphas[k])
                         for k, s in enumerate(path.nodes)])
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (running[1:] + running[:-1]) * np.diff(path.nodes))])
-    margins = np.array([spec.omega.boundary_margin(x) for x in path.values])
-    return path.nodes, path.values, controls, running, cum, margins
+    margins = np.array([spec.omega.boundary_margin(x) for x in states])
+    return path.nodes, states, controls, running, cum, margins
+
+
+def _jacobian_field_states(spec, P, t, x0, T_sim):
+    # the closed loop in xi itself, xi' = grad_h(xi)^{-1} Gamma h(xi), with
+    # both maps called at every stage
+    gammas = gamma_matrices(spec, P, stage_times(t, T_sim, spec.grid.dt))
+
+    def field(j, x):
+        return spec.h.apply_jacobian_inv(x, gammas[j] @ spec.h.forward(x))
+
+    return integrate_ode(field, t, T_sim, np.asarray(x0, dtype=float),
+                         spec.grid.dt).values
 
 
 @st.composite
@@ -204,16 +218,17 @@ class TestClosedLoopFromArrays:
     @given(a=_scalar_time_matrix(-2.0, 2.0), b=_scalar_time_matrix(0.2, 1.5),
            levels=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
            x0=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9)))
-    # Gamma > 0 throughout: dot gives -0.0 from a start at -0.0, matmul +0.0
+    # Gamma > 0 throughout: a product g * -0.0 is -0.0, and the float
+    # field's 0.0 + g y turns it into matmul's +0.0
     @example(a={"variant": "constant", "params": {"value": [[1.0]]}},
              b={"variant": "constant",
                 "params": {"value": [[0.1]], "bound": 1.0}},
              levels=[0.5], x0=-0.0)
     def test_scalar_start_matches_the_batch_and_the_reference(self, a, b,
                                                               levels, x0):
-        # a 1-D identity-h start runs on floats: its trajectory is row 0 of
-        # the batch and the per-node loop, bit for bit; the sign of a zero
-        # start included
+        # a 1-D start runs on floats: its trajectory is row 0 of the batch
+        # and the per-node loop, bit for bit; the sign of a zero start
+        # included
         spec = _scalar_spec(a, b)
         alpha = AlphaPolicy(np.linspace(0.0, 1.2, len(levels)), levels)
         P = solve_finite_horizon(spec, alpha, 0.0, 1.5)
@@ -254,17 +269,19 @@ class TestClosedLoopFromArrays:
         assert raised[0] == raised[1] == raised[2]
 
     @pytest.mark.parametrize("config", ["timevarying_demo.json",
-                                        "ball2d_demo.json"])
-    def test_identity_start_calls_no_map_per_stage(self, config,
-                                                   monkeypatch):
-        # an identity h leaves h out of the field: the map is called only by
-        # the batched feedback_control and eval_lagrangian after the loop,
-        # not 4 times per RK4 step; a scalar state reaches the field as a
-        # Python float, a 2-D state as a tuple of two
+                                        "ball2d_demo.json", "cubic_demo.json",
+                                        "cubic2d_demo.json"])
+    def test_start_calls_no_map_per_stage(self, config, monkeypatch):
+        # every h leaves h out of the field: forward maps the start and,
+        # after the loop, the batched feedback_control and eval_lagrangian
+        # read it, and inverse maps all nodes back once, however many RK4
+        # steps there are; a scalar state reaches the field as a Python
+        # float, a 2-D state as a tuple of two
         spec = load_spec(config)
         P = solve_stabilizing(spec, ALPHA0, 0.0, 4.0, tol=1e-8)
-        calls = {"forward": 0, "apply_jacobian_inv": 0}
-        for name in calls:
+        names = ("forward", "inverse", "apply_jacobian_inv")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             method = getattr(DiffeoMap, name)
 
             def counting(self, *args, name=name, method=method):
@@ -282,9 +299,15 @@ class TestClosedLoopFromArrays:
 
         monkeypatch.setattr(synthesis, "integrate_ode", integrate)
         x0 = 0.5 * spec.omega.interior_point() + 0.25
-        simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, 4.0)
-        assert calls["forward"] <= 2
-        assert calls["apply_jacobian_inv"] == 0
+        counts = []
+        for T_sim in (1.0, 4.0):
+            calls.update(dict.fromkeys(names, 0))
+            simulate_closed_loop(spec, P, ALPHA0, 0.0, x0, T_sim)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["forward"] <= 3
+        assert counts[0]["inverse"] == 1
+        assert counts[0]["apply_jacobian_inv"] == 0
         assert states == ({float} if spec.dim_state == 1 else {tuple})
 
     def test_one_start_with_full_matrices(self, full2d_spec):
@@ -349,7 +372,7 @@ class TestClosedLoopFromArrays:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_three_state_start_is_its_batch_row(self, seed):
-        # n = 3 takes the stacked matmul field, one identity-h start too: on
+        # n = 3 takes the stacked matmul field, a single start too: on
         # random full 3x3 A and 3x2 B it is its batch row, bit for bit
         rng = np.random.default_rng(seed)
         spec = constant_spec(rng.uniform(-2.0, 1.0, (3, 3)),
@@ -369,8 +392,8 @@ class TestClosedLoopFromArrays:
     @pytest.mark.parametrize("x0", [-0.0, 0.0, 0.3])
     def test_one_start_with_a_cubic_map_is_its_batch_row(self, config, x0):
         # outward_drift under h = x + x^3/2 keeps P = 0, so Gamma = A = 1:
-        # a 1x1 dot keeps the -0.0 product of a start at -0.0, the stacked
-        # matmul of the batch gives +0.0
+        # the float field's 0.0 + g y gives the +0.0 of the batch's stacked
+        # matmul from a start at -0.0, not the product's -0.0
         cfg = load_config(config)
         cfg["h"] = {"variant": "odd_cubic", "params": {"beta": 0.5}}
         spec = build_problem(cfg)
@@ -381,6 +404,35 @@ class TestClosedLoopFromArrays:
                      "margins", "exit_index", "exit_time"):
             assert _same_bits(np.asarray(getattr(one, name)),
                               np.asarray(getattr(batch, name)[0])), name
+
+
+    @pytest.mark.parametrize("config, x0", [("cubic_demo.json", [0.6]),
+                                            ("cubic2d_demo.json",
+                                             [0.6, -0.4])])
+    def test_fourth_order_against_the_jacobian_field(self, config, x0):
+        # y = h(xi) makes grad_h^{-1} Gamma h the linear y' = Gamma y: at
+        # steps 4 dt, 2 dt and dt the states converge at RK4's order to the
+        # xi-field's run at dt / 16, which the y run at dt / 16 meets to
+        # rounding (orders of 4.0 and agreement to 3e-15 observed)
+        cfg = load_config(config)
+        dt = cfg["grid"]["dt"]
+        P = solve_stabilizing(build_problem(cfg), ALPHA0, 0.0, 2.0, tol=1e-10)
+
+        def spec_at(step):
+            cfg["grid"]["dt"] = step
+            return build_problem(cfg)
+
+        fine = spec_at(dt / 16.0)
+        ref = _jacobian_field_states(fine, P, 0.0, x0, 2.0)
+        got = simulate_closed_loop(fine, P, ALPHA0, 0.0, x0, 2.0).states
+        assert float(np.max(np.abs(got - ref))) <= 1e-13
+        errors = []
+        for k in (4, 2, 1):
+            states = simulate_closed_loop(spec_at(k * dt), P, ALPHA0, 0.0, x0,
+                                          2.0).states
+            errors.append(float(np.max(np.abs(states - ref[::16 * k]))))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 3.5), (errors, orders)
 
 
 class TestValues:
